@@ -47,6 +47,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"flag"
@@ -727,26 +728,18 @@ func runStatus(args []string) error {
 				s.Name, "("+s.Type+")", s.Addr, s.Processed, s.Emitted, lag, queue, s.Conns, s.BadCloses, state)
 			fmt.Printf("    %-14s %-10s out: records=%d batches=%d bytes=%d\n",
 				"", "", s.RecordsOut, s.BatchesOut, s.BytesOut)
-			switch s.Role {
-			case river.RoleSplit:
-				fmt.Printf("    %-14s %-10s split: legs=%d leg_drops=%d\n", "", "", s.Legs, s.LegDrops)
-			case river.RoleMerge:
-				fmt.Printf("    %-14s %-10s merge: legs=%d dups=%d skipped=%d untagged=%d\n",
-					"", "", s.Legs, s.Dups, s.Skipped, s.Untagged)
-			case river.RolePartition:
-				fmt.Printf("    %-14s %-10s partition: legs=%d leg_drops=%d\n", "", "", s.Legs, s.LegDrops)
-			case river.RoleCollect:
-				fmt.Printf("    %-14s %-10s collect: legs=%d dups=%d skipped=%d untagged=%d\n",
-					"", "", s.Legs, s.Dups, s.Skipped, s.Untagged)
+			switch river.KindOf(s.Role) {
+			case river.KindFanOut:
+				fmt.Printf("    %-14s %-10s %s: legs=%d leg_drops=%d\n", "", "", s.Role, s.Legs, s.LegDrops)
+			case river.KindFanIn:
+				fmt.Printf("    %-14s %-10s %s: legs=%d dups=%d skipped=%d untagged=%d\n",
+					"", "", s.Role, s.Legs, s.Dups, s.Skipped, s.Untagged)
 			}
 		}
 	}
 	printPlacements := func(ps []river.PlacementStatus) {
 		for _, p := range ps {
-			kind := p.Type
-			if p.Role != "" && kind == "" {
-				kind = p.Role
-			}
+			kind := cmp.Or(p.Type, p.Role)
 			if p.Placed {
 				fmt.Printf("  %-14s (%s) on %s at %s\n", p.Seg, kind, p.Node, p.Addr)
 			} else {

@@ -440,8 +440,25 @@ func TestSplitterMergerEndToEnd(t *testing.T) {
 		if i == n/2 {
 			// Kill one replica hop mid-stream; its StreamIn dies with the
 			// leg's records in flight.
+			// Egress totals must not step back when a leg that already
+			// flushed records leaves the set.
+			waitCond(t, 5*time.Second, "every leg flushing", func() bool {
+				for _, flushed := range s.LegRecords() {
+					if flushed == 0 {
+						return false
+					}
+				}
+				return true
+			})
 			_ = node.Stop("r1")
+			before := [3]uint64{s.RecordsOut(), s.BatchesOut(), s.BytesOut()}
 			s.SetLegs([]string{legs[0], legs[2]})
+			after := [3]uint64{s.RecordsOut(), s.BatchesOut(), s.BytesOut()}
+			for j, what := range []string{"records", "batches", "bytes"} {
+				if after[j] < before[j] {
+					t.Fatalf("%s out stepped back across SetLegs: %d -> %d", what, before[j], after[j])
+				}
+			}
 		}
 	}
 	waitCond(t, 10*time.Second, "all records through", func() bool { return sink.len() >= n })

@@ -18,18 +18,10 @@ package replica
 
 import (
 	"reflect"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/pipeline"
 	"repro/internal/record"
 )
-
-// DefaultLegQueue is the per-leg record buffer of a splitter: how far one
-// slow or dead leg may fall behind before the splitter starts dropping
-// records toward it (only it — the other replicas still carry them).
-const DefaultLegQueue = 256
 
 // SplitterConfig parameterizes a Splitter.
 type SplitterConfig struct {
@@ -50,92 +42,30 @@ type SplitterConfig struct {
 }
 
 // Splitter is a pipeline.Sink that tags every record with a replication
-// sequence annotation and fans it out to every leg. With three or more
-// legs, one leg that cannot keep up — saturated, or dead and redialling —
-// never stalls the others: its queue fills and records toward it are
-// dropped and counted, which is safe because every other leg still
+// sequence annotation and fans it out to every leg of its LegSet. With
+// three or more legs, one leg that cannot keep up — saturated, or dead and
+// redialling — never stalls the others: its queue fills and records toward
+// it are dropped and counted, which is safe because every other leg still
 // carries them and the merger needs only one surviving copy. See Consume
-// for the exact delivery invariant.
+// for the exact delivery invariant. A leg SetLegs drops is abandoned (its
+// queued records are a dead replica's).
 type Splitter struct {
-	group  string
-	stream uint32
-	epoch  uint16
-	queue  int
-	flush  record.BatchConfig
-
-	drops atomic.Uint64
-	quit  chan struct{} // closed by Close
-
-	mu     sync.Mutex
-	legs   map[string]*leg
-	seq    uint64
-	closed bool
-	// legsChanged is closed (and replaced) on every SetLegs, waking a
-	// Consume blocked on a saturated leg set that just got swapped.
-	legsChanged chan struct{}
-}
-
-// leg is one replica downstream: a bounded queue drained by a dedicated
-// writer goroutine into a batched streamout.
-type leg struct {
-	addr string
-	out  *pipeline.StreamOut
-	q    chan *record.Record
-	stop chan struct{}
-	done chan struct{}
+	*LegSet
 }
 
 // NewSplitter returns a splitter for the given group fanning out to
 // cfg.Legs.
 func NewSplitter(cfg SplitterConfig) *Splitter {
-	if cfg.LegQueue <= 0 {
-		cfg.LegQueue = DefaultLegQueue
-	}
-	if cfg.Flush.MaxRecords == 0 && cfg.Flush.MaxBytes == 0 {
-		cfg.Flush = record.DefaultBatchConfig()
-	}
-	s := &Splitter{
-		group:       cfg.Group,
-		stream:      record.ReplicaStreamID(cfg.Group),
-		epoch:       cfg.Epoch,
-		queue:       cfg.LegQueue,
-		flush:       cfg.Flush,
-		quit:        make(chan struct{}),
-		legs:        make(map[string]*leg),
-		legsChanged: make(chan struct{}),
-	}
-	s.SetLegs(cfg.Legs)
-	return s
+	return &Splitter{NewLegSet(LegSetConfig{
+		Role:     "split",
+		Group:    cfg.Group,
+		Stream:   record.ReplicaStreamID(cfg.Group),
+		Epoch:    cfg.Epoch,
+		Legs:     cfg.Legs,
+		LegQueue: cfg.LegQueue,
+		Flush:    cfg.Flush,
+	})}
 }
-
-// Name implements pipeline.Sink.
-func (s *Splitter) Name() string { return "split(" + s.group + ")" }
-
-// Epoch returns the splitter's incarnation.
-func (s *Splitter) Epoch() uint16 { return s.epoch }
-
-// Seq returns the number of records tagged so far.
-func (s *Splitter) Seq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
-// Legs returns the current leg addresses, sorted.
-func (s *Splitter) Legs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.legs))
-	for a := range s.legs {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LegDrops returns the number of records dropped toward saturated or dead
-// legs.
-func (s *Splitter) LegDrops() uint64 { return s.drops.Load() }
 
 // Consume implements pipeline.Sink: tag the record and enqueue it on the
 // legs. With three or more legs the invariant is
@@ -157,50 +87,41 @@ func (s *Splitter) LegDrops() uint64 { return s.drops.Load() }
 // the leg writer once flushed to the wire), so Consume never retains the
 // caller's record: the splitter composes with pooled upstream sources.
 func (s *Splitter) Consume(r *record.Record) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return pipeline.ErrStopped
+	v, err := s.Tag(r)
+	if err != nil {
+		return err
 	}
-	record.TagReplica(r, s.stream, s.epoch, s.seq)
-	s.seq++
-	ls, changed := s.legsLocked()
-	s.mu.Unlock()
+	s.Unlock()
 retry:
 	for {
-		if len(ls) == 0 {
-			// No legs to carry the record (the group is mid-repair):
-			// count it rather than blocking a stream nobody serves.
-			s.drops.Add(1)
+		if len(v.legs) == 0 {
+			s.Dropped()
 			return nil
 		}
-		required := len(ls)
+		required := len(v.legs)
 		if required > 2 {
 			required--
 		}
 		accepted := 0
-		var waiting []*leg
-		for _, l := range ls {
-			c := record.GetCopy(r)
-			select {
-			case l.q <- c:
+		// The legs that refused the record; the backing array keeps the
+		// one-slow-leg steady state off the heap.
+		var full [8]*leg
+		waiting := full[:0]
+		for _, l := range v.legs {
+			if l.offer(r) {
 				accepted++
-			default:
-				record.Release(c)
+			} else {
 				waiting = append(waiting, l)
 			}
 		}
 		for accepted < required {
-			idx, err := s.blockOnLegs(r, waiting, changed)
+			idx, err := s.blockOnLegs(r, waiting, v.changed)
 			if err != nil {
 				return err
 			}
 			if idx < 0 {
-				// The leg set changed: reload and start over on the new
-				// set.
-				s.mu.Lock()
-				ls, changed = s.legsLocked()
-				s.mu.Unlock()
+				// The leg set changed: start over on the new set.
+				v = s.View()
 				continue retry
 			}
 			accepted++
@@ -209,15 +130,6 @@ retry:
 		s.drops.Add(uint64(len(waiting)))
 		return nil
 	}
-}
-
-// legsLocked snapshots the legs and the current change signal.
-func (s *Splitter) legsLocked() ([]*leg, chan struct{}) {
-	ls := make([]*leg, 0, len(s.legs))
-	for _, l := range s.legs {
-		ls = append(ls, l)
-	}
-	return ls, s.legsChanged
 }
 
 // blockOnLegs waits until one of the waiting legs accepts a copy of r
@@ -252,123 +164,4 @@ func (s *Splitter) blockOnLegs(r *record.Record, waiting []*leg, changed chan st
 	default:
 		return -1, pipeline.ErrStopped
 	}
-}
-
-// SetLegs replaces the leg set: addresses not yet served gain a fresh
-// leg, legs no longer wanted are shut down (their queued records are
-// abandoned — a dropped leg is a dead replica's). The control plane calls
-// this to splice replicas in and out of a live stream.
-func (s *Splitter) SetLegs(addrs []string) {
-	want := make(map[string]bool, len(addrs))
-	for _, a := range addrs {
-		if a != "" {
-			want[a] = true
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	for a, l := range s.legs {
-		if !want[a] {
-			delete(s.legs, a)
-			l.shutdown()
-		}
-	}
-	for a := range want {
-		if _, ok := s.legs[a]; !ok {
-			s.legs[a] = s.newLeg(a)
-		}
-	}
-	close(s.legsChanged)
-	s.legsChanged = make(chan struct{})
-}
-
-// RecordsOut returns the records flushed to the wire, summed over legs.
-func (s *Splitter) RecordsOut() uint64 { return s.sumLegs((*pipeline.StreamOut).RecordsOut) }
-
-// BatchesOut returns the batch writes issued, summed over legs.
-func (s *Splitter) BatchesOut() uint64 { return s.sumLegs((*pipeline.StreamOut).BatchesOut) }
-
-// BytesOut returns the encoded bytes written, summed over legs.
-func (s *Splitter) BytesOut() uint64 { return s.sumLegs((*pipeline.StreamOut).BytesOut) }
-
-func (s *Splitter) sumLegs(f func(*pipeline.StreamOut) uint64) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, l := range s.legs {
-		total += f(l.out)
-	}
-	return total
-}
-
-// FillStats implements pipeline.EndpointStatser.
-func (s *Splitter) FillStats(st *pipeline.SegmentStats) {
-	st.Role = "split"
-	st.LegDrops = s.drops.Load()
-	s.mu.Lock()
-	st.Legs = len(s.legs)
-	s.mu.Unlock()
-}
-
-// Close shuts every leg down. Queued records toward live legs are
-// abandoned; callers that care should quiesce the stream first.
-func (s *Splitter) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.quit)
-	ls := make([]*leg, 0, len(s.legs))
-	for a, l := range s.legs {
-		delete(s.legs, a)
-		ls = append(ls, l)
-	}
-	s.mu.Unlock()
-	for _, l := range ls {
-		l.shutdown()
-		<-l.done
-	}
-	return nil
-}
-
-func (s *Splitter) newLeg(addr string) *leg {
-	l := &leg{
-		addr: addr,
-		out:  pipeline.NewStreamOutBatched(addr, s.flush),
-		q:    make(chan *record.Record, s.queue),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go l.run()
-	return l
-}
-
-// run drains the leg queue into the streamout until shutdown. A Consume
-// stuck redialling a dead address is unblocked by the out.Close in
-// shutdown; errors are not surfaced — a failed leg is the merger's and
-// control plane's problem, never the stream's.
-func (l *leg) run() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case r := <-l.q:
-			// StreamOut encodes synchronously, so the leg's copy can go
-			// back to the pool as soon as Consume returns.
-			_ = l.out.Consume(r)
-			record.Release(r)
-		}
-	}
-}
-
-// shutdown stops the leg writer, unblocking any in-flight write.
-func (l *leg) shutdown() {
-	close(l.stop)
-	_ = l.out.Close()
 }

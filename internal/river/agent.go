@@ -1,6 +1,7 @@
 package river
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -353,15 +354,11 @@ func (a *Agent) handleAssign(w *wire, msg *Message) {
 	}
 	var addr string
 	var err error
-	switch msg.Role {
-	case RoleSplit:
-		addr, err = a.hostSplitter(msg)
-	case RoleMerge:
-		addr, err = a.hostMerger(msg)
-	case RolePartition:
-		addr, err = a.hostPartitioner(msg)
-	case RoleCollect:
-		addr, err = a.hostCollector(msg)
+	switch KindOf(msg.Role) {
+	case KindFanOut:
+		addr, err = a.hostFanOut(msg)
+	case KindFanIn:
+		addr, err = a.hostFanIn(msg)
 	default:
 		addr, err = a.node.Host(msg.Seg, msg.SegType, net.JoinHostPort(a.ListenHost, "0"), msg.Downstream)
 	}
@@ -372,99 +369,64 @@ func (a *Agent) handleAssign(w *wire, msg *Message) {
 	a.mu.Lock()
 	a.units[msg.Seg] = unitMeta{typ: msg.SegType, role: msg.Role, group: msg.Group, epoch: msg.Epoch}
 	a.mu.Unlock()
-	typ := msg.SegType
-	if msg.Role != "" {
-		typ = msg.Role
-	}
 	a.reply(w, msg.ID, nil, addr)
-	a.logf("hosting %s (%s) at %s -> %s%v", msg.Seg, typ, addr, msg.Downstream, msg.Downstreams)
+	a.logf("hosting %s (%s) at %s -> %s%v", msg.Seg, cmp.Or(msg.Role, msg.SegType), addr, msg.Downstream, msg.Downstreams)
 }
 
-// hostSplitter runs a replication splitter: a streamin front tagging into
-// a fan-out sink over the node's batched transport.
-func (a *Agent) hostSplitter(msg *Message) (string, error) {
+// hostFanOut runs a group's fan-out endpoint — a replication splitter or,
+// for RolePartition, a shard partitioner: a streamin front tagging into a
+// leg-set sink over the node's batched transport.
+func (a *Agent) hostFanOut(msg *Message) (string, error) {
 	in, err := pipeline.NewStreamIn(net.JoinHostPort(a.ListenHost, "0"))
 	if err != nil {
 		return "", err
 	}
 	in.QueueSize = a.node.QueueSize
-	// The splitter clones per leg and never retains its input, so the
-	// front can decode into pooled records.
+	// Either sink hands its legs pool-backed copies and never retains its
+	// input, so the front can decode into pooled records.
 	in.Pooled = true
-	split := replica.NewSplitter(replica.SplitterConfig{
-		Group: msg.Group,
-		Epoch: msg.Epoch,
-		Legs:  msg.Downstreams,
-		Flush: a.node.FlushPolicy,
-	})
-	if err := a.node.HostUnit(msg.Seg, RoleSplit, in, pipeline.NewSegment(msg.Seg), split); err != nil {
+	var sink pipeline.Sink
+	if msg.Role == RolePartition {
+		sink = shard.NewPartitioner(shard.PartitionerConfig{
+			Group: msg.Group, Epoch: msg.Epoch, Legs: msg.Downstreams, Flush: a.node.FlushPolicy,
+		})
+	} else {
+		sink = replica.NewSplitter(replica.SplitterConfig{
+			Group: msg.Group, Epoch: msg.Epoch, Legs: msg.Downstreams, Flush: a.node.FlushPolicy,
+		})
+	}
+	if err := a.node.HostUnit(msg.Seg, msg.Role, in, pipeline.NewSegment(msg.Seg), sink); err != nil {
 		return "", err
 	}
 	return in.Addr(), nil
 }
 
-// hostMerger runs a replication merger: a concurrent fan-in source
-// deduplicating into a single batched streamout toward the downstream.
-func (a *Agent) hostMerger(msg *Message) (string, error) {
-	merge, err := replica.NewMerger(replica.MergerConfig{
-		Group:      msg.Group,
-		ListenAddr: net.JoinHostPort(a.ListenHost, "0"),
-		// The downstream is a streamout, which encodes synchronously and
-		// never retains records, so the merger can recycle them.
-		Pooled: true,
-	})
+// hostFanIn runs a group's fan-in endpoint — a replication merger or, for
+// RoleCollect, a shard collector: a concurrent fan-in source restoring one
+// ordered exactly-once stream into a single batched streamout toward the
+// downstream.
+func (a *Agent) hostFanIn(msg *Message) (string, error) {
+	listen := net.JoinHostPort(a.ListenHost, "0")
+	var src interface {
+		pipeline.Source
+		Addr() string
+	}
+	var err error
+	// The downstream is a streamout, which encodes synchronously and never
+	// retains records, so either source can recycle them (Pooled).
+	if msg.Role == RoleCollect {
+		src, err = shard.NewCollector(shard.CollectorConfig{Group: msg.Group, ListenAddr: listen, Pooled: true})
+	} else {
+		src, err = replica.NewMerger(replica.MergerConfig{Group: msg.Group, ListenAddr: listen, Pooled: true})
+	}
 	if err != nil {
 		return "", err
 	}
 	out := pipeline.NewStreamOutBatched(msg.Downstream, a.node.FlushPolicy)
-	if err := a.node.HostUnit(msg.Seg, RoleMerge, merge, pipeline.NewSegment(msg.Seg), out); err != nil {
+	if err := a.node.HostUnit(msg.Seg, msg.Role, src, pipeline.NewSegment(msg.Seg), out); err != nil {
 		return "", err
 	}
-	return merge.Addr(), nil
-}
-
-// hostPartitioner runs a shard partitioner: a streamin front hashing each
-// record's stream identity to one of the shard legs.
-func (a *Agent) hostPartitioner(msg *Message) (string, error) {
-	in, err := pipeline.NewStreamIn(net.JoinHostPort(a.ListenHost, "0"))
-	if err != nil {
-		return "", err
-	}
-	in.QueueSize = a.node.QueueSize
-	// The partitioner hands its one leg a pool-backed copy and never
-	// retains its input, so the front can decode into pooled records.
-	in.Pooled = true
-	part := shard.NewPartitioner(shard.PartitionerConfig{
-		Group: msg.Group,
-		Epoch: msg.Epoch,
-		Legs:  msg.Downstreams,
-		Flush: a.node.FlushPolicy,
-	})
-	if err := a.node.HostUnit(msg.Seg, RolePartition, in, pipeline.NewSegment(msg.Seg), part); err != nil {
-		return "", err
-	}
-	return in.Addr(), nil
-}
-
-// hostCollector runs a shard collector: a concurrent fan-in source
-// restoring the partitioner's total order into a single batched streamout
-// toward the downstream.
-func (a *Agent) hostCollector(msg *Message) (string, error) {
-	col, err := shard.NewCollector(shard.CollectorConfig{
-		Group:      msg.Group,
-		ListenAddr: net.JoinHostPort(a.ListenHost, "0"),
-		// The downstream is a streamout, which encodes synchronously and
-		// never retains records, so the collector can recycle them.
-		Pooled: true,
-	})
-	if err != nil {
-		return "", err
-	}
-	out := pipeline.NewStreamOutBatched(msg.Downstream, a.node.FlushPolicy)
-	if err := a.node.HostUnit(msg.Seg, RoleCollect, col, pipeline.NewSegment(msg.Seg), out); err != nil {
-		return "", err
-	}
-	return col.Addr(), nil
+	return src.Addr(), nil
 }
 
 func (a *Agent) stopSegment(segName string) error {
@@ -517,13 +479,9 @@ func (a *Agent) segmentStats() []SegmentStatus {
 	out := make([]SegmentStatus, len(stats))
 	for i, s := range stats {
 		meta := a.units[s.Name]
-		typ := meta.typ
-		if meta.role != "" {
-			typ = meta.role
-		}
 		out[i] = SegmentStatus{
 			Name:       s.Name,
-			Type:       typ,
+			Type:       cmp.Or(meta.role, meta.typ), // endpoints have no registry type
 			Addr:       s.Addr,
 			Processed:  s.Processed,
 			Emitted:    s.Emitted,

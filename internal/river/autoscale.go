@@ -290,10 +290,7 @@ func (c *Coordinator) sampleShardGroups() []shardGroupSample {
 				pipe: id, group: scopedName(id, sp.Name), specIdx: i, k: len(us) - 2,
 			}
 			var depth, cap int
-			for _, u := range us {
-				if u.role != RoleShard {
-					continue
-				}
+			for _, u := range us[1 : len(us)-1] { // the shard legs
 				p := c.st.placements[u.name]
 				if p == nil || p.node == "" {
 					continue
@@ -335,58 +332,21 @@ func (c *Coordinator) resizeShardGroup(g shardGroupSample, target int) {
 		return
 	}
 	removed := c.st.setShardK(ps, g.specIdx, target)
+	group := ps.unitsBySpec[g.specIdx]
 	c.mu.Unlock()
 	c.kickReconcile()
 	if len(removed) == 0 {
 		return
 	}
-	// Scale-in: wait for the partitioner to stop routing to the removed
-	// legs (reconcile re-legs it against the shrunken table), give the
-	// retired legs and the old instances a settle to flush their tails to
-	// the collector, then stop them.
-	for _, r := range removed {
-		c.event(obs.Event{Type: obs.EventDrain, Pipeline: g.pipe, Unit: r.u.name,
-			Node: r.node, Detail: "autoscale scale-in"})
+	// Scale-in: reconcile re-legs the partitioner against the shrunken
+	// table; retire waits for that splice before stopping the surplus.
+	olds := make([]retiree, len(removed))
+	for i, r := range removed {
+		ev := obs.Event{Type: obs.EventDrain, Pipeline: g.pipe, Unit: r.u.name,
+			Node: r.node, Detail: "autoscale scale-in"}
+		c.event(ev)
+		ev.Type = obs.EventDrained
+		olds[i] = retiree{node: r.node, unit: r.u.name, addr: r.addr, drained: ev}
 	}
-	partName := g.group + "/partition"
-	gone := make(map[string]bool, len(removed))
-	for _, r := range removed {
-		gone[r.addr] = true
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		p := c.st.placements[partName]
-		clean := p != nil
-		if p != nil {
-			for _, a := range p.legs {
-				if gone[a] {
-					clean = false
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-		if clean {
-			break
-		}
-		select {
-		case <-time.After(25 * time.Millisecond):
-		case <-c.ctx.Done():
-			return
-		}
-	}
-	select {
-	case <-time.After(c.cfg.DrainSettle):
-	case <-c.ctx.Done():
-		return
-	}
-	for _, r := range removed {
-		if _, err := c.rpc(r.node, &Message{Type: TypeStop, Seg: r.u.name}); err != nil {
-			c.logf("autoscale stop of %s on %s: %v", r.u.name, r.node, err)
-		}
-		c.event(obs.Event{Type: obs.EventDrained, Pipeline: g.pipe, Unit: r.u.name,
-			Node: r.node, Detail: "autoscale scale-in"})
-	}
-	c.kickReconcile()
+	c.retire(group[len(group)-1].name, c.cfg.DrainSettle, olds...)
 }

@@ -1,6 +1,7 @@
 package river
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -951,12 +952,8 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 func inventoryStats(inv []UnitInventory) []SegmentStatus {
 	out := make([]SegmentStatus, len(inv))
 	for i, iu := range inv {
-		typ := iu.Type
-		if typ == "" {
-			typ = iu.Role
-		}
 		out[i] = SegmentStatus{
-			Name: iu.Name, Type: typ, Addr: iu.Addr, Role: iu.Role,
+			Name: iu.Name, Type: cmp.Or(iu.Type, iu.Role), Addr: iu.Addr, Role: iu.Role,
 			Processed: iu.Processed, Emitted: iu.Emitted,
 			Legs: len(iu.Legs), Failed: iu.Failed,
 		}
@@ -1134,10 +1131,19 @@ func (c *Coordinator) expireDead() {
 // order is merger, replicas, splitter; the splitter is the group's entry
 // point.
 func (c *Coordinator) reconcile() {
+	c.mu.Lock()
+	// The bootstrap gate: nothing is placed (so no stop is owed either)
+	// until MinNodes nodes have registered at least once. It is read once
+	// per pass, so a cluster cold-starting under the gate is laid out by
+	// one pass over one node set rather than by whichever units the last
+	// registration raced.
+	if c.bootstrapped = c.bootstrapped || len(c.nodes) >= c.cfg.MinNodes; !c.bootstrapped {
+		c.mu.Unlock()
+		return
+	}
 	// Clean up dead segment instances first. Running the stops on this
 	// goroutine, before any placement, guarantees a queued stop executes
 	// before a re-assign that reuses the segment name on the same node.
-	c.mu.Lock()
 	stops := c.pendingStops
 	c.pendingStops = nil
 	pipes := make([]*pipelineState, 0, len(c.st.order))
@@ -1178,18 +1184,18 @@ func (c *Coordinator) reconcilePipeline(ps *pipelineState) {
 		c.mu.Lock()
 		us := append([]unit(nil), ps.unitsBySpec[i]...)
 		c.mu.Unlock()
+		exitAddr := c.ensure(us[0], down, nil) // the plain segment, or the group's fan-in
 		if len(us) == 1 {
-			c.ensureUnit(us[0], down)
 			continue
 		}
-		fanInAddr := c.ensureUnit(us[0], down)
 		legs := make([]string, 0, len(us)-2)
 		for _, u := range us[1 : len(us)-1] {
-			if a := c.ensureUnit(u, fanInAddr); a != "" {
+			if a := c.ensure(u, exitAddr, nil); a != "" {
 				legs = append(legs, a)
 			}
 		}
-		c.ensureFanOut(us[len(us)-1], legs)
+		sort.Strings(legs)
+		c.ensure(us[len(us)-1], "", legs)
 	}
 	if e := c.entryAddrOf(ps, 0); e != "" {
 		c.setEntry(ps.id, e)
@@ -1214,225 +1220,153 @@ func (c *Coordinator) entryAddrOf(ps *pipelineState, i int) string {
 // while the restart grace window — or its node's disconnect grace — is
 // open (its instance is presumed to still be running detached, so its
 // address stays valid for splicing), and is freed for re-placement once
-// the window closes. It returns the placement plus a live flag; !live
-// means "hands off this pass". A nil placement means the unit's pipeline
-// was removed mid-pass.
-func (c *Coordinator) unitHost(u unit) (p *placement, node, addr, down string, legs []string, live bool) {
+// the window closes. It returns the placement, a snapshot of its fields
+// and a live flag; !live means "hands off this pass". A nil placement
+// means the unit's pipeline was removed mid-pass.
+func (c *Coordinator) unitHost(u unit) (p *placement, cur placement, live bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	p = c.st.placements[u.name]
 	if p == nil {
-		return nil, "", "", "", nil, false
+		return nil, placement{}, false
 	}
-	if p.node != "" {
-		if _, registered := c.nodes[p.node]; !registered {
-			if deadline, ok := c.disconnected[p.node]; ok {
-				if time.Now().Before(deadline) {
-					return p, p.node, p.addr, p.down, p.legs, false
-				}
-				node := p.node
-				c.logf("unit %s lost: node %s never reconnected within its disconnect grace; re-placing", u.name, node)
-				c.event(obs.Event{Type: obs.EventFailover, Node: node, Unit: u.name,
-					Detail: "disconnect grace expired"})
-				c.st.clear(p)
-				// Drop the grace entry once nothing is recorded against
-				// the node anymore; until then later units this pass read
-				// the same expired deadline and log the same cause.
-				still := false
-				for _, q := range c.st.placements {
-					if q.node == node {
-						still = true
-						break
-					}
-				}
-				if !still {
-					delete(c.disconnected, node)
-				}
-				return p, "", "", "", nil, true
+	if _, registered := c.nodes[p.node]; p.node != "" && !registered {
+		window, open := "restart grace", c.inGrace()
+		if deadline, blipped := c.disconnected[p.node]; blipped {
+			window, open = "disconnect grace", time.Now().Before(deadline)
+		}
+		if open {
+			return p, *p, false
+		}
+		node := p.node
+		c.logf("unit %s lost: node %s did not come back within its %s; re-placing", u.name, node, window)
+		c.event(obs.Event{Type: obs.EventFailover, Node: node, Unit: u.name, Detail: window + " expired"})
+		c.st.clear(p)
+		// Drop the node's disconnect-grace entry once nothing is recorded
+		// against it anymore; until then later units this pass read the
+		// same expired deadline and log the same cause.
+		still := false
+		for _, q := range c.st.placements {
+			if q.node == node {
+				still = true
+				break
 			}
-			if c.inGrace() {
-				return p, p.node, p.addr, p.down, p.legs, false
-			}
-			c.logf("unit %s lost: node %s never re-registered within the grace window; re-placing", u.name, p.node)
-			c.event(obs.Event{Type: obs.EventFailover, Node: p.node, Unit: u.name,
-				Detail: "restart grace expired"})
-			c.st.clear(p)
+		}
+		if !still {
+			delete(c.disconnected, node)
 		}
 	}
-	return p, p.node, p.addr, p.down, append([]string(nil), p.legs...), true
+	cur = *p
+	cur.legs = slices.Clone(p.legs)
+	return p, cur, true
 }
 
-// commitIfCurrent records a fresh assignment under mu, unless the unit
-// was removed (its pipeline deleted) while the assign RPC was in flight —
-// in which case the fresh instance is orphaned and queued for a stop.
-// Returns false when the commit was refused.
-func (c *Coordinator) commitIfCurrent(u unit, p *placement, pick string) bool {
-	if c.st.placements[u.name] != p {
+// ensure places unit u if it is unplaced, or re-splices its live instance
+// if its desired target moved, and returns the unit's current address (""
+// while unplaced or blocked). The target of a fan-out endpoint is its leg
+// set (legs, sorted; down is ""), re-spliced with a legs update that drops
+// dead legs and takes re-placed, resized or drained ones in; the target of
+// every other unit is its one downstream (down; legs is nil), re-spliced
+// with a redirect. Nothing else differs between the two, so they share
+// the place-or-adopt path below.
+func (c *Coordinator) ensure(u unit, down string, legs []string) string {
+	kind := KindOf(u.role)
+	p, cur, live := c.unitHost(u)
+	if !live || (down == "" && len(legs) == 0) {
+		// Hands off, or nothing to forward to yet (a fan-out endpoint is
+		// placed once at least one leg exists).
+		return cur.addr
+	}
+	if cur.node == "" {
+		return c.place(u, kind, p, down, legs)
+	}
+	fanOut := kind == KindFanOut
+	if (fanOut && slices.Equal(cur.legs, legs)) || (!fanOut && cur.down == down) {
+		return cur.addr // the steady state: nothing moved
+	}
+	splice := &Message{Type: TypeRedirect, Seg: u.name, Downstream: down}
+	done := obs.Event{Type: obs.EventRedirect, Unit: u.name, Node: cur.node, Addr: down}
+	if fanOut {
+		splice = &Message{Type: TypeLegs, Seg: u.name, Downstreams: legs}
+		done = obs.Event{Type: obs.EventLegs, Unit: u.name, Node: cur.node, Value: float64(len(legs))}
+	}
+	if _, err := c.rpc(cur.node, splice); err != nil {
+		// The instance still streams to the stale target; the next pass
+		// retries, so the stall cannot become permanent.
+		c.logf("%s %s on %s: %v (will retry)", splice.Type, u.name, cur.node, err)
+		return cur.addr
+	}
+	c.mu.Lock()
+	if c.st.placements[u.name] == p {
+		p.down, p.legs = down, slices.Clone(legs)
+		c.st.commit(p)
+	}
+	c.mu.Unlock()
+	c.event(done)
+	c.logf("%s re-spliced to %s%v", u.name, down, legs)
+	return cur.addr
+}
+
+// place assigns unplaced unit u to a node the placement policy picks and
+// commits the placement — unless, while the assign RPC was in flight, the
+// node died (the unit stays unplaced for the next pass), the unit's
+// pipeline was removed, or a re-registering agent's surviving instance
+// was adopted back (the fresh duplicate is stopped either way). Fan
+// endpoints are assigned with their role and group; each fan-out
+// assignment also advances the group's epoch so the fan-in endpoint can
+// tell a fresh incarnation's numbering from its predecessor's.
+func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, legs []string) string {
+	pick := c.pickNode(u, "")
+	if pick == "" {
+		c.logf("%s waiting: no eligible nodes", u.name)
+		return ""
+	}
+	msg := &Message{Type: TypeAssign, Seg: u.name, SegType: u.typ, Downstream: down, Downstreams: legs}
+	if kind.Endpoint() {
+		msg.Role, msg.Group = u.role, u.group
+	}
+	detail := ""
+	if kind == KindFanOut {
+		c.mu.Lock()
+		msg.Epoch = c.st.bumpGroupEpoch(u.group)
+		c.mu.Unlock()
+		detail = fmt.Sprintf("epoch %d, %d legs", msg.Epoch, len(legs))
+	}
+	a, err := c.assign(pick, msg)
+	if err != nil {
+		c.logf("assign %s to %s: %v", u.name, pick, err)
+		return ""
+	}
+	c.mu.Lock()
+	if _, alive := c.nodes[pick]; !alive {
+		c.mu.Unlock()
+		return ""
+	}
+	if removed := c.st.placements[u.name] != p; removed || p.node != "" {
+		// While the assign was in flight the unit's pipeline was removed,
+		// or a re-registering agent's surviving instance was adopted back
+		// (it is already wired into the stream, so it wins): either way
+		// the fresh instance is an orphan to stop.
 		c.pendingStops = append(c.pendingStops, stopReq{node: pick, seg: u.name})
-		return false
-	}
-	return true
-}
-
-// ensureUnit places unit u (forwarding to down) if it is unplaced, or
-// re-splices its live instance if the desired downstream moved. It
-// returns the unit's current address ("" while unplaced or blocked).
-func (c *Coordinator) ensureUnit(u unit, down string) string {
-	p, node, addr, cur, _, live := c.unitHost(u)
-	if !live || down == "" {
+		addr := ""
+		if !removed {
+			addr = p.addr
+			c.logf("%s adopted on %s during assign; stopping duplicate on %s", u.name, p.node, pick)
+		}
+		c.mu.Unlock()
+		c.kickReconcile()
 		return addr
 	}
-	if node == "" {
-		pick := c.pickNode(u, "")
-		if pick == "" {
-			c.logf("segment %s waiting: no eligible nodes", u.name)
-			return ""
-		}
-		msg := &Message{Type: TypeAssign, Seg: u.name, SegType: u.typ, Downstream: down}
-		if u.role == RoleMerge || u.role == RoleCollect {
-			msg.Role, msg.Group = u.role, u.group
-		}
-		a, err := c.assign(pick, msg)
-		if err != nil {
-			c.logf("assign %s to %s: %v", u.name, pick, err)
-			return ""
-		}
-		c.mu.Lock()
-		if _, alive := c.nodes[pick]; !alive {
-			// The node died between the ack and here; leave the segment
-			// unplaced for the next pass.
-			c.mu.Unlock()
-			return ""
-		}
-		if !c.commitIfCurrent(u, p, pick) {
-			c.mu.Unlock()
-			c.kickReconcile()
-			return ""
-		}
-		if p.node != "" {
-			// A re-registering agent's surviving instance was adopted
-			// back while our assign was in flight: keep the survivor
-			// (it is already wired into the stream) and stop the
-			// fresh duplicate.
-			c.pendingStops = append(c.pendingStops, stopReq{node: pick, seg: u.name})
-			addr := p.addr
-			c.mu.Unlock()
-			c.kickReconcile()
-			c.logf("segment %s adopted on %s during assign; stopping duplicate on %s", u.name, p.node, pick)
-			return addr
-		}
-		typ := obs.EventPlace
-		if p.everPlaced {
-			typ = obs.EventReplace
-		}
-		p.node, p.addr, p.down = pick, a, down
-		c.st.commit(p)
-		c.mu.Unlock()
-		c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a})
-		c.logf("segment %s placed on %s at %s", u.name, pick, a)
-		return a
+	typ := obs.EventPlace
+	if p.everPlaced {
+		typ = obs.EventReplace
 	}
-	if cur != down {
-		if err := c.redirect(node, u.name, down); err != nil {
-			// The instance still streams to the stale address; the next
-			// pass retries, so the stall cannot become permanent.
-			c.logf("redirect %s on %s: %v (will retry)", u.name, node, err)
-			return addr
-		}
-		c.mu.Lock()
-		if c.st.placements[u.name] == p {
-			p.down = down
-			c.st.commit(p)
-		}
-		c.mu.Unlock()
-		c.event(obs.Event{Type: obs.EventRedirect, Unit: u.name, Node: node, Addr: down})
-		c.logf("%s re-spliced to %s", u.name, down)
-	}
-	return addr
-}
-
-// ensureFanOut places a group's fan-out endpoint — a replication
-// splitter or a shard partitioner — once at least one leg exists, or
-// reconciles a live endpoint's leg set against the placed legs (dropping
-// dead legs, splicing re-placed, resized or drained ones in). Each
-// assignment advances the group's epoch so the fan-in endpoint can tell a
-// fresh incarnation's numbering from its predecessor's.
-func (c *Coordinator) ensureFanOut(u unit, legs []string) string {
-	kind := "splitter"
-	if u.role == RolePartition {
-		kind = "partitioner"
-	}
-	sort.Strings(legs)
-	p, node, addr, _, last, live := c.unitHost(u)
-	if !live || len(legs) == 0 {
-		return addr
-	}
-	if node == "" {
-		pick := c.pickNode(u, "")
-		if pick == "" {
-			c.logf("%s %s waiting: no eligible nodes", kind, u.name)
-			return ""
-		}
-		c.mu.Lock()
-		epoch := c.st.bumpGroupEpoch(u.group)
-		c.mu.Unlock()
-		a, err := c.assign(pick, &Message{
-			Type: TypeAssign, Seg: u.name, Role: u.role, Group: u.group,
-			Downstreams: legs, Epoch: epoch,
-		})
-		if err != nil {
-			c.logf("assign %s %s to %s: %v", kind, u.name, pick, err)
-			return ""
-		}
-		c.mu.Lock()
-		if _, alive := c.nodes[pick]; !alive {
-			c.mu.Unlock()
-			return ""
-		}
-		if !c.commitIfCurrent(u, p, pick) {
-			c.mu.Unlock()
-			c.kickReconcile()
-			return ""
-		}
-		if p.node != "" {
-			// Adopted back mid-assign (see ensureUnit): keep the
-			// survivor, stop the duplicate.
-			c.pendingStops = append(c.pendingStops, stopReq{node: pick, seg: u.name})
-			addr := p.addr
-			c.mu.Unlock()
-			c.kickReconcile()
-			c.logf("%s %s adopted on %s during assign; stopping duplicate on %s", kind, u.name, p.node, pick)
-			return addr
-		}
-		typ := obs.EventPlace
-		if p.everPlaced {
-			typ = obs.EventReplace
-		}
-		p.node, p.addr, p.down = pick, a, ""
-		p.legs = append([]string(nil), legs...)
-		p.epoch = epoch
-		c.st.commit(p)
-		c.mu.Unlock()
-		c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a,
-			Detail: fmt.Sprintf("epoch %d, %d legs", epoch, len(legs))})
-		c.logf("%s %s placed on %s at %s (epoch %d, %d legs)", kind, u.name, pick, a, epoch, len(legs))
-		return a
-	}
-	if !slices.Equal(last, legs) {
-		if err := c.setLegs(node, u.name, legs); err != nil {
-			c.logf("legs update %s on %s: %v (will retry)", u.name, node, err)
-			return addr
-		}
-		c.mu.Lock()
-		if c.st.placements[u.name] == p {
-			p.legs = append([]string(nil), legs...)
-			c.st.commit(p)
-		}
-		c.mu.Unlock()
-		c.event(obs.Event{Type: obs.EventLegs, Unit: u.name, Node: node, Value: float64(len(legs))})
-		c.logf("%s %s legs now %v", kind, u.name, legs)
-	}
-	return addr
+	p.node, p.addr, p.down, p.legs, p.epoch = pick, a, down, slices.Clone(legs), msg.Epoch
+	c.st.commit(p)
+	c.mu.Unlock()
+	c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a, Detail: detail})
+	c.logf("%s placed on %s at %s %s", u.name, pick, a, detail)
+	return a
 }
 
 // pickNode chooses a live node for unit u via the placement policy,
@@ -1447,43 +1381,27 @@ func (c *Coordinator) ensureFanOut(u unit, legs []string) string {
 // replica (or sibling shard leg) are excluded outright while any
 // alternative exists — replicas so the copies survive a node loss, shard
 // legs so the data-parallel CPU work actually lands on distinct cores.
-// Returns "" until MinNodes nodes have registered at least once (the
-// bootstrap gate).
+// Returns "" when u's pipeline was removed or no node is eligible.
 func (c *Coordinator) pickNode(u unit, exclude string) string {
 	c.mu.Lock()
 	ps := c.st.pipelineOf(u)
-	if !c.bootstrapped || ps == nil {
-		if ps == nil || len(c.nodes) < c.cfg.MinNodes {
-			c.mu.Unlock()
-			return ""
-		}
-		c.bootstrapped = true
+	if ps == nil {
+		c.mu.Unlock()
+		return ""
 	}
 	specIdx := ps.specIndex[u.group]
 	neighbors := make(map[string]bool)
 	siblings := make(map[string]bool)
-	for _, j := range []int{specIdx - 1, specIdx + 1} {
-		if j < 0 || j >= len(ps.unitsBySpec) {
-			continue
-		}
+	for j := max(specIdx-1, 0); j <= min(specIdx+1, len(ps.unitsBySpec)-1); j++ {
 		for _, v := range ps.unitsBySpec[j] {
-			if p := c.st.placements[v.name]; p != nil && p.node != "" {
-				neighbors[p.node] = true
+			p := c.st.placements[v.name]
+			if v.name == u.name || p == nil || p.node == "" {
+				continue
 			}
-		}
-	}
-	for _, v := range ps.unitsBySpec[specIdx] {
-		if v.name == u.name {
-			continue
-		}
-		p := c.st.placements[v.name]
-		if p == nil || p.node == "" {
-			continue
-		}
-		neighbors[p.node] = true
-		if (u.role == RoleReplica && v.role == RoleReplica) ||
-			(u.role == RoleShard && v.role == RoleShard) {
-			siblings[p.node] = true
+			neighbors[p.node] = true
+			if v.group == u.group && v.role == u.role && KindOf(u.role) == KindLeg {
+				siblings[p.node] = true
+			}
 		}
 	}
 	load := make(map[string]*NodeLoad, len(c.nodes))
@@ -1560,11 +1478,9 @@ func (c *Coordinator) Drain(unitName string) error {
 	if ps == nil {
 		return fmt.Errorf("river: unknown unit %q", unitName)
 	}
-	switch u.role {
-	case RoleSplit, RoleMerge:
-		return errors.New("river: draining a replication endpoint is not supported; drain its replicas instead")
-	case RolePartition, RoleCollect:
-		return errors.New("river: draining a shard endpoint is not supported; drain its shard legs instead")
+	kind := KindOf(u.role)
+	if kind.Endpoint() {
+		return fmt.Errorf("river: draining a %s endpoint is not supported; drain its group's legs instead", u.role)
 	}
 	if oldNode == "" {
 		return fmt.Errorf("river: %q is not placed", unitName)
@@ -1583,47 +1499,29 @@ func (c *Coordinator) Drain(unitName string) error {
 	c.event(obs.Event{Type: obs.EventDrain, Unit: unitName, Node: dest,
 		Detail: "from " + oldNode})
 
-	// Splice, then commit. The splice RPCs happen unlocked; every state
-	// change they imply — the unit's new placement, the upstream's new
-	// downstream, the splitter's new legs, the entry address — commits
-	// under one mu hold (via onCommit) so a concurrent reconcile pass can
-	// never observe a half-moved topology and splice it backward.
+	// Splice, then commit. The splice RPC happens unlocked; every state
+	// change it implies — the unit's new placement, the upstream's new
+	// downstream, the entry address — commits under one mu hold so a
+	// concurrent reconcile pass can never observe a half-moved topology
+	// and splice it backward.
 	settle := c.cfg.DrainSettle
-	var onCommit func()
+	var upP *placement // the upstream exit unit a mid-chain drain re-pointed
 	entryDrain := false
+	fanOut := "" // the fan-out endpoint a drained leg is spliced through
+	c.mu.Lock()
+	specIdx := ps.specIndex[u.group]
+	group := ps.unitsBySpec[specIdx]
+	c.mu.Unlock()
 	switch {
-	case u.role == RoleReplica, u.role == RoleShard:
-		splitName := u.group + "/split"
-		if u.role == RoleShard {
-			splitName = u.group + "/partition"
-		}
-		c.mu.Lock()
-		sp := c.st.placements[splitName]
-		splitNode := ""
-		var legs []string
-		if sp != nil {
-			splitNode = sp.node
-			legs = make([]string, 0, len(sp.legs)+1)
-			for _, a := range sp.legs {
-				if a != oldAddr {
-					legs = append(legs, a)
-				}
-			}
-			legs = append(legs, newAddr)
-			sort.Strings(legs)
-		}
-		c.mu.Unlock()
-		if splitNode != "" {
-			if err := c.setLegs(splitNode, splitName, legs); err != nil {
-				// The fresh instance stays placed; reconcile retries the
-				// splice, so the drain degrades to eventual rather than
-				// failing the move.
-				c.logf("drain %s: legs update: %v (reconcile will retry)", unitName, err)
-			} else {
-				onCommit = func() { sp.legs = legs; c.st.commit(sp) }
-			}
-		}
-	case ps.specIndex[u.group] == 0:
+	case kind == KindLeg:
+		// The splice is the reconcile loop's: once the move commits below,
+		// the group's desired leg set names the fresh instance in place of
+		// the old one and the ordinary legs update swaps it in (a replica
+		// handover is invisible behind the merger's dedup; a retiring shard
+		// leg flushes its queue through the old instance). retire waits for
+		// that update to land before stopping the old instance.
+		fanOut = group[len(group)-1].name
+	case specIdx == 0:
 		// Unlike the mid-chain path there is no ack that the external
 		// source switched: give it the full boundary window sources use
 		// (see WatchEntryUpdates / StreamOut.RedirectAtBoundary) before
@@ -1637,10 +1535,9 @@ func (c *Coordinator) Drain(unitName string) error {
 			settle = entryBoundaryWindow
 		}
 	default:
-		upUnits := ps.unitsBySpec[ps.specIndex[u.group]-1]
-		up := upUnits[0] // the spec's exit unit: plain segment or merger
 		c.mu.Lock()
-		upP := c.st.placements[up.name]
+		up := ps.unitsBySpec[specIdx-1][0] // the spec's exit unit: plain segment or fan-in
+		upP = c.st.placements[up.name]
 		upNode := ""
 		if upP != nil {
 			upNode = upP.node
@@ -1652,7 +1549,6 @@ func (c *Coordinator) Drain(unitName string) error {
 		if _, err := c.rpc(upNode, &Message{Type: TypeRedirect, Seg: up.name, Downstream: newAddr, Boundary: true}); err != nil {
 			return fmt.Errorf("river: drain splice via %s: %w", up.name, err)
 		}
-		onCommit = func() { upP.down = newAddr; c.st.commit(upP) }
 	}
 
 	c.mu.Lock()
@@ -1676,16 +1572,13 @@ func (c *Coordinator) Drain(unitName string) error {
 	}
 	p.node, p.addr, p.down = dest, newAddr, down
 	c.st.commit(p)
-	if onCommit != nil {
-		onCommit()
+	if upP != nil {
+		upP.down = newAddr
+		c.st.commit(upP)
 	}
 	var ews []*entryWatcher
 	if entryDrain && c.st.setEntry(u.pipe, newAddr) {
-		for _, ew := range c.watchers {
-			if ew.pipe == u.pipe {
-				ews = append(ews, ew)
-			}
-		}
+		ews = c.watchersOf(u.pipe)
 	}
 	c.mu.Unlock()
 	if entryDrain {
@@ -1693,21 +1586,58 @@ func (c *Coordinator) Drain(unitName string) error {
 		c.logf("pipeline %q entry now %s (boundary drain)", u.pipe, newAddr)
 		c.broadcastEntry(ews, u.pipe, newAddr, true)
 	}
-	c.event(obs.Event{Type: obs.EventDrained, Unit: unitName, Node: dest, Addr: newAddr,
-		Detail: "from " + oldNode})
 	c.logf("drained %s: %s -> %s at %s", unitName, oldNode, dest, newAddr)
+	c.kickReconcile()
+	c.retire(fanOut, settle, retiree{node: oldNode, unit: unitName, addr: oldAddr,
+		drained: obs.Event{Type: obs.EventDrained, Unit: unitName, Node: dest, Addr: newAddr,
+			Detail: "from " + oldNode}})
+	return nil
+}
 
-	// Let the old instance finish emitting the tail it accepted before
-	// the splice, then stop it.
+// retiree is one old instance the stream has been spliced away from, and
+// the drained event that reports its move complete.
+type retiree struct {
+	node, unit, addr string
+	drained          obs.Event
+}
+
+// retire is the tail every planned move ends with — an operator or
+// remediation drain, an autoscale scale-in: wait until the fan-out
+// endpoint's committed leg set no longer names the old instances (fanOut
+// is "" for a plain segment, whose splice the caller already confirmed),
+// let them finish emitting the tails they accepted before the splice,
+// then stop them and report each drained. Waiting on the committed legs
+// rather than on the caller's own legs RPC covers a splice that failed
+// and was left to the reconcile loop.
+func (c *Coordinator) retire(fanOut string, settle time.Duration, olds ...retiree) {
+	spliced := func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		p := c.st.placements[fanOut]
+		return p == nil || !slices.ContainsFunc(olds, func(r retiree) bool {
+			return slices.Contains(p.legs, r.addr)
+		})
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for fanOut != "" && !spliced() && time.Now().Before(deadline) {
+		select {
+		case <-time.After(25 * time.Millisecond):
+		case <-c.ctx.Done():
+			return
+		}
+	}
 	select {
 	case <-time.After(settle):
 	case <-c.ctx.Done():
+		return
 	}
-	if _, err := c.rpc(oldNode, &Message{Type: TypeStop, Seg: unitName}); err != nil {
-		c.logf("drain stop of %s on %s: %v", unitName, oldNode, err)
+	for _, r := range olds {
+		if _, err := c.rpc(r.node, &Message{Type: TypeStop, Seg: r.unit}); err != nil {
+			c.logf("stop of drained %s on %s: %v", r.unit, r.node, err)
+		}
+		c.event(r.drained)
 	}
 	c.kickReconcile()
-	return nil
 }
 
 // assign RPCs an agent to host a unit and returns the bound address.
@@ -1720,18 +1650,6 @@ func (c *Coordinator) assign(node string, msg *Message) (string, error) {
 		return "", errors.New("assign ack without address")
 	}
 	return reply.Addr, nil
-}
-
-// redirect RPCs the agent hosting segName to repoint its streamout.
-func (c *Coordinator) redirect(node, segName, downstream string) error {
-	_, err := c.rpc(node, &Message{Type: TypeRedirect, Seg: segName, Downstream: downstream})
-	return err
-}
-
-// setLegs RPCs the agent hosting a splitter to replace its leg set.
-func (c *Coordinator) setLegs(node, segName string, legs []string) error {
-	_, err := c.rpc(node, &Message{Type: TypeLegs, Seg: segName, Downstreams: legs})
-	return err
 }
 
 // rpc sends a request to a node's control session and waits for the
@@ -1792,12 +1710,7 @@ func (c *Coordinator) setEntry(pipe, addr string) {
 		c.mu.Unlock()
 		return
 	}
-	var ews []*entryWatcher
-	for _, ew := range c.watchers {
-		if ew.pipe == pipe {
-			ews = append(ews, ew)
-		}
-	}
+	ews := c.watchersOf(pipe)
 	c.mu.Unlock()
 	c.event(obs.Event{Type: obs.EventEntry, Pipeline: pipe, Addr: addr})
 	if pipe == "" {
@@ -1806,6 +1719,17 @@ func (c *Coordinator) setEntry(pipe, addr string) {
 		c.logf("pipeline %q entry now %s", pipe, addr)
 	}
 	c.broadcastEntry(ews, pipe, addr, false)
+}
+
+// watchersOf lists a pipeline's entry watchers. Callers hold mu.
+func (c *Coordinator) watchersOf(pipe string) []*entryWatcher {
+	var ews []*entryWatcher
+	for _, ew := range c.watchers {
+		if ew.pipe == pipe {
+			ews = append(ews, ew)
+		}
+	}
+	return ews
 }
 
 // broadcastEntry hands an entry address to a pipeline's watchers' sender

@@ -334,6 +334,39 @@ const (
 	RoleShard     = "shard"
 )
 
+// UnitKind is a unit's structural position in the topology. A replicated
+// group and a sharded group are the same shape — a fan-out endpoint, N
+// legs, a fan-in endpoint — so the control plane reasons in kinds and
+// carries the role only as the label that selects what an agent
+// instantiates.
+type UnitKind int
+
+const (
+	KindSegment UnitKind = iota // a plain segment
+	KindFanIn                   // merger, collector: the group's exit
+	KindLeg                     // replica, shard leg: an ordinary segment on the wire
+	KindFanOut                  // splitter, partitioner: the group's entry
+)
+
+// KindOf derives a unit's kind from its role; this is the one place the
+// replica and shard roles are paired up.
+func KindOf(role string) UnitKind {
+	switch role {
+	case RoleMerge, RoleCollect:
+		return KindFanIn
+	case RoleReplica, RoleShard:
+		return KindLeg
+	case RoleSplit, RolePartition:
+		return KindFanOut
+	}
+	return KindSegment
+}
+
+// Endpoint reports whether the kind is a group's fan-in or fan-out
+// endpoint: hosted from its role rather than a registry type, and moved
+// only by moving its legs.
+func (k UnitKind) Endpoint() bool { return k == KindFanIn || k == KindFanOut }
+
 // LagValue returns the segment's cumulative processed−emitted delta
 // (saturating at 0), derived from the counters rather than carried on the
 // wire. For filtering segments this includes intentional data reduction,

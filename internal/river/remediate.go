@@ -187,21 +187,16 @@ func (c *Coordinator) remediateAnomaly(e obs.Event) {
 }
 
 // drainableUnits lists the units placed on node that Drain accepts —
-// everything except splitter/merger endpoints, which must be moved via
-// their replicas — in deterministic order.
+// everything except fan-in/fan-out endpoints, which must be moved via
+// their legs — in deterministic order.
 func (c *Coordinator) drainableUnits(node string) []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []string
 	for name, p := range c.st.placements {
-		if p.node != node {
-			continue
+		if p.node == node && !KindOf(p.u.role).Endpoint() {
+			out = append(out, name)
 		}
-		switch p.u.role {
-		case RoleSplit, RoleMerge:
-			continue
-		}
-		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -217,45 +218,76 @@ func TestRemediationGuardrails(t *testing.T) {
 // with the would-be drain list, and a node hosting nothing drainable is
 // suppressed with that reason.
 func TestRemediationDryRunAndDrainability(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Spec:              PipelineSpec{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		MinNodes:          2,
-		Remediate:         RemediateConfig{Mode: RemediateDrain, DryRun: true, Cooldown: time.Minute},
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	n1 := newFakeAgent(t, coord.Addr(), "n1", "127.0.0.1:19001")
-	defer n1.close()
-	n2 := newFakeAgent(t, coord.Addr(), "n2", "127.0.0.1:19002")
-	defer n2.close()
-	waitFor(t, 5*time.Second, "placement", func() bool {
-		return coord.Status().Placements[0].Placed
-	})
-	host := coord.Status().Placements[0].Node
-	idle := "n2"
-	if host == "n2" {
-		idle = "n1"
-	}
-
-	coord.remediateAnomaly(obs.Event{Type: obs.EventAnomaly, Node: host, Metric: "queue_depth"})
-	events := remEvents(coord)
-	if len(events) != 2 || events[0].Phase != obs.RemPhaseTriggered {
-		t.Fatalf("dry-run decisions = %+v", events)
-	}
-	if events[1].Phase != obs.RemPhaseSuppressed || events[1].Detail != "dry-run: would drain seg" {
-		t.Fatalf("dry-run suppression does not name the would-be drain: %+v", events[1])
-	}
-
-	coord.remediateAnomaly(obs.Event{Type: obs.EventAnomaly, Node: idle, Metric: "queue_depth"})
-	events = remEvents(coord)
-	last := events[len(events)-1]
-	if last.Phase != obs.RemPhaseSuppressed || last.Detail != "no drainable units" || last.Node != idle {
-		t.Fatalf("idle-node suppression = %+v", last)
+	for _, row := range []struct {
+		name  string
+		seg   SegmentSpec
+		nodes int
+	}{
+		{"plain", SegmentSpec{Name: "seg", Type: "t"}, 2},
+		// A sharded group's partition/collect endpoints are as undrainable
+		// as a replicated group's split/merge: only its shard legs may be
+		// named, and a node hosting nothing else has no drainable units.
+		{"sharded", SegmentSpec{Name: "seg", Type: "t", Shards: 2}, 3},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			coord, err := NewCoordinator(Config{
+				Spec:              PipelineSpec{Segments: []SegmentSpec{row.seg}, SinkAddr: "127.0.0.1:9"},
+				HeartbeatInterval: 25 * time.Millisecond,
+				HeartbeatTimeout:  2 * time.Second,
+				MinNodes:          row.nodes,
+				Remediate:         RemediateConfig{Mode: RemediateDrain, DryRun: true, Cooldown: time.Minute},
+				Logf:              t.Logf,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			var nodes []string
+			for i := 1; i <= row.nodes; i++ {
+				name := fmt.Sprintf("n%d", i)
+				a := newFakeAgent(t, coord.Addr(), name, fmt.Sprintf("127.0.0.1:1900%d", i))
+				defer a.close()
+				nodes = append(nodes, name)
+			}
+			waitFor(t, 5*time.Second, "placement", func() bool {
+				for _, p := range coord.Status().Placements {
+					if !p.Placed {
+						return false
+					}
+				}
+				return true
+			})
+			// What Drain accepts: plain segments and group legs, never a
+			// group's endpoints.
+			drainable := make(map[string][]string)
+			for _, p := range coord.Status().Placements {
+				if p.Role == "" || p.Role == RoleReplica || p.Role == RoleShard {
+					drainable[p.Node] = append(drainable[p.Node], p.Seg)
+				}
+			}
+			idle := 0
+			for _, node := range nodes {
+				coord.remediateAnomaly(obs.Event{Type: obs.EventAnomaly, Node: node, Metric: "queue_depth"})
+				events := remEvents(coord)
+				if len(events) < 2 || events[len(events)-2].Phase != obs.RemPhaseTriggered {
+					t.Fatalf("dry-run decisions = %+v", events)
+				}
+				want := "no drainable units"
+				if units := drainable[node]; len(units) > 0 {
+					sort.Strings(units)
+					want = "dry-run: would drain " + strings.Join(units, " ")
+				} else {
+					idle++
+				}
+				last := events[len(events)-1]
+				if last.Phase != obs.RemPhaseSuppressed || last.Detail != want || last.Node != node {
+					t.Fatalf("node %s: suppression = %+v, want detail %q", node, last, want)
+				}
+			}
+			if idle == 0 {
+				t.Fatalf("no node without drainable units; placements %+v", coord.Status().Placements)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package river
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,8 +27,7 @@ type unit struct {
 	pipe  string // owning pipeline ID ("" for the back-compat default)
 	group string // scoped owning spec segment name
 	typ   string // registry type ("" for fan endpoints)
-	role  string // "", RoleSplit, RoleMerge, RoleReplica, RolePartition, RoleCollect, RoleShard
-	idx   int    // replica/shard ordinal (1-based) for RoleReplica/RoleShard
+	role  string // "" or a Role constant; see KindOf
 }
 
 // scopedName prefixes a unit or group name with its pipeline ID. The
@@ -49,6 +49,16 @@ func expandSpec(pipe string, sp SegmentSpec) []unit {
 	return expandSpecK(pipe, sp, sp.Shards)
 }
 
+// groupShape is what a fan group expands into: the roles of its fan-in
+// endpoint, legs and fan-out endpoint (the endpoint roles double as unit
+// name suffixes) and the leg-name prefix.
+type groupShape struct{ fanIn, leg, fanOut, legPrefix string }
+
+var (
+	replicaShape = groupShape{RoleMerge, RoleReplica, RoleSplit, "r"}
+	shardShape   = groupShape{RoleCollect, RoleShard, RolePartition, "s"}
+)
+
 // expandSpecK is expandSpec with the sharded segment's live K overriding
 // the spec's boot value — the autoscaler grows and shrinks K at runtime,
 // and the journaled override must re-expand through the same code path.
@@ -56,32 +66,22 @@ func expandSpec(pipe string, sp SegmentSpec) []unit {
 // scaling in never restructures the wire topology.
 func expandSpecK(pipe string, sp SegmentSpec, shards int) []unit {
 	group := scopedName(pipe, sp.Name)
-	if sp.Shards > 1 {
-		if shards < 1 {
-			shards = sp.Shards
-		}
-		us := make([]unit, 0, shards+2)
-		us = append(us, unit{name: group + "/collect", pipe: pipe, group: group, role: RoleCollect})
-		for i := 1; i <= shards; i++ {
-			us = append(us, unit{
-				name: fmt.Sprintf("%s/s%d", group, i), pipe: pipe, group: group,
-				typ: sp.Type, role: RoleShard, idx: i,
-			})
-		}
-		return append(us, unit{name: group + "/partition", pipe: pipe, group: group, role: RolePartition})
-	}
-	if sp.Replicas <= 1 {
+	shape, n := replicaShape, sp.Replicas
+	switch {
+	case sp.Shards > 1:
+		shape, n = shardShape, shards
+	case sp.Replicas <= 1:
 		return []unit{{name: group, pipe: pipe, group: group, typ: sp.Type}}
 	}
-	us := make([]unit, 0, sp.Replicas+2)
-	us = append(us, unit{name: group + "/merge", pipe: pipe, group: group, role: RoleMerge})
-	for i := 1; i <= sp.Replicas; i++ {
+	us := make([]unit, 0, n+2)
+	us = append(us, unit{name: group + "/" + shape.fanIn, pipe: pipe, group: group, role: shape.fanIn})
+	for i := 1; i <= n; i++ {
 		us = append(us, unit{
-			name: fmt.Sprintf("%s/r%d", group, i), pipe: pipe, group: group,
-			typ: sp.Type, role: RoleReplica, idx: i,
+			name: fmt.Sprintf("%s/%s%d", group, shape.legPrefix, i), pipe: pipe, group: group,
+			typ: sp.Type, role: shape.leg,
 		})
 	}
-	return append(us, unit{name: group + "/split", pipe: pipe, group: group, role: RoleSplit})
+	return append(us, unit{name: group + "/" + shape.fanOut, pipe: pipe, group: group, role: shape.fanOut})
 }
 
 // placement records where one unit currently runs; node and addr are
@@ -301,11 +301,7 @@ func (s *state) insertPipeline(spec PipelineSpec) *pipelineState {
 	}
 	for i, sp := range spec.Segments {
 		group := scopedName(spec.ID, sp.Name)
-		k := sp.Shards
-		if v, ok := s.shardK[group]; ok {
-			k = v
-		}
-		us := expandSpecK(spec.ID, sp, k)
+		us := expandSpecK(spec.ID, sp, cmp.Or(s.shardK[group], sp.Shards))
 		ps.unitsBySpec = append(ps.unitsBySpec, us)
 		ps.specIndex[group] = i
 		for _, u := range us {
@@ -847,33 +843,22 @@ func (s *state) adopt(node string, inv []UnitInventory) (adopted, stops []string
 			// the agent reports them with no role or group; match them on
 			// name + registry type like any plain segment.
 			wireRole, wireGroup := p.u.role, p.u.group
-			if wireRole == RoleReplica || wireRole == RoleShard {
+			if KindOf(wireRole) == KindLeg {
 				wireRole, wireGroup = "", ""
 			}
 			matches = p.u.typ == iu.Type && wireRole == iu.Role &&
 				(wireRole == "" || wireGroup == iu.Group)
 		}
 		switch {
-		case matches && p.node == node && p.addr == iu.Addr:
-			// Exactly where the reloaded tables expect it: adopt, taking
-			// the instance's own word for what it was last told.
-			p.down = iu.Downstream
-			p.legs = append([]string(nil), iu.Legs...)
-			sort.Strings(p.legs)
-			if iu.Role == RoleSplit || iu.Role == RolePartition {
-				p.epoch = iu.Epoch
-				s.observeGroupEpoch(p.u.group, iu.Epoch)
-			}
-			s.commit(p)
-			adopted = append(adopted, iu.Name)
-		case matches && p.node == "":
-			// The tables freed this unit (its agent was declared dead)
-			// but nothing has been re-placed yet: adopt the survivor back
-			// instead of spinning up a duplicate.
+		case matches && (p.node == "" || (p.node == node && p.addr == iu.Addr)):
+			// Exactly where the reloaded tables expect it, or freed (its
+			// agent was declared dead) with nothing re-placed yet: adopt
+			// the survivor instead of spinning up a duplicate, taking the
+			// instance's own word for what it was last told.
 			p.node, p.addr, p.down = node, iu.Addr, iu.Downstream
 			p.legs = append([]string(nil), iu.Legs...)
 			sort.Strings(p.legs)
-			if iu.Role == RoleSplit || iu.Role == RolePartition {
+			if KindOf(iu.Role) == KindFanOut {
 				p.epoch = iu.Epoch
 				s.observeGroupEpoch(p.u.group, iu.Epoch)
 			}

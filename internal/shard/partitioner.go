@@ -25,12 +25,8 @@
 package shard
 
 import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/pipeline"
 	"repro/internal/record"
+	"repro/internal/replica"
 )
 
 // DefaultLegQueue is the per-leg record buffer of a partitioner: how far
@@ -38,16 +34,7 @@ import (
 // toward it. Unlike the replica splitter, a shard record exists on exactly
 // one leg — dropping it would lose it — so a saturated leg owes the
 // upstream backpressure, not drops.
-const DefaultLegQueue = 256
-
-// retireLinger is how long a retired leg keeps draining after its queue
-// last went empty before closing its streamout. A leg removed by a
-// scale-in or a planned re-splice may still receive a straggler from a
-// Consume that routed against the old leg set moments before the swap;
-// the linger flushes those through the old shard instance (which the
-// control plane stops only after its own settle), so a shrink loses
-// nothing.
-const retireLinger = 500 * time.Millisecond
+const DefaultLegQueue = replica.DefaultLegQueue
 
 // KeyFunc extracts a record's sharding key. It runs on the partitioner's
 // Consume hot path before the record is tagged (the record still carries
@@ -94,95 +81,37 @@ type PartitionerConfig struct {
 }
 
 // Partitioner is a pipeline.Sink that tags every record with a global
-// sequence annotation and routes it to exactly one shard leg by the hash
-// of its original SourceID. Each leg is a bounded queue drained by a
-// dedicated writer goroutine into a batched streamout, so the K shard
-// connections encode and flush concurrently. The leg's copy is
+// sequence annotation and routes it to exactly one shard leg of its
+// replica.LegSet by the hash of its key. Each leg is a bounded queue
+// drained by a dedicated writer goroutine into a batched streamout, so the
+// K shard connections encode and flush concurrently. The leg's copy is
 // pool-backed (record.GetCopy) and released once flushed, so the hot path
 // allocates nothing in the steady state and the partitioner composes with
-// pooled upstream sources.
+// pooled upstream sources. A leg SetLegs drops is drained, not abandoned:
+// its queued tail flushes through the old connection before it closes, so
+// a scale-in or planned re-splice loses nothing.
 type Partitioner struct {
-	group  string
-	stream uint32
-	epoch  uint16
-	queue  int
-	flush  record.BatchConfig
-	key    KeyFunc // nil: route by SourceID
-
-	drops atomic.Uint64
-	quit  chan struct{} // closed by Close
-
-	mu      sync.Mutex
-	legs    []*leg // ordered: routing index = hash mod len(legs)
-	retired []*leg // removed legs still draining their tails
-	seq     uint64
-	closed  bool
-	// legsChanged is closed (and replaced) on every SetLegs, waking a
-	// Consume blocked on a saturated leg that just got swapped out.
-	legsChanged chan struct{}
-}
-
-// leg is one shard downstream: a bounded queue drained by a dedicated
-// writer goroutine into a batched streamout.
-type leg struct {
-	addr   string
-	out    *pipeline.StreamOut
-	q      chan *record.Record
-	stop   chan struct{} // hard abandon: queue dropped, write unblocked
-	retire chan struct{} // soft removal: drain the queue, linger, close
-	done   chan struct{}
+	*replica.LegSet
+	key KeyFunc // nil: route by SourceID
 }
 
 // NewPartitioner returns a partitioner for the given group routing to
 // cfg.Legs.
 func NewPartitioner(cfg PartitionerConfig) *Partitioner {
-	if cfg.LegQueue <= 0 {
-		cfg.LegQueue = DefaultLegQueue
+	return &Partitioner{
+		LegSet: replica.NewLegSet(replica.LegSetConfig{
+			Role:     "partition",
+			Group:    cfg.Group,
+			Stream:   record.ShardStreamID(cfg.Group),
+			Epoch:    cfg.Epoch,
+			Legs:     cfg.Legs,
+			LegQueue: cfg.LegQueue,
+			Flush:    cfg.Flush,
+			Drain:    true,
+		}),
+		key: cfg.Key,
 	}
-	if cfg.Flush.MaxRecords == 0 && cfg.Flush.MaxBytes == 0 {
-		cfg.Flush = record.DefaultBatchConfig()
-	}
-	p := &Partitioner{
-		group:       cfg.Group,
-		stream:      record.ShardStreamID(cfg.Group),
-		epoch:       cfg.Epoch,
-		queue:       cfg.LegQueue,
-		flush:       cfg.Flush,
-		key:         cfg.Key,
-		quit:        make(chan struct{}),
-		legsChanged: make(chan struct{}),
-	}
-	p.SetLegs(cfg.Legs)
-	return p
 }
-
-// Name implements pipeline.Sink.
-func (p *Partitioner) Name() string { return "partition(" + p.group + ")" }
-
-// Epoch returns the partitioner's incarnation.
-func (p *Partitioner) Epoch() uint16 { return p.epoch }
-
-// Seq returns the number of records tagged so far.
-func (p *Partitioner) Seq() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.seq
-}
-
-// Legs returns the current leg addresses in routing order.
-func (p *Partitioner) Legs() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.legs))
-	for _, l := range p.legs {
-		out = append(out, l.addr)
-	}
-	return out
-}
-
-// LegDrops returns the records dropped because no leg existed to carry
-// them (the group mid-repair with an empty leg set).
-func (p *Partitioner) LegDrops() uint64 { return p.drops.Load() }
 
 // shardIndex maps a stream identity to a leg index. Fibonacci hashing
 // spreads the fnv-derived (and often sequential) SourceID space evenly
@@ -192,243 +121,39 @@ func shardIndex(key uint32, k int) int {
 }
 
 // Consume implements pipeline.Sink: tag the record with the next global
-// sequence number and enqueue it on the one leg its SourceID hashes to.
-// A saturated leg blocks the stream — the record exists nowhere else, so
+// sequence number and enqueue it on the one leg its key hashes to. A
+// saturated leg blocks the stream — the record exists nowhere else, so
 // backpressure is the only lossless answer — waking early when the leg
-// set changes (re-routing the record on the new set; the collector's
-// dedup absorbs a retried enqueue) or the partitioner closes. The leg
-// receives its own pool-backed copy, released by the leg writer once
-// flushed, so Consume never retains the caller's record.
+// set changes (re-routing the record on the new set) or the partitioner
+// closes. The leg receives its own pool-backed copy, so Consume never
+// retains the caller's record.
 func (p *Partitioner) Consume(r *record.Record) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return pipeline.ErrStopped
-	}
 	// Extract the routing key before tagging overwrites the header fields
 	// it may read (TagReplica replaces SourceID with the stream identity).
 	key := r.SourceID
 	if p.key != nil {
 		key = p.key(r)
 	}
-	record.TagReplica(r, p.stream, p.epoch, p.seq)
-	p.seq++
-	// Fast path, under the mutex so SetLegs cannot swap the leg set
+	v, err := p.Tag(r)
+	if err != nil {
+		return err
+	}
+	// Fast path, under the set's lock so SetLegs cannot swap the leg set
 	// between routing and enqueue: in the steady state the one
 	// non-blocking send succeeds and the lock is held for nanoseconds.
-	if len(p.legs) > 0 {
-		l := p.legs[shardIndex(key, len(p.legs))]
-		c := record.GetCopy(r)
-		select {
-		case l.q <- c:
-			p.mu.Unlock()
-			return nil
-		default:
-			record.Release(c)
-		}
-	}
-	ls, changed := p.legs, p.legsChanged
-	p.mu.Unlock()
-	for {
-		if len(ls) == 0 {
-			// No legs to carry the record (the group is mid-repair): count
-			// it rather than blocking a stream nobody serves; the collector
-			// skips the gap once legs return.
-			p.drops.Add(1)
+	sent := v.Len() > 0 && v.Offer(shardIndex(key, v.Len()), r)
+	p.Unlock()
+	for !sent {
+		if v.Len() == 0 {
+			p.Dropped()
 			return nil
 		}
-		// Slow path: the leg is saturated. Block until it drains, the leg
-		// set changes, or the partitioner closes. The send may race a
-		// concurrent SetLegs and land on a just-retired leg; the retire
-		// linger flushes such stragglers through the old instance.
-		l := ls[shardIndex(key, len(ls))]
-		c := record.GetCopy(r)
-		select {
-		case l.q <- c:
-			return nil
-		case <-changed:
-			record.Release(c)
-			p.mu.Lock()
-			ls, changed = p.legs, p.legsChanged
-			p.mu.Unlock()
-		case <-p.quit:
-			record.Release(c)
-			return pipeline.ErrStopped
+		if sent, err = v.Send(shardIndex(key, v.Len()), r); err != nil {
+			return err
 		}
-	}
-}
-
-// SetLegs replaces the leg set with addrs, in order. Addresses already
-// served keep their leg (queued records and the live connection survive a
-// reorder); removed addresses retire their leg: the writer drains the
-// queued tail through the old connection and closes only after the queue
-// has stayed empty for retireLinger, so a scale-in or planned re-splice
-// flushes rather than abandons in-flight records. The control plane calls
-// this to grow, shrink and repair the shard set on a live stream.
-func (p *Partitioner) SetLegs(addrs []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return
-	}
-	existing := make(map[string]*leg, len(p.legs))
-	for _, l := range p.legs {
-		existing[l.addr] = l
-	}
-	next := make([]*leg, 0, len(addrs))
-	for _, a := range addrs {
-		if a == "" {
-			continue
+		if !sent {
+			v = p.View()
 		}
-		if l, ok := existing[a]; ok {
-			delete(existing, a)
-			next = append(next, l)
-			continue
-		}
-		next = append(next, p.newLeg(a))
-	}
-	for _, l := range existing {
-		close(l.retire)
-		p.retired = append(p.retired, l)
-	}
-	// Reap retired legs that have finished draining.
-	live := p.retired[:0]
-	for _, l := range p.retired {
-		select {
-		case <-l.done:
-		default:
-			live = append(live, l)
-		}
-	}
-	p.retired = live
-	p.legs = next
-	close(p.legsChanged)
-	p.legsChanged = make(chan struct{})
-}
-
-// RecordsOut returns the records flushed to the wire, summed over legs.
-func (p *Partitioner) RecordsOut() uint64 { return p.sumLegs((*pipeline.StreamOut).RecordsOut) }
-
-// BatchesOut returns the batch writes issued, summed over legs.
-func (p *Partitioner) BatchesOut() uint64 { return p.sumLegs((*pipeline.StreamOut).BatchesOut) }
-
-// BytesOut returns the encoded bytes written, summed over legs.
-func (p *Partitioner) BytesOut() uint64 { return p.sumLegs((*pipeline.StreamOut).BytesOut) }
-
-func (p *Partitioner) sumLegs(f func(*pipeline.StreamOut) uint64) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var total uint64
-	for _, l := range p.legs {
-		total += f(l.out)
-	}
-	return total
-}
-
-// LegRecords returns per-leg flushed record counts keyed by address — the
-// skew gauge: a hot key set shows up as one leg carrying a multiple of
-// its siblings' counts.
-func (p *Partitioner) LegRecords() map[string]uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[string]uint64, len(p.legs))
-	for _, l := range p.legs {
-		out[l.addr] = l.out.RecordsOut()
-	}
-	return out
-}
-
-// FillStats implements pipeline.EndpointStatser.
-func (p *Partitioner) FillStats(st *pipeline.SegmentStats) {
-	st.Role = "partition"
-	st.LegDrops = p.drops.Load()
-	p.mu.Lock()
-	st.Legs = len(p.legs)
-	p.mu.Unlock()
-}
-
-// Close shuts every leg down. Queued records toward live legs are
-// abandoned; callers that care should quiesce the stream first.
-func (p *Partitioner) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	close(p.quit)
-	ls := append(p.legs, p.retired...)
-	p.legs, p.retired = nil, nil
-	p.mu.Unlock()
-	for _, l := range ls {
-		l.shutdown()
-		<-l.done
 	}
 	return nil
-}
-
-func (p *Partitioner) newLeg(addr string) *leg {
-	l := &leg{
-		addr:   addr,
-		out:    pipeline.NewStreamOutBatched(addr, p.flush),
-		q:      make(chan *record.Record, p.queue),
-		stop:   make(chan struct{}),
-		retire: make(chan struct{}),
-		done:   make(chan struct{}),
-	}
-	go l.run()
-	return l
-}
-
-// run drains the leg queue into the streamout until the leg is stopped or
-// retired. Errors are not surfaced — a failed leg is the collector's and
-// control plane's problem, never the stream's.
-func (l *leg) run() {
-	defer close(l.done)
-	for {
-		select {
-		case <-l.stop:
-			return
-		case <-l.retire:
-			l.drainRetired()
-			_ = l.out.Close()
-			return
-		case r := <-l.q:
-			// StreamOut encodes synchronously, so the leg's copy can go
-			// back to the pool as soon as Consume returns.
-			_ = l.out.Consume(r)
-			record.Release(r)
-		}
-	}
-}
-
-// drainRetired flushes the queued tail of a retired leg, returning once
-// the queue has stayed empty for retireLinger (long enough for a Consume
-// that routed against the old leg set to land its straggler) or the leg
-// is hard-stopped.
-func (l *leg) drainRetired() {
-	idle := time.NewTimer(retireLinger)
-	defer idle.Stop()
-	for {
-		select {
-		case <-l.stop:
-			return
-		case r := <-l.q:
-			_ = l.out.Consume(r)
-			record.Release(r)
-			if !idle.Stop() {
-				<-idle.C
-			}
-			idle.Reset(retireLinger)
-		case <-idle.C:
-			return
-		}
-	}
-}
-
-// shutdown hard-stops the leg writer, unblocking any in-flight write and
-// abandoning the queue.
-func (l *leg) shutdown() {
-	close(l.stop)
-	_ = l.out.Close()
 }

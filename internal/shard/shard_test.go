@@ -248,6 +248,68 @@ func TestScaleInFlushesRetiredLegs(t *testing.T) {
 	}
 }
 
+// TestEgressMonotonicAcrossSetLegs shrinks a live partitioner and watches
+// its egress totals: they must never step back when a leg leaves the set,
+// and must keep counting what the retired leg flushes after the swap, so
+// every consumed record ends up in RecordsOut.
+func TestEgressMonotonicAcrossSetLegs(t *testing.T) {
+	col, err := NewCollector(CollectorConfig{Group: "g", ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := &collectEmitter{}
+	done := make(chan error, 1)
+	go func() { done <- col.Run(sink) }()
+
+	legs := make([]string, 3)
+	for i := range legs {
+		addr, closeProxy := throttleProxy(t, col.Addr(), 0)
+		defer closeProxy()
+		legs[i] = addr
+	}
+	p := NewPartitioner(PartitionerConfig{Group: "g", Epoch: 1, Legs: legs, Flush: record.PerRecordConfig()})
+
+	const n = 1500
+	var last uint64
+	checkMonotonic := func(when string) {
+		t.Helper()
+		got := p.RecordsOut()
+		if got < last {
+			t.Fatalf("records out stepped back %s: %d -> %d", when, last, got)
+		}
+		last = got
+	}
+	for i := 0; i < n; i++ {
+		r := keyedData(uint32(1+i%31), 0, i)
+		if err := p.Consume(r); err != nil {
+			t.Fatalf("consume %d: %v", i, err)
+		}
+		record.Release(r)
+		if i == n/2 {
+			waitCond(t, 5*time.Second, "every leg flushing", func() bool {
+				for _, flushed := range p.LegRecords() {
+					if flushed == 0 {
+						return false
+					}
+				}
+				return true
+			})
+			checkMonotonic("before the shrink")
+			p.SetLegs(legs[:1])
+			checkMonotonic("across SetLegs")
+		}
+	}
+	waitCond(t, 30*time.Second, "all records flushed, retired tails included", func() bool {
+		checkMonotonic("after the shrink")
+		return last == n
+	})
+	_ = p.Close()
+	_ = col.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("collector run: %v", err)
+	}
+}
+
 // TestShardIndexSpread sanity-checks the leg hash: sequential source IDs
 // (the common fnv-derived pattern) must spread across every leg rather
 // than aliasing onto a few.
