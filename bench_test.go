@@ -13,28 +13,16 @@
 package repro
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dsp"
 	"repro/internal/eval"
 	"repro/internal/experiments"
 	"repro/internal/meso"
-	"repro/internal/obs"
 	"repro/internal/ops"
-	"repro/internal/pipeline"
-	"repro/internal/record"
-	"repro/internal/replica"
-	"repro/internal/shard"
 	"repro/internal/synth"
 	"repro/internal/timeseries"
 )
@@ -220,463 +208,6 @@ func BenchmarkDataReduction(b *testing.B) {
 		red = r.Reduction
 	}
 	b.ReportMetric(red*100, "reduction%")
-}
-
-// streamOutBench measures streamout transport throughput over real TCP:
-// records with 64-byte PCM payloads (32 samples, the station record
-// granularity scaled down) are pushed through a StreamOut framed by the
-// given policy into a decoding receiver. The receiver decodes every record
-// with the ordinary Reader, so the numbers include full wire framing on
-// both sides, and reports records/sec alongside ns/op.
-func streamOutBench(b *testing.B, policy record.BatchConfig) {
-	b.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// The receiver decodes into pooled records and releases each
-			// one — the steady-state receive discipline of a hosted
-			// streamin.
-			rd := record.NewReaderSize(conn, record.DefaultMaxBatchBytes)
-			rd.SetPooled(true)
-			for {
-				rec, err := rd.Read()
-				if err != nil {
-					break
-				}
-				record.Release(rec)
-			}
-			conn.Close()
-		}
-	}()
-
-	out := pipeline.NewStreamOutBatched(ln.Addr().String(), policy)
-	samples := make([]int16, 32) // 64-byte PCM payload
-	for i := range samples {
-		samples[i] = int16(i * 256)
-	}
-	r := record.NewData(record.SubtypeAudio)
-	r.SetPCM16(samples)
-	b.SetBytes(int64(record.WireSize(r)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Seq = uint64(i)
-		if err := out.Consume(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := out.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-	out.Close()
-	ln.Close()
-	<-drained
-}
-
-// BenchmarkStreamOutThroughput contrasts the per-record baseline (one
-// network write and flush per record, the pre-batching behavior) against
-// batched framing on the streamout hot path. The batch variants are the
-// headline transport win: one syscall carries a whole batch.
-func BenchmarkStreamOutThroughput(b *testing.B) {
-	b.Run("per-record", func(b *testing.B) {
-		streamOutBench(b, record.PerRecordConfig())
-	})
-	b.Run("batch-64", func(b *testing.B) {
-		streamOutBench(b, record.DefaultBatchConfig())
-	})
-	b.Run("batch-256", func(b *testing.B) {
-		cfg := record.DefaultBatchConfig()
-		cfg.MaxRecords = 256
-		streamOutBench(b, cfg)
-	})
-	// The v1 framing escape hatch at the same batch geometry: isolates
-	// what the v2 format itself (one header + one hardware CRC per batch
-	// instead of per record) buys over pure batching.
-	b.Run("v1-batch-64", func(b *testing.B) {
-		cfg := record.DefaultBatchConfig()
-		cfg.Frame = record.FrameV1
-		streamOutBench(b, cfg)
-	})
-}
-
-// BenchmarkMergerDedupThroughput measures the replication merger's fan-in
-// hot path over real TCP: three legs concurrently deliver the same tagged
-// record stream (batch-framed, 64-byte PCM payloads) and the merger
-// deduplicates them back to exactly-once output. ns/op is per unique
-// record delivered; records/sec counts the deduped output rate, so the
-// number is directly comparable to the streamout throughput benchmark one
-// hop upstream of it.
-func BenchmarkMergerDedupThroughput(b *testing.B) {
-	const legs = 3
-	m, err := replica.NewMerger(replica.MergerConfig{Group: "bench", ListenAddr: "127.0.0.1:0", Pooled: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var emitted atomic.Uint64
-	sink := pipeline.EmitterFunc(func(r *record.Record) error {
-		emitted.Add(1)
-		record.Release(r) // pooled merger: the sink owns and recycles
-		return nil
-	})
-	runDone := make(chan error, 1)
-	go func() { runDone <- m.Run(sink) }()
-
-	samples := make([]int16, 32) // 64-byte PCM payload
-	proto := record.NewData(record.SubtypeAudio)
-	proto.SetPCM16(samples)
-	b.SetBytes(int64(record.WireSize(proto)))
-	b.ReportAllocs()
-	b.ResetTimer()
-
-	stream := record.ReplicaStreamID("bench")
-	var wg sync.WaitGroup
-	for leg := 0; leg < legs; leg++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			conn, err := net.Dial("tcp", m.Addr())
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			defer conn.Close()
-			bw := record.NewBatchWriter(conn, record.DefaultBatchConfig())
-			r := record.NewData(record.SubtypeAudio)
-			r.SetPCM16(samples)
-			for i := 0; i < b.N; i++ {
-				record.TagReplica(r, stream, 1, uint64(i))
-				if err := bw.Write(r); err != nil {
-					b.Error(err)
-					return
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				b.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	deadline := time.Now().Add(2 * time.Minute)
-	for emitted.Load() < uint64(b.N) && !b.Failed() {
-		if time.Now().After(deadline) {
-			b.Fatalf("merger emitted %d of %d records before the deadline", emitted.Load(), b.N)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-	_ = m.Close()
-	<-runDone
-	if got := emitted.Load(); got != uint64(b.N) {
-		b.Fatalf("emitted %d records, want exactly %d", got, b.N)
-	}
-}
-
-// shardedBench measures the sharded data plane end to end over real TCP:
-// a partitioner fans a keyed record stream out to K leg workers, each leg
-// spends a fixed per-record service time (a timed stall standing in for
-// one core's worth of segment compute, so the scaling law is visible even
-// on single-core CI hosts), and a collector reorders the legs' output
-// back to the input order. records/sec is the collector's exactly-once
-// output rate; with the per-record cost dominating, it must scale ~K.
-func shardedBench(b *testing.B, k int, service time.Duration) {
-	col, err := shard.NewCollector(shard.CollectorConfig{
-		Group: "bench", ListenAddr: "127.0.0.1:0", Pooled: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var emitted atomic.Uint64
-	sink := pipeline.EmitterFunc(func(r *record.Record) error {
-		emitted.Add(1)
-		record.Release(r)
-		return nil
-	})
-	runDone := make(chan error, 1)
-	go func() { runDone <- col.Run(sink) }()
-
-	// Leg workers: decode, stall for the service time, forward batched.
-	legs := make([]string, k)
-	var workers sync.WaitGroup
-	listeners := make([]net.Listener, k)
-	for i := range legs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		listeners[i] = ln
-		legs[i] = ln.Addr().String()
-		workers.Add(1)
-		go func(ln net.Listener) {
-			defer workers.Done()
-			for {
-				conn, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				fwd, err := net.Dial("tcp", col.Addr())
-				if err != nil {
-					conn.Close()
-					return
-				}
-				// Per-record flush: the worker has no delay-flush timer, and
-				// at a service-time-bound rate framing is not the bottleneck.
-				out := record.NewBatchWriter(fwd, record.PerRecordConfig())
-				rd := record.NewReaderSize(conn, record.DefaultMaxBatchBytes)
-				rd.SetPooled(true)
-				for {
-					rec, err := rd.Read()
-					if err != nil {
-						break
-					}
-					if service > 0 {
-						time.Sleep(service)
-					}
-					if err := out.Write(rec); err != nil {
-						record.Release(rec)
-						break
-					}
-					record.Release(rec)
-				}
-				_ = out.Flush()
-				fwd.Close()
-				conn.Close()
-			}
-		}(ln)
-	}
-
-	p := shard.NewPartitioner(shard.PartitionerConfig{
-		Group: "bench", Epoch: 1, Legs: legs, Flush: record.DefaultBatchConfig(),
-	})
-	samples := make([]int16, 32) // 64-byte PCM payload
-	r := record.NewData(record.SubtypeAudio)
-	r.SetPCM16(samples)
-	b.SetBytes(int64(record.WireSize(r)))
-	// Warm the record pool to its steady-state population before timing:
-	// at start the leg queues fill with up to LegQueue pool copies per leg
-	// before the first Release cycles back, and that one-time burst would
-	// otherwise dominate allocs/op at short benchtimes.
-	warm := make([]*record.Record, (shard.DefaultLegQueue+64)*k)
-	for i := range warm {
-		warm[i] = record.GetCopy(r)
-	}
-	for _, w := range warm {
-		record.Release(w)
-	}
-	// GC off for the timed region: a collection mid-run clears the
-	// sync.Pool and the refill burst shows up as allocs/op noise in the
-	// CI allocation gate. Total garbage over the run is a few MB.
-	gcPct := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(gcPct)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.SourceID = uint32(1 + i%61) // spread the keys across every leg
-		if err := p.Consume(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Minute)
-	for emitted.Load() < uint64(b.N) && !b.Failed() {
-		if time.Now().After(deadline) {
-			b.Fatalf("collector emitted %d of %d records before the deadline", emitted.Load(), b.N)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "records/sec")
-	_ = p.Close()
-	for _, ln := range listeners {
-		_ = ln.Close()
-	}
-	workers.Wait()
-	_ = col.Close()
-	<-runDone
-	if got := col.Skipped(); got != 0 {
-		b.Fatalf("collector skipped %d sequence slots", got)
-	}
-}
-
-// BenchmarkShardedThroughput is the headline sharding scaling law: the
-// same keyed stream through K=1, 2 and 8 legs at a 50µs per-record
-// service time. K=1 is the unsharded baseline (one leg bounds the
-// stream); K=8 must deliver at least ~3x its records/sec (ideal 8x,
-// minus partition/collect overhead), proving hot segments scale with
-// data parallelism rather than a faster core.
-func BenchmarkShardedThroughput(b *testing.B) {
-	for _, k := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("K-%d", k), func(b *testing.B) {
-			shardedBench(b, k, 50*time.Microsecond)
-		})
-	}
-}
-
-// BenchmarkBatchWriterFraming isolates the framing layer from TCP: encode
-// throughput into an in-memory sink at both policies.
-func BenchmarkBatchWriterFraming(b *testing.B) {
-	r := record.NewData(record.SubtypeAudio)
-	samples := make([]int16, 32)
-	r.SetPCM16(samples)
-	for _, tc := range []struct {
-		name   string
-		policy record.BatchConfig
-	}{
-		{"per-record", record.PerRecordConfig()},
-		{"batch-64", record.DefaultBatchConfig()},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			bw := record.NewBatchWriter(io.Discard, tc.policy)
-			b.SetBytes(int64(record.WireSize(r)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := bw.Write(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if err := bw.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkBatchFrameCodec isolates the wire codec from both TCP and the
-// writer: encode a 64-record batch of 64-byte PCM records into a reused
-// buffer, or decode it back through a pooled reader, in each framing.
-// The encode delta is the CRC story (64 IEEE header+trailer checksums in
-// v1 vs one Castagnoli sweep in v2); the decode delta adds the one-pass
-// batch verify against per-record verify.
-func BenchmarkBatchFrameCodec(b *testing.B) {
-	const batch = 64
-	recs := make([]*record.Record, batch)
-	samples := make([]int16, 32)
-	for i := range recs {
-		r := record.NewData(record.SubtypeAudio)
-		r.Seq = uint64(i)
-		r.SetPCM16(samples)
-		recs[i] = r
-	}
-	encodeV1 := func(dst []byte) []byte {
-		for _, r := range recs {
-			dst = record.AppendWire(dst, r)
-		}
-		return dst
-	}
-	encodeV2 := func(dst []byte) []byte { return record.AppendBatchWire(dst, recs...) }
-	wireBytes := func(enc func([]byte) []byte) int64 { return int64(len(enc(nil))) }
-
-	b.Run("encode-v1", func(b *testing.B) {
-		b.SetBytes(wireBytes(encodeV1))
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = encodeV1(buf[:0])
-		}
-		b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "records/sec")
-	})
-	b.Run("encode-v2", func(b *testing.B) {
-		b.SetBytes(wireBytes(encodeV2))
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			buf = encodeV2(buf[:0])
-		}
-		b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "records/sec")
-	})
-	for _, tc := range []struct {
-		name string
-		enc  func([]byte) []byte
-	}{
-		{"decode-v1", encodeV1},
-		{"decode-v2", encodeV2},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			wire := tc.enc(nil)
-			src := bytes.NewReader(wire)
-			rd := record.NewReaderSize(src, record.DefaultMaxBatchBytes)
-			rd.SetPooled(true)
-			b.SetBytes(int64(len(wire)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				src.Reset(wire)
-				rd.Reset(src)
-				for {
-					rec, err := rd.Read()
-					if err != nil {
-						break
-					}
-					record.Release(rec)
-				}
-			}
-			b.ReportMetric(float64(b.N)*batch/b.Elapsed().Seconds(), "records/sec")
-		})
-	}
-}
-
-// BenchmarkLatencyTraceObserve measures the data-plane latency tracing
-// hot path: a record stamped at ingest folded into the lock-free unit
-// histogram, and — in the probe variant — a trace probe additionally
-// folded into the end-to-end histogram. Both run per record inside every
-// hosted segment's sink stage, so allocs/op is gated at zero alongside
-// the transport benchmarks: tracing must never reintroduce per-record
-// allocation on the pooled path.
-func BenchmarkLatencyTraceObserve(b *testing.B) {
-	b.Run("record", func(b *testing.B) {
-		tr := pipeline.NewLatencyTracer(obs.NewRegistry(), "bench")
-		r := record.NewData(record.SubtypeAudio)
-		r.SetPCM16(make([]int16, 32))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.IngressNanos = time.Now().UnixNano()
-			tr.Observe(r)
-		}
-	})
-	b.Run("probe", func(b *testing.B) {
-		tr := pipeline.NewLatencyTracer(obs.NewRegistry(), "bench")
-		p := record.NewTraceProbe(time.Now().UnixNano())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now := time.Now().UnixNano()
-			record.FillTraceProbe(p, now)
-			p.IngressNanos = now // probes take both the unit and e2e paths
-			tr.Observe(p)
-		}
-	})
-}
-
-// BenchmarkLatencyQuantile measures the scrape-side cost of one quantile
-// estimate over a populated latency histogram — the price of exposing
-// p50/p95/p99 per unit on /metrics and in heartbeats.
-func BenchmarkLatencyQuantile(b *testing.B) {
-	reg := obs.NewRegistry()
-	h := reg.Histogram("bench_latency_seconds", obs.LatencyBuckets)
-	rng := rand.New(rand.NewSource(8))
-	for i := 0; i < 100000; i++ {
-		h.Observe(rng.ExpFloat64() * 0.005)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if q := h.Quantile(0.99); q <= 0 {
-			b.Fatal("empty quantile")
-		}
-	}
 }
 
 // BenchmarkAblationSAXParams sweeps the SAX alphabet and anomaly window

@@ -50,6 +50,7 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -105,7 +106,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  dynriver station (-to HOST:PORT | -coord HOST:PORT [-pipeline ID]) [-clips N] [-seed S] [-seconds SEC] [-batch N] [-frame v1|v2] [-pace D] [-probes D]
+  dynriver station (-to HOST:PORT | -coord HOST:PORT [-pipeline ID]) [-clips N] [-seed S] [-seconds SEC] [-batch N] [-pace D] [-probes D]
   dynriver segment -type extract|spectral|detect|slow|full -listen ADDR -to HOST:PORT
   dynriver sink -listen ADDR [-conns N]
   dynriver coord -listen ADDR -sink HOST:PORT [-segments TYPES] [-pipelines N | -spec-file FILE]
@@ -115,7 +116,7 @@ func usage() {
                  [-react observe|drain] [-dry-run] [-remediate-cooldown D] [-remediate-max N]
                  [-autoscale] [-autoscale-low F] [-autoscale-high F] [-autoscale-min K]
                  [-autoscale-max K] [-autoscale-step N] [-autoscale-cooldown D]
-  dynriver node -name NAME -coord HOST:PORT [-host IP] [-batch N] [-frame v1|v2] [-queue N] [-retry N] [-retry-max D]
+  dynriver node -name NAME -coord HOST:PORT [-host IP] [-batch N] [-queue N] [-retry N] [-retry-max D]
                 [-metrics-addr ADDR]
   dynriver status -coord HOST:PORT [-json] [-pipeline ID]
   dynriver events -coord HOST:PORT [-pipeline ID] [-follow] [-json] [-since SEQ]
@@ -211,30 +212,19 @@ func (s *slowRelay) Process(r *record.Record, out pipeline.Emitter) error {
 	return out.Emit(r)
 }
 
-// flushPolicy maps the -batch and -frame flag values to a record framing
-// policy: batch <=1 selects per-record writes, anything larger the
-// batched hot path with that record bound; frame "v1" pins the per-record
-// wire framing (the escape hatch — readers accept either, so mixed fleets
-// interoperate), anything else keeps the v2 batch-frame default.
-func flushPolicy(batch int, frame string) (record.BatchConfig, error) {
-	var cfg record.BatchConfig
+// flushPolicy maps the -batch flag value to a record flush policy: batch
+// <=1 selects per-record writes, anything larger the batched hot path
+// with that record bound.
+func flushPolicy(batch int) record.BatchConfig {
 	if batch <= 1 {
-		cfg = record.PerRecordConfig()
-	} else {
-		cfg = record.DefaultBatchConfig()
-		cfg.MaxRecords = batch
-		if cfg.AdaptMax < batch {
-			cfg.AdaptMax = batch
-		}
+		return record.PerRecordConfig()
 	}
-	switch frame {
-	case "", "v2":
-	case "v1":
-		cfg.Frame = record.FrameV1
-	default:
-		return cfg, fmt.Errorf("unknown -frame %q (want v1 or v2)", frame)
+	cfg := record.DefaultBatchConfig()
+	cfg.MaxRecords = batch
+	if cfg.AdaptMax < batch {
+		cfg.AdaptMax = batch
 	}
-	return cfg, nil
+	return cfg
 }
 
 func runStation(args []string) error {
@@ -247,7 +237,6 @@ func runStation(args []string) error {
 	seconds := fs.Float64("seconds", 10, "seconds per clip")
 	name := fs.String("name", "kbs-01", "station name")
 	batch := fs.Int("batch", 64, "records per streamout batch (<=1 writes per record)")
-	frame := fs.String("frame", "v2", "wire framing: v2 (batch frames, hardware CRC) or v1 (per-record frames)")
 	pace := fs.Duration("pace", 0, "sleep between records, approximating a live sensor (0 = stream flat-out)")
 	probes := fs.Duration("probes", 0, "interval between end-to-end latency trace probes (0 = off)")
 	if err := fs.Parse(args); err != nil {
@@ -256,10 +245,7 @@ func runStation(args []string) error {
 	if (*to == "") == (*coordAddr == "") {
 		return fmt.Errorf("station: exactly one of -to or -coord is required")
 	}
-	policy, err := flushPolicy(*batch, *frame)
-	if err != nil {
-		return fmt.Errorf("station: %w", err)
-	}
+	policy := flushPolicy(*batch)
 	ctx := interruptContext()
 
 	var out *pipeline.StreamOut
@@ -268,12 +254,14 @@ func runStation(args []string) error {
 		// the first update tells us where to dial, later ones re-route the
 		// stream when the control plane moves the first segment. The watch
 		// session itself reconnects with backoff so a coordinator restart
-		// or network blip cannot strand the station on a stale address.
+		// or network blip cannot strand the station on a stale address —
+		// except after a protocol mismatch, which no retry can fix.
 		type entryUpdate struct {
 			addr     string
 			boundary bool
 		}
 		entryCh := make(chan entryUpdate, 8)
+		refused := make(chan error, 1)
 		wctx, wcancel := context.WithCancel(ctx)
 		defer wcancel()
 		go func() {
@@ -285,6 +273,11 @@ func runStation(args []string) error {
 					}
 				})
 				if wctx.Err() != nil {
+					return
+				}
+				if errors.Is(err, river.ErrProtocolMismatch) {
+					fmt.Printf("station: entry watch refused (%v); not retrying\n", err)
+					refused <- err
 					return
 				}
 				fmt.Printf("station: entry watch lost (%v); reconnecting\n", err)
@@ -299,6 +292,8 @@ func runStation(args []string) error {
 		select {
 		case up := <-entryCh:
 			entry = up.addr
+		case err := <-refused:
+			return fmt.Errorf("station: %w", err)
 		case <-time.After(30 * time.Second):
 			return fmt.Errorf("station: no entry for pipeline %q from coordinator %s after 30s", *pipeID, *coordAddr)
 		case <-ctx.Done():
@@ -631,7 +626,6 @@ func runNode(args []string) error {
 	coordAddr := fs.String("coord", "", "coordinator address (required)")
 	host := fs.String("host", "127.0.0.1", "interface hosted segments listen on (must be dialable by upstream)")
 	batch := fs.Int("batch", 64, "records per hosted streamout batch (<=1 writes per record)")
-	frame := fs.String("frame", "v2", "wire framing for hosted streamouts: v2 (batch frames, hardware CRC) or v1 (per-record frames)")
 	queue := fs.Int("queue", pipeline.DefaultQueueSize, "hosted streamin emit-queue bound (0 = direct emit)")
 	retries := fs.Int("retry", 0, "consecutive failed connection attempts before giving up (0 = retry forever)")
 	retryMax := fs.Duration("retry-max", 2*time.Second, "cap on the jittered reconnect backoff")
@@ -645,11 +639,7 @@ func runNode(args []string) error {
 	agent := river.NewAgent(*name, *coordAddr, builtinRegistry())
 	agent.ListenHost = *host
 	agent.MetricsAddr = *metricsAddr
-	policy, err := flushPolicy(*batch, *frame)
-	if err != nil {
-		return fmt.Errorf("node: %w", err)
-	}
-	agent.Node().FlushPolicy = policy
+	agent.Node().FlushPolicy = flushPolicy(*batch)
 	agent.Node().QueueSize = *queue
 	agent.ReconnectMax = *retryMax
 	agent.DialAttempts = *retries
@@ -704,11 +694,7 @@ func runStatus(args []string) error {
 	fmt.Printf("epoch: %d\nentry: %s\nsink:  %s\n", st.Epoch, orDash(st.EntryAddr), st.SinkAddr)
 	fmt.Printf("nodes (%d):\n", len(st.Nodes))
 	for _, n := range st.Nodes {
-		proto := n.Proto
-		if proto == 0 {
-			proto = 1
-		}
-		fmt.Printf("  %-12s last heartbeat %4dms ago (proto v%d)\n", n.Name, n.LastBeatMS, proto)
+		fmt.Printf("  %-12s last heartbeat %4dms ago\n", n.Name, n.LastBeatMS)
 		for _, s := range n.Segments {
 			state := ""
 			if s.Failed {
@@ -717,15 +703,8 @@ func runStatus(args []string) error {
 					state += " (" + s.Err + ")"
 				}
 			}
-			// Pre-v2 agents carry no flow telemetry: their counters decode as
-			// zero, which is "no data", not "idle" — print "?" so operators
-			// don't mistake an old agent's silence for an empty queue.
-			lag, queue := fmt.Sprintf("%d", s.LagValue()), fmt.Sprintf("%d/%d", s.QueueDepth, s.QueueCap)
-			if proto < 2 {
-				lag, queue = "?", "?/?"
-			}
-			fmt.Printf("    %-14s %-10s at %-21s processed=%d emitted=%d lag=%s queue=%s conns=%d repairs=%d%s\n",
-				s.Name, "("+s.Type+")", s.Addr, s.Processed, s.Emitted, lag, queue, s.Conns, s.BadCloses, state)
+			fmt.Printf("    %-14s %-10s at %-21s processed=%d emitted=%d lag=%d queue=%d/%d conns=%d repairs=%d%s\n",
+				s.Name, "("+s.Type+")", s.Addr, s.Processed, s.Emitted, s.LagValue(), s.QueueDepth, s.QueueCap, s.Conns, s.BadCloses, state)
 			fmt.Printf("    %-14s %-10s out: records=%d batches=%d bytes=%d\n",
 				"", "", s.RecordsOut, s.BatchesOut, s.BytesOut)
 			switch river.KindOf(s.Role) {
@@ -825,8 +804,8 @@ func printShardGroups(st *river.ClusterStatus, ps []river.PlacementStatus) {
 	}
 }
 
-// runEvents prints a coordinator's control-plane event stream (protocol
-// v6): the retained backlog, and with -follow every subsequent event as
+// runEvents prints a coordinator's control-plane event stream: the
+// retained backlog, and with -follow every subsequent event as
 // it happens — place, failover, drain, anomaly — until interrupted.
 // -json emits one JSON event per line for scripts; the schema is the
 // obs.Event wire format.
@@ -910,6 +889,9 @@ func runEvents(args []string) error {
 		})
 		if ctx.Err() != nil {
 			return nil
+		}
+		if errors.Is(err, river.ErrProtocolMismatch) {
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "events: stream lost (%v); reconnecting in %s (resume after seq %d)\n", err, backoff, last)
 		select {

@@ -5,8 +5,8 @@
 // station follows only its own pipeline's entry address. When one node
 // is killed, only the pipelines it hosted are re-placed and re-spliced —
 // the other stations' entry watches stay silent and their streams never
-// move. A ninth pipeline is then added at runtime (the protocol v5
-// pipeline_add verb) and removed again, without restarting anything.
+// move. A ninth pipeline is then added at runtime (the pipeline_add
+// verb) and removed again, without restarting anything.
 package main
 
 import (

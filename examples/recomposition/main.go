@@ -89,10 +89,10 @@ func main() {
 	coordConfig := func(listen string) river.Config {
 		return river.Config{
 			ListenAddr: listen,
-			Spec: river.PipelineSpec{
+			Pipelines: []river.PipelineSpec{{
 				Segments: []river.SegmentSpec{{Name: "extract", Type: "extract"}},
 				SinkAddr: terminal.Addr(),
-			},
+			}},
 			HeartbeatInterval: 100 * time.Millisecond,
 			HeartbeatTimeout:  500 * time.Millisecond,
 			OnEntryChange:     func(a string) { entryCh <- a },

@@ -58,10 +58,10 @@ func main() {
 	// Control plane: one relay segment at 3 replicas, four nodes to host
 	// the merger, the replicas (on distinct nodes) and the splitter.
 	coord, err := river.NewCoordinator(river.Config{
-		Spec: river.PipelineSpec{
+		Pipelines: []river.PipelineSpec{{
 			Segments: []river.SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatTimeout:  500 * time.Millisecond,
 		MinNodes:          4,

@@ -10,9 +10,12 @@ import (
 // protocol surface: events travel the wire verbatim in watch_events
 // sessions, so renaming one is a protocol change.
 const (
-	// EventRegister: a node agent registered (Node, Detail carries the
-	// protocol version).
+	// EventRegister: a node agent registered (Node).
 	EventRegister = "register"
+	// EventReject: a session was refused because the peer announced a
+	// different protocol version, or none (Node when the peer named
+	// itself, Value is the peer's version, Detail the session type).
+	EventReject = "reject"
 	// EventAdopt: a re-registering agent's live unit was adopted into the
 	// desired state instead of being re-placed (Unit, Node).
 	EventAdopt = "adopt"
@@ -135,8 +138,7 @@ type Event struct {
 	// Detail is free-form human context.
 	Detail string `json:"detail,omitempty"`
 	// Phase subdivides multi-step event types (remediation:
-	// triggered/started/completed/suppressed). Added in protocol v7;
-	// older decoders ignore it.
+	// triggered/started/completed/suppressed; autoscale likewise).
 	Phase string `json:"phase,omitempty"`
 }
 

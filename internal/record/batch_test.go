@@ -203,9 +203,9 @@ func TestBatchWriterRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestBatchInteropWithPlainReader proves the wire format is unchanged: a
-// stream produced by a mix of batched and per-record writers decodes with
-// the ordinary Reader, records in order.
+// TestBatchInteropWithPlainReader: a stream produced by a mix of batched
+// and per-record writers decodes with the ordinary Reader, records in
+// order.
 func TestBatchInteropWithPlainReader(t *testing.T) {
 	var buf bytes.Buffer
 	plain := NewWriter(&buf)

@@ -8,31 +8,8 @@ import (
 	"io"
 )
 
-// Wire format v1 — one frame per record (all integers little-endian):
-//
-//	magic      uint32  'D','R','V','1'
-//	kind       uint8
-//	subtype    uint16
-//	scope      uint16
-//	scopeType  uint16
-//	seq        uint64
-//	sourceID   uint32
-//	payloadTyp uint16
-//	payloadLen uint32
-//	hdrCRC     uint16  (low 16 bits of IEEE CRC-32 over kind..payloadLen)
-//	payload    [payloadLen]byte
-//	crc32      uint32  (IEEE, over everything from kind through payload)
-//
-// The magic word lets a reader resynchronize on a byte stream after a
-// partial write; the header CRC lets the reader reject a corrupted length
-// field before committing to consume payload bytes; the trailing CRC
-// detects payload corruption and false magic matches.
-//
-// Wire format v2 — one frame per batch. v1 pays two software CRC-32/IEEE
-// passes and 10 bytes of framing (magic + header CRC + trailer) per
-// record; v2 amortizes framing over the whole batch and checksums it in a
-// single CRC-32C (Castagnoli) pass, which Go accelerates with the SSE4.2 /
-// ARMv8 CRC instructions:
+// Wire format — one frame per batch of records (all integers
+// little-endian):
 //
 //	magic    uint32  'D','R','V','2'
 //	count    uint16  number of records in the batch (>= 1)
@@ -50,37 +27,32 @@ import (
 //	    payload    [payloadLen]byte
 //	batchCRC uint32  (CRC-32C over everything from count through body)
 //
-// The entry header is the v1 header minus magic and header CRC — the
-// field order and widths are identical, so both framings share the
-// encode/decode helpers. The batch header CRC guards count/bodyLen before
-// the reader commits to consuming bodyLen bytes; the trailing CRC covers
-// the whole batch, so corruption anywhere drops exactly that batch (the
-// reader counts it and re-syncs on the next magic word — see Read). The
-// two framings are self-identifying by magic and may be interleaved on
-// one stream; readers accept both, so v1 writers and v2 readers (and vice
-// versa) interoperate with no flag day.
+// Framing is amortized over the whole batch and checksummed in a single
+// CRC-32C (Castagnoli) pass, which Go accelerates with the SSE4.2 / ARMv8
+// CRC instructions. The magic word lets a reader resynchronize on a byte
+// stream after a partial write or corruption; the batch header CRC guards
+// count/bodyLen before the reader commits to consuming bodyLen bytes; the
+// trailing CRC covers the whole batch, so corruption anywhere in the body
+// drops exactly that batch (the reader counts it and re-syncs on the next
+// magic word — see Read). A record written on its own travels as a
+// single-record batch.
 
 const (
-	wireMagic   = uint32('D') | uint32('R')<<8 | uint32('V')<<16 | uint32('1')<<24
-	wireMagicV2 = uint32('D') | uint32('R')<<8 | uint32('V')<<16 | uint32('2')<<24
-	hdrCRCOff   = 4 + 1 + 2 + 2 + 2 + 8 + 4 + 2 + 4
-	headerSize  = hdrCRCOff + 2
-	trailerSize = 4
-	// entryHdrSize is the per-record header inside a v2 batch body: the v1
-	// header fields without the magic word and header CRC.
+	wireMagic = "DRV2"
+	// entryHdrSize is the per-record header inside a batch body.
 	entryHdrSize = 1 + 2 + 2 + 2 + 8 + 4 + 2 + 4
-	// batchHdrSize is the v2 batch header: magic, count, bodyLen, hdrCRC.
+	// batchHdrSize is the batch header: magic, count, bodyLen, hdrCRC.
 	batchHdrSize = 4 + 2 + 4 + 2
-	// batchTrailerSize is the v2 whole-batch CRC-32C.
+	// batchTrailerSize is the whole-batch CRC-32C.
 	batchTrailerSize = 4
-	// MaxBatchRecords is the largest count a v2 batch frame can carry
+	// MaxBatchRecords is the largest count a batch frame can carry
 	// (the count field is a uint16).
 	MaxBatchRecords = 1<<16 - 1
 	// MaxPayload bounds the payload size accepted by the decoder. It
 	// protects readers from corrupt length fields; 64 MiB is far above any
 	// record produced by the acoustic pipeline (a 30 s clip is ~1.5 MiB).
 	MaxPayload = 64 << 20
-	// MaxBatchBody bounds the v2 batch body accepted by the decoder, for
+	// MaxBatchBody bounds the batch body accepted by the decoder, for
 	// the same reason MaxPayload bounds a record: a corrupt (but
 	// header-CRC-valid) length field must not commit the reader to
 	// consuming gigabytes. Writers flush on BatchConfig.MaxBytes long
@@ -100,15 +72,14 @@ var (
 	ErrBadBatch    = errors.New("record: malformed batch frame")
 )
 
-// errBatchSkipped is an internal sentinel: a v2 batch failed its CRC (or
+// errBatchSkipped is an internal sentinel: a batch failed its CRC (or
 // was structurally inconsistent) and has been consumed in full, so the
 // non-strict Read loop should simply try the next frame — no byte-wise
 // resync needed, the stream is already positioned at the frame boundary.
 var errBatchSkipped = errors.New("record: corrupt batch skipped")
 
-// appendEntryHeader appends r's header fields — the v1 header minus magic
-// and header CRC, which is exactly a v2 batch entry header — and returns
-// the extended slice.
+// appendEntryHeader appends r's batch entry header and returns the
+// extended slice.
 func appendEntryHeader(dst []byte, r *Record) []byte {
 	dst = append(dst, byte(r.Kind))
 	dst = appendU16(dst, r.Subtype)
@@ -120,21 +91,8 @@ func appendEntryHeader(dst []byte, r *Record) []byte {
 	return appendU32(dst, uint32(len(r.Payload)))
 }
 
-// AppendWire appends the v1 wire encoding of r to dst and returns the
-// extended slice.
-func AppendWire(dst []byte, r *Record) []byte {
-	start := len(dst)
-	dst = appendU32(dst, wireMagic)
-	dst = appendEntryHeader(dst, r)
-	hcrc := crc32.ChecksumIEEE(dst[start+4:])
-	dst = appendU16(dst, uint16(hcrc))
-	dst = append(dst, r.Payload...)
-	crc := crc32.ChecksumIEEE(dst[start+4:])
-	return appendU32(dst, crc)
-}
-
-// AppendBatchWire appends one v2 batch frame carrying recs to dst and
-// returns the extended slice. It is the one-shot form of BatchWriter's v2
+// AppendBatchWire appends one batch frame carrying recs to dst and
+// returns the extended slice. It is the one-shot form of BatchWriter's
 // framing, used by tests and tools; the hot path assembles the frame
 // incrementally. recs must be non-empty and hold at most MaxBatchRecords
 // records.
@@ -143,7 +101,7 @@ func AppendBatchWire(dst []byte, recs ...*Record) []byte {
 		panic("record: AppendBatchWire: batch must carry 1..65535 records")
 	}
 	start := len(dst)
-	dst = appendU32(dst, wireMagicV2)
+	dst = append(dst, wireMagic...)
 	dst = appendU16(dst, uint16(len(recs)))
 	dst = appendU32(dst, 0) // bodyLen, patched below
 	dst = appendU16(dst, 0) // hdrCRC, patched below
@@ -158,47 +116,15 @@ func AppendBatchWire(dst []byte, recs ...*Record) []byte {
 	return appendU32(dst, crc)
 }
 
-// WireSize returns the v1 encoded size of r in bytes.
-func WireSize(r *Record) int {
-	return headerSize + len(r.Payload) + trailerSize
-}
+// Writer is a BatchWriter under PerRecordConfig: every Write puts one
+// single-record frame on the output.
+type Writer = BatchWriter
 
-// Writer encodes records onto an io.Writer. Writer is not safe for
-// concurrent use.
-type Writer struct {
-	w   *bufio.Writer
-	buf []byte
-	n   uint64 // records written
-}
+// NewWriter returns a Writer encoding onto w, one frame and one flush per
+// record so a networked peer observes records promptly.
+func NewWriter(w io.Writer) *Writer { return NewBatchWriter(w, PerRecordConfig()) }
 
-// NewWriter returns a Writer encoding onto w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64<<10)}
-}
-
-// Write encodes one record. The record is flushed to the underlying writer
-// eagerly so a networked peer observes records promptly.
-func (w *Writer) Write(r *Record) error {
-	if !r.Kind.Valid() {
-		return fmt.Errorf("record: write: invalid kind %d", r.Kind)
-	}
-	if len(r.Payload) > MaxPayload {
-		return fmt.Errorf("%w: %d bytes", ErrTooLarge, len(r.Payload))
-	}
-	w.buf = AppendWire(w.buf[:0], r)
-	if _, err := w.w.Write(w.buf); err != nil {
-		return fmt.Errorf("record: write: %w", err)
-	}
-	w.n++
-	return w.w.Flush()
-}
-
-// Count returns the number of records written.
-func (w *Writer) Count() uint64 { return w.n }
-
-// Reader decodes records from an io.Reader. It accepts both framings —
-// each frame identifies itself by magic word, so v1 records and v2
-// batches may be freely interleaved on one stream. Reader is not safe for
+// Reader decodes records from an io.Reader. Reader is not safe for
 // concurrent use.
 type Reader struct {
 	r      *bufio.Reader
@@ -206,7 +132,7 @@ type Reader struct {
 	strict bool
 	pooled bool
 
-	// Cursor over the current CRC-verified v2 batch body: records are
+	// Cursor over the current CRC-verified batch body: records are
 	// materialized lazily, one per Read, so a deep batch never bursts
 	// hundreds of pooled records into flight at once. batch aliases
 	// either the bufio peek window (kept valid because the reader does no
@@ -215,12 +141,14 @@ type Reader struct {
 	batchOff     int // offset of the next undecoded entry in batch
 	batchLeft    int // entries not yet handed to the caller
 	batchConsume int // bytes to Discard when the cursor drains (peek path)
-	// batchBuf is the reader-owned spill buffer for v2 batches larger
-	// than the bufio window; reused across such batches.
+	// batchBuf is the reader-owned spill buffer for batches larger than
+	// the bufio window; reused across such batches.
 	batchBuf []byte
-	// corrupt counts v2 batches dropped whole for a CRC or structural
-	// failure after a valid batch header (skip-mode resync).
+	// corrupt counts damage episodes; see CorruptBatches.
 	corrupt uint64
+	// resyncing is set while Read scans for the next magic word, so one
+	// stretch of damage counts once however many false starts it holds.
+	resyncing bool
 }
 
 // NewReader returns a Reader decoding from r. The reader resynchronizes on
@@ -236,9 +164,8 @@ func NewReader(r io.Reader) *Reader {
 // reader ingest a batch per syscall and decode every record on the
 // zero-extra-copy Peek fast path.
 func NewReaderSize(r io.Reader, size int) *Reader {
-	if size < headerSize+trailerSize {
-		size = headerSize + trailerSize
-	}
+	// Room for the smallest frame, so its header can always be peeked.
+	size = max(size, batchHdrSize+entryHdrSize+batchTrailerSize)
 	return &Reader{r: bufio.NewReaderSize(r, size)}
 }
 
@@ -270,6 +197,7 @@ func (r *Reader) newRecord() *Record {
 func (r *Reader) Reset(src io.Reader) {
 	r.batch = nil
 	r.batchOff, r.batchLeft, r.batchConsume = 0, 0, 0
+	r.resyncing = false
 	r.r.Reset(src)
 	r.n = 0
 }
@@ -277,10 +205,12 @@ func (r *Reader) Reset(src io.Reader) {
 // Count returns the number of records successfully read.
 func (r *Reader) Count() uint64 { return r.n }
 
-// CorruptBatches returns the number of v2 batches dropped whole because
-// their CRC (or internal structure) failed after a valid batch header.
-// Each drop loses exactly that batch: the reader re-syncs on the next
-// frame magic and keeps decoding.
+// CorruptBatches returns the number of damage episodes a non-strict reader
+// has skipped: a batch dropped whole because its CRC (or internal
+// structure) failed after a valid batch header — exactly that batch is
+// lost — or a byte-wise resync past bytes that are not a frame (a damaged
+// batch header, whose length cannot be trusted, or foreign bytes between
+// frames), counted once per stretch.
 func (r *Reader) CorruptBatches() uint64 { return r.corrupt }
 
 // Read decodes the next record. It returns io.EOF at a clean end of stream
@@ -294,6 +224,7 @@ func (r *Reader) Read() (*Record, error) {
 		}
 		rec, err := r.readOne()
 		if err == nil {
+			r.resyncing = false
 			r.n++
 			return rec, nil
 		}
@@ -309,6 +240,10 @@ func (r *Reader) Read() (*Record, error) {
 			return nil, err
 		}
 		// Resynchronize: drop one byte and scan for the next magic word.
+		if !r.resyncing {
+			r.resyncing = true
+			r.corrupt++
+		}
 		if _, derr := r.r.Discard(1); derr != nil {
 			return nil, io.EOF
 		}
@@ -318,115 +253,24 @@ func (r *Reader) Read() (*Record, error) {
 	}
 }
 
-// readOne decodes the frame at the current position, dispatching on its
-// magic word: a v1 frame yields one record, a v2 frame decodes a whole
-// batch (first record returned, the rest queued on pend).
+// readOne verifies the batch frame at the current position and opens the
+// lazy decode cursor over its body, returning its first record. The batch
+// header CRC is verified before count/bodyLen are trusted; the whole-batch
+// CRC and entry structure are verified in one pass before any record is
+// materialized. A batch that fails after a valid header is consumed whole
+// and reported via errBatchSkipped (non-strict), so only that batch is
+// lost and decoding resumes at the next frame.
 func (r *Reader) readOne() (*Record, error) {
-	m, err := r.r.Peek(4)
-	if err != nil {
-		if len(m) == 0 {
-			return nil, io.EOF
-		}
-		if !magicPrefix(m) {
-			// Trailing garbage shorter than a magic word; treat as EOF
-			// after the resync scan fails to find another record.
-			return nil, ErrBadMagic
-		}
-		return nil, unexpectedEOF(err)
-	}
-	switch getU32(m) {
-	case wireMagic:
-		return r.readOneV1()
-	case wireMagicV2:
-		return r.readBatchV2()
-	default:
+	hdr, err := r.r.Peek(batchHdrSize)
+	if n := min(len(hdr), len(wireMagic)); string(hdr[:n]) != wireMagic[:n] {
+		// Not a frame start (at end of stream: trailing garbage shorter
+		// than a magic word).
 		return nil, ErrBadMagic
 	}
-}
-
-// readOneV1 decodes the v1 record at the current position. Whenever the
-// whole record fits in the read buffer it is validated via Peek before any
-// byte is consumed, so a framing or checksum error leaves the stream
-// positioned at the bad record and Read can resynchronize without losing
-// the records that follow it. Records larger than the buffer fall back to
-// consuming reads.
-func (r *Reader) readOneV1() (*Record, error) {
-	hdr, err := r.r.Peek(headerSize)
 	if err != nil {
-		return nil, unexpectedEOF(err)
-	}
-	plen := getU32(hdr[25:])
-	if plen > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, plen)
-	}
-	if !Kind(hdr[4]).Valid() {
-		return nil, fmt.Errorf("record: invalid kind %d on wire", hdr[4])
-	}
-	if want := getU16(hdr[hdrCRCOff:]); uint16(crc32.ChecksumIEEE(hdr[4:hdrCRCOff])) != want {
-		return nil, fmt.Errorf("%w: header CRC", ErrBadChecksum)
-	}
-	total := headerSize + int(plen) + trailerSize
-	if total <= r.r.Size() {
-		full, err := r.r.Peek(total)
-		if err != nil {
-			return nil, unexpectedEOF(err)
+		if len(hdr) == 0 {
+			return nil, io.EOF
 		}
-		payload := full[headerSize : headerSize+int(plen)]
-		want := getU32(full[headerSize+int(plen):])
-		if got := crc32.ChecksumIEEE(full[4 : headerSize+int(plen)]); got != want {
-			return nil, fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
-		}
-		rec := r.newRecord()
-		// The second Peek may have slid the buffer and invalidated hdr;
-		// full is the live view of the same bytes.
-		fillHeader(rec, full)
-		if plen > 0 {
-			copy(rec.ensurePayload(int(plen)), payload)
-		}
-		if _, err := r.r.Discard(total); err != nil {
-			r.recycle(rec)
-			return nil, fmt.Errorf("record: discard: %w", err)
-		}
-		return rec, nil
-	}
-	// Record exceeds the peek window: consume as we go. A checksum failure
-	// on this path cannot rewind, so corruption may cost trailing records.
-	var hdrCopy [headerSize]byte
-	copy(hdrCopy[:], hdr)
-	if _, err := r.r.Discard(headerSize); err != nil {
-		return nil, fmt.Errorf("record: discard header: %w", err)
-	}
-	rec := r.newRecord()
-	fillHeader(rec, hdrCopy[:])
-	if _, err := io.ReadFull(r.r, rec.ensurePayload(int(plen))); err != nil {
-		r.recycle(rec)
-		return nil, unexpectedEOF(err)
-	}
-	var trailer [trailerSize]byte
-	if _, err := io.ReadFull(r.r, trailer[:]); err != nil {
-		r.recycle(rec)
-		return nil, unexpectedEOF(err)
-	}
-	want := getU32(trailer[:])
-	got := crc32.ChecksumIEEE(hdrCopy[4:])
-	got = crc32.Update(got, crc32.IEEETable, rec.Payload)
-	if got != want {
-		r.recycle(rec)
-		return nil, fmt.Errorf("%w: got %08x want %08x", ErrBadChecksum, got, want)
-	}
-	return rec, nil
-}
-
-// readBatchV2 verifies the v2 batch frame at the current position and
-// opens the lazy decode cursor over its body, returning its first record.
-// The batch header CRC is verified before count/bodyLen are trusted; the
-// whole-batch CRC and entry structure are verified in one pass before any
-// record is materialized. A batch that fails after a valid header is
-// consumed whole and reported via errBatchSkipped (non-strict), so only
-// that batch is lost and decoding resumes at the next frame.
-func (r *Reader) readBatchV2() (*Record, error) {
-	hdr, err := r.r.Peek(batchHdrSize)
-	if err != nil {
 		return nil, unexpectedEOF(err)
 	}
 	if want := getU16(hdr[10:]); uint16(crc32.Checksum(hdr[4:10], castagnoli)) != want {
@@ -502,10 +346,12 @@ func (r *Reader) nextBatchRecord() *Record {
 }
 
 // dropBatch consumes a corrupt batch (when its bytes are still buffered),
-// counts it, and converts the failure to the skip sentinel unless the
+// counts it — the stream is back on a frame boundary, so any resync
+// stretch that led here is over — and converts the failure to the skip sentinel unless the
 // reader is strict.
 func (r *Reader) dropBatch(consume int, cause error) error {
 	r.corrupt++
+	r.resyncing = false
 	if consume > 0 {
 		if _, err := r.r.Discard(consume); err != nil {
 			return fmt.Errorf("record: discard corrupt batch: %w", err)
@@ -531,7 +377,7 @@ func scanBatchBody(body []byte, count int) error {
 		e := body[off : off+entryHdrSize]
 		plen := int(getU32(e[21:]))
 		if plen > MaxPayload {
-			return fmt.Errorf("%w: entry %d: %v", ErrBadBatch, i, ErrTooLarge)
+			return fmt.Errorf("%w: entry %d: %w", ErrBadBatch, i, ErrTooLarge)
 		}
 		if !Kind(e[0]).Valid() {
 			return fmt.Errorf("%w: entry %d: invalid kind %d", ErrBadBatch, i, e[0])
@@ -547,12 +393,8 @@ func scanBatchBody(body []byte, count int) error {
 	return nil
 }
 
-// fillHeader populates rec's header fields from a validated v1 wire
-// header, leaving the payload untouched.
-func fillHeader(rec *Record, hdr []byte) { fillEntryHeader(rec, hdr[4:]) }
-
-// fillEntryHeader populates rec's header fields from a v2 batch entry
-// header (identical to the v1 header sans magic and header CRC).
+// fillEntryHeader populates rec's header fields from a batch entry header,
+// leaving the payload untouched.
 func fillEntryHeader(rec *Record, e []byte) {
 	rec.Kind = Kind(e[0])
 	rec.Subtype = getU16(e[1:])
@@ -563,39 +405,15 @@ func fillEntryHeader(rec *Record, e []byte) {
 	rec.PayloadType = PayloadType(getU16(e[19:]))
 }
 
-// recycle returns a half-decoded record to the pool on error paths.
-func (r *Reader) recycle(rec *Record) {
-	if r.pooled {
-		Release(rec)
-	}
-}
-
-// magicPrefix reports whether b (up to 4 bytes) is a prefix of either
-// frame magic; used only to distinguish trailing garbage from a truncated
-// frame start.
-func magicPrefix(b []byte) bool {
-	const common = "DRV"
-	for i, c := range b {
-		if i < len(common) {
-			if c != common[i] {
-				return false
-			}
-		} else if c != '1' && c != '2' {
-			return false
-		}
-	}
-	return true
-}
-
-// seekMagic advances the reader until the next 4 bytes are a frame magic
-// word — either version — without consuming them.
+// seekMagic advances the reader until the next 4 bytes are the frame magic
+// word, without consuming them.
 func (r *Reader) seekMagic() error {
 	for {
 		b, err := r.r.Peek(4)
 		if err != nil {
 			return io.EOF
 		}
-		if m := getU32(b); m == wireMagic || m == wireMagicV2 {
+		if string(b) == wireMagic {
 			return nil
 		}
 		if _, err := r.r.Discard(1); err != nil {

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
@@ -58,15 +59,6 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWireSize(t *testing.T) {
-	for _, rec := range sampleRecords() {
-		enc := AppendWire(nil, rec)
-		if len(enc) != WireSize(rec) {
-			t.Errorf("WireSize(%s) = %d, encoded %d bytes", rec, WireSize(rec), len(enc))
-		}
-	}
-}
-
 func TestWriteInvalidKind(t *testing.T) {
 	w := NewWriter(io.Discard)
 	if err := w.Write(&Record{}); err == nil {
@@ -87,8 +79,8 @@ func TestWriteTooLarge(t *testing.T) {
 func TestReadTruncatedMidRecord(t *testing.T) {
 	rec := NewData(SubtypeAudio)
 	rec.SetFloat64s([]float64{1, 2, 3, 4})
-	enc := AppendWire(nil, rec)
-	for _, cut := range []int{5, headerSize - 1, headerSize + 3, len(enc) - 1} {
+	enc := AppendBatchWire(nil, rec)
+	for _, cut := range []int{5, batchHdrSize - 1, batchHdrSize + entryHdrSize + 3, len(enc) - 1} {
 		r := NewReader(bytes.NewReader(enc[:cut]))
 		if _, err := r.Read(); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Errorf("cut=%d: expected ErrUnexpectedEOF, got %v", cut, err)
@@ -97,15 +89,15 @@ func TestReadTruncatedMidRecord(t *testing.T) {
 }
 
 func TestReadCorruptPayloadResync(t *testing.T) {
-	// Two records; corrupt a payload byte in the first. The non-strict
-	// reader should skip to the second record.
+	// Two single-record frames; corrupt a payload byte in the first. The
+	// non-strict reader should skip to the second record.
 	r1 := NewData(SubtypeAudio)
 	r1.SetFloat64s([]float64{1, 2, 3})
 	r2 := NewData(SubtypeAudio)
 	r2.SetFloat64s([]float64{9, 8})
-	enc := AppendWire(nil, r1)
-	enc[headerSize+2] ^= 0xFF
-	enc = AppendWire(enc, r2)
+	enc := AppendBatchWire(nil, r1)
+	enc[batchHdrSize+entryHdrSize+2] ^= 0xFF
+	enc = AppendBatchWire(enc, r2)
 
 	rd := NewReader(bytes.NewReader(enc))
 	got, err := rd.Read()
@@ -120,8 +112,8 @@ func TestReadCorruptPayloadResync(t *testing.T) {
 func TestReadCorruptStrict(t *testing.T) {
 	r1 := NewData(SubtypeAudio)
 	r1.SetFloat64s([]float64{1})
-	enc := AppendWire(nil, r1)
-	enc[headerSize] ^= 0x01
+	enc := AppendBatchWire(nil, r1)
+	enc[batchHdrSize+entryHdrSize] ^= 0x01
 	rd := NewReader(bytes.NewReader(enc))
 	rd.SetStrict(true)
 	if _, err := rd.Read(); !errors.Is(err, ErrBadChecksum) {
@@ -133,7 +125,7 @@ func TestReadGarbagePrefix(t *testing.T) {
 	rec := NewData(SubtypeAudio)
 	rec.SetPCM16([]int16{42})
 	garbage := []byte("this is not a record at all.....")
-	enc := append(append([]byte{}, garbage...), AppendWire(nil, rec)...)
+	enc := append(append([]byte{}, garbage...), AppendBatchWire(nil, rec)...)
 	rd := NewReader(bytes.NewReader(enc))
 	got, err := rd.Read()
 	if err != nil {
@@ -146,12 +138,12 @@ func TestReadGarbagePrefix(t *testing.T) {
 
 func TestReadOversizedLength(t *testing.T) {
 	rec := NewData(0)
-	enc := AppendWire(nil, rec)
-	// Force the length field beyond MaxPayload.
-	enc[25] = 0xFF
-	enc[26] = 0xFF
-	enc[27] = 0xFF
-	enc[28] = 0xFF
+	enc := AppendBatchWire(nil, rec)
+	// Force the entry's length field beyond MaxPayload under a valid
+	// batch CRC: a length the checksum vouches for is still refused.
+	body := len(enc) - batchTrailerSize
+	putU32(enc[batchHdrSize+21:], 0xFFFFFFFF)
+	putU32(enc[body:], crc32.Checksum(enc[4:body], castagnoli))
 	rd := NewReader(bytes.NewReader(enc))
 	rd.SetStrict(true)
 	if _, err := rd.Read(); !errors.Is(err, ErrTooLarge) {
@@ -200,8 +192,9 @@ func TestQuickWireRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: a stream of N records with one corrupted byte anywhere loses at
-// most the affected record(s); the reader never loops forever or panics.
+// Property: a stream of N single-record frames with one corrupted byte
+// anywhere loses at most the affected record(s) and counts the damage
+// once; the reader never loops forever or panics.
 func TestQuickCorruptionRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
@@ -210,7 +203,7 @@ func TestQuickCorruptionRecovery(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec := NewData(uint16(i))
 			rec.SetFloat64s([]float64{float64(i), float64(i) * 2})
-			enc = AppendWire(enc, rec)
+			enc = AppendBatchWire(enc, rec)
 		}
 		flip := rng.Intn(len(enc))
 		enc[flip] ^= byte(1 + rng.Intn(255))
@@ -229,6 +222,9 @@ func TestQuickCorruptionRecovery(t *testing.T) {
 		if read < n-2 {
 			t.Errorf("trial %d: lost too many records: read %d of %d (flip at %d)", trial, read, n, flip)
 		}
+		if c := rd.CorruptBatches(); c != 1 {
+			t.Errorf("trial %d: CorruptBatches = %d, want 1 (flip at %d)", trial, c, flip)
+		}
 	}
 }
 
@@ -243,7 +239,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = AppendWire(buf[:0], rec)
+		buf = AppendBatchWire(buf[:0], rec)
 	}
 }
 
@@ -251,7 +247,7 @@ func BenchmarkWireDecode(b *testing.B) {
 	rec := NewData(SubtypeAudio)
 	samples := make([]float64, 1024)
 	rec.SetFloat64s(samples)
-	enc := AppendWire(nil, rec)
+	enc := AppendBatchWire(nil, rec)
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()

@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
 	"io"
 	"net"
 	"testing"
@@ -55,133 +56,77 @@ func TestBatchWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMixedFramingStream interleaves v1 records and v2 batches on one
-// stream: the reader must sniff each frame and decode all of them in
-// order.
-func TestMixedFramingStream(t *testing.T) {
-	recs := v2TestRecords(10)
-	var wire []byte
-	wire = AppendWire(wire, recs[0])
-	wire = AppendBatchWire(wire, recs[1:4]...)
-	wire = AppendWire(wire, recs[4])
-	wire = AppendWire(wire, recs[5])
-	wire = AppendBatchWire(wire, recs[6:]...)
-	rd := NewReader(bytes.NewReader(wire))
-	for i, want := range recs {
-		got, err := rd.Read()
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		sameRecord(t, got, want, i)
-	}
-	if _, err := rd.Read(); !errors.Is(err, io.EOF) {
-		t.Fatalf("after stream: %v, want EOF", err)
-	}
-}
-
-// TestBatchWriterFrameV1 pins the escape hatch: a FrameV1 writer emits
-// per-record DRV1 frames byte-identical to AppendWire.
-func TestBatchWriterFrameV1(t *testing.T) {
-	recs := v2TestRecords(5)
-	var want []byte
-	for _, r := range recs {
-		want = AppendWire(want, r)
-	}
-	var buf bytes.Buffer
-	cfg := DefaultBatchConfig()
-	cfg.Frame = FrameV1
-	bw := NewBatchWriter(&buf, cfg)
-	for _, r := range recs {
-		if err := bw.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("FrameV1 batch writer output differs from AppendWire framing")
-	}
-}
-
-// TestCorruptBatchSkipped is the skip-mode resync contract: corruption
-// inside one v2 batch loses exactly that batch — the reader counts it,
-// re-syncs on the next frame magic, and keeps decoding the rest of the
-// stream.
+// TestCorruptBatchSkipped is the skip-mode resync contract: damage to one
+// frame loses exactly that frame — the reader counts it once, re-syncs on
+// the next frame magic, and keeps decoding the rest of the stream. Damage
+// to a batch body drops the batch whole; damage to a batch header (the
+// length cannot be trusted) and foreign bytes between frames are crossed
+// byte-wise.
 func TestCorruptBatchSkipped(t *testing.T) {
 	recs := v2TestRecords(9)
-	var wire []byte
-	wire = AppendBatchWire(wire, recs[0:3]...)
-	mark := len(wire)
-	wire = AppendBatchWire(wire, recs[3:6]...)
-	wire = AppendBatchWire(wire, recs[6:9]...)
-	// Flip one payload byte in the middle batch, beyond its header.
-	wire[mark+batchHdrSize+entryHdrSize+2] ^= 0x40
+	// drv1 is a well-formed frame of the retired per-record framing: to
+	// this reader, foreign bytes.
+	drv1 := appendEntryHeader([]byte("DRV1"), recs[0])
+	drv1 = appendU16(drv1, uint16(crc32.ChecksumIEEE(drv1[4:])))
+	drv1 = append(drv1, recs[0].Payload...)
+	drv1 = appendU32(drv1, crc32.ChecksumIEEE(drv1[4:]))
 
-	rd := NewReader(bytes.NewReader(wire))
-	var got []*Record
-	for {
-		r, err := rd.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		got = append(got, r)
-	}
-	if len(got) != 6 {
-		t.Fatalf("decoded %d records, want 6 (middle batch dropped whole)", len(got))
-	}
-	for i, want := range recs[0:3] {
-		sameRecord(t, got[i], want, i)
-	}
-	for i, want := range recs[6:9] {
-		sameRecord(t, got[3+i], want, 6+i)
-	}
-	if rd.CorruptBatches() != 1 {
-		t.Fatalf("CorruptBatches = %d, want 1", rd.CorruptBatches())
-	}
-	// Strict mode surfaces the same corruption as an error instead.
-	rd2 := NewReader(bytes.NewReader(wire))
-	rd2.SetStrict(true)
-	for i := 0; i < 3; i++ {
-		if _, err := rd2.Read(); err != nil {
-			t.Fatalf("strict read %d: %v", i, err)
-		}
-	}
-	if _, err := rd2.Read(); !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("strict corrupt batch: %v, want ErrBadChecksum", err)
-	}
-}
+	for _, tc := range []struct {
+		name   string
+		mangle func(wire []byte, second, third int) []byte
+		want   []int // indexes into recs that must survive, in order
+		strict error // what a strict reader reports instead of skipping
+	}{
+		{"payload flip", func(w []byte, second, _ int) []byte {
+			w[second+batchHdrSize+entryHdrSize+2] ^= 0x40
+			return w
+		}, []int{0, 1, 2, 6, 7, 8}, ErrBadChecksum},
+		{"header flip", func(w []byte, second, _ int) []byte {
+			w[second+5] ^= 0x01 // count, guarded by the header CRC
+			return w
+		}, []int{0, 1, 2, 6, 7, 8}, ErrBadChecksum},
+		{"header flip in last batch", func(w []byte, _, third int) []byte {
+			w[third+6] ^= 0xFF // bodyLen: nothing after to find, no phantoms
+			return w
+		}, []int{0, 1, 2, 3, 4, 5}, ErrBadChecksum},
+		{"stray DRV1 frame between batches", func(w []byte, second, _ int) []byte {
+			return append(append(append([]byte{}, w[:second]...), drv1...), w[second:]...)
+		}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, ErrBadMagic},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire := AppendBatchWire(nil, recs[0:3]...)
+			second := len(wire)
+			wire = AppendBatchWire(wire, recs[3:6]...)
+			third := len(wire)
+			wire = AppendBatchWire(wire, recs[6:9]...)
+			wire = tc.mangle(wire, second, third)
 
-// TestCorruptBatchHeaderResync corrupts the batch header itself (the
-// bodyLen cannot be trusted) and verifies byte-wise resync still finds
-// the following frames.
-func TestCorruptBatchHeaderResync(t *testing.T) {
-	recs := v2TestRecords(6)
-	var wire []byte
-	wire = AppendBatchWire(wire, recs[0:3]...)
-	mark := len(wire)
-	wire = AppendBatchWire(wire, recs[3:6]...)
-	wire[mark+6] ^= 0xFF // bodyLen byte, guarded by the header CRC
+			rd := NewReader(bytes.NewReader(wire))
+			for i, want := range tc.want {
+				got, err := rd.Read()
+				if err != nil {
+					t.Fatalf("read %d: %v", i, err)
+				}
+				sameRecord(t, got, recs[want], want)
+			}
+			if _, err := rd.Read(); !errors.Is(err, io.EOF) {
+				t.Fatalf("after %d records: %v, want EOF", len(tc.want), err)
+			}
+			if rd.CorruptBatches() != 1 {
+				t.Fatalf("CorruptBatches = %d, want 1", rd.CorruptBatches())
+			}
 
-	rd := NewReader(bytes.NewReader(wire))
-	var got []*Record
-	for {
-		r, err := rd.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			t.Fatalf("read: %v", err)
-		}
-		got = append(got, r)
-	}
-	// The corrupted batch is lost to the resync scan; the reader must
-	// still deliver the first batch and find no phantom records after.
-	if len(got) != 3 {
-		t.Fatalf("decoded %d records, want 3", len(got))
+			// Strict mode surfaces the same damage as an error instead.
+			rd = NewReader(bytes.NewReader(wire))
+			rd.SetStrict(true)
+			var err error
+			for err == nil {
+				_, err = rd.Read()
+			}
+			if !errors.Is(err, tc.strict) {
+				t.Fatalf("strict: %v, want %v", err, tc.strict)
+			}
+		})
 	}
 }
 

@@ -13,21 +13,21 @@ import (
 // Fuzz targets for the wire codec. FuzzReader throws arbitrary bytes at
 // the decoder — it must terminate without panicking and without handing
 // back invalid records, whatever the input claims about lengths, counts,
-// or checksums. FuzzBatchRoundTrip fuzzes the field space and checks
-// both framings decode back to the exact input. Seed corpus lives in
+// or checksums. FuzzBatchRoundTrip fuzzes the field space and checks a
+// batch and per-record frames decode back to the exact input. Seed corpus lives in
 // testdata/fuzz/ (regenerate with -update-golden); CI runs each target
 // briefly on every push.
 
 // fuzzReaderSeeds returns the committed seed inputs for FuzzReader:
-// well-formed streams in both framings plus mutations that aim at each
+// well-formed streams of batch and single-record frames plus mutations that aim at each
 // validation branch (bad magic, bad header CRC, bad batch CRC, torn
 // frame, absurd lengths).
 func fuzzReaderSeeds(t testing.TB) [][]byte {
 	recs := v2TestRecords(4)
-	v1 := AppendWire(nil, recs[0])
-	v1 = AppendWire(v1, recs[1])
+	single := AppendBatchWire(nil, recs[0])
+	single = AppendBatchWire(single, recs[1])
 	v2 := AppendBatchWire(nil, recs...)
-	mixed := append(append([]byte{}, v1...), v2...)
+	mixed := append(append([]byte{}, single...), v2...)
 
 	badBatchCRC := append([]byte{}, v2...)
 	badBatchCRC[len(badBatchCRC)-1] ^= 0xFF
@@ -39,8 +39,8 @@ func fuzzReaderSeeds(t testing.TB) [][]byte {
 	garbagePrefix := append([]byte("DRVX\x00\x01garbage DRV"), v2...)
 
 	return [][]byte{
-		v1, v2, mixed, badBatchCRC, badHdrCRC, badLen, torn, garbagePrefix,
-		[]byte("DRV1"), []byte("DRV2"), {},
+		single, v2, mixed, badBatchCRC, badHdrCRC, badLen, torn, garbagePrefix,
+		[]byte("DRV"), []byte("DRV2"), {},
 	}
 }
 
@@ -82,12 +82,12 @@ func FuzzBatchRoundTrip(f *testing.F) {
 			{Kind: KindCloseScope, Subtype: subtype, Scope: 1, ScopeType: ScopeClip,
 				Seq: seq + 1, SourceID: src, PayloadType: PayloadNone, Payload: p2},
 		}
-		var v1 []byte
+		var single []byte
 		for _, r := range in {
-			v1 = AppendWire(v1, r)
+			single = AppendBatchWire(single, r)
 		}
-		v2 := AppendBatchWire(nil, in...)
-		for name, wire := range map[string][]byte{"v1": v1, "v2": v2} {
+		batch := AppendBatchWire(nil, in...)
+		for name, wire := range map[string][]byte{"single": single, "batch": batch} {
 			rd := NewReader(bytes.NewReader(wire))
 			rd.SetStrict(true)
 			for i, want := range in {

@@ -27,9 +27,7 @@ func TestReplicaTagRoundTrip(t *testing.T) {
 		t.Error("tag accepted for stream 0")
 	}
 	// The annotation survives the wire unchanged (it rides Seq/SourceID).
-	var buf []byte
-	buf = AppendWire(buf, r)
-	recs := readAll(t, buf)
+	recs := readAll(t, AppendBatchWire(nil, r))
 	if len(recs) != 1 {
 		t.Fatalf("decoded %d records", len(recs))
 	}

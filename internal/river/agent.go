@@ -3,6 +3,7 @@ package river
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -117,7 +118,9 @@ func (a *Agent) Node() *pipeline.Node { return a.node }
 // the gap. All hosted segments are stopped on the way out, so cancelling
 // ctx kills the node's share of the data plane too — this is what "node
 // death" means in tests and demos. A non-nil error means the agent gave
-// up after DialAttempts consecutive failed session attempts.
+// up: after DialAttempts consecutive failed session attempts, or at once
+// when the coordinator refused its protocol version (ErrProtocolMismatch),
+// which no retry can fix.
 func (a *Agent) Run(ctx context.Context) error {
 	defer func() { _ = a.node.StopAll() }()
 	if a.MetricsAddr != "" {
@@ -143,6 +146,9 @@ func (a *Agent) Run(ctx context.Context) error {
 		registered, err := a.session(ctx)
 		if ctx.Err() != nil {
 			return nil
+		}
+		if errors.Is(err, ErrProtocolMismatch) {
+			return err
 		}
 		if registered {
 			failures = 0
@@ -218,12 +224,13 @@ func (a *Agent) session(ctx context.Context) (registered bool, err error) {
 		}
 		pending = append(pending, msg)
 	}
-	if ack.Err != "" {
+	if err := ackErr(ack); err != nil {
 		// Typically "name already registered": the coordinator has not
 		// noticed our previous session die yet. Retryable — the
 		// supervisor backs off and the coordinator expires the stale
-		// session by heartbeat timeout.
-		return false, fmt.Errorf("river: agent %s: register rejected: %s", a.name, ack.Err)
+		// session by heartbeat timeout. A protocol mismatch is not; Run
+		// tells them apart by the wrapped ErrProtocolMismatch.
+		return false, fmt.Errorf("river: agent %s: register rejected: %w", a.name, err)
 	}
 	if len(reg.Inventory) > 0 {
 		a.logf("re-registered with %d unit(s): %d adopted (coordinator epoch %d)",

@@ -13,25 +13,9 @@ import (
 // FetchStatus opens a short client session against a coordinator and
 // returns its cluster snapshot.
 func FetchStatus(coordAddr string, timeout time.Duration) (*ClusterStatus, error) {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", coordAddr, timeout)
+	reply, err := clientRequest(coordAddr, &Message{Type: TypeStatus}, timeout, 5*time.Second)
 	if err != nil {
-		return nil, fmt.Errorf("river: status: dial %s: %w", coordAddr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	w := newWire(conn)
-	if err := w.send(&Message{Type: TypeStatus}); err != nil {
 		return nil, err
-	}
-	reply, err := w.recv()
-	if err != nil {
-		return nil, fmt.Errorf("river: status: %w", err)
-	}
-	if reply.Err != "" {
-		return nil, errors.New(reply.Err)
 	}
 	if reply.Status == nil {
 		return nil, errors.New("river: status reply without snapshot")
@@ -51,7 +35,7 @@ func RequestDrain(coordAddr, unitName string, timeout time.Duration) error {
 }
 
 // RequestPipelineAdd asks a coordinator to add — and start maintaining —
-// a new pipeline at runtime (protocol v5). The addition is journaled, so
+// a new pipeline at runtime. The addition is journaled, so
 // a restarted coordinator reloads it.
 func RequestPipelineAdd(coordAddr string, spec PipelineSpec, timeout time.Duration) error {
 	_, err := clientRequest(coordAddr, &Message{Type: TypePipelineAdd, Spec: &spec}, timeout, 5*time.Second)
@@ -59,14 +43,14 @@ func RequestPipelineAdd(coordAddr string, spec PipelineSpec, timeout time.Durati
 }
 
 // RequestPipelineRemove asks a coordinator to remove a pipeline and stop
-// all its units (protocol v5).
+// all its units.
 func RequestPipelineRemove(coordAddr, pipelineID string, timeout time.Duration) error {
 	_, err := clientRequest(coordAddr, &Message{Type: TypePipelineRemove, Pipeline: pipelineID}, timeout, 5*time.Second)
 	return err
 }
 
 // clientRequest opens a short client session, sends one request and
-// waits for its ack.
+// waits for its ack; a failed ack is returned as an error (see ackErr).
 func clientRequest(coordAddr string, msg *Message, timeout, fallback time.Duration) (*Message, error) {
 	if timeout <= 0 {
 		timeout = fallback
@@ -78,6 +62,7 @@ func clientRequest(coordAddr string, msg *Message, timeout, fallback time.Durati
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	w := newWire(conn)
+	msg.Ver = ProtocolVersion
 	if err := w.send(msg); err != nil {
 		return nil, err
 	}
@@ -85,17 +70,13 @@ func clientRequest(coordAddr string, msg *Message, timeout, fallback time.Durati
 	if err != nil {
 		return nil, fmt.Errorf("river: %s: %w", msg.Type, err)
 	}
-	if reply.Err != "" {
-		return nil, errors.New(reply.Err)
-	}
-	return reply, nil
+	return reply, ackErr(reply)
 }
 
 // FetchEvents opens a short client session and returns the coordinator's
-// retained control-plane events with Seq > sinceSeq (protocol v6),
-// optionally filtered to one pipeline ("" = all). The coordinator's ring
-// bounds how far back sinceSeq can reach; events older than the ring are
-// simply absent.
+// retained control-plane events with Seq > sinceSeq, optionally filtered
+// to one pipeline ("" = all). The coordinator's ring bounds how far back
+// sinceSeq can reach; events older than the ring are simply absent.
 func FetchEvents(coordAddr, pipelineID string, sinceSeq uint64, timeout time.Duration) ([]obs.Event, error) {
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -107,7 +88,7 @@ func FetchEvents(coordAddr, pipelineID string, sinceSeq uint64, timeout time.Dur
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	w := newWire(conn)
-	if err := w.send(&Message{Type: TypeWatchEvents, Pipeline: pipelineID, SinceSeq: sinceSeq}); err != nil {
+	if err := w.send(&Message{Type: TypeWatchEvents, Ver: ProtocolVersion, Pipeline: pipelineID, SinceSeq: sinceSeq}); err != nil {
 		return nil, err
 	}
 	var out []obs.Event
@@ -120,16 +101,13 @@ func FetchEvents(coordAddr, pipelineID string, sinceSeq uint64, timeout time.Dur
 		case TypeEvent:
 			out = append(out, msg.Events...)
 		case TypeAck:
-			if msg.Err != "" {
-				return nil, errors.New(msg.Err)
-			}
-			return out, nil
+			return out, ackErr(msg)
 		}
 	}
 }
 
-// WatchEvents follows a coordinator's control-plane event stream
-// (protocol v6): fn receives the retained backlog with Seq > sinceSeq,
+// WatchEvents follows a coordinator's control-plane event stream: fn
+// receives the retained backlog with Seq > sinceSeq,
 // then every subsequent event as it happens, until ctx is cancelled
 // (returns nil) or the connection drops (returns the error). pipelineID
 // filters to one pipeline's events plus the cluster-wide ones (register,
@@ -150,7 +128,7 @@ func WatchEvents(ctx context.Context, coordAddr, pipelineID string, sinceSeq uin
 		}
 	}()
 	w := newWire(conn)
-	if err := w.send(&Message{Type: TypeWatchEvents, Pipeline: pipelineID, SinceSeq: sinceSeq, Follow: true}); err != nil {
+	if err := w.send(&Message{Type: TypeWatchEvents, Ver: ProtocolVersion, Pipeline: pipelineID, SinceSeq: sinceSeq, Follow: true}); err != nil {
 		return err
 	}
 	for {
@@ -167,7 +145,7 @@ func WatchEvents(ctx context.Context, coordAddr, pipelineID string, sinceSeq uin
 				fn(e)
 			}
 		case msg.Type == TypeAck && msg.Err != "":
-			return fmt.Errorf("river: events: %s", msg.Err)
+			return fmt.Errorf("river: events: %w", ackErr(msg))
 		}
 	}
 }
@@ -190,11 +168,11 @@ func WatchEntryUpdates(ctx context.Context, coordAddr string, fn func(addr strin
 	return WatchPipelineEntry(ctx, coordAddr, "", fn)
 }
 
-// WatchPipelineEntry is the pipeline-scoped entry watch (protocol v5): a
-// station serving pipeline ID follows only that pipeline's entry
-// address — another pipeline's failover never disturbs it. The empty ID
-// follows the default pipeline, which is all pre-v5 coordinators have.
-// Watching a pipeline the coordinator does not know fails with an error.
+// WatchPipelineEntry is the pipeline-scoped entry watch: a station
+// serving pipeline ID follows only that pipeline's entry address —
+// another pipeline's failover never disturbs it. The empty ID follows the
+// default pipeline. Watching a pipeline the coordinator does not know
+// fails with an error.
 func WatchPipelineEntry(ctx context.Context, coordAddr, pipelineID string, fn func(addr string, boundary bool)) error {
 	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(ctx, "tcp", coordAddr)
 	if err != nil {
@@ -211,7 +189,7 @@ func WatchPipelineEntry(ctx context.Context, coordAddr, pipelineID string, fn fu
 		}
 	}()
 	w := newWire(conn)
-	if err := w.send(&Message{Type: TypeWatch, Pipeline: pipelineID}); err != nil {
+	if err := w.send(&Message{Type: TypeWatch, Ver: ProtocolVersion, Pipeline: pipelineID}); err != nil {
 		return err
 	}
 	for {
@@ -226,8 +204,9 @@ func WatchPipelineEntry(ctx context.Context, coordAddr, pipelineID string, fn fu
 		case msg.Type == TypeEntry && msg.Addr != "":
 			fn(msg.Addr, msg.Boundary)
 		case msg.Type == TypeAck && msg.Err != "":
-			// The coordinator refused the subscription (unknown pipeline).
-			return fmt.Errorf("river: watch: %s", msg.Err)
+			// The coordinator refused the subscription (unknown pipeline,
+			// protocol mismatch).
+			return fmt.Errorf("river: watch: %w", ackErr(msg))
 		}
 	}
 }

@@ -31,7 +31,7 @@ type SegmentSpec struct {
 	// "relay") for the copies to deduplicate.
 	Replicas int `json:"replicas,omitempty"`
 	// Shards, when > 1, runs the segment data-parallel behind a
-	// partitioner/collector pair (protocol v8): the partitioner hashes
+	// partitioner/collector pair: the partitioner hashes
 	// each record's stream identity to one of K shard instances and the
 	// collector restores the original order, so a CPU-bound segment
 	// scales with K instead of being capped by one core. Where replicas
@@ -45,8 +45,9 @@ type SegmentSpec struct {
 // PipelineSpec is one desired topology the coordinator maintains: an
 // ordered chain of segments (upstream first) that ultimately forwards to
 // a fixed sink address outside the control plane's care. ID names the
-// pipeline in the registry; the empty ID is the default pipeline, the
-// back-compat identity of the single pipeline pre-v5 coordinators ran.
+// pipeline in the registry; the empty ID is the default pipeline — what
+// a single-pipeline deployment (coord -segments … -sink …) runs, and what
+// clients that name no pipeline address.
 type PipelineSpec struct {
 	ID       string        `json:"id,omitempty"`
 	Segments []SegmentSpec `json:"segments"`
@@ -100,10 +101,6 @@ type Config struct {
 	// (and removed) at runtime via AddPipeline/RemovePipeline or the
 	// protocol's pipeline_add/pipeline_remove verbs.
 	Pipelines []PipelineSpec
-	// Spec is the single-pipeline back-compat form: equivalent to
-	// Pipelines holding one spec with the empty (default) ID. Ignored
-	// when Pipelines is set.
-	Spec PipelineSpec
 	// HeartbeatInterval is the cadence agents are told to beat at
 	// (default 250ms).
 	HeartbeatInterval time.Duration
@@ -149,15 +146,15 @@ type Config struct {
 	// DisconnectGrace, when positive, defers re-placement after a node's
 	// control connection drops (or its heartbeats lapse): for that long
 	// its units are presumed to still be running detached, so a blipped
-	// agent's reconnect-and-adopt wins over a needless move. The default
-	// 0 keeps the v4 behavior — a dropped control connection is node
-	// death, and failover begins immediately. True node death under a
-	// grace costs that much extra failover latency.
+	// agent's reconnect-and-adopt wins over a needless move. With the
+	// default 0 a dropped control connection is node death, and failover
+	// begins immediately. True node death under a grace costs that much
+	// extra failover latency.
 	DisconnectGrace time.Duration
 	// JournalNoFsync disables the journal's group-commit fsync (entries
 	// are then only flushed to the OS, and synced at snapshots), trading
-	// a machine-crash durability window for zero fsync traffic — the v4
-	// behavior. Only meaningful with StateDir.
+	// a machine-crash durability window for zero fsync traffic. Only
+	// meaningful with StateDir.
 	JournalNoFsync bool
 	// JournalFsyncInterval is the group-commit flush interval: journal
 	// entries are fsynced in batches at most this far apart (default
@@ -220,7 +217,6 @@ func (c Config) withDefaults() Config {
 type member struct {
 	name     string
 	w        *wire
-	proto    int // protocol version announced at register (0/absent = v1)
 	lastBeat time.Time
 	stats    []SegmentStatus
 	// marks tracks per-unit loss-counter baselines (keyed by unit name)
@@ -352,15 +348,6 @@ func (ew *entryWatcher) take() *Message {
 // instance; it matches the RedirectAtBoundary fallback sources use.
 const entryBoundaryWindow = 5 * time.Second
 
-// bootPipelines resolves the configured pipeline set: Pipelines as given,
-// or the single-pipeline Spec under the default ID.
-func (c Config) bootPipelines() []PipelineSpec {
-	if len(c.Pipelines) > 0 {
-		return c.Pipelines
-	}
-	return []PipelineSpec{c.Spec}
-}
-
 // NewCoordinator validates cfg, binds the control listener and starts the
 // coordinator's accept and reconcile loops.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
@@ -371,7 +358,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if err := cfg.Autoscale.validate(); err != nil {
 		return nil, err
 	}
-	boot := cfg.bootPipelines()
+	boot := cfg.Pipelines
 	ids := make(map[string]bool, len(boot))
 	for _, spec := range boot {
 		if err := spec.validate(); err != nil {
@@ -428,13 +415,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		logf("observability endpoint on http://%s/metrics", bound)
 	}
 	if restored && st.hasPlacements() {
-		// Prior placements survived on disk — and, with v4+ agents, their
-		// instances survived in memory on the (still-running) nodes. Open
-		// the grace window: until it closes, units whose host has not
-		// re-registered are presumed alive and are not re-placed, so a
-		// coordinator bounce under streaming load repairs nothing. The
-		// cluster necessarily bootstrapped before those placements were
-		// made, so MinNodes must not gate post-grace re-placement.
+		// Prior placements survived on disk — and their instances survived
+		// in memory on the (still-running) nodes. Open the grace window:
+		// until it closes, units whose host has not re-registered are
+		// presumed alive and are not re-placed, so a coordinator bounce
+		// under streaming load repairs nothing. The cluster necessarily
+		// bootstrapped before those placements were made, so MinNodes
+		// must not gate post-grace re-placement.
 		c.bootstrapped = true
 		c.graceUntil = time.Now().Add(cfg.RestartGrace)
 		logf("restarted as epoch %d with %d pipeline(s), %d reloaded placement(s); adopting agents for %s",
@@ -514,9 +501,9 @@ func (c *Coordinator) Pipelines() []string {
 	return append([]string(nil), c.st.order...)
 }
 
-// defaultPipeline resolves the pipeline the pre-v5 single-pipeline API
-// surfaces refer to: the empty-ID pipeline, or the first by ID when every
-// pipeline is named. Callers hold mu.
+// defaultPipeline resolves the pipeline the single-pipeline API surfaces
+// (EntryAddr, Status' top-level fields) refer to: the empty-ID pipeline,
+// or the first by ID when every pipeline is named. Callers hold mu.
 func (c *Coordinator) defaultPipeline() *pipelineState {
 	if ps := c.st.pipelines[""]; ps != nil {
 		return ps
@@ -651,7 +638,7 @@ func (c *Coordinator) allPlaced() bool {
 // deterministically ordered — pipelines by ID, nodes and their segments
 // sorted by name, placements in topology order — so status output is
 // scriptable and diffable. The top-level entry/sink/placement fields
-// carry the flattened pre-v5 view (see ClusterStatus).
+// carry the flattened single-pipeline view (see ClusterStatus).
 func (c *Coordinator) Status() *ClusterStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -674,7 +661,6 @@ func (c *Coordinator) Status() *ClusterStatus {
 			Name:       name,
 			LastBeatMS: now.Sub(m.lastBeat).Milliseconds(),
 			Segments:   segs,
-			Proto:      m.proto,
 		})
 	}
 	for _, id := range c.st.order {
@@ -751,7 +737,9 @@ func (c *Coordinator) acceptLoop() {
 // handleConn dispatches one control connection by its first message:
 // register opens a long-lived node session, watch a long-lived entry
 // subscription, status / drain / pipeline_add / pipeline_remove are
-// client requests.
+// client requests. Whatever the session, the first message must announce
+// this build's ProtocolVersion; any other peer is refused before its
+// request is looked at.
 func (c *Coordinator) handleConn(conn net.Conn) {
 	w := newWire(conn)
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -760,6 +748,17 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		return
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	if first.Ver != ProtocolVersion {
+		c.event(obs.Event{
+			Type: obs.EventReject, Node: first.Node, Value: float64(first.Ver),
+			Detail: first.Type + " session",
+		})
+		c.logf("refused %s session from %s: peer protocol v%d, want v%d",
+			first.Type, conn.RemoteAddr(), first.Ver, ProtocolVersion)
+		_ = w.send(&Message{Type: TypeAck, ID: first.ID, Ver: ProtocolVersion,
+			Err: fmt.Sprintf("peer speaks protocol v%d, coordinator speaks v%d", first.Ver, ProtocolVersion)})
+		return
+	}
 	switch first.Type {
 	case TypeRegister:
 		c.serveNode(w, first)
@@ -804,14 +803,9 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		_ = w.send(&Message{Type: TypeAck, Err: "register without node name"})
 		return
 	}
-	proto := reg.Ver
-	if proto == 0 {
-		proto = 1 // pre-versioning agents sent no Ver
-	}
 	m := &member{
 		name:     name,
 		w:        w,
-		proto:    proto,
 		lastBeat: time.Now(),
 		marks:    make(map[string]counterMark),
 		pending:  make(map[uint64]chan *Message),
@@ -826,11 +820,10 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 	// The node is back; its disconnect-grace deadline (if any) is moot.
 	delete(c.disconnected, name)
 	// Reconcile the agent's hosted-unit inventory against the desired
-	// state: adopt what matches (the v4 detach/re-register path — after a
-	// control blip or a coordinator restart the instances never stopped),
-	// tell the agent to stop the rest, and free anything the tables
-	// expected on this node that is no longer running. A pre-v4 register
-	// carries no inventory, which is accurate, and frees everything.
+	// state: adopt what matches (after a control blip or a coordinator
+	// restart the instances never stopped), tell the agent to stop the
+	// rest, and free anything the tables expected on this node that is no
+	// longer running.
 	adopted, stops := c.st.adopt(name, reg.Inventory)
 	if len(reg.Inventory) > 0 {
 		m.stats = inventoryStats(reg.Inventory)
@@ -846,14 +839,14 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		c.markDead(name, "register ack failed")
 		return
 	}
-	c.event(obs.Event{Type: obs.EventRegister, Node: name, Detail: fmt.Sprintf("proto v%d", proto)})
+	c.event(obs.Event{Type: obs.EventRegister, Node: name})
 	for _, u := range adopted {
 		c.event(obs.Event{Type: obs.EventAdopt, Unit: u, Node: name})
 	}
 	if len(adopted) > 0 || len(stops) > 0 {
-		c.logf("node %s registered (proto v%d): adopted %v, stopping %v", name, proto, adopted, stops)
+		c.logf("node %s registered: adopted %v, stopping %v", name, adopted, stops)
 	} else {
-		c.logf("node %s registered (proto v%d)", name, proto)
+		c.logf("node %s registered", name)
 	}
 	c.kickReconcile()
 	for {
@@ -1406,7 +1399,7 @@ func (c *Coordinator) pickNode(u unit, exclude string) string {
 	}
 	load := make(map[string]*NodeLoad, len(c.nodes))
 	for name, m := range c.nodes {
-		nl := &NodeLoad{Name: name, HostsNeighbor: neighbors[name], FlowTelemetry: m.proto >= 2}
+		nl := &NodeLoad{Name: name, HostsNeighbor: neighbors[name]}
 		for _, st := range m.stats {
 			nl.Lag += st.LagValue()
 			nl.QueueDepth += st.QueueDepth

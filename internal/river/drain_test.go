@@ -29,10 +29,10 @@ func TestPlannedDrainZeroRepairs(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "first", Type: "relay"}, {Name: "second", Type: "relay"}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DrainSettle:       150 * time.Millisecond,
@@ -178,10 +178,10 @@ func TestPlannedDrainZeroRepairs(t *testing.T) {
 // unplaced units and replication endpoints are refused.
 func TestDrainRejectsBadTargets(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "relay", Replicas: 2}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		Logf: t.Logf,
 	})
 	if err != nil {

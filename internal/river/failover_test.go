@@ -95,10 +95,10 @@ func TestFailoverIntegration(t *testing.T) {
 	const heartbeatTimeout = time.Second
 	entryCh := make(chan string, 16)
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "extract", Type: "extract"}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatTimeout:  heartbeatTimeout,
 		OnEntryChange:     func(a string) { entryCh <- a },

@@ -62,7 +62,7 @@ const (
 	monMetricLagDelta    = "lag_delta"
 	monMetricHeartbeatMS = "heartbeat_ms"
 	// e2e_latency_ms is the node's worst p99 data-plane latency across its
-	// hosted segments (protocol v7 heartbeats), in milliseconds — the
+	// hosted segments (from heartbeats), in milliseconds — the
 	// latency tracing loop feeding back into anomaly detection.
 	monMetricE2eLatencyMS = "e2e_latency_ms"
 )

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"slices"
 	"strings"
 	"sync"
@@ -322,10 +321,10 @@ func TestPipelineAddRemoveRuntime(t *testing.T) {
 	cfg := func(listen string) Config {
 		return Config{
 			ListenAddr: listen,
-			Spec: PipelineSpec{
+			Pipelines: []PipelineSpec{{
 				Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 				SinkAddr: "127.0.0.1:9",
-			},
+			}},
 			HeartbeatInterval: 25 * time.Millisecond,
 			HeartbeatTimeout:  2 * time.Second,
 			StateDir:          stateDir,
@@ -447,10 +446,10 @@ func TestPipelineAddRemoveRuntime(t *testing.T) {
 // while a node that never returns loses them once the grace expires.
 func TestDisconnectGrace(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DisconnectGrace:   600 * time.Millisecond,
@@ -629,128 +628,5 @@ func TestStatusJSONGoldenMultiPipeline(t *testing.T) {
 }`
 	if string(raw) != golden {
 		t.Errorf("status -json drifted from the golden document:\ngot:\n%s\nwant:\n%s", raw, golden)
-	}
-}
-
-// TestBackCompatV4RegisterAgainstV5Coordinator completes the v2..v5
-// decode matrix: a hand-serialized v4 register — inventory, no pipeline
-// fields — against a v5 coordinator must be adopted exactly as a v4
-// coordinator would have, since the default pipeline's unit names are
-// byte-identical to v4's.
-func TestBackCompatV4RegisterAgainstV5Coordinator(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
-			Segments: []SegmentSpec{{Name: "sa", Type: "t"}},
-			SinkAddr: "127.0.0.1:9",
-		},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		StateDir:          t.TempDir(),
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	conn, err := net.Dial("tcp", coord.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// The exact bytes a v4 agent puts on the wire when re-registering
-	// with a surviving unit the tables have freed: adopt-back territory.
-	rawFrame(t, conn, `{"type":"register","node":"v4-node","ver":4,"inventory":[`+
-		`{"name":"sa","type":"t","addr":"127.0.0.1:19001","downstream":"127.0.0.1:9","processed":5,"emitted":5}]}`)
-	w := newWire(conn)
-	ack, err := w.recv()
-	if err != nil || ack.Err != "" {
-		t.Fatalf("v4 register: ack %+v err %v", ack, err)
-	}
-	if ack.Ver != ProtocolVersion || ack.CoordEpoch != 1 {
-		t.Fatalf("register ack must carry the v5 version and epoch: %+v", ack)
-	}
-	if !slices.Equal(ack.Adopted, []string{"sa"}) || len(ack.StopUnits) != 0 {
-		t.Fatalf("v4 inventory not adopted: %+v", ack)
-	}
-	waitFor(t, 5*time.Second, "adopted unit visible in status", func() bool {
-		st := coord.Status()
-		return len(st.Placements) == 1 && st.Placements[0].Placed &&
-			st.Placements[0].Node == "v4-node" && st.Placements[0].Addr == "127.0.0.1:19001"
-	})
-}
-
-// legacyV4Message is the Message struct exactly as protocol v4 knew it —
-// no pipeline scoping, no embedded pipeline spec. A v4 peer decodes v5
-// acks and entry notifications through this shape.
-type legacyV4Message struct {
-	Type        string          `json:"type"`
-	ID          uint64          `json:"id,omitempty"`
-	Ver         int             `json:"ver,omitempty"`
-	Node        string          `json:"node,omitempty"`
-	Seg         string          `json:"seg,omitempty"`
-	SegType     string          `json:"seg_type,omitempty"`
-	Downstream  string          `json:"downstream,omitempty"`
-	Role        string          `json:"role,omitempty"`
-	Group       string          `json:"group,omitempty"`
-	Downstreams []string        `json:"downstreams,omitempty"`
-	Epoch       uint16          `json:"epoch,omitempty"`
-	Boundary    bool            `json:"boundary,omitempty"`
-	Addr        string          `json:"addr,omitempty"`
-	Err         string          `json:"err,omitempty"`
-	HeartbeatMS int64           `json:"heartbeat_ms,omitempty"`
-	Segments    []SegmentStatus `json:"segments,omitempty"`
-	Inventory   []UnitInventory `json:"inventory,omitempty"`
-	CoordEpoch  uint64          `json:"coord_epoch,omitempty"`
-	Adopted     []string        `json:"adopted,omitempty"`
-	StopUnits   []string        `json:"stop_units,omitempty"`
-}
-
-// TestBackCompatV5DecodedByOlderAgent serializes the richest v5 messages
-// — an entry notification with a pipeline scope, a register ack — and
-// decodes them through the v4 shape: the unknown fields must be ignored
-// and every v4 field must survive. The reverse direction (a v4 watch,
-// which carries no pipeline) must decode on a v5 coordinator as the
-// default pipeline.
-func TestBackCompatV5DecodedByOlderAgent(t *testing.T) {
-	entry := &Message{Type: TypeEntry, Addr: "127.0.0.1:19001", Pipeline: "pa", Boundary: true}
-	raw, err := json.Marshal(entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy legacyV4Message
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("v4 decoder rejected a v5 entry: %v", err)
-	}
-	if legacy.Type != TypeEntry || legacy.Addr != "127.0.0.1:19001" || !legacy.Boundary {
-		t.Fatalf("v4 fields corrupted by v5 extensions: %+v", legacy)
-	}
-
-	ack := &Message{
-		Type: TypeAck, ID: 9, Ver: ProtocolVersion, HeartbeatMS: 250,
-		CoordEpoch: 4, Adopted: []string{"pa:front"}, StopUnits: []string{"stale"},
-	}
-	if raw, err = json.Marshal(ack); err != nil {
-		t.Fatal(err)
-	}
-	legacy = legacyV4Message{}
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("v4 decoder rejected a v5 ack: %v", err)
-	}
-	if legacy.HeartbeatMS != 250 || legacy.CoordEpoch != 4 || !slices.Equal(legacy.Adopted, []string{"pa:front"}) {
-		t.Fatalf("v4 ack fields corrupted: %+v", legacy)
-	}
-
-	// A v4 watch subscription decodes with no pipeline — the default.
-	watch := legacyV4Message{Type: TypeWatch}
-	if raw, err = json.Marshal(watch); err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("v5 decoder rejected a v4 watch: %v", err)
-	}
-	if got.Pipeline != "" {
-		t.Fatalf("v4 watch decoded with a pipeline scope: %+v", got)
 	}
 }

@@ -109,7 +109,6 @@ func rollupStatus(reg *obs.Registry, st *ClusterStatus) {
 		reg.Gauge(metricNodePrefix+"corrupt_batches", l...).Set(corrupt)
 		reg.Gauge(metricNodePrefix+"latency_p99_seconds", l...).Set(latP99)
 		reg.Gauge(metricNodePrefix+"e2e_latency_p99_seconds", l...).Set(e2eP99)
-		reg.Gauge(metricNodePrefix+"proto", l...).Set(float64(n.Proto))
 		reg.Gauge(metricNodePrefix+"last_beat_ms", l...).Set(float64(n.LastBeatMS))
 	}
 	for _, p := range st.Pipelines {
@@ -136,7 +135,7 @@ func eventMatcher(pipe string) func(obs.Event) bool {
 	return func(e obs.Event) bool { return e.Pipeline == pipe || e.Pipeline == "" }
 }
 
-// serveEventWatcher runs one watch_events session (protocol v6): the
+// serveEventWatcher runs one watch_events session: the
 // retained backlog with Seq > SinceSeq, then — in follow mode — the live
 // stream until the client disconnects. Non-follow sessions end with an
 // ack after the backlog.

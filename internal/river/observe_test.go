@@ -20,8 +20,8 @@ import (
 )
 
 // decodeSegments unmarshals a heartbeat Segments payload exactly as the
-// coordinator's wire would, so rollup tests consume the same bytes an
-// agent of that protocol version emits.
+// coordinator's wire would, so rollup tests consume the bytes an agent
+// emits.
 func decodeSegments(t *testing.T, payload string) []SegmentStatus {
 	t.Helper()
 	var segs []SegmentStatus
@@ -32,44 +32,40 @@ func decodeSegments(t *testing.T, payload string) []SegmentStatus {
 }
 
 // TestRollupStatusFromHeartbeats drives the scrape-time gauge rollup with
-// a synthetic cluster snapshot assembled from hand-serialized v1..v6
-// heartbeat payloads — the exact bytes each protocol generation puts on
-// the wire — and asserts the per-node and per-pipeline series. The v1
-// all-zero decode path must roll up as zeros (its telemetry absence is
-// visible via the proto gauge, which placement and status consult).
+// a synthetic cluster snapshot assembled from hand-serialized heartbeat
+// payloads — each node exercising one family of (omitempty) telemetry
+// fields — and asserts the per-node and per-pipeline series. Absent
+// fields must roll up as zeros.
 func TestRollupStatusFromHeartbeats(t *testing.T) {
-	heartbeats := map[string]struct {
-		proto   int
-		payload string
-	}{
-		// v1 carries only the base counters; flow fields decode as zero.
-		"v1-node": {1, `[{"name":"sa","type":"t","addr":"127.0.0.1:19001","processed":50,"emitted":40,"conns":1,"bad_closes":0}]`},
-		// v2 adds flow telemetry.
-		"v2-node": {2, `[{"name":"sb","type":"t","addr":"127.0.0.1:19002","processed":80,"emitted":60,"conns":1,"bad_closes":0,"queue_depth":3,"queue_cap":256,"records_out":60,"batches_out":2,"bytes_out":512}]`},
-		// v3 adds the replication counters.
-		"v3-node": {3, `[{"name":"g/split","type":"","addr":"127.0.0.1:19003","processed":90,"emitted":90,"conns":1,"bad_closes":0,"role":"split","legs":3,"leg_drops":7},{"name":"g/merge","type":"","addr":"127.0.0.1:19004","processed":90,"emitted":30,"conns":3,"bad_closes":0,"role":"merge","legs":3,"dups":9,"skipped":2}]`},
-		// v5 scopes unit names by pipeline; v6 adds the queue high-water mark.
-		"v6-node": {6, `[{"name":"pa:sc","type":"t","addr":"127.0.0.1:19005","processed":10,"emitted":10,"conns":1,"bad_closes":0,"queue_depth":5,"queue_cap":128,"queue_peak":77}]`},
-		// v7 adds detector alert counts and latency quantiles; the rollup
-		// takes the worst p99 across a node's segments, in seconds.
-		"v7-node": {7, `[{"name":"pa:sd","type":"t","addr":"127.0.0.1:19006","processed":20,"emitted":20,"conns":1,"bad_closes":0,"alerts":5,"lat_p50_us":200,"lat_p99_us":1500,"e2e_p50_us":800,"e2e_p99_us":9000},{"name":"pa:se","type":"t","addr":"127.0.0.1:19007","processed":20,"emitted":20,"conns":1,"bad_closes":0,"alerts":2,"lat_p99_us":700}]`},
-		// v9 adds the corrupt-batch counter from the frame-v2 transport.
-		"v9-node": {9, `[{"name":"pa:sf","type":"t","addr":"127.0.0.1:19008","processed":30,"emitted":30,"conns":1,"bad_closes":0,"corrupt_batches":4},{"name":"pa:sg","type":"t","addr":"127.0.0.1:19009","processed":30,"emitted":30,"conns":1,"bad_closes":0,"corrupt_batches":1}]`},
+	heartbeats := map[string]string{
+		// Only the base counters; flow fields decode as zero.
+		"bare-node": `[{"name":"sa","type":"t","addr":"127.0.0.1:19001","processed":50,"emitted":40,"conns":1,"bad_closes":0}]`,
+		// Flow telemetry.
+		"flow-node": `[{"name":"sb","type":"t","addr":"127.0.0.1:19002","processed":80,"emitted":60,"conns":1,"bad_closes":0,"queue_depth":3,"queue_cap":256,"records_out":60,"batches_out":2,"bytes_out":512}]`,
+		// Replication counters.
+		"repl-node": `[{"name":"g/split","type":"","addr":"127.0.0.1:19003","processed":90,"emitted":90,"conns":1,"bad_closes":0,"role":"split","legs":3,"leg_drops":7},{"name":"g/merge","type":"","addr":"127.0.0.1:19004","processed":90,"emitted":30,"conns":3,"bad_closes":0,"role":"merge","legs":3,"dups":9,"skipped":2}]`,
+		// A pipeline-scoped unit name and the queue high-water mark.
+		"peak-node": `[{"name":"pa:sc","type":"t","addr":"127.0.0.1:19005","processed":10,"emitted":10,"conns":1,"bad_closes":0,"queue_depth":5,"queue_cap":128,"queue_peak":77}]`,
+		// Detector alert counts and latency quantiles; the rollup takes the
+		// worst p99 across a node's segments, in seconds.
+		"lat-node": `[{"name":"pa:sd","type":"t","addr":"127.0.0.1:19006","processed":20,"emitted":20,"conns":1,"bad_closes":0,"alerts":5,"lat_p50_us":200,"lat_p99_us":1500,"e2e_p50_us":800,"e2e_p99_us":9000},{"name":"pa:se","type":"t","addr":"127.0.0.1:19007","processed":20,"emitted":20,"conns":1,"bad_closes":0,"alerts":2,"lat_p99_us":700}]`,
+		// The corrupt-batch counter.
+		"crc-node": `[{"name":"pa:sf","type":"t","addr":"127.0.0.1:19008","processed":30,"emitted":30,"conns":1,"bad_closes":0,"corrupt_batches":4},{"name":"pa:sg","type":"t","addr":"127.0.0.1:19009","processed":30,"emitted":30,"conns":1,"bad_closes":0,"corrupt_batches":1}]`,
 	}
 	st := &ClusterStatus{Epoch: 3, SinkAddr: "127.0.0.1:9"}
-	for name, hb := range heartbeats {
+	for name, payload := range heartbeats {
 		st.Nodes = append(st.Nodes, NodeStatus{
-			Name: name, Proto: hb.proto, LastBeatMS: 12,
-			Segments: decodeSegments(t, hb.payload),
+			Name: name, LastBeatMS: 12,
+			Segments: decodeSegments(t, payload),
 		})
 	}
 	st.Pipelines = []PipelineStatus{
 		{ID: "pa", SinkAddr: "127.0.0.1:9", Placements: []PlacementStatus{
-			{Seg: "pa:sc", Placed: true, Node: "v6-node"},
+			{Seg: "pa:sc", Placed: true, Node: "peak-node"},
 			{Seg: "pa:sd", Placed: false},
 		}},
 		{ID: "pb", SinkAddr: "127.0.0.1:9", Placements: []PlacementStatus{
-			{Seg: "pb:se", Placed: true, Node: "v2-node"},
+			{Seg: "pb:se", Placed: true, Node: "flow-node"},
 		}},
 	}
 
@@ -84,34 +80,29 @@ func TestRollupStatusFromHeartbeats(t *testing.T) {
 		`dynriver_coord_epoch 3`,
 		`dynriver_coord_nodes 6`,
 		`dynriver_coord_pipelines 2`,
-		// v1: all-zero telemetry rolls up as zeros, proto gauge says why.
-		`dynriver_node_proto{node="v1-node"} 1`,
-		`dynriver_node_queue_depth{node="v1-node"} 0`,
-		`dynriver_node_lag{node="v1-node"} 10`,
-		// v2: flow telemetry visible.
-		`dynriver_node_queue_depth{node="v2-node"} 3`,
-		`dynriver_node_queue_cap{node="v2-node"} 256`,
-		`dynriver_node_lag{node="v2-node"} 20`,
-		// v3: replication counters summed across the node's two endpoints.
-		`dynriver_node_segments{node="v3-node"} 2`,
-		`dynriver_node_leg_drops{node="v3-node"} 7`,
-		`dynriver_node_gap_skips{node="v3-node"} 2`,
-		`dynriver_node_dups{node="v3-node"} 9`,
-		// v6: the queue high-water mark.
-		`dynriver_node_queue_peak{node="v6-node"} 77`,
-		`dynriver_node_proto{node="v6-node"} 6`,
-		// v7: alert counts summed, latency quantiles worst-of across
-		// segments (1500us and 700us -> 0.0015s; e2e only on one segment).
-		`dynriver_node_alerts{node="v7-node"} 7`,
-		`dynriver_node_latency_p99_seconds{node="v7-node"} 0.0015`,
-		`dynriver_node_e2e_latency_p99_seconds{node="v7-node"} 0.009`,
-		`dynriver_node_proto{node="v7-node"} 7`,
-		// v9: corrupt-batch counts summed across the node's segments.
-		`dynriver_node_corrupt_batches{node="v9-node"} 5`,
-		`dynriver_node_proto{node="v9-node"} 9`,
-		// Older nodes roll up zeros for the v7 series.
-		`dynriver_node_alerts{node="v6-node"} 0`,
-		`dynriver_node_corrupt_batches{node="v7-node"} 0`,
+		// Absent telemetry rolls up as zeros.
+		`dynriver_node_queue_depth{node="bare-node"} 0`,
+		`dynriver_node_lag{node="bare-node"} 10`,
+		// Flow telemetry visible.
+		`dynriver_node_queue_depth{node="flow-node"} 3`,
+		`dynriver_node_queue_cap{node="flow-node"} 256`,
+		`dynriver_node_lag{node="flow-node"} 20`,
+		// Replication counters summed across the node's two endpoints.
+		`dynriver_node_segments{node="repl-node"} 2`,
+		`dynriver_node_leg_drops{node="repl-node"} 7`,
+		`dynriver_node_gap_skips{node="repl-node"} 2`,
+		`dynriver_node_dups{node="repl-node"} 9`,
+		// The queue high-water mark.
+		`dynriver_node_queue_peak{node="peak-node"} 77`,
+		// Alert counts summed, latency quantiles worst-of across segments
+		// (1500us and 700us -> 0.0015s; e2e only on one segment).
+		`dynriver_node_alerts{node="lat-node"} 7`,
+		`dynriver_node_latency_p99_seconds{node="lat-node"} 0.0015`,
+		`dynriver_node_e2e_latency_p99_seconds{node="lat-node"} 0.009`,
+		// Corrupt-batch counts summed across the node's segments.
+		`dynriver_node_corrupt_batches{node="crc-node"} 5`,
+		`dynriver_node_alerts{node="peak-node"} 0`,
+		`dynriver_node_corrupt_batches{node="lat-node"} 0`,
 		// Per-pipeline rollups.
 		`dynriver_pipeline_units{pipeline="pa"} 2`,
 		`dynriver_pipeline_placed{pipeline="pa"} 1`,
@@ -132,133 +123,11 @@ func TestRollupStatusFromHeartbeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = buf.String()
-	if strings.Contains(got, `node="v2-node"`) {
+	if strings.Contains(got, `node="flow-node"`) {
 		t.Errorf("departed node's gauges linger after rollup:\n%s", got)
 	}
 	if strings.Contains(got, `pipeline="pb"`) {
 		t.Errorf("removed pipeline's gauges linger after rollup:\n%s", got)
-	}
-}
-
-// legacyV5Message is the Message struct exactly as protocol v5 knew it —
-// no event stream fields. A v5 peer decodes v6 traffic through this
-// shape.
-type legacyV5Message struct {
-	Type        string          `json:"type"`
-	ID          uint64          `json:"id,omitempty"`
-	Ver         int             `json:"ver,omitempty"`
-	Node        string          `json:"node,omitempty"`
-	Seg         string          `json:"seg,omitempty"`
-	SegType     string          `json:"seg_type,omitempty"`
-	Downstream  string          `json:"downstream,omitempty"`
-	Role        string          `json:"role,omitempty"`
-	Group       string          `json:"group,omitempty"`
-	Downstreams []string        `json:"downstreams,omitempty"`
-	Epoch       uint16          `json:"epoch,omitempty"`
-	Boundary    bool            `json:"boundary,omitempty"`
-	Addr        string          `json:"addr,omitempty"`
-	Err         string          `json:"err,omitempty"`
-	HeartbeatMS int64           `json:"heartbeat_ms,omitempty"`
-	Segments    []SegmentStatus `json:"segments,omitempty"`
-	Inventory   []UnitInventory `json:"inventory,omitempty"`
-	CoordEpoch  uint64          `json:"coord_epoch,omitempty"`
-	Adopted     []string        `json:"adopted,omitempty"`
-	StopUnits   []string        `json:"stop_units,omitempty"`
-	Pipeline    string          `json:"pipeline,omitempty"`
-	Spec        *PipelineSpec   `json:"spec,omitempty"`
-}
-
-// legacyV5SegmentStatus is SegmentStatus exactly as v5 serialized it — no
-// queue_peak.
-type legacyV5SegmentStatus struct {
-	Name       string `json:"name"`
-	Type       string `json:"type,omitempty"`
-	Addr       string `json:"addr,omitempty"`
-	Processed  uint64 `json:"processed"`
-	Emitted    uint64 `json:"emitted"`
-	Conns      uint64 `json:"conns"`
-	BadCloses  uint64 `json:"bad_closes"`
-	QueueDepth int    `json:"queue_depth,omitempty"`
-	QueueCap   int    `json:"queue_cap,omitempty"`
-}
-
-// TestBackCompatV6DecodedByOlderAgent extends the v2..v5 decode matrix to
-// v6: the new event-stream messages and the queue_peak heartbeat field
-// must pass through a v5 decoder without corrupting any v5 field, and v5
-// traffic must decode on a v6 coordinator with the new fields at their
-// zero values.
-func TestBackCompatV6DecodedByOlderAgent(t *testing.T) {
-	// A v6 ack (unchanged shape) still decodes cleanly on v5.
-	ack := &Message{
-		Type: TypeAck, ID: 11, Ver: ProtocolVersion, HeartbeatMS: 250,
-		CoordEpoch: 2, Adopted: []string{"pa:front"},
-	}
-	raw, err := json.Marshal(ack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy legacyV5Message
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("v5 decoder rejected a v6 ack: %v", err)
-	}
-	if legacy.HeartbeatMS != 250 || legacy.CoordEpoch != 2 || legacy.Ver != ProtocolVersion {
-		t.Fatalf("v5 ack fields corrupted: %+v", legacy)
-	}
-
-	// A v6 event batch decodes on v5 as an unknown-typed message with every
-	// v5 field zero — old agents ignore types they do not know.
-	batch := &Message{Type: TypeEvent, Events: []obs.Event{
-		{Seq: 3, Type: obs.EventFailover, Node: "n1", Detail: "heartbeat timeout"},
-	}}
-	if raw, err = json.Marshal(batch); err != nil {
-		t.Fatal(err)
-	}
-	legacy = legacyV5Message{}
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("v5 decoder rejected a v6 event batch: %v", err)
-	}
-	if legacy.Type != TypeEvent || legacy.Node != "" || legacy.Err != "" {
-		t.Fatalf("v6 event batch bled into v5 fields: %+v", legacy)
-	}
-
-	// A v6 heartbeat segment (queue_peak present) decodes through the v5
-	// segment shape with the unknown field ignored.
-	seg := SegmentStatus{Name: "s", Processed: 9, Emitted: 9, QueueDepth: 4, QueueCap: 64, QueuePeak: 33}
-	if raw, err = json.Marshal(seg); err != nil {
-		t.Fatal(err)
-	}
-	var legacySeg legacyV5SegmentStatus
-	if err := json.Unmarshal(raw, &legacySeg); err != nil {
-		t.Fatalf("v5 decoder rejected a v6 segment status: %v", err)
-	}
-	if legacySeg.QueueDepth != 4 || legacySeg.QueueCap != 64 {
-		t.Fatalf("v5 segment fields corrupted: %+v", legacySeg)
-	}
-
-	// Reverse direction: a v5 heartbeat (no queue_peak) decodes on v6 with
-	// the peak at zero, and a v5 watch (no event fields) decodes with the
-	// stream options at their defaults.
-	legacySeg = legacyV5SegmentStatus{Name: "s", Processed: 5, Emitted: 5, QueueDepth: 2, QueueCap: 64}
-	if raw, err = json.Marshal(legacySeg); err != nil {
-		t.Fatal(err)
-	}
-	var got SegmentStatus
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("v6 decoder rejected a v5 segment status: %v", err)
-	}
-	if got.QueuePeak != 0 || got.QueueDepth != 2 {
-		t.Fatalf("v5 segment decoded wrong on v6: %+v", got)
-	}
-	watch := legacyV5Message{Type: TypeWatch, Pipeline: "pa"}
-	if raw, err = json.Marshal(watch); err != nil {
-		t.Fatal(err)
-	}
-	var msg Message
-	if err := json.Unmarshal(raw, &msg); err != nil {
-		t.Fatalf("v6 decoder rejected a v5 watch: %v", err)
-	}
-	if msg.Pipeline != "pa" || msg.Follow || msg.SinceSeq != 0 || msg.Events != nil {
-		t.Fatalf("v5 watch decoded wrong on v6: %+v", msg)
 	}
 }
 
@@ -268,10 +137,10 @@ func TestBackCompatV6DecodedByOlderAgent(t *testing.T) {
 // ordered failover -> replace pair naming the victim and the survivor.
 func TestEventStreamScriptedFailover(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          2,
@@ -445,10 +314,10 @@ func TestEventStreamPipelineFilter(t *testing.T) {
 // be present in Prometheus text format.
 func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MetricsAddr:       "127.0.0.1:0",
@@ -562,10 +431,10 @@ func TestObservabilityIntegration(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          4,

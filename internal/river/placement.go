@@ -23,18 +23,11 @@ type NodeLoad struct {
 	// (in the pipeline spec) to the one being placed, so placing here
 	// would put two consecutive segments on one failure domain.
 	HostsNeighbor bool
-	// FlowTelemetry reports that the node's agent actually carries flow
-	// telemetry (protocol v2+). Without it, zero lag and zero queue depth
-	// mean "no data", not "idle" — pre-v2 agents report all-zero counters,
-	// and load-aware policies must not mistake that silence for capacity.
-	FlowTelemetry bool
 }
 
 // Saturation returns the node's queue saturation in [0, 1]: the emit-queue
-// backlog as a fraction of its bound. Nodes reporting no queue (v2+ agents
-// with nothing queue-backed hosted) read as unsaturated; callers that care
-// about pre-v2 agents' absent telemetry check FlowTelemetry (see
-// LoadAware.UnknownSat).
+// backlog as a fraction of its bound. Nodes reporting no queue (nothing
+// queue-backed hosted) read as unsaturated.
 func (n NodeLoad) Saturation() float64 {
 	if n.QueueCap <= 0 {
 		return 0
@@ -93,14 +86,6 @@ type LoadAware struct {
 	// delta grows forever on a perfectly healthy node. Enable it only for
 	// pipelines whose operators are record-for-record.
 	LagWeight float64
-	// UnknownSat is the saturation assumed for nodes without flow
-	// telemetry (pre-v2 agents, whose all-zero counters would otherwise
-	// read as perfectly idle and attract every re-placement). Default 0.5:
-	// a legacy node scores like a half-saturated one, so it still takes
-	// work when the telemetry-reporting nodes are busier, but is never
-	// preferred on the strength of data it cannot report. Set to a
-	// negative value to restore the old treat-as-idle behavior.
-	UnknownSat float64
 }
 
 // Score returns the load score Pick minimizes, exposed for tests and
@@ -110,20 +95,7 @@ func (p LoadAware) Score(c NodeLoad) float64 {
 	if sat == 0 {
 		sat = 4
 	}
-	saturation := c.Saturation()
-	if !c.FlowTelemetry {
-		// No data is not zero load: substitute the assumed saturation and
-		// ignore the (equally absent) lag counter.
-		unknown := p.UnknownSat
-		if unknown == 0 {
-			unknown = 0.5
-		}
-		if unknown < 0 {
-			unknown = 0
-		}
-		return float64(c.Segments) + sat*unknown
-	}
-	return float64(c.Segments) + sat*saturation + p.LagWeight*float64(c.Lag)
+	return float64(c.Segments) + sat*c.Saturation() + p.LagWeight*float64(c.Lag)
 }
 
 // Pick implements Placer: minimum score, ties broken by name.

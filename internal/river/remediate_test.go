@@ -2,7 +2,6 @@ package river
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -17,106 +16,11 @@ import (
 	"repro/internal/timeseries"
 )
 
-// legacyV6SegmentStatus is SegmentStatus exactly as protocol v6 serialized
-// it — no detector alerts, no latency quantiles.
-type legacyV6SegmentStatus struct {
-	Name       string `json:"name"`
-	Type       string `json:"type,omitempty"`
-	Addr       string `json:"addr,omitempty"`
-	Role       string `json:"role,omitempty"`
-	Legs       int    `json:"legs,omitempty"`
-	Processed  uint64 `json:"processed"`
-	Emitted    uint64 `json:"emitted"`
-	Conns      uint64 `json:"conns"`
-	BadCloses  uint64 `json:"bad_closes"`
-	QueueDepth int    `json:"queue_depth,omitempty"`
-	QueueCap   int    `json:"queue_cap,omitempty"`
-	QueuePeak  int    `json:"queue_peak,omitempty"`
-	LegDrops   uint64 `json:"leg_drops,omitempty"`
-	Dups       uint64 `json:"dups,omitempty"`
-	Skipped    uint64 `json:"skipped,omitempty"`
-}
-
-// legacyV6Event is obs.Event exactly as v6 serialized it — no phase.
-type legacyV6Event struct {
-	Seq    uint64  `json:"seq"`
-	TimeMS int64   `json:"time_ms"`
-	Type   string  `json:"type"`
-	Node   string  `json:"node,omitempty"`
-	Metric string  `json:"metric,omitempty"`
-	Value  float64 `json:"value,omitempty"`
-	Detail string  `json:"detail,omitempty"`
-}
-
-// TestBackCompatV7DecodedByOlderPeer extends the decode matrix to v7: the
-// new heartbeat telemetry (alerts, latency quantiles) and the remediation
-// events' phase field must pass through a v6 decoder without corrupting
-// any v6 field, and v6 traffic must decode on a v7 coordinator with the
-// new fields at their zero values.
-func TestBackCompatV7DecodedByOlderPeer(t *testing.T) {
-	// A v7 heartbeat segment decodes through the v6 shape with the unknown
-	// telemetry ignored and every v6 field intact.
-	seg := SegmentStatus{Name: "s", Processed: 9, Emitted: 9, QueueDepth: 4, QueueCap: 64,
-		QueuePeak: 12, Alerts: 3, LatP50Us: 100, LatP95Us: 400, LatP99Us: 900,
-		E2eP50Us: 500, E2eP95Us: 2000, E2eP99Us: 4000}
-	raw, err := json.Marshal(seg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacySeg legacyV6SegmentStatus
-	if err := json.Unmarshal(raw, &legacySeg); err != nil {
-		t.Fatalf("v6 decoder rejected a v7 segment status: %v", err)
-	}
-	if legacySeg.Processed != 9 || legacySeg.QueueDepth != 4 || legacySeg.QueuePeak != 12 {
-		t.Fatalf("v6 segment fields corrupted by v7 telemetry: %+v", legacySeg)
-	}
-
-	// A v7 remediation event (phase present) decodes on v6 as its base
-	// type with the phase ignored; anomaly-derived fields survive.
-	ev := obs.Event{Seq: 7, Type: obs.EventRemediation, Phase: obs.RemPhaseTriggered,
-		Node: "n1", Metric: "queue_depth", Value: 42, Detail: "anomaly on queue_depth"}
-	if raw, err = json.Marshal(ev); err != nil {
-		t.Fatal(err)
-	}
-	var legacyEv legacyV6Event
-	if err := json.Unmarshal(raw, &legacyEv); err != nil {
-		t.Fatalf("v6 decoder rejected a v7 remediation event: %v", err)
-	}
-	if legacyEv.Type != obs.EventRemediation || legacyEv.Node != "n1" || legacyEv.Value != 42 {
-		t.Fatalf("v7 event fields corrupted on v6: %+v", legacyEv)
-	}
-
-	// Reverse direction: a v6 segment decodes on v7 with the telemetry at
-	// zero — the rollup and monitor treat absence as zero, never garbage.
-	legacySeg = legacyV6SegmentStatus{Name: "s", Processed: 5, Emitted: 5, QueueDepth: 2}
-	if raw, err = json.Marshal(legacySeg); err != nil {
-		t.Fatal(err)
-	}
-	var got SegmentStatus
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("v7 decoder rejected a v6 segment status: %v", err)
-	}
-	if got.Alerts != 0 || got.LatP99Us != 0 || got.E2eP99Us != 0 || got.QueueDepth != 2 {
-		t.Fatalf("v6 segment decoded wrong on v7: %+v", got)
-	}
-	var gotEv obs.Event
-	legacyRaw, err := json.Marshal(legacyV6Event{Seq: 3, Type: obs.EventAnomaly, Node: "n2", Metric: "lag_delta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(legacyRaw, &gotEv); err != nil {
-		t.Fatalf("v7 decoder rejected a v6 event: %v", err)
-	}
-	if gotEv.Phase != "" || gotEv.Node != "n2" {
-		t.Fatalf("v6 event decoded wrong on v7: %+v", gotEv)
-	}
-}
-
 // TestRemediateConfigValidate covers the config guardrails: unknown modes
 // are rejected at coordinator construction, defaults fill in.
 func TestRemediateConfigValidate(t *testing.T) {
 	if _, err := NewCoordinator(Config{
-		Spec:      PipelineSpec{Segments: []SegmentSpec{{Name: "s", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
+		Pipelines: []PipelineSpec{{Segments: []SegmentSpec{{Name: "s", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
 		Remediate: RemediateConfig{Mode: "panic"},
 	}); err == nil || !strings.Contains(err.Error(), "remediation mode") {
 		t.Fatalf("bad remediation mode accepted: %v", err)
@@ -140,7 +44,7 @@ func remEvents(c *Coordinator) []obs.Event {
 // suppressed event naming its reason.
 func TestRemediationGuardrails(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec:              PipelineSpec{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
+		Pipelines:         []PipelineSpec{{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		Remediate:         RemediateConfig{Cooldown: 200 * time.Millisecond},
@@ -231,7 +135,7 @@ func TestRemediationDryRunAndDrainability(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			coord, err := NewCoordinator(Config{
-				Spec:              PipelineSpec{Segments: []SegmentSpec{row.seg}, SinkAddr: "127.0.0.1:9"},
+				Pipelines:         []PipelineSpec{{Segments: []SegmentSpec{row.seg}, SinkAddr: "127.0.0.1:9"}},
 				HeartbeatInterval: 25 * time.Millisecond,
 				HeartbeatTimeout:  2 * time.Second,
 				MinNodes:          row.nodes,
@@ -332,7 +236,7 @@ func TestMonitorFloorFlatThenStep(t *testing.T) {
 func TestMonitorAnomalyCooldownExpiry(t *testing.T) {
 	const cooldown = 500 * time.Millisecond
 	coord, err := NewCoordinator(Config{
-		Spec:              PipelineSpec{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
+		Pipelines:         []PipelineSpec{{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		Monitor: MonitorConfig{
@@ -416,10 +320,10 @@ func TestRemediationIntegration(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
 			SinkAddr: terminal.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		MinNodes:          4,
@@ -672,7 +576,7 @@ func TestRemediationIntegration(t *testing.T) {
 // event — cumulative counts never re-emitted.
 func TestHeartbeatAlertFolding(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec:              PipelineSpec{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
+		Pipelines:         []PipelineSpec{{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		Logf:              t.Logf,

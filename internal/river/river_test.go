@@ -2,7 +2,6 @@ package river
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net"
 	"sort"
@@ -124,8 +123,8 @@ func TestLoadAwarePlacement(t *testing.T) {
 	}
 	// An idle cluster (all queues empty) degrades to least-loaded.
 	got := p.Pick([]NodeLoad{
-		{Name: "b", Segments: 2, FlowTelemetry: true},
-		{Name: "a", Segments: 1, FlowTelemetry: true},
+		{Name: "b", Segments: 2},
+		{Name: "a", Segments: 1},
 	})
 	if got != "a" {
 		t.Fatalf("idle cluster: got %q want a", got)
@@ -133,8 +132,8 @@ func TestLoadAwarePlacement(t *testing.T) {
 	// A saturated near-empty node must lose to a busier idle one: this is
 	// the case where LeastLoaded picks wrong.
 	cands := []NodeLoad{
-		{Name: "starved", Segments: 1, QueueDepth: 256, QueueCap: 256, Lag: 9000, FlowTelemetry: true},
-		{Name: "roomy", Segments: 2, FlowTelemetry: true},
+		{Name: "starved", Segments: 1, QueueDepth: 256, QueueCap: 256, Lag: 9000},
+		{Name: "roomy", Segments: 2},
 	}
 	if got := (LeastLoaded{}).Pick(cands); got != "starved" {
 		t.Fatalf("premise broken: LeastLoaded picked %q", got)
@@ -146,50 +145,14 @@ func TestLoadAwarePlacement(t *testing.T) {
 	// filtering segment's intentional reduction with backlog) but tips the
 	// scale when explicitly enabled for record-for-record pipelines.
 	cands = []NodeLoad{
-		{Name: "lagging", Segments: 1, Lag: 20000, FlowTelemetry: true},
-		{Name: "fresh", Segments: 2, FlowTelemetry: true},
+		{Name: "lagging", Segments: 1, Lag: 20000},
+		{Name: "fresh", Segments: 2},
 	}
 	if got := p.Pick(cands); got != "lagging" {
 		t.Fatalf("default policy weighed lag: got %q want lagging", got)
 	}
 	if got := (LoadAware{LagWeight: 1.0 / 5000}).Pick(cands); got != "fresh" {
 		t.Fatalf("explicit lag weight ignored: got %q want fresh", got)
-	}
-}
-
-// TestLoadAwareLegacyAgents pins the pre-v2 fix: a node whose agent
-// carries no flow telemetry reports all-zero counters, which must read
-// as "unknown load" (assumed half-saturated), not "perfectly idle" —
-// otherwise every re-placement would pile onto the oldest agents.
-func TestLoadAwareLegacyAgents(t *testing.T) {
-	p := LoadAware{}
-	// A legacy node with fewer segments must NOT beat a telemetry-reporting
-	// node that shows itself genuinely idle: 0 segments + assumed 0.5
-	// saturation (×4) = 2.0, versus 1 segment + 0 saturation = 1.0.
-	cands := []NodeLoad{
-		{Name: "legacy", Segments: 0},
-		{Name: "modern", Segments: 1, FlowTelemetry: true},
-	}
-	if got := p.Pick(cands); got != "modern" {
-		t.Fatalf("legacy silence mistaken for capacity: got %q want modern", got)
-	}
-	// But the legacy node still takes work when the reporting nodes are
-	// visibly busier than the assumed half-saturation.
-	cands = []NodeLoad{
-		{Name: "legacy", Segments: 0},
-		{Name: "modern", Segments: 1, QueueDepth: 200, QueueCap: 256, FlowTelemetry: true},
-	}
-	if got := p.Pick(cands); got != "legacy" {
-		t.Fatalf("legacy node frozen out: got %q want legacy", got)
-	}
-	// Negative UnknownSat restores the old treat-as-idle behavior.
-	old := LoadAware{UnknownSat: -1}
-	cands = []NodeLoad{
-		{Name: "legacy", Segments: 0},
-		{Name: "modern", Segments: 1, FlowTelemetry: true},
-	}
-	if got := old.Pick(cands); got != "legacy" {
-		t.Fatalf("UnknownSat<0 opt-out ignored: got %q want legacy", got)
 	}
 }
 
@@ -260,10 +223,10 @@ func TestControlPlanePassthrough(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "ident", Type: "ident"}},
 			SinkAddr: sinkIn.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		// Generous timeout so loaded CI machines cannot fake a death.
 		HeartbeatTimeout: 2 * time.Second,
@@ -362,7 +325,7 @@ func newFakeAgent(t *testing.T, coordAddr, name, segAddr string) *fakeAgent {
 	return newFakeAgentInv(t, coordAddr, name, segAddr, nil)
 }
 
-// newFakeAgentInv registers like a v5 agent carrying a hosted-unit
+// newFakeAgentInv registers like an agent carrying a hosted-unit
 // inventory, so tests can replay the reconnect-and-adopt handshake by
 // hand.
 func newFakeAgentInv(t *testing.T, coordAddr, name, segAddr string, inv []UnitInventory) *fakeAgent {
@@ -373,9 +336,6 @@ func newFakeAgentInv(t *testing.T, coordAddr, name, segAddr string, inv []UnitIn
 	}
 	f := &fakeAgent{t: t, w: newWire(conn), addr: segAddr,
 		hbStop: make(chan struct{}), done: make(chan struct{})}
-	// The fakes emit current-protocol telemetry (setStats feeds full
-	// SegmentStatus heartbeats), so they register with the current version;
-	// protocol-downgrade tests construct legacy registers by hand instead.
 	reg := &Message{Type: TypeRegister, Node: name, Ver: ProtocolVersion}
 	if inv != nil {
 		reg.Inventory = inv
@@ -444,10 +404,10 @@ func (f *fakeAgent) close() {
 func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	const timeout = 200 * time.Millisecond
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 40 * time.Millisecond,
 		HeartbeatTimeout:  timeout,
 		Logf:              t.Logf,
@@ -522,10 +482,10 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 // is refused instead of hijacking the session.
 func TestDuplicateRegisterRejected(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -541,15 +501,15 @@ func TestDuplicateRegisterRejected(t *testing.T) {
 	}
 	defer conn.Close()
 	w := newWire(conn)
-	if err := w.send(&Message{Type: TypeRegister, Node: "dup"}); err != nil {
+	if err := w.send(&Message{Type: TypeRegister, Node: "dup", Ver: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
 	ack, err := w.recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ack.Err == "" {
-		t.Fatal("duplicate registration accepted")
+	if err := ackErr(ack); err == nil || errors.Is(err, ErrProtocolMismatch) {
+		t.Fatalf("duplicate registration: %v, want a (retryable) name refusal", err)
 	}
 }
 
@@ -562,7 +522,7 @@ func TestCoordinatorRejectsBadSpecs(t *testing.T) {
 		{Segments: []SegmentSpec{{Name: "a", Type: "t"}, {Name: "a", Type: "t"}}, SinkAddr: "127.0.0.1:9"},
 	}
 	for i, spec := range cases {
-		if c, err := NewCoordinator(Config{Spec: spec}); err == nil {
+		if c, err := NewCoordinator(Config{Pipelines: []PipelineSpec{spec}}); err == nil {
 			c.Close()
 			t.Errorf("case %d: invalid spec %+v accepted", i, spec)
 		}
@@ -571,10 +531,10 @@ func TestCoordinatorRejectsBadSpecs(t *testing.T) {
 
 func TestFetchStatus(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -611,10 +571,10 @@ func TestTwoSegmentChainRedirect(t *testing.T) {
 	}()
 
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "first", Type: "ident"}, {Name: "second", Type: "ident"}},
 			SinkAddr: sinkIn.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		// Spread plus the bootstrap gate puts the two segments on
@@ -772,10 +732,10 @@ func TestSegmentFailureFailover(t *testing.T) {
 	reg := pipeline.NewRegistry()
 	reg.Register("bomb", func() []pipeline.Operator { return []pipeline.Operator{bombOp{}} })
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "seg", Type: "bomb"}},
 			SinkAddr: sinkIn.Addr(),
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		Logf:              t.Logf,
@@ -872,13 +832,13 @@ func TestSegmentFailureFailover(t *testing.T) {
 // fewer segments and is what segment-count placement would choose.
 func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{
 				{Name: "sa", Type: "t"}, {Name: "sb", Type: "t"},
 				{Name: "sc", Type: "t"}, {Name: "sd", Type: "t"},
 			},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond,
 		Placer:            LoadAware{},
@@ -975,10 +935,10 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 // swallows the first redirect RPC (timeout) and must receive another.
 func TestRedirectRetry(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{{Name: "first", Type: "t"}, {Name: "second", Type: "t"}},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		HeartbeatInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  400 * time.Millisecond, // reconcile ticks every 100ms
 		RPCTimeout:        100 * time.Millisecond,
@@ -1092,13 +1052,13 @@ func TestPlacerTieBreaking(t *testing.T) {
 // status output is scriptable and diffable.
 func TestStatusDeterministicOrder(t *testing.T) {
 	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
+		Pipelines: []PipelineSpec{{
 			Segments: []SegmentSpec{
 				{Name: "alpha", Type: "t"},
 				{Name: "beta", Type: "t", Replicas: 2},
 			},
 			SinkAddr: "127.0.0.1:9",
-		},
+		}},
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -1153,208 +1113,5 @@ func TestStatusDeterministicOrder(t *testing.T) {
 		if a.Placements[i] != b.Placements[i] {
 			t.Errorf("placement %d unstable across snapshots", i)
 		}
-	}
-}
-
-// rawFrame length-prefixes raw JSON the way a peer's wire would, letting
-// tests inject frames exactly as an older build serializes them.
-func rawFrame(t *testing.T, conn net.Conn, body string) {
-	t.Helper()
-	frame := make([]byte, 4+len(body))
-	frame[0] = byte(len(body) >> 24)
-	frame[1] = byte(len(body) >> 16)
-	frame[2] = byte(len(body) >> 8)
-	frame[3] = byte(len(body))
-	copy(frame[4:], body)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatalf("raw frame: %v", err)
-	}
-}
-
-// TestBackCompatOldRegistersAgainstV4Coordinator drives a v4 coordinator
-// with hand-serialized v2 and v3 register + heartbeat frames — exactly
-// the bytes those builds put on the wire, no inventory, no v4 fields —
-// and requires full sessions: registration acked, segment assigned, the
-// old-style heartbeats folded into status under the right proto version.
-func TestBackCompatOldRegistersAgainstV4Coordinator(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Spec: PipelineSpec{
-			Segments: []SegmentSpec{{Name: "sa", Type: "t"}, {Name: "sb", Type: "t"}},
-			SinkAddr: "127.0.0.1:9",
-		},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		MinNodes:          2,
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	type oldAgent struct {
-		ver       int
-		heartbeat string // the Segments payload this protocol version emits
-	}
-	agents := map[string]oldAgent{
-		// v2 heartbeats carry flow telemetry but no replication fields.
-		"v2-node": {2, `[{"name":"sa","type":"t","addr":"127.0.0.1:19001","processed":50,"emitted":40,"conns":1,"bad_closes":0,"queue_depth":3,"queue_cap":256,"records_out":40,"batches_out":2,"bytes_out":512}]`},
-		// v3 heartbeats add the replication counters.
-		"v3-node": {3, `[{"name":"sb","type":"t","addr":"127.0.0.1:19002","processed":70,"emitted":70,"conns":2,"bad_closes":1,"role":"merge","legs":3,"dups":9,"skipped":0,"untagged":1}]`},
-	}
-	for name, oa := range agents {
-		conn, err := net.Dial("tcp", coord.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		rawFrame(t, conn, `{"type":"register","node":"`+name+`","ver":`+string(rune('0'+oa.ver))+`}`)
-		w := newWire(conn)
-		ack, err := w.recv()
-		if err != nil || ack.Err != "" {
-			t.Fatalf("%s register: ack %+v err %v", name, ack, err)
-		}
-		if ack.Ver != ProtocolVersion || ack.CoordEpoch == 0 {
-			t.Fatalf("%s register ack must carry the v4 coordinator's version and epoch: %+v", name, ack)
-		}
-		if len(ack.Adopted) != 0 || len(ack.StopUnits) != 0 {
-			t.Fatalf("%s registered nothing but got an adoption verdict: %+v", name, ack)
-		}
-		rawFrame(t, conn, `{"type":"heartbeat","node":"`+name+`","segments":`+oa.heartbeat+`}`)
-		// Ack any assigns so placement can proceed.
-		go func(w *wire) {
-			for {
-				msg, err := w.recv()
-				if err != nil {
-					return
-				}
-				if msg.Type == TypeAssign {
-					_ = w.send(&Message{Type: TypeAck, ID: msg.ID, Addr: "127.0.0.1:19099"})
-				}
-			}
-		}(w)
-	}
-
-	waitFor(t, 5*time.Second, "old-proto heartbeats folded into status", func() bool {
-		st := coord.Status()
-		if len(st.Nodes) != 2 {
-			return false
-		}
-		byName := map[string]NodeStatus{}
-		for _, n := range st.Nodes {
-			byName[n.Name] = n
-		}
-		v2, v3 := byName["v2-node"], byName["v3-node"]
-		return v2.Proto == 2 && v3.Proto == 3 &&
-			len(v2.Segments) == 1 && v2.Segments[0].QueueDepth == 3 &&
-			len(v3.Segments) == 1 && v3.Segments[0].Dups == 9 && v3.Segments[0].Role == RoleMerge
-	})
-	waitFor(t, 5*time.Second, "units placed on old-proto agents", func() bool {
-		for _, p := range coord.Status().Placements {
-			if !p.Placed {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// legacyV3Message is the Message struct exactly as protocol v3 knew it —
-// no inventory, no coordinator epoch, no adoption verdict. A v3 agent
-// decodes a v4 register ack through this shape.
-type legacyV3Message struct {
-	Type        string          `json:"type"`
-	ID          uint64          `json:"id,omitempty"`
-	Ver         int             `json:"ver,omitempty"`
-	Node        string          `json:"node,omitempty"`
-	Seg         string          `json:"seg,omitempty"`
-	SegType     string          `json:"seg_type,omitempty"`
-	Downstream  string          `json:"downstream,omitempty"`
-	Role        string          `json:"role,omitempty"`
-	Group       string          `json:"group,omitempty"`
-	Downstreams []string        `json:"downstreams,omitempty"`
-	Epoch       uint16          `json:"epoch,omitempty"`
-	Boundary    bool            `json:"boundary,omitempty"`
-	Addr        string          `json:"addr,omitempty"`
-	Err         string          `json:"err,omitempty"`
-	HeartbeatMS int64           `json:"heartbeat_ms,omitempty"`
-	Segments    []SegmentStatus `json:"segments,omitempty"`
-}
-
-// TestBackCompatV4AckDecodedByOlderAgent serializes the richest v4
-// register ack — epoch, adoption verdict, stop list — and decodes it
-// through the v3 message shape: the unknown fields must be ignored and
-// every v3 field must survive, so an older agent keys off HeartbeatMS
-// and Err exactly as before.
-func TestBackCompatV4AckDecodedByOlderAgent(t *testing.T) {
-	ack := &Message{
-		Type: TypeAck, ID: 7, Ver: ProtocolVersion, HeartbeatMS: 250,
-		CoordEpoch: 3,
-		Adopted:    []string{"sa"},
-		StopUnits:  []string{"stale/r2"},
-	}
-	raw, err := json.Marshal(ack)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacy legacyV3Message
-	if err := json.Unmarshal(raw, &legacy); err != nil {
-		t.Fatalf("v3 decoder rejected a v4 ack: %v", err)
-	}
-	if legacy.Type != TypeAck || legacy.ID != 7 || legacy.Ver != ProtocolVersion ||
-		legacy.HeartbeatMS != 250 || legacy.Err != "" {
-		t.Fatalf("v3 fields corrupted by v4 extensions: %+v", legacy)
-	}
-
-	// And the reverse direction: a v4 coordinator decodes a v3 register
-	// (serialized from the legacy shape) into a Message with an absent
-	// inventory — indistinguishable from "nothing is running", which is
-	// accurate for v3 agents.
-	reg := legacyV3Message{Type: TypeRegister, Node: "old", Ver: 3}
-	raw, err = json.Marshal(reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatalf("v4 decoder rejected a v3 register: %v", err)
-	}
-	if got.Node != "old" || got.Ver != 3 || got.Inventory != nil || got.CoordEpoch != 0 {
-		t.Fatalf("v3 register decoded wrong: %+v", got)
-	}
-}
-
-// TestBackCompatV4InventoryRoundTrip pins the v4 wire additions down:
-// a register with a full inventory survives the frame codec intact.
-func TestBackCompatV4InventoryRoundTrip(t *testing.T) {
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	want := &Message{
-		Type: TypeRegister, Node: "n1", Ver: ProtocolVersion,
-		Inventory: []UnitInventory{
-			{Name: "seg", Type: "relay", Addr: "127.0.0.1:19001", Downstream: "127.0.0.1:9", Processed: 10, Emitted: 10},
-			{Name: "g/split", Role: RoleSplit, Group: "g", Addr: "127.0.0.1:19002",
-				Legs: []string{"127.0.0.1:19003", "127.0.0.1:19004"}, Epoch: 2},
-		},
-	}
-	done := make(chan error, 1)
-	go func() { done <- newWire(a).send(want) }()
-	got, err := newWire(b).recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if len(got.Inventory) != 2 {
-		t.Fatalf("inventory lost: %+v", got)
-	}
-	if got.Inventory[0].Name != "seg" || got.Inventory[0].Downstream != "127.0.0.1:9" {
-		t.Fatalf("plain unit mangled: %+v", got.Inventory[0])
-	}
-	sp := got.Inventory[1]
-	if sp.Role != RoleSplit || sp.Epoch != 2 || len(sp.Legs) != 2 {
-		t.Fatalf("splitter unit mangled: %+v", sp)
 	}
 }

@@ -24,16 +24,17 @@ import (
 // host units of many pipelines without collisions.
 type unit struct {
 	name  string // scoped placement key, e.g. "extract" or "pA:extract/r2"
-	pipe  string // owning pipeline ID ("" for the back-compat default)
+	pipe  string // owning pipeline ID ("" for the default pipeline)
 	group string // scoped owning spec segment name
 	typ   string // registry type ("" for fan endpoints)
 	role  string // "" or a Role constant; see KindOf
 }
 
 // scopedName prefixes a unit or group name with its pipeline ID. The
-// default pipeline (empty ID) keeps bare names, which makes the journal
-// format — and every placement key — byte-compatible with the
-// single-pipeline coordinator of protocol v4.
+// default pipeline (empty ID) keeps bare names: it is what
+// `coord -segments … -sink …` runs — live traffic, not a compatibility
+// mode — so its bare-name placement keys are what single-pipeline
+// deployments have in their journals.
 func scopedName(pipe, name string) string {
 	if pipe == "" {
 		return name
@@ -828,9 +829,7 @@ func (s *state) close() {
 // assigned, so an agent hosting units of several pipelines has each
 // matched against its own pipeline's tables. Units the tables place on
 // this node but absent from the inventory died with the agent process
-// and are freed for re-placement. Pre-v4 agents report no inventory,
-// which is accurate (they stop their units when a control session ends),
-// so everything recorded against them is freed.
+// and are freed for re-placement.
 func (s *state) adopt(node string, inv []UnitInventory) (adopted, stops []string) {
 	seen := make(map[string]bool, len(inv))
 	for _, iu := range inv {

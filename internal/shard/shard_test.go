@@ -181,6 +181,9 @@ func TestPartitionCollectOrder(t *testing.T) {
 	if got := col.Untagged(); got != 0 {
 		t.Errorf("collector discarded %d untagged records", got)
 	}
+	if got := col.CorruptBatches(); got != 0 {
+		t.Errorf("corrupt batches = %d on a clean stream", got)
+	}
 	if got := p.LegDrops(); got != 0 {
 		t.Errorf("partitioner dropped %d records with legs present", got)
 	}
@@ -404,59 +407,5 @@ func TestKeyFuncOrder(t *testing.T) {
 	}
 	if got := col.Skipped(); got != 0 {
 		t.Errorf("collector skipped %d sequence slots", got)
-	}
-}
-
-// TestShardFrameInterop reruns the partition->collect exactly-once path
-// with the writer pinned to the v1 framing: a pre-v2 station must keep
-// interoperating with today's collector unchanged.
-func TestShardFrameInterop(t *testing.T) {
-	col, err := NewCollector(CollectorConfig{Group: "g1", ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &collectEmitter{}
-	done := make(chan error, 1)
-	go func() { done <- col.Run(sink) }()
-
-	flush := record.DefaultBatchConfig()
-	flush.Frame = record.FrameV1
-	flush.MaxDelay = time.Millisecond
-	p := NewPartitioner(PartitionerConfig{
-		Group: "g1", Epoch: 1,
-		Legs:  []string{col.Addr(), col.Addr(), col.Addr()},
-		Flush: flush,
-	})
-
-	const n = 1500
-	for i := 0; i < n; i++ {
-		r := keyedData(uint32(1+i%17), 0, i)
-		if err := p.Consume(r); err != nil {
-			t.Fatalf("consume %d: %v", i, err)
-		}
-		record.Release(r)
-	}
-	waitCond(t, 30*time.Second, "all records collected", func() bool { return sink.len() >= n })
-	_ = p.Close()
-	_ = col.Close()
-	if err := <-done; err != nil {
-		t.Fatalf("collector run: %v", err)
-	}
-
-	recs := sink.snapshot()
-	if len(recs) != n {
-		t.Fatalf("collected %d records, want exactly %d", len(recs), n)
-	}
-	stream := record.ShardStreamID("g1")
-	for i, r := range recs {
-		if _, seq, ok := record.ReplicaTag(r, stream); !ok || seq != uint64(i) {
-			t.Fatalf("record %d out of order: tag ok=%v seq=%d", i, ok, seq)
-		}
-	}
-	if got := col.Skipped(); got != 0 {
-		t.Errorf("collector skipped %d slots", got)
-	}
-	if got := col.CorruptBatches(); got != 0 {
-		t.Errorf("corrupt batches = %d on a clean v1 stream", got)
 	}
 }

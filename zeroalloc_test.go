@@ -213,6 +213,11 @@ func fanPathZeroAlloc(t *testing.T, what string, fanOut interface {
 	LegDrops() uint64
 	Close() error
 }, fanIn *replica.Merger, copies int, saturated bool) {
+	if raceEnabled {
+		_ = fanOut.Close()
+		_ = fanIn.Close()
+		t.Skip("sync.Pool drops Puts under -race; pooled paths allocate by design")
+	}
 	var emitted atomic.Uint64
 	sink := pipeline.EmitterFunc(func(r *record.Record) error {
 		emitted.Add(1)
