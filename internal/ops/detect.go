@@ -69,6 +69,7 @@ type ChangeDetect struct {
 	cfg    ChangeDetectConfig
 	det    changeDetector
 	alerts atomic.Uint64
+	buf    []float64 // decode scratch
 }
 
 // NewChangeDetect returns the operator with the given configuration.
@@ -137,10 +138,11 @@ func (o *ChangeDetect) Process(r *record.Record, out pipeline.Emitter) error {
 // feature reduces the record's Float64s payload to the configured scalar.
 // An empty payload scores zero (a valid observation of silence).
 func (o *ChangeDetect) feature(r *record.Record) (float64, error) {
-	vals, err := r.Float64s()
+	vals, err := r.AppendFloat64s(o.buf[:0])
 	if err != nil {
 		return 0, err
 	}
+	o.buf = vals
 	if len(vals) == 0 {
 		return 0, nil
 	}

@@ -71,9 +71,9 @@ func (c ExtractConfig) withDefaults() ExtractConfig {
 // detector and smoother reset at clip boundaries so clips are independent,
 // matching the per-clip processing of the paper.
 type SAXAnomaly struct {
-	cfg ExtractConfig
 	det *timeseries.AnomalyDetector
 	ma  *timeseries.MovingAverage
+	buf []float64 // decode scratch; scores are computed in place
 }
 
 // NewSAXAnomaly returns the operator with the given configuration.
@@ -87,7 +87,7 @@ func NewSAXAnomaly(cfg ExtractConfig) (*SAXAnomaly, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SAXAnomaly{cfg: cfg, det: det, ma: ma}, nil
+	return &SAXAnomaly{det: det, ma: ma}, nil
 }
 
 // Name implements pipeline.Operator.
@@ -97,17 +97,18 @@ func (o *SAXAnomaly) Name() string { return "saxanomaly" }
 func (o *SAXAnomaly) Process(r *record.Record, out pipeline.Emitter) error {
 	switch {
 	case r.Kind == record.KindOpenScope && r.ScopeType == record.ScopeClip:
-		o.reset()
+		o.det.Reset()
+		o.ma.Reset()
 		return out.Emit(r)
 	case r.Kind != record.KindData || r.Subtype != record.SubtypeAudio:
 		return out.Emit(r)
 	}
-	samples, err := r.Float64s()
+	scores, err := r.AppendFloat64s(o.buf[:0])
 	if err != nil {
 		return fmt.Errorf("saxanomaly: %w", err)
 	}
-	scores := make([]float64, len(samples))
-	for i, x := range samples {
+	o.buf = scores
+	for i, x := range scores {
 		raw, _ := o.det.Push(x)
 		scores[i] = o.ma.Push(raw)
 	}
@@ -119,16 +120,6 @@ func (o *SAXAnomaly) Process(r *record.Record, out pipeline.Emitter) error {
 	sr.ScopeType = r.ScopeType
 	sr.SetFloat64s(scores)
 	return out.Emit(sr)
-}
-
-func (o *SAXAnomaly) reset() {
-	det, err := timeseries.NewAnomalyDetector(o.cfg.Anomaly)
-	if err != nil {
-		// Config was validated at construction.
-		panic("saxanomaly: " + err.Error())
-	}
-	o.det = det
-	o.ma.Reset()
 }
 
 // Trigger converts the smoothed anomaly score into a discrete 0/1 signal.
@@ -149,6 +140,7 @@ type Trigger struct {
 	skipped  int
 	hang     int
 	quiet    *timeseries.EWStats
+	buf      []float64 // decode scratch; triggers are computed in place
 }
 
 // NewTrigger returns a trigger with the paper's 5-sigma threshold when
@@ -185,63 +177,70 @@ func (o *Trigger) Process(r *record.Record, out pipeline.Emitter) error {
 	case r.Kind != record.KindData || r.Subtype != record.SubtypeAnomaly:
 		return out.Emit(r)
 	}
-	scores, err := r.Float64s()
+	trig, err := r.AppendFloat64s(o.buf[:0])
 	if err != nil {
 		return fmt.Errorf("trigger: %w", err)
 	}
-	trig := make([]float64, len(scores))
-	for i, s := range scores {
-		// The first scores of a clip are artifacts: exact zeros while the
-		// detector warms, then a ramp while the moving average fills.
-		// Folding the ramp into the baseline would inflate its deviation,
-		// so skip a full warmup worth of scores outright.
-		if o.skipped < o.warmup {
-			o.skipped++
-			continue
-		}
-		// Then build the quiet baseline before arming is allowed.
-		if o.quiet.Count() < uint64(o.warmup) {
-			o.quiet.Add(s)
-			continue
-		}
-		// A deviation floor of 5% of the quiet mean keeps the trigger
-		// honest: the smoothed score is strongly autocorrelated, so its
-		// instantaneous deviation underestimates slow ambient wobble, and
-		// an unfloored 5-sigma band ends up narrower than the background
-		// drift. With the floor, arming requires the score to leave a
-		// band of at least +/-25% around the quiet mean — which ambient
-		// noise never does and vocalizations (50-80% dips) always do.
-		sd := o.quiet.StdDev()
-		if floor := 0.05 * o.quiet.Mean(); sd < floor {
-			sd = floor
-		}
-		dev := math.Abs(s - o.quiet.Mean())
-		switch {
-		case dev > o.sigma*sd:
-			trig[i] = 1
-			o.hang = o.hangover
-		case o.hang > 0:
-			// Hangover: the score dipped back into the quiet band, but a
-			// song's syllable gap looks exactly like that. Stay armed
-			// (and do not update the baseline) until the band has been
-			// quiet continuously for the hangover window.
-			trig[i] = 1
-			o.hang--
-		case dev < 0.15*o.quiet.Mean():
-			// Update the baseline only from scores well inside the quiet
-			// band. The gate is a *fixed* fraction of the mean, not a
-			// multiple of sigma: a sigma-scaled gate widens as soon as a
-			// few event-edge scores leak in, which admits more event
-			// scores, inflates sigma further, and deafens the trigger
-			// for the rest of the clip.
-			o.quiet.Add(s)
-		}
+	o.buf = trig
+	for i, s := range trig {
+		trig[i] = o.step(s)
 	}
 	tr := record.NewData(record.SubtypeTrigger)
 	tr.Scope = r.Scope
 	tr.ScopeType = r.ScopeType
 	tr.SetFloat64s(trig)
 	return out.Emit(tr)
+}
+
+// step folds one smoothed score into the trigger state and returns the
+// trigger value for it: 1 when armed, else 0.
+func (o *Trigger) step(s float64) float64 {
+	// The first scores of a clip are artifacts: exact zeros while the
+	// detector warms, then a ramp while the moving average fills.
+	// Folding the ramp into the baseline would inflate its deviation,
+	// so skip a full warmup worth of scores outright.
+	if o.skipped < o.warmup {
+		o.skipped++
+		return 0
+	}
+	// Then build the quiet baseline before arming is allowed.
+	if o.quiet.Count() < uint64(o.warmup) {
+		o.quiet.Add(s)
+		return 0
+	}
+	// A deviation floor of 5% of the quiet mean keeps the trigger
+	// honest: the smoothed score is strongly autocorrelated, so its
+	// instantaneous deviation underestimates slow ambient wobble, and
+	// an unfloored 5-sigma band ends up narrower than the background
+	// drift. With the floor, arming requires the score to leave a
+	// band of at least +/-25% around the quiet mean — which ambient
+	// noise never does and vocalizations (50-80% dips) always do.
+	sd := o.quiet.StdDev()
+	if floor := 0.05 * o.quiet.Mean(); sd < floor {
+		sd = floor
+	}
+	dev := math.Abs(s - o.quiet.Mean())
+	switch {
+	case dev > o.sigma*sd:
+		o.hang = o.hangover
+		return 1
+	case o.hang > 0:
+		// Hangover: the score dipped back into the quiet band, but a
+		// song's syllable gap looks exactly like that. Stay armed
+		// (and do not update the baseline) until the band has been
+		// quiet continuously for the hangover window.
+		o.hang--
+		return 1
+	case dev < 0.15*o.quiet.Mean():
+		// Update the baseline only from scores well inside the quiet
+		// band. The gate is a *fixed* fraction of the mean, not a
+		// multiple of sigma: a sigma-scaled gate widens as soon as a
+		// few event-edge scores leak in, which admits more event
+		// scores, inflates sigma further, and deafens the trigger
+		// for the rest of the clip.
+		o.quiet.Add(s)
+	}
+	return 0
 }
 
 // Cutter composes ensembles: it pairs each audio record with the trigger
@@ -255,10 +254,12 @@ type Cutter struct {
 	sampleRate float64
 	clipCtx    map[string]string
 	pendAudio  []float64 // audio waiting for its trigger record
+	trig       []float64 // trigger decode scratch
 	absPos     int       // absolute sample position within the clip
 
 	inEnsemble bool
 	ensemble   []float64
+	frame      []float64 // one emitted record's samples, len RecordSamples
 	ensStart   int
 	ensembles  uint64
 
@@ -268,7 +269,7 @@ type Cutter struct {
 
 // NewCutter returns a cutter with the given configuration.
 func NewCutter(cfg ExtractConfig) *Cutter {
-	return &Cutter{cfg: cfg.withDefaults()}
+	return &Cutter{cfg: cfg.withDefaults(), frame: make([]float64, RecordSamples)}
 }
 
 // Name implements pipeline.Operator.
@@ -304,31 +305,41 @@ func (o *Cutter) Process(r *record.Record, out pipeline.Emitter) error {
 			}
 		}
 		return out.Emit(r)
-	case r.Kind.IsClose() && r.ScopeType == record.ScopeClip && r.Scope == 0:
+	case r.Kind == record.KindCloseScope && r.ScopeType == record.ScopeClip && r.Scope == 0:
 		// Close any ensemble in progress, then the clip.
 		if err := o.closeEnsemble(out); err != nil {
 			return err
 		}
-		o.pendAudio = nil
+		o.pendAudio = o.pendAudio[:0]
+		return out.Emit(r)
+	case r.Kind == record.KindBadCloseScope && r.ScopeType == record.ScopeClip && r.Scope == 0:
+		// The clip was cut off upstream, so the ensemble in progress is
+		// truncated: drop it rather than emit it as a complete one. None
+		// of it has been emitted yet.
+		o.inEnsemble = false
+		o.pendAudio = o.pendAudio[:0]
 		return out.Emit(r)
 	case r.Kind == record.KindData && r.Subtype == record.SubtypeAudio:
-		samples, err := r.Float64s()
+		pend, err := r.AppendFloat64s(o.pendAudio)
 		if err != nil {
 			return fmt.Errorf("cutter: %w", err)
 		}
-		o.pendAudio = append(o.pendAudio, samples...)
+		o.pendAudio = pend
 		return nil // audio is withheld until its trigger arrives
 	case r.Kind == record.KindData && r.Subtype == record.SubtypeTrigger:
-		trig, err := r.Float64s()
+		trig, err := r.AppendFloat64s(o.trig[:0])
 		if err != nil {
 			return fmt.Errorf("cutter: %w", err)
 		}
+		o.trig = trig
 		if len(trig) > len(o.pendAudio) {
 			return fmt.Errorf("cutter: trigger record of %d values but only %d audio samples pending", len(trig), len(o.pendAudio))
 		}
-		audio := o.pendAudio[:len(trig)]
-		o.pendAudio = o.pendAudio[len(trig):]
-		return o.consume(audio, trig, out)
+		err = o.consume(o.pendAudio[:len(trig)], trig, out)
+		// Keep the unmatched tail at the front of the buffer so it is
+		// reused rather than regrown.
+		o.pendAudio = o.pendAudio[:copy(o.pendAudio, o.pendAudio[len(trig):])]
+		return err
 	default:
 		return out.Emit(r)
 	}
@@ -381,23 +392,19 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 		return err
 	}
 	for start := 0; start < len(o.ensemble); start += RecordSamples {
-		end := start + RecordSamples
-		payload := make([]float64, RecordSamples)
-		if end > len(o.ensemble) {
-			// Zero-pad the final partial record: downstream spectral
-			// operators need uniform record lengths to produce
-			// fixed-dimensional patterns.
-			end = len(o.ensemble)
-		}
-		copy(payload, o.ensemble[start:end])
+		n := copy(o.frame, o.ensemble[start:])
+		// Zero-pad the final partial record: downstream spectral
+		// operators need uniform record lengths to produce
+		// fixed-dimensional patterns.
+		clear(o.frame[n:])
 		r := record.NewData(record.SubtypeAudio)
 		r.Scope = 2
 		r.ScopeType = record.ScopeEnsemble
-		r.SetFloat64s(payload)
+		r.SetFloat64s(o.frame)
 		if err := out.Emit(r); err != nil {
 			return err
 		}
-		o.samplesKept += uint64(end - start)
+		o.samplesKept += uint64(n)
 	}
 	o.ensembles++
 	return out.Emit(record.NewCloseScope(record.ScopeEnsemble, 1))
@@ -406,8 +413,8 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 func (o *Cutter) resetClip() {
 	o.sampleRate = 0
 	o.clipCtx = nil
-	o.pendAudio = nil
+	o.pendAudio = o.pendAudio[:0]
 	o.absPos = 0
 	o.inEnsemble = false
-	o.ensemble = nil
+	o.ensemble = o.ensemble[:0]
 }

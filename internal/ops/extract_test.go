@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -269,6 +270,124 @@ func TestCutterMinEnsembleRecords(t *testing.T) {
 	}
 	if n := len(col.Ensembles()); n != 0 {
 		t.Errorf("short run produced %d ensembles despite MinEnsembleRecords=3", n)
+	}
+}
+
+// TestCutterClipClose feeds four trigger-high records and then closes the
+// clip: a normal close completes the ensemble in progress, an abnormal one
+// (the clip cut off upstream) drops it unemitted.
+func TestCutterClipClose(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		close     *record.Record
+		ensembles int
+		kinds     []record.Kind
+	}{
+		{"normal close", record.NewCloseScope(record.ScopeClip, 0), 1, []record.Kind{
+			record.KindOpenScope, record.KindOpenScope,
+			record.KindData, record.KindData, record.KindData, record.KindData,
+			record.KindCloseScope, record.KindCloseScope,
+		}},
+		{"bad close", record.NewBadCloseScope(record.ScopeClip, 0), 0, []record.Kind{
+			record.KindOpenScope, record.KindBadCloseScope,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cutter := NewCutter(DefaultExtractConfig())
+			col := NewEnsembleCollector()
+			var kinds []record.Kind
+			out := pipeline.EmitterFunc(func(r *record.Record) error {
+				kinds = append(kinds, r.Kind)
+				return col.Consume(r)
+			})
+			open := record.NewOpenScope(record.ScopeClip, 0)
+			open.SetContext(map[string]string{record.CtxSampleRate: "24576"})
+			if err := cutter.Process(open, out); err != nil {
+				t.Fatal(err)
+			}
+			high := make([]float64, RecordSamples)
+			for i := range high {
+				high[i] = 1
+			}
+			for i := 0; i < 4; i++ {
+				audio := record.NewData(record.SubtypeAudio)
+				audio.SetFloat64s(make([]float64, RecordSamples))
+				trig := record.NewData(record.SubtypeTrigger)
+				trig.SetFloat64s(high)
+				for _, r := range []*record.Record{audio, trig} {
+					if err := cutter.Process(r, out); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := cutter.Process(tc.close, out); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(col.Ensembles()); n != tc.ensembles {
+				t.Errorf("%d ensembles, want %d", n, tc.ensembles)
+			}
+			if !slices.Equal(kinds, tc.kinds) {
+				t.Errorf("emitted %v, want %v", kinds, tc.kinds)
+			}
+		})
+	}
+}
+
+// TestExtractOpsAllocs pins the steady state of the two scoring operators:
+// per audio record, only the record they emit and its payload allocate.
+func TestExtractOpsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without -race")
+	}
+	cfg := DefaultExtractConfig()
+	sax, err := NewSAXAnomaly(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trig := NewTrigger(cfg)
+	var scores *record.Record
+	keep := pipeline.EmitterFunc(func(r *record.Record) error {
+		if r.Subtype == record.SubtypeAnomaly {
+			scores = r
+		}
+		return nil
+	})
+	discard := pipeline.EmitterFunc(func(*record.Record) error { return nil })
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]float64, RecordSamples)
+	for i := range samples {
+		samples[i] = rng.NormFloat64()
+	}
+	audio := record.NewData(record.SubtypeAudio)
+	audio.SetFloat64s(samples)
+	open := record.NewOpenScope(record.ScopeClip, 0)
+	for _, op := range []pipeline.Operator{sax, trig} {
+		if err := op.Process(open, discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: the scratch buffers reach their working size.
+	for i := 0; i < 4; i++ {
+		if err := sax.Process(audio, keep); err != nil {
+			t.Fatal(err)
+		}
+		if err := trig.Process(scores, discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := sax.Process(audio, keep); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("SAXAnomaly.Process allocates %.1f per audio record, want <= 2", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := trig.Process(scores, discard); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("Trigger.Process allocates %.1f per score record, want <= 2", allocs)
 	}
 }
 

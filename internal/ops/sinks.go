@@ -67,11 +67,11 @@ func (c *EnsembleCollector) Consume(r *record.Record) error {
 	case r.Kind == record.KindData && c.cur != nil:
 		switch r.Subtype {
 		case record.SubtypeAudio:
-			v, err := r.Float64s()
+			v, err := r.AppendFloat64s(c.cur.Samples)
 			if err != nil {
 				return fmt.Errorf("ensemblecollector: %w", err)
 			}
-			c.cur.Samples = append(c.cur.Samples, v...)
+			c.cur.Samples = v
 		case record.SubtypePattern:
 			v, err := r.Float64s()
 			if err != nil {

@@ -146,6 +146,32 @@ func TestAppendDecodersZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDecodersAllocateOnce pins the fresh-slice decoders to a single
+// allocation at the final size, however long the payload.
+func TestDecodersAllocateOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without -race")
+	}
+	r := &Record{}
+	r.SetFloat64s(make([]float64, 1024))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if v, err := r.AppendFloat64s(nil); err != nil || len(v) != 1024 {
+			t.Fatalf("decode: %d values, %v", len(v), err)
+		}
+	}); allocs != 1 {
+		t.Errorf("AppendFloat64s into nil allocated %.1f/op, want 1", allocs)
+	}
+	c := &Record{}
+	c.SetComplex128s(make([]complex128, 1024))
+	if allocs := testing.AllocsPerRun(50, func() {
+		if v, err := c.Complex128s(); err != nil || len(v) != 1024 {
+			t.Fatalf("decode: %d values, %v", len(v), err)
+		}
+	}); allocs != 1 {
+		t.Errorf("Complex128s allocated %.1f/op, want 1", allocs)
+	}
+}
+
 // TestPooledDecodeAllocs pins the steady-state decode cost: reading a
 // batch stream through a pooled reader and releasing each record must
 // not allocate per record (sync.Pool may be drained by GC mid-run, so a

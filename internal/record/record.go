@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -277,7 +278,8 @@ func (r *Record) SetFloat64s(v []float64) {
 }
 
 // Float64s decodes the payload as a float64 slice. The returned slice is
-// freshly allocated; use AppendFloat64s to decode into reusable scratch.
+// freshly allocated, exactly once at its final size; use AppendFloat64s to
+// decode into reusable scratch.
 func (r *Record) Float64s() ([]float64, error) {
 	return r.AppendFloat64s(nil)
 }
@@ -292,6 +294,7 @@ func (r *Record) AppendFloat64s(dst []float64) ([]float64, error) {
 	if len(r.Payload)%8 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 8", ErrShortPayload, len(r.Payload))
 	}
+	dst = slices.Grow(dst, len(r.Payload)/8)
 	for i := 0; i < len(r.Payload); i += 8 {
 		dst = append(dst, math.Float64frombits(getU64(r.Payload[i:])))
 	}
@@ -310,7 +313,8 @@ func (r *Record) SetComplex128s(v []complex128) {
 }
 
 // Complex128s decodes the payload as a complex128 slice. The returned
-// slice is freshly allocated; use AppendComplex128s for reusable scratch.
+// slice is freshly allocated, exactly once at its final size; use
+// AppendComplex128s for reusable scratch.
 func (r *Record) Complex128s() ([]complex128, error) {
 	return r.AppendComplex128s(nil)
 }
@@ -324,6 +328,7 @@ func (r *Record) AppendComplex128s(dst []complex128) ([]complex128, error) {
 	if len(r.Payload)%16 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 16", ErrShortPayload, len(r.Payload))
 	}
+	dst = slices.Grow(dst, len(r.Payload)/16)
 	for i := 0; i < len(r.Payload); i += 16 {
 		re := math.Float64frombits(getU64(r.Payload[i:]))
 		im := math.Float64frombits(getU64(r.Payload[i+8:]))

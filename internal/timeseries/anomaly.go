@@ -56,10 +56,15 @@ func (c *AnomalyConfig) validate() error {
 // the onset of a bird vocalization over steady ambient noise — drives the
 // two bitmaps apart.
 //
-// Both bitmaps are maintained incrementally, so Push costs O(a^g) for the
-// distance computation and O(g) for window maintenance, independent of the
-// window size. A single scan of the time series therefore suffices, which
-// is what makes ensemble extraction viable on unbounded streams.
+// Both bitmaps are maintained incrementally. Once warm, a Push costs one
+// running-statistics update, a comparison against each of the a-1 SAX
+// breakpoints, four cell updates of g symbols each and one a^g-cell
+// distance pass — constant work independent of the window size, and no
+// allocation. A single scan of the time series therefore suffices, which is
+// what makes ensemble extraction viable on unbounded streams. Every score
+// is bit-identical to building both bitmaps from scratch and calling
+// BitmapDistance: the incremental path performs the same floating-point
+// operations in the same order.
 //
 // AnomalyDetector is not safe for concurrent use.
 type AnomalyDetector struct {
@@ -68,13 +73,16 @@ type AnomalyDetector struct {
 	lag  *Bitmap
 	lead *Bitmap
 
-	// ring holds the last 2W+1 symbols so the gram departing the lag
-	// window (whose oldest symbol has age 2W) is still addressable.
-	ring []int
-	head int // next write position
-	seen uint64
+	// ring holds at least the last 2W+1 symbols so the gram departing the
+	// lag window (whose oldest symbol has age 2W) is still addressable.
+	// Its length is a power of two, so a position is a count&mask.
+	ring []uint8
+	mask uint
+	seen uint64 // symbols written since Reset; the next goes to seen&mask
 
-	buf  []int // gram scratch, len = cfg.Gram
+	// inv is 1/(W-g+1), the reciprocal of both bitmaps' constant total
+	// once warm — what BitmapDistance would compute per call.
+	inv  float64
 	norm Welford
 }
 
@@ -92,13 +100,18 @@ func NewAnomalyDetector(cfg AnomalyConfig) (*AnomalyDetector, error) {
 		return nil, err
 	}
 	lead, _ := NewBitmap(cfg.Alphabet, cfg.Gram)
+	size := 1
+	for size < 2*cfg.Window+1 {
+		size <<= 1
+	}
 	return &AnomalyDetector{
 		cfg:  cfg,
 		sax:  sax,
 		lag:  lag,
 		lead: lead,
-		ring: make([]int, 2*cfg.Window+1),
-		buf:  make([]int, cfg.Gram),
+		ring: make([]uint8, size),
+		mask: uint(size - 1),
+		inv:  1 / float64(cfg.Window-cfg.Gram+1),
 	}, nil
 }
 
@@ -109,24 +122,27 @@ func (d *AnomalyDetector) Config() AnomalyConfig { return d.cfg }
 // produce scores.
 func (d *AnomalyDetector) Warm() bool { return d.seen >= uint64(2*d.cfg.Window) }
 
-// symbolAt returns the symbol at logical age i: age 0 is the newest
-// symbol, age 1 the one before it, and so on. Valid for age < min(seen,
-// len(ring)).
-func (d *AnomalyDetector) symbolAt(age int) int {
-	n := len(d.ring)
-	idx := d.head - 1 - age
-	idx = ((idx % n) + n) % n
-	return d.ring[idx]
+// Reset returns the detector to its just-constructed state, keeping its
+// configuration and storage.
+func (d *AnomalyDetector) Reset() {
+	d.lag.Reset()
+	d.lead.Reset()
+	d.seen = 0
+	d.norm.Reset()
 }
 
-// gramAt fills d.buf with the gram whose newest symbol has the given age:
-// buf[g-1] is the symbol at age, buf[0] the symbol at age+g-1.
-func (d *AnomalyDetector) gramAt(age int) []int {
-	g := d.cfg.Gram
-	for k := 0; k < g; k++ {
-		d.buf[g-1-k] = d.symbolAt(age + k)
+// cellAt returns the bitmap cell of the gram whose newest symbol has the
+// given age (age 0 is the newest symbol): the gram's symbols read oldest
+// first as base-a digits, as Bitmap.index flattens them. Valid for
+// age+g <= min(seen, len(ring)).
+func (d *AnomalyDetector) cellAt(age uint) int {
+	g := uint(d.cfg.Gram)
+	oldest := uint(d.seen) - age - g // ring position of the gram's first symbol
+	cell := 0
+	for k := uint(0); k < g; k++ {
+		cell = cell*d.cfg.Alphabet + int(d.ring[(oldest+k)&d.mask])
 	}
-	return d.buf
+	return cell
 }
 
 // Push feeds one sample and returns the current anomaly score. ok is false
@@ -143,47 +159,54 @@ func (d *AnomalyDetector) Push(x float64) (score float64, ok bool) {
 	if sigma >= zNormEps {
 		z = (x - d.norm.Mean()) / sigma
 	}
-	sym := d.sax.Symbol(z)
-
-	w, g := d.cfg.Window, d.cfg.Gram
-	d.ring[d.head] = sym
-	d.head = (d.head + 1) % len(d.ring)
+	d.ring[uint(d.seen)&d.mask] = uint8(d.sax.Symbol(z))
 	d.seen++
 
-	switch {
-	case d.seen < uint64(2*w):
+	switch warm := uint64(2 * d.cfg.Window); {
+	case d.seen < warm:
 		return 0, false
-	case d.seen == uint64(2*w):
+	case d.seen == warm:
 		d.rebuild()
 	default:
-		// The windows slid by one symbol. In ages relative to the new
-		// newest symbol (age 0), the lead window covers ages [0, W-1] and
-		// contains grams at ages [0, W-g]; the lag window covers
-		// [W, 2W-1] with grams at ages [W, 2W-g].
-		d.lead.Inc(d.gramAt(0))         // entered lead
-		d.lead.Dec(d.gramAt(w - g + 1)) // left lead
-		d.lag.Inc(d.gramAt(w))          // entered lag
-		d.lag.Dec(d.gramAt(2*w - g + 1) /* left lag */)
+		d.slide()
 	}
-	s, err := BitmapDistance(d.lag, d.lead)
-	if err != nil {
-		// Shapes are fixed at construction; this cannot happen.
-		panic("timeseries: AnomalyDetector: " + err.Error())
+	// BitmapDistance(lag, lead) with its per-call reciprocals hoisted:
+	// the same operations in the same order, so the same bits.
+	lag, lead, inv := d.lag.counts, d.lead.counts, d.inv
+	lead = lead[:len(lag)]
+	var sum float64
+	for i, c := range lag {
+		diff := float64(c)*inv - float64(lead[i])*inv
+		sum += diff * diff
 	}
-	return s, true
+	return math.Sqrt(sum), true
 }
 
-// rebuild recomputes both bitmaps from the ring at first full occupancy.
+// slide moves both windows on by the symbol just written. In ages relative
+// to it (age 0), the lead window covers ages [0, W-1] and contains grams
+// at ages [0, W-g]; the lag window covers [W, 2W-1] with grams at ages
+// [W, 2W-g]. Each bitmap gains one gram and loses one, so both totals stay
+// W-g+1.
+func (d *AnomalyDetector) slide() {
+	w, g := uint(d.cfg.Window), uint(d.cfg.Gram)
+	d.lead.counts[d.cellAt(0)]++      // entered lead
+	d.lead.counts[d.cellAt(w-g+1)]--  // left lead
+	d.lag.counts[d.cellAt(w)]++       // entered lag
+	d.lag.counts[d.cellAt(2*w-g+1)]-- // left lag
+}
+
+// rebuild fills both bitmaps from the ring at first full occupancy; until
+// then they are untouched, so they start empty.
 func (d *AnomalyDetector) rebuild() {
-	w, g := d.cfg.Window, d.cfg.Gram
-	d.lag.Reset()
-	d.lead.Reset()
-	for a := 0; a+g <= w; a++ {
-		d.lead.Inc(d.gramAt(a))
+	w, g := uint(d.cfg.Window), uint(d.cfg.Gram)
+	for a := uint(0); a+g <= w; a++ {
+		d.lead.counts[d.cellAt(a)]++
 	}
 	for a := w; a+g <= 2*w; a++ {
-		d.lag.Inc(d.gramAt(a))
+		d.lag.counts[d.cellAt(a)]++
 	}
+	d.lead.total = int(w - g + 1)
+	d.lag.total = int(w - g + 1)
 }
 
 // Scores runs the detector over a whole series and returns one score per

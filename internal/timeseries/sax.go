@@ -3,7 +3,6 @@ package timeseries
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -94,13 +93,20 @@ func (s *SAX) Alphabet() int { return s.alphabet }
 
 // Symbol maps one (already normalized) value to its symbol in [0, a).
 func (s *SAX) Symbol(x float64) int {
-	// sort.SearchFloat64s returns the first breakpoint >= x; symbols cover
-	// (bp[i-1], bp[i]], so search for the first breakpoint >= x.
-	i := sort.SearchFloat64s(s.breakpoints, x)
 	// NaN sorts nowhere useful; clamp it to the middle symbol so corrupt
 	// samples do not bias the extremes.
 	if math.IsNaN(x) {
 		return s.alphabet / 2
+	}
+	// Symbols cover (bp[i-1], bp[i]], so x's symbol is the index of the
+	// first breakpoint >= x: the number of breakpoints below it. Counting
+	// over the sorted breakpoints gives the binary search's answer
+	// without its data-dependent branches.
+	i := 0
+	for _, b := range s.breakpoints {
+		if b < x {
+			i++
+		}
 	}
 	return i
 }
