@@ -13,11 +13,15 @@ import (
 	"repro/internal/record"
 )
 
-// DefaultQueueSize is the bounded emit queue capacity StreamIn uses when a
-// caller enables queueing without choosing a size (and the capacity Node
-// configures for hosted segments). It decouples the network reader from a
-// slow operator chain and makes the backlog observable as a queue depth.
+// DefaultQueueSize is the emit-queue capacity, in records across the
+// queued runs, Node configures for hosted segments' streamins. It decouples
+// the network reader from a slow operator chain and makes the backlog
+// observable as a queue depth.
 const DefaultQueueSize = 256
+
+// runCap caps a run, the unit StreamIn hands downstream: the records of
+// one decoded wire batch, cut into runs of at most this many.
+const runCap = 64
 
 // netReadBuffer sizes the record reader's buffer to swallow a full
 // upstream batch per syscall. A byte-bound batch can exceed MaxBytes by
@@ -29,7 +33,7 @@ const netReadBuffer = record.DefaultMaxBatchBytes + 64<<10
 // StreamOut is a Sink that writes records to a downstream host over TCP,
 // the streamout operator of the paper. Records are framed through a
 // record.BatchWriter: with the default per-record policy every Consume
-// flushes immediately; a batching policy (SetFlushPolicy) coalesces
+// flushes immediately; a batching policy (NewStreamOutBatched) coalesces
 // records into one network write per batch, cutting syscall overhead on
 // the hot path while a background timer bounds how long a record may wait.
 //
@@ -64,9 +68,6 @@ type StreamOut struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// done caches ctx.Done() so the per-record liveness check is one
-	// channel poll instead of a mutex acquire inside cancelCtx.Err.
-	done <-chan struct{}
 
 	// timerMu guards the armed flag and stall backoff of the on-demand
 	// delay-flush timer. It nests inside writeMu and is never held across
@@ -77,8 +78,7 @@ type StreamOut struct {
 	timer      *time.Timer
 	timerArmed atomic.Bool   // read lock-free on the Consume fast path
 	timerStall time.Duration // re-arm backoff while writeMu is contended
-	// maxDelay mirrors the policy's MaxDelay; written only at
-	// construction / SetFlushPolicy (before traffic).
+	// maxDelay mirrors the policy's MaxDelay, fixed at construction.
 	maxDelay time.Duration
 
 	// Backoff bounds for redial attempts.
@@ -110,7 +110,6 @@ func NewStreamOutBatched(addr string, policy record.BatchConfig) *StreamOut {
 		addr:              addr,
 		redirected:        make(chan struct{}),
 		ctx:               ctx,
-		done:              ctx.Done(),
 		cancel:            cancel,
 		minBackoff:        10 * time.Millisecond,
 		maxBackoff:        2 * time.Second,
@@ -118,22 +117,8 @@ func NewStreamOutBatched(addr string, policy record.BatchConfig) *StreamOut {
 	}
 }
 
-// SetFlushPolicy replaces the flush policy. It must be called before the
-// first Consume; changing policy mid-stream would race the flush paths.
-func (s *StreamOut) SetFlushPolicy(policy record.BatchConfig) {
-	s.writeMu.Lock()
-	defer s.writeMu.Unlock()
-	s.bw = record.NewBatchWriter(nil, policy)
-	s.maxDelay = s.bw.Config().MaxDelay
-	s.bw.SetTimerDriven(s.maxDelay > 0)
-}
-
 // Name implements Sink.
-func (s *StreamOut) Name() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return "streamout(" + s.addr + ")"
-}
+func (s *StreamOut) Name() string { return "streamout(" + s.Target() + ")" }
 
 // RecordsOut returns the number of records flushed to the network.
 func (s *StreamOut) RecordsOut() uint64 { return s.bw.Count() }
@@ -340,7 +325,7 @@ func (s *StreamOut) Consume(r *record.Record) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	select {
-	case <-s.done:
+	case <-s.ctx.Done():
 		return ErrStopped
 	default:
 	}
@@ -531,26 +516,27 @@ func (s *StreamOut) dropConnLocked() {
 // StreamIn synthesizes BadCloseScope records so downstream operators can
 // resynchronize, then waits for the next connection.
 //
-// With QueueSize > 0 records pass through a bounded emit queue that
-// decouples the network reader from the downstream chain; QueueDepth
-// exposes the backlog as the saturation gauge backpressure-aware placement
-// feeds on. Transient Accept errors (file-descriptor pressure, aborted
-// handshakes) are retried with a short backoff instead of tearing the
-// pipeline down.
+// Records travel downstream in runs: the records of one decoded wire
+// batch, at most runCap of them, stamped with one ingress time. With
+// QueueSize > 0 the runs pass through a bounded emit queue that decouples
+// the network reader from the downstream chain; QueueDepth exposes the
+// backlog as the saturation gauge backpressure-aware placement feeds on.
+// Transient Accept errors (file-descriptor pressure, aborted handshakes)
+// are retried with a short backoff instead of tearing the pipeline down.
 type StreamIn struct {
 	ln     net.Listener
 	ctx    context.Context
 	cancel context.CancelFunc
-	// done caches ctx.Done() so the per-record liveness check is one
-	// channel poll instead of a mutex acquire inside cancelCtx.Err.
-	done <-chan struct{}
 
-	mu      sync.Mutex
-	conns   uint64              // accepted connections
-	bad     uint64              // BadCloseScope records synthesized
-	queue   chan *record.Record // live emit queue while Run uses one
-	peak    atomic.Int64        // high-water mark of the emit queue
-	corrupt atomic.Uint64       // corrupt v2 batches dropped by the decoder
+	conns   atomic.Uint64 // accepted connections
+	bad     atomic.Uint64 // BadCloseScope records synthesized
+	qcap    atomic.Int64  // QueueSize while Run runs a queue, else 0
+	depth   atomic.Int64  // records across the queued runs
+	peak    atomic.Int64  // high-water mark of depth
+	corrupt atomic.Uint64 // corrupt v2 batches dropped by the decoder
+
+	runLen int                   // run length cap, set by Run
+	free   chan []*record.Record // recycled run buffers, made by Run
 
 	// MaxConns, when positive, stops the source cleanly after that many
 	// upstream connections have been served (used by finite pipelines and
@@ -563,8 +549,9 @@ type StreamIn struct {
 	IdleTimeout time.Duration
 
 	// QueueSize, when positive, bounds the emit queue between the network
-	// reader and the downstream emitter. 0 emits directly (no queue).
-	// Set before Run.
+	// reader and the downstream emitter, counted in records across the
+	// queued runs: the reader blocks while the next run would overflow it.
+	// 0 emits directly (no queue). Set before Run.
 	QueueSize int
 
 	// Pooled, when true, decodes records into pool-backed storage
@@ -605,30 +592,21 @@ func (s *StreamIn) RecyclesRecords() bool { return s.Pooled }
 func (s *StreamIn) Addr() string { return s.ln.Addr().String() }
 
 // Connections returns the number of upstream connections served.
-func (s *StreamIn) Connections() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.conns
-}
+func (s *StreamIn) Connections() uint64 { return s.conns.Load() }
 
 // BadCloses returns the number of BadCloseScope records synthesized to
 // repair streams from failed upstreams.
-func (s *StreamIn) BadCloses() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bad
-}
+func (s *StreamIn) BadCloses() uint64 { return s.bad.Load() }
 
-// QueueDepth returns the current emit-queue backlog and its capacity
+// QueueDepth returns the emit-queue backlog — the records across the
+// queued runs, never more than the capacity — and its capacity QueueSize
 // (0, 0 when no queue is running). This is the saturation signal node
 // heartbeats carry to the coordinator.
 func (s *StreamIn) QueueDepth() (depth, capacity int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.queue == nil {
-		return 0, 0
+	if c := s.qcap.Load(); c > 0 {
+		return int(s.depth.Load()), int(c)
 	}
-	return len(s.queue), cap(s.queue)
+	return 0, 0
 }
 
 // QueuePeak returns the high-water mark the emit queue has reached since
@@ -655,87 +633,109 @@ func (s *StreamIn) Close() error {
 }
 
 // Run implements Source: it accepts connections and forwards their records
-// until Close (or MaxConns/IdleTimeout). With QueueSize > 0 a drain
-// goroutine emits from the bounded queue while the network reader fills
-// it.
+// until Close (or MaxConns/IdleTimeout). Without a queue the reader walks
+// each run through out itself; with one, a drain goroutine walks the runs
+// the reader queues.
 func (s *StreamIn) Run(out Emitter) error {
-	emit := out
-	var q chan *record.Record
-	var drainWG sync.WaitGroup
+	if s.QueueSize <= 0 {
+		s.runLen, s.free = runCap, make(chan []*record.Record, 1)
+		return s.acceptLoop(func(run []*record.Record) error { return s.walk(run, out) })
+	}
+	// Every queued run holds a record, so no channel below holds more runs
+	// than the queue holds records, plus one being walked and one filling.
+	size := int64(s.QueueSize)
+	s.runLen, s.free = min(runCap, s.QueueSize), make(chan []*record.Record, s.QueueSize+2)
+	q := make(chan []*record.Record, s.QueueSize)
+	room := make(chan struct{}, 1) // poked after every dequeue
+	drained := make(chan struct{})
 	var drainErr error
-	drainDead := make(chan struct{})
-	if s.QueueSize > 0 {
-		q = make(chan *record.Record, s.QueueSize)
-		s.mu.Lock()
-		s.queue = q
-		s.mu.Unlock()
-		drainWG.Add(1)
-		go func() {
-			defer drainWG.Done()
-			for r := range q {
-				if drainErr != nil {
-					if s.Pooled {
-						record.Release(r)
-					}
-					continue // discard so the reader side never blocks
-				}
-				if err := out.Emit(r); err != nil {
-					drainErr = err
-					close(drainDead)
-				}
-			}
-		}()
-		emit = EmitterFunc(func(r *record.Record) error {
-			// Check for a dead drain first: once the downstream has
-			// failed, every enqueue must surface the error immediately
-			// rather than racing against the (always-ready) queue and
-			// silently discarding records.
+	s.qcap.Store(size)
+	defer s.qcap.Store(0)
+	go func() {
+		defer close(drained)
+		for run := range q {
+			s.depth.Add(-int64(len(run)))
 			select {
-			case <-drainDead:
-				return drainErr
+			case room <- struct{}{}:
 			default:
 			}
+			if drainErr != nil {
+				s.discard(run)
+			} else if drainErr = s.walk(run, out); drainErr != nil {
+				s.cancel() // stop the reader; what it still queues is discarded
+			}
+		}
+	}()
+
+	err := s.acceptLoop(func(run []*record.Record) error {
+		// Only this goroutine adds to depth, so room seen stays room.
+		for n := int64(len(run)); s.depth.Load()+n > size; {
 			select {
-			case q <- r:
-				// CAS-max the high-water mark; len(q) right after a
-				// successful enqueue includes this record.
-				if d := int64(len(q)); d > s.peak.Load() {
-					for {
-						old := s.peak.Load()
-						if d <= old || s.peak.CompareAndSwap(old, d) {
-							break
-						}
-					}
-				}
-				return nil
-			case <-drainDead:
-				return drainErr
+			case <-room:
 			case <-s.ctx.Done():
+				s.discard(run)
 				return ErrStopped
 			}
-		})
-	}
-
-	err := s.acceptLoop(emit)
-
-	if q != nil {
-		close(q)
-		drainWG.Wait()
-		s.mu.Lock()
-		s.queue = nil
-		s.mu.Unlock()
-		if err == nil && drainErr != nil && !errors.Is(drainErr, ErrStopped) {
-			err = drainErr
 		}
+		d := s.depth.Add(int64(len(run)))
+		for p := s.peak.Load(); d > p && !s.peak.CompareAndSwap(p, d); p = s.peak.Load() {
+		}
+		q <- run
+		return nil
+	})
+	close(q)
+	<-drained
+	if drainErr != nil && !errors.Is(drainErr, ErrStopped) {
+		return drainErr
 	}
 	return err
+}
+
+// walk emits a run's records to out in order, discarding the rest of the
+// run when out fails, and recycles the run.
+func (s *StreamIn) walk(run []*record.Record, out Emitter) error {
+	defer s.recycle(run)
+	for i, r := range run {
+		if err := out.Emit(r); err != nil {
+			s.discard(run[i+1:])
+			return err
+		}
+	}
+	return nil
+}
+
+// discard releases the records of a run that will not be emitted.
+func (s *StreamIn) discard(run []*record.Record) {
+	if s.Pooled {
+		for _, r := range run {
+			record.Release(r)
+		}
+	}
+}
+
+// recycle returns a run's buffer to the free list; newRun takes one.
+func (s *StreamIn) recycle(run []*record.Record) {
+	clear(run)
+	select {
+	case s.free <- run[:0]:
+	default:
+	}
+}
+
+func (s *StreamIn) newRun() []*record.Record {
+	select {
+	case run := <-s.free:
+		return run
+	default:
+		return make([]*record.Record, 0, s.runLen)
+	}
 }
 
 // acceptLoop serves upstream connections sequentially until the source
 // stops. Transient accept failures back off and retry rather than killing
 // the pipeline; only a closed listener (without Close having been called)
 // is fatal.
-func (s *StreamIn) acceptLoop(out Emitter) error {
+func (s *StreamIn) acceptLoop(put func(run []*record.Record) error) error {
 	served := 0
 	backoff := 10 * time.Millisecond
 	const maxAcceptBackoff = time.Second
@@ -780,35 +780,28 @@ func (s *StreamIn) acceptLoop(out Emitter) error {
 		}
 		backoff = 10 * time.Millisecond
 		served++
-		s.mu.Lock()
-		s.conns++
-		s.mu.Unlock()
-		if err := s.serveConn(conn, out); err != nil {
+		s.conns.Add(1)
+		if err := s.serveConn(conn, put); err != nil {
 			return err
 		}
 	}
 }
 
-// serveConn drains one upstream connection, repairing scope structure if
-// the upstream dies mid-scope.
-func (s *StreamIn) serveConn(conn net.Conn, out Emitter) error {
+// serveConn decodes one upstream connection into runs and hands each to
+// put, which takes ownership of it. When the upstream dies mid-scope the
+// open scopes are closed with BadCloseScope repairs.
+func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error) error {
 	defer conn.Close()
 	// Close the connection when the source is stopped so the blocking
 	// read below unblocks.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-s.ctx.Done():
-			_ = conn.Close()
-		case <-stop:
-		}
-	}()
+	stop := context.AfterFunc(s.ctx, func() { _ = conn.Close() })
+	defer stop()
 
 	tracker := record.NewTracker()
 	rd := record.NewReaderSize(conn, netReadBuffer)
 	rd.SetPooled(s.Pooled)
 	var seenCorrupt uint64
+	run := s.newRun()
 	for {
 		rec, err := rd.Read()
 		if c := rd.CorruptBatches(); c != seenCorrupt {
@@ -816,17 +809,15 @@ func (s *StreamIn) serveConn(conn net.Conn, out Emitter) error {
 			seenCorrupt = c
 		}
 		if err != nil {
-			clean := errors.Is(err, io.EOF) && tracker.Depth() == 0
-			if !clean {
+			if !errors.Is(err, io.EOF) || tracker.Depth() != 0 {
 				// Upstream terminated unexpectedly (mid-record, or
 				// mid-scope): close all open scopes so downstream state
-				// resynchronizes at a scope boundary.
+				// resynchronizes at a scope boundary. Each repair is a
+				// run of its own, so no run outgrows a small queue.
 				for _, bc := range tracker.CloseAll() {
-					s.mu.Lock()
-					s.bad++
-					s.mu.Unlock()
-					if eerr := out.Emit(bc); eerr != nil {
-						return eerr
+					s.bad.Add(1)
+					if err := put(append(s.newRun(), bc)); err != nil {
+						return err
 					}
 				}
 			}
@@ -838,14 +829,22 @@ func (s *StreamIn) serveConn(conn net.Conn, out Emitter) error {
 			if s.Pooled {
 				record.Release(rec)
 			}
-			continue
+		} else {
+			run = append(run, rec)
 		}
-		// Ingress stamp for the latency tracer: time spent from here to
-		// the hosting pipeline's sink stage is this unit's latency. The
-		// stamp is in-memory only and never re-encoded.
-		rec.IngressNanos = time.Now().UnixNano()
-		if err := out.Emit(rec); err != nil {
-			return err
+		// Cut the run before the next Read can block on the network.
+		if len(run) == s.runLen || (len(run) > 0 && rd.BatchLeft() == 0) {
+			// Ingress stamp for the latency tracer, one clock read per
+			// run: time from here to the hosting pipeline's sink stage is
+			// this unit's latency. The stamp is in-memory only.
+			now := time.Now().UnixNano()
+			for _, r := range run {
+				r.IngressNanos = now
+			}
+			if err := put(run); err != nil {
+				return err
+			}
+			run = s.newRun()
 		}
 	}
 }

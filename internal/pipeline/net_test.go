@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -91,58 +92,65 @@ func TestStreamOutToStreamIn(t *testing.T) {
 }
 
 func TestStreamInRepairsKilledUpstream(t *testing.T) {
-	in, err := NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	in.MaxConns = 1
-	col := &emitCollector{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if err := in.Run(col); err != nil {
-			t.Errorf("streamin: %v", err)
-		}
-	}()
+	// Queue size 1 is smaller than the repair: each repair record must
+	// travel as a run of its own.
+	for _, queue := range []int{0, 1} {
+		t.Run(fmt.Sprintf("queue %d", queue), func(t *testing.T) {
+			in, err := NewStreamIn("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			in.MaxConns = 1
+			in.QueueSize = queue
+			col := &emitCollector{}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if err := in.Run(col); err != nil {
+					t.Errorf("streamin: %v", err)
+				}
+			}()
 
-	// Upstream opens nested scopes, sends data, then dies without closing.
-	conn, err := net.Dial("tcp", in.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := record.NewWriter(conn)
-	sess := record.NewOpenScope(record.ScopeSession, 0)
-	mustWrite(t, w, sess)
-	clip := record.NewOpenScope(record.ScopeClip, 1)
-	mustWrite(t, w, clip)
-	data := record.NewData(record.SubtypeAudio)
-	data.SetFloat64s([]float64{42})
-	mustWrite(t, w, data)
-	conn.Close() // abrupt death mid-scope
-	<-done
+			// Upstream opens nested scopes, sends data, then dies without closing.
+			conn, err := net.Dial("tcp", in.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := record.NewWriter(conn)
+			sess := record.NewOpenScope(record.ScopeSession, 0)
+			mustWrite(t, w, sess)
+			clip := record.NewOpenScope(record.ScopeClip, 1)
+			mustWrite(t, w, clip)
+			data := record.NewData(record.SubtypeAudio)
+			data.SetFloat64s([]float64{42})
+			mustWrite(t, w, data)
+			conn.Close() // abrupt death mid-scope
+			<-done
 
-	got := col.snapshot()
-	if len(got) != 5 {
-		t.Fatalf("got %d records, want 5 (2 opens + data + 2 bad closes)", len(got))
-	}
-	if got[3].Kind != record.KindBadCloseScope || got[3].ScopeType != record.ScopeClip || got[3].Scope != 1 {
-		t.Errorf("first repair record = %s", got[3])
-	}
-	if got[4].Kind != record.KindBadCloseScope || got[4].ScopeType != record.ScopeSession || got[4].Scope != 0 {
-		t.Errorf("second repair record = %s", got[4])
-	}
-	if in.BadCloses() != 2 {
-		t.Errorf("BadCloses = %d, want 2", in.BadCloses())
-	}
-	// The repaired stream must be structurally valid end to end.
-	tr := record.NewTracker()
-	for i, r := range got {
-		if err := tr.Observe(r); err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-	}
-	if tr.Depth() != 0 {
-		t.Errorf("depth after repair = %d", tr.Depth())
+			got := col.snapshot()
+			if len(got) != 5 {
+				t.Fatalf("got %d records, want 5 (2 opens + data + 2 bad closes)", len(got))
+			}
+			if got[3].Kind != record.KindBadCloseScope || got[3].ScopeType != record.ScopeClip || got[3].Scope != 1 {
+				t.Errorf("first repair record = %s", got[3])
+			}
+			if got[4].Kind != record.KindBadCloseScope || got[4].ScopeType != record.ScopeSession || got[4].Scope != 0 {
+				t.Errorf("second repair record = %s", got[4])
+			}
+			if in.BadCloses() != 2 {
+				t.Errorf("BadCloses = %d, want 2", in.BadCloses())
+			}
+			// The repaired stream must be structurally valid end to end.
+			tr := record.NewTracker()
+			for i, r := range got {
+				if err := tr.Observe(r); err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+			}
+			if tr.Depth() != 0 {
+				t.Errorf("depth after repair = %d", tr.Depth())
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -286,6 +287,75 @@ func TestStreamInQueueDepthGauge(t *testing.T) {
 	<-done
 	if d, c := in.QueueDepth(); d != 0 || c != 0 {
 		t.Errorf("gauge after Run = %d/%d, want 0/0", d, c)
+	}
+}
+
+// TestStreamInRunQueueBounds feeds a default-sized queue from a batched
+// upstream (runs of up to runCap records) into a stalled emitter: the
+// record-counted depth must fill to within one run of the bound without
+// ever passing it, drain to zero once the emitter resumes, and every
+// record must carry its run's ingress stamp.
+func TestStreamInRunQueueBounds(t *testing.T) {
+	in, err := NewStreamIn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.QueueSize = DefaultQueueSize
+	in.MaxConns = 1
+	var unstamped atomic.Int64
+	be := &blockingEmitter{release: make(chan struct{}), inner: newSeqCollector()}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err := in.Run(EmitterFunc(func(r *record.Record) error {
+			if r.IngressNanos == 0 {
+				unstamped.Add(1)
+			}
+			return be.Emit(r)
+		}))
+		if err != nil {
+			t.Errorf("streamin: %v", err)
+		}
+	}()
+
+	out := NewStreamOutBatched(in.Addr(), record.DefaultBatchConfig())
+	defer out.Close()
+	const n = 4 * DefaultQueueSize
+	sendDone := make(chan error, 1)
+	go func() {
+		for seq := uint64(0); seq < n; seq++ {
+			if err := out.Consume(seqData(seq)); err != nil {
+				sendDone <- err
+				return
+			}
+		}
+		sendDone <- out.Flush()
+	}()
+	waitFor(t, 5*time.Second, "queue filled to within one run of its bound", func() bool {
+		d, c := in.QueueDepth()
+		if c != 0 && (c != in.QueueSize || d > c) { // 0/0 until Run installs the queue
+			t.Fatalf("gauge %d/%d, want depth <= cap == QueueSize %d", d, c, in.QueueSize)
+		}
+		return c != 0 && d >= in.QueueSize-runCap
+	})
+	close(be.release)
+	if err := <-sendDone; err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	waitFor(t, 5*time.Second, "queue drained to the emitter", func() bool {
+		d, _ := in.QueueDepth()
+		return be.inner.count() == n && d == 0
+	})
+	out.Close()
+	<-done
+	if d, c := in.QueueDepth(); d != 0 || c != 0 {
+		t.Errorf("gauge after Run = %d/%d, want 0/0", d, c)
+	}
+	if p := in.QueuePeak(); p > in.QueueSize || p < in.QueueSize-runCap {
+		t.Errorf("queue peak %d, want within [%d, %d]", p, in.QueueSize-runCap, in.QueueSize)
+	}
+	if u := unstamped.Load(); u != 0 {
+		t.Errorf("%d records reached the emitter without an ingress stamp", u)
 	}
 }
 

@@ -277,7 +277,8 @@ type SegmentStats struct {
 	// treat it as a coarse signal — QueueDepth is the saturation gauge.
 	Lag uint64
 	// QueueDepth/QueueCap expose the streamin emit-queue backlog and its
-	// bound; depth near cap means the operator chain is saturated.
+	// bound, both in records across the queued runs; depth near cap means
+	// the operator chain is saturated.
 	// QueuePeak is the backlog's high-water mark since the instance
 	// started — it catches transient saturation the instantaneous depth
 	// snapshot misses.
@@ -520,9 +521,9 @@ func (n *Node) Stop(segName string) error {
 	}
 	closeEndpoint(h.src)
 	h.cancel()
-	// Close the sink too: a sink goroutine stuck redialling an
-	// unreachable downstream only watches the StreamOut's own context, so
-	// without this the pipeline never unwinds and Stop hangs.
+	// Close the sink too: a Consume stuck redialling an unreachable
+	// downstream only watches the StreamOut's own context, so without
+	// this the pipeline never unwinds and Stop hangs.
 	closeEndpoint(h.sink)
 	<-h.done
 	return h.err

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -258,5 +260,52 @@ func TestMoveWhileMidScope(t *testing.T) {
 	}
 	if !sawBadClose {
 		t.Error("expected a BadCloseScope repair record")
+	}
+}
+
+// bomb forwards records until one carries the value 666, then fails.
+type bomb struct{}
+
+func (bomb) Name() string { return "bomb" }
+
+func (bomb) Process(r *record.Record, out Emitter) error {
+	if v, err := r.Float64s(); err == nil && len(v) > 0 && v[0] == 666 {
+		return errors.New("bomb triggered")
+	}
+	return out.Emit(r)
+}
+
+// TestHostedOperatorFailureStopsUnit detonates an operator behind a
+// queued pooled streamin and sends nothing more: the failure must not wait
+// for the next record to surface. The unit reports itself failed with the
+// operator's error and its listener closes.
+func TestHostedOperatorFailureStopsUnit(t *testing.T) {
+	reg := NewRegistry()
+	reg.Register("bomb", func() []Operator { return []Operator{bomb{}} })
+	node := NewNode("host-a", reg)
+	defer node.StopAll()
+	termAddr, _, _ := startTerminal(t, 0)
+	addr, err := node.Host("seg", "bomb", "127.0.0.1:0", termAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := NewStreamOut(addr)
+	defer up.Close()
+	for _, v := range []float64{1, 2, 666} {
+		r := record.NewData(record.SubtypeAudio)
+		r.SetFloat64s([]float64{v})
+		if err := up.Consume(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The upstream connection stays open and idle from here on.
+	want := (&OperatorError{Op: "bomb", Err: errors.New("bomb triggered")}).Error()
+	waitFor(t, time.Second, "unit reported failed", func() bool {
+		st := node.Stats()
+		return len(st) == 1 && st[0].Failed && st[0].Err == want
+	})
+	if c, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		c.Close()
+		t.Fatalf("failed unit's listener %s still accepts connections", addr)
 	}
 }

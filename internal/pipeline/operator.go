@@ -35,9 +35,9 @@ func (f EmitterFunc) Emit(r *record.Record) error { return f(r) }
 
 // Operator transforms a record stream. Process is called once per input
 // record; an operator may emit zero, one or many records per input.
-// Operators are driven by a single goroutine per segment, so Process
-// implementations do not need internal locking, but an operator instance
-// must not be shared between segments.
+// A segment never calls Process concurrently, so implementations do not
+// need internal locking, but an operator instance must not be shared
+// between segments.
 type Operator interface {
 	// Name identifies the operator in topology listings and errors.
 	Name() string

@@ -121,15 +121,16 @@ func wrapOpErr(op Operator, err error) error {
 	return &OperatorError{Op: op.Name(), Err: err}
 }
 
-// Pipeline composes a source, segments and a sink in-process. Adjacent
-// stages are connected by channels; every stage runs on its own goroutine
-// so segments execute concurrently, mirroring the paper's distribution of
-// record processing across resources.
+// Pipeline composes a source, segments and a sink in-process. The first
+// segment runs to completion inside the source's Emit; each later segment
+// runs on its own goroutine behind a channel, mirroring the paper's
+// distribution of record processing across resources, and the last stage
+// hands records straight to the sink. A hosted unit (one segment between a
+// streamin and a streamout) thus has no stage hand-off at all.
 type Pipeline struct {
 	source   Source
 	segments []*Segment
 	sink     Sink
-	buffer   int
 
 	// Tracer, when set, observes every record as it reaches the sink
 	// stage, recording unit and end-to-end latency (see LatencyTracer).
@@ -139,7 +140,7 @@ type Pipeline struct {
 
 // New returns an empty pipeline. Stages are added with SetSource,
 // Append and SetSink, then executed with Run.
-func New() *Pipeline { return &Pipeline{buffer: 1} }
+func New() *Pipeline { return &Pipeline{} }
 
 // SetSource sets the record producer.
 func (p *Pipeline) SetSource(src Source) *Pipeline {
@@ -205,12 +206,6 @@ func (p *Pipeline) Run(parent context.Context) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	nStages := len(p.segments)
-	chans := make([]chan *record.Record, nStages+1)
-	for i := range chans {
-		chans[i] = make(chan *record.Record, p.buffer)
-	}
-
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
@@ -223,85 +218,99 @@ func (p *Pipeline) Run(parent context.Context) error {
 			cancel()
 		})
 	}
-
-	// Source stage: stamps sequence numbers — unless the source relays
-	// records that were already sequenced upstream (a streamin feeding a
-	// replica leg must preserve the splitter's tags).
-	preserve := false
-	if sp, ok := p.source.(SeqPreserver); ok {
-		preserve = sp.PreservesSeq()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(chans[0])
-		var seq uint64
-		emit := EmitterFunc(func(r *record.Record) error {
-			if !preserve {
-				r.Seq = seq
-				seq++
-			}
-			return sendCtx(ctx, chans[0], r)
-		})
-		fail(p.source.Run(emit))
-	}()
 	// A source that blocks outside Emit (e.g. a streamin waiting in
-	// Accept) never observes the shutdown a failed stage triggers via
-	// ctx; close it so the source stage can unwind. The deferred cancel
-	// also fires this at Run's return, when the source is spent anyway.
+	// Accept or on its upstream) never observes the shutdown a failed
+	// stage triggers via ctx; close it so Run can unwind (the deferred
+	// cancel fires this too, when the source is spent anyway).
 	if c, ok := p.source.(interface{ Close() error }); ok {
-		go func() {
-			<-ctx.Done()
-			_ = c.Close()
-		}()
+		context.AfterFunc(ctx, func() { _ = c.Close() })
 	}
 
-	// Segment stages.
-	for i, seg := range p.segments {
-		in, outCh := chans[i], chans[i+1]
-		wg.Add(1)
-		go func(seg *Segment) {
-			defer wg.Done()
-			defer close(outCh)
-			out := EmitterFunc(func(r *record.Record) error {
-				return sendCtx(ctx, outCh, r)
-			})
-			fail(seg.RunChannel(ctx, in, out))
-		}(seg)
-	}
-
-	// Sink stage. When the source produces pool-backed records, the sink
-	// stage is the end of the ownership chain: each record is released
-	// back to the pool once Consume returns (hosted sinks copy what they
-	// need synchronously), closing the zero-alloc recycle loop.
+	// The sink ends the ownership chain: a recycling source's records are
+	// released once Consume returns (hosted sinks copy what they need
+	// synchronously). A sink error fails the pipeline before the
+	// operators it unwinds through can claim it.
 	recycle := false
 	if rs, ok := p.source.(RecycledSource); ok {
 		recycle = rs.RecyclesRecords()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
+	var out Emitter = EmitterFunc(func(r *record.Record) error {
+		p.Tracer.Observe(r)
+		err := p.sink.Consume(r)
+		if recycle {
+			record.Release(r)
+		}
+		if err != nil {
+			err = fmt.Errorf("sink %s: %w", p.sink.Name(), err)
+			fail(err)
+		}
+		return err
+	})
+
+	// Segments after the first, built back to front: each is fed by a
+	// channel and closes its successor's.
+	var next chan *record.Record
+	for i := len(p.segments) - 1; i > 0; i-- {
+		seg, in, segOut, closeOut := p.segments[i], make(chan *record.Record, 1), out, next
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if closeOut != nil {
+				defer close(closeOut)
+			}
+			fail(seg.RunChannel(ctx, in, segOut))
+		}()
+		out = EmitterFunc(func(r *record.Record) error {
 			select {
 			case <-ctx.Done():
-				return
-			case r, ok := <-chans[nStages]:
-				if !ok {
-					return
-				}
-				p.Tracer.Observe(r)
-				err := p.sink.Consume(r)
-				if recycle {
-					record.Release(r)
-				}
-				if err != nil {
-					fail(fmt.Errorf("sink %s: %w", p.sink.Name(), err))
-					return
-				}
+				return ErrStopped
+			case in <- r:
+				return nil
 			}
-		}
-	}()
+		})
+		next = in
+	}
 
+	// The source stage stamps sequence numbers — unless the source relays
+	// records already sequenced upstream (a streamin feeding a replica leg
+	// must preserve the splitter's tags) — and runs the first segment.
+	preserve := false
+	if sp, ok := p.source.(SeqPreserver); ok {
+		preserve = sp.PreservesSeq()
+	}
+	head, first := out, (*Segment)(nil)
+	if len(p.segments) > 0 {
+		first = p.segments[0]
+		head = first.chainEmitter(0, out)
+	}
+	done := ctx.Done()
+	var seq uint64
+	err := p.source.Run(EmitterFunc(func(r *record.Record) error {
+		select {
+		case <-done:
+			return ErrStopped
+		default:
+		}
+		if !preserve {
+			r.Seq = seq
+			seq++
+		}
+		if first != nil {
+			first.processed.Add(1)
+		}
+		err := head.Emit(r)
+		// Fail now, not when Run returns: a queued source holds the error
+		// until its reader next enqueues, which may be never.
+		fail(err)
+		return err
+	}))
+	if err == nil && first != nil && ctx.Err() == nil {
+		err = first.flush(out)
+	}
+	fail(err)
+	if next != nil {
+		close(next)
+	}
 	wg.Wait()
 	if firstErr != nil {
 		return firstErr
@@ -313,13 +322,4 @@ func (p *Pipeline) Run(parent context.Context) error {
 		return err
 	}
 	return nil
-}
-
-func sendCtx(ctx context.Context, ch chan<- *record.Record, r *record.Record) error {
-	select {
-	case <-ctx.Done():
-		return ErrStopped
-	case ch <- r:
-		return nil
-	}
 }

@@ -213,6 +213,12 @@ func (r *Reader) Count() uint64 { return r.n }
 // frames), counted once per stretch.
 func (r *Reader) CorruptBatches() uint64 { return r.corrupt }
 
+// BatchLeft returns how many records of the open batch Read has yet to
+// hand out. While it is positive the next Read decodes from memory and
+// cannot block; at 0 the next Read starts a new frame, so a consumer
+// grouping records into per-batch runs cuts its run there.
+func (r *Reader) BatchLeft() int { return r.batchLeft }
+
 // Read decodes the next record. It returns io.EOF at a clean end of stream
 // and io.ErrUnexpectedEOF if the stream ends mid-record.
 func (r *Reader) Read() (*Record, error) {

@@ -68,7 +68,54 @@ func FuzzReader(f *testing.F) {
 				}
 			}
 		}
+		for _, strict := range []bool{false, true} {
+			want, wantCorrupt := decodeAll(data, strict)
+			got, gotCorrupt := decodeRuns(t, data, strict, 3)
+			if len(got) != len(want) || gotCorrupt != wantCorrupt {
+				t.Fatalf("strict=%v: run-wise decode gave %d records, %d corrupt; record-wise %d, %d",
+					strict, len(got), gotCorrupt, len(want), wantCorrupt)
+			}
+			for i := range want {
+				sameRecord(t, got[i], want[i], i)
+			}
+		}
 	})
+}
+
+// decodeAll reads data record by record until the first error.
+func decodeAll(data []byte, strict bool) ([]*Record, uint64) {
+	rd := NewReaderSize(bytes.NewReader(data), 512)
+	rd.SetStrict(strict)
+	var out []*Record
+	for r, err := rd.Read(); err == nil; r, err = rd.Read() {
+		out = append(out, r)
+	}
+	return out, rd.CorruptBatches()
+}
+
+// decodeRuns reads data the way a batch-granular consumer does: a run is
+// the records of one open batch, cut when BatchLeft reaches 0 or the run
+// holds runCap records. A Read issued while BatchLeft is positive must
+// succeed and consume exactly one record of the batch.
+func decodeRuns(t *testing.T, data []byte, strict bool, runCap int) ([]*Record, uint64) {
+	rd := NewReaderSize(bytes.NewReader(data), 512)
+	rd.SetStrict(strict)
+	var out []*Record
+	for {
+		r, err := rd.Read()
+		if err != nil {
+			return out, rd.CorruptBatches()
+		}
+		out = append(out, r)
+		for n := 1; n < runCap && rd.BatchLeft() > 0; n++ {
+			left := rd.BatchLeft()
+			r, err := rd.Read()
+			if err != nil || rd.BatchLeft() != left-1 {
+				t.Fatalf("read inside an open batch (%d left): err=%v, %d left after", left, err, rd.BatchLeft())
+			}
+			out = append(out, r)
+		}
+	}
 }
 
 func FuzzBatchRoundTrip(f *testing.F) {

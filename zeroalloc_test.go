@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/record"
 	"repro/internal/replica"
@@ -88,6 +89,75 @@ func TestStreamOutConsumeZeroAlloc(t *testing.T) {
 	<-drained
 	if perRecord := allocs / zeroAllocBurst; perRecord > 0.01 {
 		t.Fatalf("StreamOut.Consume allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
+	}
+}
+
+// TestHostedUnitZeroAlloc pins one hosted hop end to end: a batched
+// streamout feeding a relay unit hosted by Node.Host (pooled run queue,
+// the operator chain and the streamout run to completion on the drain
+// goroutine), whose batched streamout feeds a pooled terminal streamin
+// and a releasing sink. Once the pools, run buffers and batch buffers
+// have reached their working size, no record allocates.
+func TestHostedUnitZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under -race; pooled paths allocate by design")
+	}
+	term, err := pipeline.NewStreamIn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	term.QueueSize = pipeline.DefaultQueueSize
+	term.Pooled = true
+	var emitted atomic.Uint64
+	runDone := make(chan error, 1)
+	go func() {
+		runDone <- term.Run(pipeline.EmitterFunc(func(r *record.Record) error {
+			emitted.Add(1)
+			record.Release(r)
+			return nil
+		}))
+	}()
+
+	reg := pipeline.NewRegistry()
+	reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
+	node := pipeline.NewNode("za", reg)
+	node.FlushPolicy = zeroAllocFlush()
+	node.Obs = obs.NewRegistry() // every hosted unit traces, as agents run them
+	addr, err := node.Host("relay", "relay", "127.0.0.1:0", term.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := pipeline.NewStreamOutBatched(addr, zeroAllocFlush())
+
+	r := record.NewData(record.SubtypeAudio)
+	r.SetPCM16(make([]int16, 32))
+	var sent uint64
+	burst := func() {
+		for i := 0; i < zeroAllocBurst; i++ {
+			r.Seq++
+			if err := entry.Consume(r); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for emitted.Load() < sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("sink saw %d of %d records", emitted.Load(), sent)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for i := 0; i < zeroAllocRound/zeroAllocBurst; i++ {
+		burst()
+	}
+	allocs := testing.AllocsPerRun(20, burst)
+	_ = entry.Close()
+	_ = node.StopAll()
+	_ = term.Close()
+	<-runDone
+	if perRecord := allocs / zeroAllocBurst; perRecord > 0.01 {
+		t.Fatalf("hosted relay hop allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
 	}
 }
 
