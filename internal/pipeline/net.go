@@ -647,7 +647,7 @@ func (s *StreamIn) Run(out Emitter) error {
 	s.runLen, s.free = min(runCap, s.QueueSize), make(chan []*record.Record, s.QueueSize+2)
 	q := make(chan []*record.Record, s.QueueSize)
 	room := make(chan struct{}, 1) // poked after every dequeue
-	drained := make(chan struct{})
+	drained, dead := make(chan struct{}), make(chan struct{})
 	var drainErr error
 	s.qcap.Store(size)
 	defer s.qcap.Store(0)
@@ -662,12 +662,21 @@ func (s *StreamIn) Run(out Emitter) error {
 			if drainErr != nil {
 				s.discard(run)
 			} else if drainErr = s.walk(run, out); drainErr != nil {
-				s.cancel() // stop the reader; what it still queues is discarded
+				close(dead)
+				s.cancel() // unblock the reader; what it still queues is discarded
 			}
 		}
 	}()
 
 	err := s.acceptLoop(func(run []*record.Record) error {
+		// Once the drain has failed, stop at the next run rather than
+		// queue what the buffered reader still holds.
+		select {
+		case <-dead:
+			s.discard(run)
+			return ErrStopped
+		default:
+		}
 		// Only this goroutine adds to depth, so room seen stays room.
 		for n := int64(len(run)); s.depth.Load()+n > size; {
 			select {

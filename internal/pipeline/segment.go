@@ -10,10 +10,10 @@ import (
 	"repro/internal/record"
 )
 
-// Segment is a named, ordered chain of operators that runs on one
-// goroutine. Segments are the unit of placement: a pipeline is a sequence
-// of segments, each of which may live on a different host, linked by
-// channels in-process or streamin/streamout over the network.
+// Segment is a named, ordered chain of operators. Segments are the unit of
+// placement: a pipeline is a sequence of segments, each of which may live
+// on a different host, linked by direct calls in-process or by
+// streamin/streamout over the network.
 type Segment struct {
 	name string
 	ops  []Operator
@@ -63,33 +63,20 @@ func (s *Segment) chainEmitter(i int, out Emitter) Emitter {
 	})
 }
 
-// RunChannel pumps records from in through the operator chain to out until
-// in closes or an operator fails. On clean end-of-stream each operator's
-// Flush (if implemented) is invoked in order. The context cancels the pump
-// between records.
-func (s *Segment) RunChannel(ctx context.Context, in <-chan *record.Record, out Emitter) error {
+// entry returns an emitter that counts a record into the segment and routes
+// it through the operator chain to out.
+func (s *Segment) entry(out Emitter) Emitter {
 	head := s.chainEmitter(0, out)
-	for {
-		select {
-		case <-ctx.Done():
-			return ErrStopped
-		case r, ok := <-in:
-			if !ok {
-				return s.flush(out)
-			}
-			s.processed.Add(1)
-			if err := head.Emit(r); err != nil {
-				return err
-			}
-		}
-	}
+	return EmitterFunc(func(r *record.Record) error {
+		s.processed.Add(1)
+		return head.Emit(r)
+	})
 }
 
 // ProcessOne pushes a single record through the chain (used by in-process
 // drivers and tests).
 func (s *Segment) ProcessOne(r *record.Record, out Emitter) error {
-	s.processed.Add(1)
-	return s.chainEmitter(0, out).Emit(r)
+	return s.entry(out).Emit(r)
 }
 
 // FlushAll flushes each operator in order into out.
@@ -121,12 +108,12 @@ func wrapOpErr(op Operator, err error) error {
 	return &OperatorError{Op: op.Name(), Err: err}
 }
 
-// Pipeline composes a source, segments and a sink in-process. The first
-// segment runs to completion inside the source's Emit; each later segment
-// runs on its own goroutine behind a channel, mirroring the paper's
-// distribution of record processing across resources, and the last stage
-// hands records straight to the sink. A hosted unit (one segment between a
-// streamin and a streamout) thus has no stage hand-off at all.
+// Pipeline composes a source, segments and a sink in-process. Every record
+// runs to completion inside the source's Emit: through each segment in
+// order and straight into the sink, with no stage hand-off. Segments run
+// concurrently when they are placed on different hosts (or units), joined
+// by streamout/streamin, which is how the paper distributes record
+// processing across resources.
 type Pipeline struct {
 	source   Source
 	segments []*Segment
@@ -206,7 +193,6 @@ func (p *Pipeline) Run(parent context.Context) error {
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
-	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
 	fail := func(err error) {
@@ -247,43 +233,21 @@ func (p *Pipeline) Run(parent context.Context) error {
 		return err
 	})
 
-	// Segments after the first, built back to front: each is fed by a
-	// channel and closes its successor's.
-	var next chan *record.Record
-	for i := len(p.segments) - 1; i > 0; i-- {
-		seg, in, segOut, closeOut := p.segments[i], make(chan *record.Record, 1), out, next
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if closeOut != nil {
-				defer close(closeOut)
-			}
-			fail(seg.RunChannel(ctx, in, segOut))
-		}()
-		out = EmitterFunc(func(r *record.Record) error {
-			select {
-			case <-ctx.Done():
-				return ErrStopped
-			case in <- r:
-				return nil
-			}
-		})
-		next = in
+	// outs[i] feeds segment i; the segments are chained back to front.
+	outs := make([]Emitter, len(p.segments)+1)
+	outs[len(p.segments)] = out
+	for i := len(p.segments) - 1; i >= 0; i-- {
+		outs[i] = p.segments[i].entry(outs[i+1])
 	}
 
 	// The source stage stamps sequence numbers — unless the source relays
 	// records already sequenced upstream (a streamin feeding a replica leg
-	// must preserve the splitter's tags) — and runs the first segment.
+	// must preserve the splitter's tags) — and runs the chain.
 	preserve := false
 	if sp, ok := p.source.(SeqPreserver); ok {
 		preserve = sp.PreservesSeq()
 	}
-	head, first := out, (*Segment)(nil)
-	if len(p.segments) > 0 {
-		first = p.segments[0]
-		head = first.chainEmitter(0, out)
-	}
-	done := ctx.Done()
+	head, done := outs[0], ctx.Done()
 	var seq uint64
 	err := p.source.Run(EmitterFunc(func(r *record.Record) error {
 		select {
@@ -295,23 +259,21 @@ func (p *Pipeline) Run(parent context.Context) error {
 			r.Seq = seq
 			seq++
 		}
-		if first != nil {
-			first.processed.Add(1)
-		}
 		err := head.Emit(r)
 		// Fail now, not when Run returns: a queued source holds the error
 		// until its reader next enqueues, which may be never.
 		fail(err)
 		return err
 	}))
-	if err == nil && first != nil && ctx.Err() == nil {
-		err = first.flush(out)
+	// At end of stream flush the segments front to back, so one segment's
+	// flushed records traverse the later ones before those flush.
+	for i, seg := range p.segments {
+		if err != nil || ctx.Err() != nil {
+			break
+		}
+		err = seg.flush(outs[i+1])
 	}
 	fail(err)
-	if next != nil {
-		close(next)
-	}
-	wg.Wait()
 	if firstErr != nil {
 		return firstErr
 	}

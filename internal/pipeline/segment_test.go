@@ -213,6 +213,31 @@ func TestPipelineFlusher(t *testing.T) {
 	}
 }
 
+// TestPipelineMultiSegmentFlushOrder: at end of stream segments flush front
+// to back, so what one segment flushes still reaches a later segment's
+// buffer before that one flushes.
+func TestPipelineMultiSegmentFlushOrder(t *testing.T) {
+	sink := &collectSink{}
+	p := New().
+		SetSource(floatSource("src", 1, 2, 3)).
+		AppendOps("s1", &batcher{}, doubler{}).
+		AppendOps("s2", adder{c: 1}, &batcher{}).
+		AppendOps("s3", doubler{}).
+		SetSink(sink)
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{6, 10, 14}
+	if got := sink.values(t); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	for _, seg := range p.Segments() {
+		if seg.Processed() != 3 || seg.Emitted() != 3 {
+			t.Errorf("segment %s processed %d emitted %d, want 3 and 3", seg.Name(), seg.Processed(), seg.Emitted())
+		}
+	}
+}
+
 func TestPipelineOperatorError(t *testing.T) {
 	sink := &collectSink{}
 	p := New().
