@@ -23,19 +23,15 @@ const DefaultQueueSize = 256
 // one decoded wire batch, cut into runs of at most this many.
 const runCap = 64
 
-// netReadBuffer sizes the record reader's buffer to swallow a full
-// upstream batch per syscall. A byte-bound batch can exceed MaxBytes by
-// the record that crossed the threshold, so leave slack beyond the default
-// bound — a v2 batch that fits the buffer is verified and decoded in one
-// pass with no extra copy.
-const netReadBuffer = record.DefaultMaxBatchBytes + 64<<10
-
 // StreamOut is a Sink that writes records to a downstream host over TCP,
 // the streamout operator of the paper. Records are framed through a
 // record.BatchWriter: with the default per-record policy every Consume
 // flushes immediately; a batching policy (NewStreamOutBatched) coalesces
 // records into one network write per batch, cutting syscall overhead on
-// the hot path while a background timer bounds how long a record may wait.
+// the hot path. A batch is delivered when it fills, when its producer's
+// input runs dry (Flush: a hosted unit's run-end hook, a fan-out leg whose
+// queue emptied), or — for producers that only Consume — when the
+// MaxDelay timer finds it stale.
 //
 // The sink dials lazily and redials with backoff when the connection drops
 // or the downstream moves, so a pipeline survives dynamic recomposition of
@@ -48,8 +44,8 @@ const netReadBuffer = record.DefaultMaxBatchBytes + 64<<10
 // acknowledged is replayed to the new one, with scope repair downstream
 // covering any duplicated tail.
 type StreamOut struct {
-	// writeMu serializes the flush paths: Consume, the background timer
-	// flusher, and the best-effort forced flush in Redirect/Close (which
+	// writeMu serializes the flush paths: Consume, Flush, the background
+	// timer flusher, and the best-effort forced flush in Redirect/Close (which
 	// only TryLock it, so they stay responsive while a write retries
 	// against a dead downstream). The batch writer is guarded by writeMu.
 	writeMu sync.Mutex
@@ -69,24 +65,24 @@ type StreamOut struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// timerMu guards the armed flag and stall backoff of the on-demand
-	// delay-flush timer. It nests inside writeMu and is never held across
-	// a writeMu acquire. The timer itself is created once and re-armed
-	// with Reset so steady-state batching schedules no per-batch timer
-	// allocations.
+	// timerMu guards the armed flag of the on-demand delay-flush timer.
+	// It nests inside writeMu and is never held across a writeMu acquire.
+	// The timer itself is created once and re-armed with Reset so
+	// steady-state batching schedules no per-batch timer allocations.
 	timerMu    sync.Mutex
 	timer      *time.Timer
-	timerArmed atomic.Bool   // read lock-free on the Consume fast path
-	timerStall time.Duration // re-arm backoff while writeMu is contended
+	timerArmed atomic.Bool // read lock-free on the Consume fast path
 	// maxDelay mirrors the policy's MaxDelay, fixed at construction.
 	maxDelay time.Duration
-
-	// Backoff bounds for redial attempts.
-	minBackoff time.Duration
-	maxBackoff time.Duration
-	// forceFlushTimeout bounds the best-effort flush in Redirect/Close.
-	forceFlushTimeout time.Duration
 }
+
+// Redial backoff bounds, and the bound on the best-effort flush in
+// Redirect/Close.
+const (
+	minRedialBackoff  = 10 * time.Millisecond
+	maxRedialBackoff  = 2 * time.Second
+	forceFlushTimeout = 250 * time.Millisecond
+)
 
 // NewStreamOut returns a streamout sink targeting addr ("host:port") with
 // the per-record flush policy: every Consume is written through
@@ -101,19 +97,13 @@ func NewStreamOut(addr string) *StreamOut {
 func NewStreamOutBatched(addr string, policy record.BatchConfig) *StreamOut {
 	ctx, cancel := context.WithCancel(context.Background())
 	bw := record.NewBatchWriter(nil, policy)
-	// The delay timer below owns staleness delivery, so the writer can
-	// skip its per-record clock read.
-	bw.SetTimerDriven(bw.Config().MaxDelay > 0)
 	return &StreamOut{
-		bw:                bw,
-		maxDelay:          bw.Config().MaxDelay,
-		addr:              addr,
-		redirected:        make(chan struct{}),
-		ctx:               ctx,
-		cancel:            cancel,
-		minBackoff:        10 * time.Millisecond,
-		maxBackoff:        2 * time.Second,
-		forceFlushTimeout: 250 * time.Millisecond,
+		bw:         bw,
+		maxDelay:   bw.Config().MaxDelay,
+		addr:       addr,
+		redirected: make(chan struct{}),
+		ctx:        ctx,
+		cancel:     cancel,
 	}
 }
 
@@ -292,7 +282,7 @@ func (s *StreamOut) forceFlushLocked(dial bool) {
 		if !dial {
 			return
 		}
-		nc, err := net.DialTimeout("tcp", addr, s.forceFlushTimeout)
+		nc, err := net.DialTimeout("tcp", addr, forceFlushTimeout)
 		if err != nil {
 			return
 		}
@@ -303,7 +293,7 @@ func (s *StreamOut) forceFlushLocked(dial bool) {
 		s.mu.Unlock()
 		conn = nc
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(s.forceFlushTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(forceFlushTimeout))
 	s.bw.SetOutput(conn)
 	if err := s.bw.Flush(); err != nil {
 		// The batch stays pending and will be replayed to the next
@@ -347,8 +337,8 @@ func (s *StreamOut) Consume(r *record.Record) error {
 }
 
 // Flush delivers any pending batch now, retrying until it lands or the
-// sink closes. Callers use it to bound what is in flight before a
-// checkpoint.
+// sink closes. Producers call it when their input runs dry, and to bound
+// what is in flight before a checkpoint.
 func (s *StreamOut) Flush() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -378,38 +368,16 @@ func (s *StreamOut) armFlushTimer(d time.Duration) {
 
 // timedFlush runs when the delay timer fires: if the pending batch is
 // stale it is delivered; a younger batch (the timer outlived the batch it
-// was armed for) re-arms for the remainder.
+// was armed for) re-arms for the remainder. It waits out any Consume or
+// flush holding writeMu, so a flush stalled against a dead downstream
+// parks this one goroutine rather than spinning the timer.
 func (s *StreamOut) timedFlush() {
 	s.timerMu.Lock()
 	s.timerArmed.Store(false)
 	s.timerMu.Unlock()
-	if s.ctx.Err() != nil {
-		return
-	}
-	// A held writeMu means a Consume or flush is already active; it will
-	// deliver the batch itself, but re-check in case it leaves a fresh
-	// batch pending. Re-arms back off exponentially so a flush stalled
-	// for minutes against a dead downstream is not shadowed by a
-	// MaxDelay-rate timer spin.
-	if !s.writeMu.TryLock() {
-		s.timerMu.Lock()
-		d := s.timerStall
-		if d < s.maxDelay {
-			d = s.maxDelay
-		}
-		if d *= 2; d > 250*time.Millisecond {
-			d = 250 * time.Millisecond
-		}
-		s.timerStall = d
-		s.timerMu.Unlock()
-		s.armFlushTimer(d)
-		return
-	}
+	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	s.timerMu.Lock()
-	s.timerStall = 0
-	s.timerMu.Unlock()
-	if s.bw.Pending() == 0 {
+	if s.ctx.Err() != nil || s.bw.Pending() == 0 {
 		return
 	}
 	if age := s.bw.Age(); age < s.maxDelay {
@@ -426,7 +394,7 @@ func (s *StreamOut) flushLocked() error {
 	if s.bw.Pending() == 0 {
 		return nil
 	}
-	backoff := s.minBackoff
+	backoff := minRedialBackoff
 	for {
 		if s.ctx.Err() != nil {
 			return ErrStopped
@@ -446,10 +414,10 @@ func (s *StreamOut) flushLocked() error {
 				case <-redirected:
 					// Target moved while we were backing off: retry the
 					// new address immediately.
-					backoff = s.minBackoff
+					backoff = minRedialBackoff
 				case <-time.After(backoff):
-					if backoff *= 2; backoff > s.maxBackoff {
-						backoff = s.maxBackoff
+					if backoff *= 2; backoff > maxRedialBackoff {
+						backoff = maxRedialBackoff
 					}
 				}
 				continue
@@ -517,7 +485,9 @@ func (s *StreamOut) dropConnLocked() {
 // resynchronize, then waits for the next connection.
 //
 // Records travel downstream in runs: the records of one decoded wire
-// batch, at most runCap of them, stamped with one ingress time. With
+// batch, at most runCap of them, stamped with one ingress time. A run
+// after which the input has run dry ends with the RunEnder hook, so the
+// hosting unit's streamout delivers at once. With
 // QueueSize > 0 the runs pass through a bounded emit queue that decouples
 // the network reader from the downstream chain; QueueDepth exposes the
 // backlog as the saturation gauge backpressure-aware placement feeds on.
@@ -537,6 +507,7 @@ type StreamIn struct {
 
 	runLen int                   // run length cap, set by Run
 	free   chan []*record.Record // recycled run buffers, made by Run
+	runEnd func() error          // see SetRunEnd; nil when the sink cannot flush
 
 	// MaxConns, when positive, stops the source cleanly after that many
 	// upstream connections have been served (used by finite pipelines and
@@ -588,6 +559,9 @@ func (s *StreamIn) PreservesSeq() bool { return true }
 // sink has consumed them.
 func (s *StreamIn) RecyclesRecords() bool { return s.Pooled }
 
+// SetRunEnd implements RunEnder (see Run for when end is called).
+func (s *StreamIn) SetRunEnd(end func() error) { s.runEnd = end }
+
 // Addr returns the bound listen address.
 func (s *StreamIn) Addr() string { return s.ln.Addr().String() }
 
@@ -632,20 +606,34 @@ func (s *StreamIn) Close() error {
 	return s.ln.Close()
 }
 
+// queuedRun is a run in the emit queue; dry marks a run after which the
+// input ran dry (see serveConn).
+type queuedRun struct {
+	recs []*record.Record
+	dry  bool
+}
+
 // Run implements Source: it accepts connections and forwards their records
 // until Close (or MaxConns/IdleTimeout). Without a queue the reader walks
 // each run through out itself; with one, a drain goroutine walks the runs
-// the reader queues.
+// the reader queues. The run-end hook fires after a dry run (see
+// serveConn) — with a queue, only when no further run is queued behind
+// it — so under backlog the downstream batch keeps filling.
 func (s *StreamIn) Run(out Emitter) error {
 	if s.QueueSize <= 0 {
 		s.runLen, s.free = runCap, make(chan []*record.Record, 1)
-		return s.acceptLoop(func(run []*record.Record) error { return s.walk(run, out) })
+		return s.acceptLoop(func(run []*record.Record, dry bool) error {
+			if err := s.walk(run, out); err != nil || !dry || s.runEnd == nil {
+				return err
+			}
+			return s.runEnd()
+		})
 	}
 	// Every queued run holds a record, so no channel below holds more runs
 	// than the queue holds records, plus one being walked and one filling.
 	size := int64(s.QueueSize)
 	s.runLen, s.free = min(runCap, s.QueueSize), make(chan []*record.Record, s.QueueSize+2)
-	q := make(chan []*record.Record, s.QueueSize)
+	q := make(chan queuedRun, s.QueueSize)
 	room := make(chan struct{}, 1) // poked after every dequeue
 	drained, dead := make(chan struct{}), make(chan struct{})
 	var drainErr error
@@ -653,22 +641,27 @@ func (s *StreamIn) Run(out Emitter) error {
 	defer s.qcap.Store(0)
 	go func() {
 		defer close(drained)
-		for run := range q {
-			s.depth.Add(-int64(len(run)))
+		for qr := range q {
+			s.depth.Add(-int64(len(qr.recs)))
 			select {
 			case room <- struct{}{}:
 			default:
 			}
 			if drainErr != nil {
-				s.discard(run)
-			} else if drainErr = s.walk(run, out); drainErr != nil {
+				s.discard(qr.recs)
+				continue
+			}
+			if drainErr = s.walk(qr.recs, out); drainErr == nil && qr.dry && len(q) == 0 && s.runEnd != nil {
+				drainErr = s.runEnd()
+			}
+			if drainErr != nil {
 				close(dead)
 				s.cancel() // unblock the reader; what it still queues is discarded
 			}
 		}
 	}()
 
-	err := s.acceptLoop(func(run []*record.Record) error {
+	err := s.acceptLoop(func(run []*record.Record, dry bool) error {
 		// Once the drain has failed, stop at the next run rather than
 		// queue what the buffered reader still holds.
 		select {
@@ -689,7 +682,7 @@ func (s *StreamIn) Run(out Emitter) error {
 		d := s.depth.Add(int64(len(run)))
 		for p := s.peak.Load(); d > p && !s.peak.CompareAndSwap(p, d); p = s.peak.Load() {
 		}
-		q <- run
+		q <- queuedRun{run, dry}
 		return nil
 	})
 	close(q)
@@ -744,7 +737,7 @@ func (s *StreamIn) newRun() []*record.Record {
 // stops. Transient accept failures back off and retry rather than killing
 // the pipeline; only a closed listener (without Close having been called)
 // is fatal.
-func (s *StreamIn) acceptLoop(put func(run []*record.Record) error) error {
+func (s *StreamIn) acceptLoop(put func(run []*record.Record, dry bool) error) error {
 	served := 0
 	backoff := 10 * time.Millisecond
 	const maxAcceptBackoff = time.Second
@@ -797,9 +790,11 @@ func (s *StreamIn) acceptLoop(put func(run []*record.Record) error) error {
 }
 
 // serveConn decodes one upstream connection into runs and hands each to
-// put, which takes ownership of it. When the upstream dies mid-scope the
-// open scopes are closed with BadCloseScope repairs.
-func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error) error {
+// put, which takes ownership of it; dry reports that the run emptied its
+// wire batch and no later frame is buffered, so the next Read waits on the
+// network. When the upstream dies mid-scope the open scopes are closed
+// with BadCloseScope repairs.
+func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record, dry bool) error) error {
 	defer conn.Close()
 	// Close the connection when the source is stopped so the blocking
 	// read below unblocks.
@@ -807,7 +802,7 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error
 	defer stop()
 
 	tracker := record.NewTracker()
-	rd := record.NewReaderSize(conn, netReadBuffer)
+	rd := record.NewReaderSize(conn, record.DefaultReadBufferSize)
 	rd.SetPooled(s.Pooled)
 	var seenCorrupt uint64
 	run := s.newRun()
@@ -825,7 +820,7 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error
 				// run of its own, so no run outgrows a small queue.
 				for _, bc := range tracker.CloseAll() {
 					s.bad.Add(1)
-					if err := put(append(s.newRun(), bc)); err != nil {
+					if err := put(append(s.newRun(), bc), true); err != nil {
 						return err
 					}
 				}
@@ -841,7 +836,8 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error
 		} else {
 			run = append(run, rec)
 		}
-		// Cut the run before the next Read can block on the network.
+		// Cut the run before the next Read can block on the network; the
+		// input has run dry if no later frame is buffered either.
 		if len(run) == s.runLen || (len(run) > 0 && rd.BatchLeft() == 0) {
 			// Ingress stamp for the latency tracer, one clock read per
 			// run: time from here to the hosting pipeline's sink stage is
@@ -850,7 +846,7 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record) error
 			for _, r := range run {
 				r.IngressNanos = now
 			}
-			if err := put(run); err != nil {
+			if err := put(run, rd.BatchLeft() == 0 && rd.Buffered() == 0); err != nil {
 				return err
 			}
 			run = s.newRun()

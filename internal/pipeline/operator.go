@@ -93,6 +93,19 @@ type SeqPreserver interface {
 	PreservesSeq() bool
 }
 
+// RunEnder marks a Source that hands records downstream in runs — the
+// records of one decoded upstream batch — and so knows when its input has
+// run dry. Pipeline.Run passes it a run-end callback before Run: when the
+// sink can flush (StreamOut.Flush), the callback delivers the sink's
+// pending batch at once instead of leaving it for the MaxDelay timer, and
+// end is nil otherwise. The source calls end, serialized with its Emits,
+// after the last record of a run when nothing more is immediately
+// available; under backlog it does not, so batches still grow. An error
+// from end fails the pipeline as a failed Emit does, and the source stops.
+type RunEnder interface {
+	SetRunEnd(end func() error)
+}
+
 // SourceFunc adapts a function to the Source interface.
 type SourceFunc struct {
 	SourceName string

@@ -233,6 +233,28 @@ func (p *Pipeline) Run(parent context.Context) error {
 		return err
 	})
 
+	// A source that knows when its input ran dry flushes a flushable sink
+	// then, so a batched hop delivers without waiting for its timer.
+	if re, ok := p.source.(RunEnder); ok {
+		var end func() error
+		if f, ok := p.sink.(interface{ Flush() error }); ok {
+			end = func() error {
+				select {
+				case <-ctx.Done():
+					return ErrStopped
+				default:
+				}
+				if err := f.Flush(); err != nil {
+					err = fmt.Errorf("sink %s: %w", p.sink.Name(), err)
+					fail(err)
+					return err
+				}
+				return nil
+			}
+		}
+		re.SetRunEnd(end)
+	}
+
 	// outs[i] feeds segment i; the segments are chained back to front.
 	outs := make([]Emitter, len(p.segments)+1)
 	outs[len(p.segments)] = out

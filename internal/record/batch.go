@@ -13,10 +13,12 @@ import (
 // BatchConfig parameterizes a BatchWriter's flush policy. A batch is
 // flushed — written to the output in one Write call — when any trigger
 // fires: the record count reaches the current adaptive trigger (MaxRecords
-// when AdaptMax is unset), the encoded bytes reach MaxBytes, the oldest
-// buffered record is older than MaxDelay, a record the policy treats as a
-// boundary (top-level scope close, control) is added, or Flush is called
-// explicitly.
+// when AdaptMax is unset), the encoded bytes reach MaxBytes, a boundary
+// record is added (a top-level CloseScope/BadCloseScope, which ends a
+// clip or session downstream consumers wait on; a Control record, which
+// must not sit behind data; a payload of DefaultNoCopyMin bytes or more,
+// which rides by reference), or Flush is called explicitly. MaxDelay is
+// enforced by the owner's timer, not by the writer (see StreamOut).
 type BatchConfig struct {
 	// MaxRecords flushes after this many buffered records. Values <= 1
 	// select per-record writes (every Add is immediately flushable). When
@@ -27,72 +29,63 @@ type BatchConfig struct {
 	// AdaptMax, when > MaxRecords, lets the record-count trigger adapt to
 	// backlog: each flush that fills the batch to the current trigger
 	// (records are arriving faster than flushes retire them) doubles the
-	// trigger toward AdaptMax, and each mostly-empty flush (a delay-timer
-	// or boundary flush on an idle stream) halves it back toward
-	// MaxRecords. Backlogged streams coalesce more records per syscall;
-	// idle streams keep the small batches that protect delivery latency.
+	// trigger toward AdaptMax, and each mostly-empty flush (a run-end,
+	// delay-timer or boundary flush on an idle stream) halves it back
+	// toward MaxRecords. Backlogged streams coalesce more records per
+	// syscall; idle streams keep the small batches that protect delivery
+	// latency.
 	AdaptMax int
 	// MaxBytes flushes once the encoded batch reaches this size, so a few
 	// large payloads do not pin an unbounded buffer (default 256 KiB).
 	MaxBytes int
-	// MaxDelay bounds how long a record may sit in the batch. Age is
-	// checked on Add; callers writing sporadically should also arrange a
-	// timer that calls Flush (StreamOut does). <= 0 disables the trigger.
+	// MaxDelay bounds how long a record may sit in a StreamOut's batch:
+	// its timer delivers a batch this old when no flush came sooner. It
+	// is the fallback for producers that only Consume and never signal
+	// that their input ran dry. <= 0 disables the timer.
 	MaxDelay time.Duration
-	// FlushOnClose flushes when a CloseScope/BadCloseScope record at depth
-	// 0 is added: the end of a top-level scope (a clip, a session) is a
-	// natural delivery boundary that downstream consumers wait on.
-	FlushOnClose bool
-	// FlushOnControl flushes when a Control record is added; control
-	// records carry out-of-band pipeline signals that must not sit in a
-	// buffer behind data.
-	FlushOnControl bool
-	// NoCopyMin is the payload size at or above which a flush sends
-	// the payload by reference through a vectored write (net.Buffers /
-	// writev) instead of copying it into the batch buffer. Such a record
-	// forces the batch to flush within the same Add/Write call, while the
-	// caller still owns the payload, preserving the pool ownership
-	// contract. 0 selects DefaultNoCopyMin; < 0 disables the path
-	// (always copy).
-	NoCopyMin int
 }
 
-// DefaultMaxBatchBytes is the default byte bound of a batch. Readers on
-// the receiving side of a batched stream size their buffers to it so a
-// whole batch is ingested per syscall and decoded on the Peek fast path.
+// DefaultMaxBatchBytes is the default byte bound of a batch.
 const DefaultMaxBatchBytes = 256 << 10
+
+// DefaultReadBufferSize is the reader buffer size for the receiving side
+// of a batched stream (streamin, fan-in legs): a whole batch is ingested
+// per syscall and decoded on the Peek fast path. A byte-bound batch can
+// exceed MaxBytes by the record that crossed the threshold, so the buffer
+// leaves 64 KiB of slack beyond the default bound — a batch that fits is
+// verified and decoded in one pass with no extra copy.
+const DefaultReadBufferSize = DefaultMaxBatchBytes + 64<<10
 
 // DefaultAdaptMax is the default ceiling of the adaptive record-count
 // trigger used by hosted segments: under sustained backlog a batch grows
 // to 8x the base 64 records before the byte bound takes over.
 const DefaultAdaptMax = 512
 
-// DefaultNoCopyMin is the default payload size above which flushes hand
-// the payload to writev by reference rather than memcpy it into the batch
-// buffer. Below ~4 KiB the copy is cheaper than growing the iovec list;
-// above it the copy dominates.
+// DefaultNoCopyMin is the payload size at or above which a flush hands
+// the payload to writev (net.Buffers) by reference rather than memcpy it
+// into the batch buffer. Below ~4 KiB the copy is cheaper than growing the
+// iovec list; above it the copy dominates. Such a record forces the batch
+// to flush within the same Add/Write call, while the caller still owns
+// the payload, preserving the pool ownership contract.
 const DefaultNoCopyMin = 4 << 10
 
 // DefaultBatchConfig returns the batching policy used by hosted segments:
 // batch frames of up to 64 records (adapting up to DefaultAdaptMax
-// under backlog) or DefaultMaxBatchBytes, at most 2ms old, with prompt
-// delivery at top-level scope boundaries and for control records.
+// under backlog) or DefaultMaxBatchBytes. A hosted hop or fan-out leg
+// flushes as soon as its input runs dry; the 2ms MaxDelay is the
+// fallback for producers that only Consume (a station, a load generator).
 func DefaultBatchConfig() BatchConfig {
 	return BatchConfig{
-		MaxRecords:     64,
-		AdaptMax:       DefaultAdaptMax,
-		MaxBytes:       DefaultMaxBatchBytes,
-		MaxDelay:       2 * time.Millisecond,
-		FlushOnClose:   true,
-		FlushOnControl: true,
+		MaxRecords: 64,
+		AdaptMax:   DefaultAdaptMax,
+		MaxBytes:   DefaultMaxBatchBytes,
+		MaxDelay:   2 * time.Millisecond,
 	}
 }
 
 // PerRecordConfig returns a policy that flushes every record immediately:
 // each record travels as a single-record batch frame.
-func PerRecordConfig() BatchConfig {
-	return BatchConfig{MaxRecords: 1, FlushOnClose: true, FlushOnControl: true}
-}
+func PerRecordConfig() BatchConfig { return BatchConfig{MaxRecords: 1} }
 
 // withDefaults normalizes a config so the zero value batches sensibly.
 func (c BatchConfig) withDefaults() BatchConfig {
@@ -111,9 +104,6 @@ func (c BatchConfig) withDefaults() BatchConfig {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = DefaultMaxBatchBytes
 	}
-	if c.NoCopyMin == 0 {
-		c.NoCopyMin = DefaultNoCopyMin
-	}
 	return c
 }
 
@@ -125,7 +115,7 @@ var ErrNoOutput = errors.New("record: batch writer has no output")
 // writer's batch buffer, p's bytes belong in the encoded stream. The
 // referenced payload is still owned by the caller of Add, which is only
 // legal because an ext-bearing batch is forced to flush within that same
-// public call (see BatchConfig.NoCopyMin); any flush failure materializes
+// public call (see DefaultNoCopyMin); any flush failure materializes
 // the segments into the buffer before returning, so no caller memory is
 // ever retained across a public-call boundary.
 type extSeg struct {
@@ -154,9 +144,6 @@ type BatchWriter struct {
 	curMax int       // adaptive record-count trigger, MaxRecords..AdaptMax
 	first  time.Time // when the oldest pending record was added
 	force  bool      // a boundary record (close/control) is pending
-	// timerDriven elides the per-record age check in ShouldFlush; see
-	// SetTimerDriven.
-	timerDriven bool
 
 	ext     []extSeg    // by-reference payloads of the pending batch
 	extLen  int         // total bytes across ext
@@ -185,7 +172,7 @@ func (b *BatchWriter) SetOutput(w io.Writer) { b.out = w }
 
 // Add encodes r into the pending batch without any I/O. Callers combine it
 // with ShouldFlush and Flush; Write does all three. A payload at or above
-// NoCopyMin is carried by reference and sets the force trigger — callers
+// DefaultNoCopyMin is carried by reference and sets the force trigger — callers
 // following the Add/ShouldFlush/Flush contract (Write, StreamOut.Consume)
 // therefore flush it before returning, while the payload is still owned by
 // their caller.
@@ -198,15 +185,13 @@ func (b *BatchWriter) Add(r *Record) error {
 	}
 	if b.recs == 0 {
 		b.first = time.Now()
-	}
-	if b.recs == 0 {
 		// Reserve the batch header — magic now, count/bodyLen/CRC
 		// patched by Flush.
 		b.buf = append(b.buf[:0], wireMagic...)
 		b.buf = append(b.buf, zeroBatchHdr[4:]...)
 	}
 	b.buf = appendEntryHeader(b.buf, r)
-	if b.cfg.NoCopyMin > 0 && len(r.Payload) >= b.cfg.NoCopyMin {
+	if len(r.Payload) >= DefaultNoCopyMin {
 		b.ext = append(b.ext, extSeg{off: len(b.buf), p: r.Payload})
 		b.extLen += len(r.Payload)
 		b.force = true
@@ -214,30 +199,17 @@ func (b *BatchWriter) Add(r *Record) error {
 		b.buf = append(b.buf, r.Payload...)
 	}
 	b.recs++
-	if (b.cfg.FlushOnControl && r.Kind == KindControl) ||
-		(b.cfg.FlushOnClose && r.Kind.IsClose() && r.Scope == 0) ||
-		b.recs >= MaxBatchRecords {
+	if r.Kind == KindControl || (r.Kind.IsClose() && r.Scope == 0) || b.recs >= MaxBatchRecords {
 		b.force = true
 	}
 	return nil
 }
 
-// ShouldFlush reports whether the pending batch has hit a flush trigger.
+// ShouldFlush reports whether the pending batch has hit a count, size or
+// boundary trigger.
 func (b *BatchWriter) ShouldFlush() bool {
-	if b.recs == 0 {
-		return false
-	}
-	if b.force || b.recs >= b.curMax || len(b.buf)+b.extLen >= b.cfg.MaxBytes {
-		return true
-	}
-	return !b.timerDriven && b.cfg.MaxDelay > 0 && time.Since(b.first) >= b.cfg.MaxDelay
+	return b.recs > 0 && (b.force || b.recs >= b.curMax || len(b.buf)+b.extLen >= b.cfg.MaxBytes)
 }
-
-// SetTimerDriven declares that the owner delivers stale batches from its
-// own MaxDelay timer (StreamOut's arrangement), so ShouldFlush can skip
-// the age check — a clock read per record on the hot path — and trigger
-// on count and size alone.
-func (b *BatchWriter) SetTimerDriven(v bool) { b.timerDriven = v }
 
 // Pending returns the number of records buffered but not yet flushed.
 func (b *BatchWriter) Pending() int { return b.recs }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"io"
 	"testing"
-	"time"
 )
 
 // countingWriter counts Write calls so tests can observe batching.
@@ -80,7 +79,7 @@ func TestBatchWriterFlushOnCount(t *testing.T) {
 
 func TestBatchWriterFlushOnBoundaries(t *testing.T) {
 	cw := &countingWriter{}
-	bw := NewBatchWriter(cw, BatchConfig{MaxRecords: 100, FlushOnClose: true, FlushOnControl: true})
+	bw := NewBatchWriter(cw, BatchConfig{MaxRecords: 100})
 	if err := bw.Write(NewOpenScope(ScopeClip, 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func TestBatchWriterFlushOnBoundaries(t *testing.T) {
 	}
 }
 
-func TestBatchWriterFlushOnBytesAndAge(t *testing.T) {
+func TestBatchWriterFlushOnBytes(t *testing.T) {
 	cw := &countingWriter{}
 	bw := NewBatchWriter(cw, BatchConfig{MaxRecords: 1000, MaxBytes: 64})
 	big := NewData(SubtypeAudio)
@@ -123,21 +122,6 @@ func TestBatchWriterFlushOnBytesAndAge(t *testing.T) {
 	}
 	if cw.writes != 1 {
 		t.Errorf("oversize batch not flushed on MaxBytes (writes=%d)", cw.writes)
-	}
-
-	bw2 := NewBatchWriter(cw, BatchConfig{MaxRecords: 1000, MaxDelay: time.Millisecond})
-	if err := bw2.Add(batchData(1)); err != nil {
-		t.Fatal(err)
-	}
-	if bw2.ShouldFlush() {
-		t.Error("fresh record already stale")
-	}
-	time.Sleep(3 * time.Millisecond)
-	if !bw2.ShouldFlush() {
-		t.Error("record older than MaxDelay not flagged for flush")
-	}
-	if bw2.Age() < time.Millisecond {
-		t.Errorf("Age = %v", bw2.Age())
 	}
 }
 
@@ -271,7 +255,7 @@ func (f *failingThenOKWriter) Write(p []byte) (int, error) {
 // lost to a transient output error.
 func TestBatchWriterControlInterleaving(t *testing.T) {
 	out := &failingThenOKWriter{fails: 1}
-	bw := NewBatchWriter(out, BatchConfig{MaxRecords: 100, FlushOnControl: true})
+	bw := NewBatchWriter(out, BatchConfig{MaxRecords: 100})
 	for i := 0; i < 3; i++ {
 		if err := bw.Write(batchData(float64(i))); err != nil {
 			t.Fatal(err)
@@ -323,13 +307,5 @@ func TestBatchWriterControlInterleaving(t *testing.T) {
 	}
 	if bw.ShouldFlush() {
 		t.Error("force flag leaked into the next batch")
-	}
-	// With FlushOnControl disabled a control record buffers like data.
-	quiet := NewBatchWriter(&bytes.Buffer{}, BatchConfig{MaxRecords: 100})
-	if err := quiet.Add(&Record{Kind: KindControl}); err != nil {
-		t.Fatal(err)
-	}
-	if quiet.ShouldFlush() {
-		t.Error("control forced a flush with FlushOnControl disabled")
 	}
 }

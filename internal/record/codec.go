@@ -219,6 +219,11 @@ func (r *Reader) CorruptBatches() uint64 { return r.corrupt }
 // grouping records into per-batch runs cuts its run there.
 func (r *Reader) BatchLeft() int { return r.batchLeft }
 
+// Buffered returns how many bytes of the input are already read but not
+// yet decoded. With BatchLeft at 0 and nothing buffered, nothing more is
+// immediately available: the next Read waits on the input.
+func (r *Reader) Buffered() int { return r.r.Buffered() }
+
 // Read decodes the next record. It returns io.EOF at a clean end of stream
 // and io.ErrUnexpectedEOF if the stream ends mid-record.
 func (r *Reader) Read() (*Record, error) {

@@ -50,7 +50,9 @@ type LegSetConfig struct {
 
 // LegSet is the fan-out core under Splitter and shard.Partitioner: an
 // ordered set of legs — each a bounded queue drained by a dedicated
-// writer goroutine into a batched streamout — plus the sequence tagging,
+// writer goroutine into a batched streamout, which the writer flushes
+// whenever it has emptied the queue (under backlog the queue stays
+// non-empty and batches fill) — plus the sequence tagging,
 // the live leg-set diff, and the egress accounting both endpoints share.
 // What differs between them, which legs a record is enqueued on and what
 // a full queue means, stays in each endpoint's own Consume, written
@@ -372,16 +374,32 @@ func (l *leg) run() {
 			_ = l.out.Close()
 			return
 		case r := <-l.q:
-			// StreamOut encodes synchronously, so the leg's copy can go
-			// back to the pool as soon as Consume returns.
-			err := l.out.Consume(r)
-			record.Release(r)
-			if errors.Is(err, pipeline.ErrStopped) {
+			if errors.Is(l.drain(r), pipeline.ErrStopped) {
 				return
 			}
 			if idle != nil {
 				idle.Reset(retireLinger)
 			}
+		}
+	}
+}
+
+// drain writes r and every record queued behind it to the streamout, then
+// flushes: a queue that ran dry delivers its batch now, not at MaxDelay,
+// while under backlog the queue keeps the batch filling. StreamOut encodes
+// synchronously, so each copy goes back to the pool as soon as Consume
+// returns.
+func (l *leg) drain(r *record.Record) error {
+	for {
+		err := l.out.Consume(r)
+		record.Release(r)
+		if errors.Is(err, pipeline.ErrStopped) {
+			return err
+		}
+		select {
+		case r = <-l.q:
+		default:
+			return l.out.Flush()
 		}
 	}
 }

@@ -103,6 +103,7 @@ type Merger struct {
 	nring   int             // occupied ring slots
 	tracker *record.Tracker // output scope structure
 	emitErr error
+	runEnd  func() error // see SetRunEnd; nil when the sink cannot flush
 }
 
 // NewMerger binds the merger's listener.
@@ -155,6 +156,12 @@ func (m *Merger) PreservesSeq() bool { return true }
 // records are released back to the record pool by the hosting pipeline
 // once the sink has consumed them.
 func (m *Merger) RecyclesRecords() bool { return m.pooled }
+
+// SetRunEnd implements pipeline.RunEnder: end is called, under the lock
+// that serializes emission, each time a leg's decoded batch is exhausted
+// with no later frame buffered, so a streamout sink delivers what the
+// batch released without waiting for its delay timer.
+func (m *Merger) SetRunEnd(end func() error) { m.runEnd = end }
 
 // Connections returns the cumulative number of legs served.
 func (m *Merger) Connections() uint64 { return m.conns.Load() }
@@ -298,7 +305,7 @@ func (m *Merger) serveLeg(conn net.Conn, out pipeline.Emitter) {
 		case <-stop:
 		}
 	}()
-	rd := record.NewReaderSize(conn, record.DefaultMaxBatchBytes)
+	rd := record.NewReaderSize(conn, record.DefaultReadBufferSize)
 	rd.SetPooled(m.pooled)
 	var seenCorrupt uint64
 	for {
@@ -313,7 +320,13 @@ func (m *Merger) serveLeg(conn net.Conn, out pipeline.Emitter) {
 		// Ingress stamp for the latency tracer, as in StreamIn: merger
 		// units measure from leg decode to the sink stage.
 		rec.IngressNanos = time.Now().UnixNano()
-		if err := m.ingest(rec, out); err != nil {
+		err = m.ingest(rec, out)
+		if err == nil && rd.BatchLeft() == 0 && rd.Buffered() == 0 && m.runEnd != nil {
+			m.mu.Lock()
+			err = m.runEnd()
+			m.mu.Unlock()
+		}
+		if err != nil {
 			// Downstream failed: stop the whole source so the hosted
 			// pipeline unwinds with the emission error.
 			m.mu.Lock()
