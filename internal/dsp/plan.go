@@ -7,7 +7,7 @@ import (
 )
 
 // FFTPlan precomputes everything a transform of one fixed length needs —
-// the bit-reversal permutation, per-stage twiddle steps, and (for
+// the bit-reversal permutation, every stage's twiddle factors, and (for
 // non-power-of-two lengths) the Bluestein chirp, precomputed filter
 // spectrum and convolution scratch — so repeated transforms allocate
 // nothing. The hot DSP paths (ComputeSpectrogram, the ops/spectral DFT
@@ -23,8 +23,10 @@ type FFTPlan struct {
 	n int
 	// Power-of-two kernel tables (for n itself, or for the Bluestein
 	// convolution length m).
-	rev          []int32      // bit-reversal permutation
-	stepF, stepI []complex128 // per-stage twiddle advance, forward/inverse
+	rev []int32 // bit-reversal permutation
+	// Twiddle factors, forward/inverse: the stage of half-size h uses
+	// tw[h-1 : 2h-1], n-1 entries in all.
+	twF, twI []complex128
 	// Bluestein state; nil when n is a power of two.
 	blue *bluesteinPlan
 }
@@ -96,15 +98,25 @@ func newPow2Plan(n int) *FFTPlan {
 	for i := 0; i < n; i++ {
 		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
-	stages := bits.TrailingZeros(uint(n))
-	p.stepF = make([]complex128, stages)
-	p.stepI = make([]complex128, stages)
-	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
-		step := 2 * math.Pi / float64(size)
-		p.stepF[s] = complex(math.Cos(-step), math.Sin(-step))
-		p.stepI[s] = complex(math.Cos(step), math.Sin(step))
+	p.twF = make([]complex128, n-1)
+	p.twI = make([]complex128, n-1)
+	for half := 1; half < n; half <<= 1 {
+		step := math.Pi / float64(half)
+		twiddles(p.twF[half-1:2*half-1], complex(math.Cos(-step), math.Sin(-step)))
+		twiddles(p.twI[half-1:2*half-1], complex(math.Cos(step), math.Sin(step)))
 	}
 	return p
+}
+
+// twiddles fills tw with 1, wStep, wStep², ... by the same running
+// product the one-shot radix2 advances per butterfly, so the tabulated
+// factors are bit-identical to the ones it computes.
+func twiddles(tw []complex128, wStep complex128) {
+	w := complex(1, 0)
+	for k := range tw {
+		tw[k] = w
+		w *= wStep
+	}
 }
 
 // Len returns the transform length the plan was built for.
@@ -142,9 +154,9 @@ func (p *FFTPlan) RealTo(dst []complex128, src []float64) error {
 }
 
 // radix2 runs the iterative Cooley-Tukey kernel using the precomputed
-// permutation and per-stage twiddle steps. The butterfly arithmetic
-// mirrors the one-shot radix2 exactly (same incremental twiddle
-// advance), so planned results are bit-identical to the one-shot path.
+// permutation and twiddle tables. The butterfly arithmetic mirrors the
+// one-shot radix2 exactly and the tables hold its twiddle values, so
+// planned results are bit-identical to the one-shot path.
 func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	n := p.n
 	for i, j := range p.rev {
@@ -152,21 +164,20 @@ func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 			x[i], x[j] = x[j], x[i]
 		}
 	}
-	steps := p.stepF
+	tws := p.twF
 	if inverse {
-		steps = p.stepI
+		tws = p.twI
 	}
-	for s, size := 0, 2; size <= n; s, size = s+1, size<<1 {
-		half := size >> 1
-		wStep := steps[s]
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
+	for half := 1; half < n; half <<= 1 {
+		tw := tws[half-1 : 2*half-1]
+		for start := 0; start < n; start += 2 * half {
+			lo := x[start : start+half]
+			hi := x[start+half : start+2*half]
+			for k, w := range tw {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
 			}
 		}
 	}

@@ -119,6 +119,10 @@ func (o *ChangeDetect) Process(r *record.Record, out pipeline.Emitter) error {
 		return fmt.Errorf("changedetect: %w", err)
 	}
 	stat, alarm := o.det.Push(v)
+	// The alert record inherits the triggering record's scope so cutters
+	// and scope repair downstream treat it as part of the same clip; take
+	// it before r is handed off.
+	scope, st := r.Scope, r.ScopeType
 	if err := out.Emit(r); err != nil {
 		return err
 	}
@@ -126,11 +130,7 @@ func (o *ChangeDetect) Process(r *record.Record, out pipeline.Emitter) error {
 		return nil
 	}
 	o.alerts.Add(1)
-	// The alert record inherits the triggering record's scope so cutters
-	// and scope repair downstream treat it as part of the same clip.
-	ar := record.NewData(record.SubtypeAnomaly)
-	ar.Scope = r.Scope
-	ar.ScopeType = r.ScopeType
+	ar := newData(record.SubtypeAnomaly, scope, st)
 	ar.SetFloat64s([]float64{v, stat})
 	return out.Emit(ar)
 }

@@ -10,6 +10,19 @@ import (
 	"repro/internal/timeseries"
 )
 
+// newData returns a data record from the record pool with the given
+// subtype and scope position. Operators build what they emit this way, so
+// the records a final owner releases come back as the next ones emitted
+// instead of each costing a fresh record and payload.
+func newData(subtype, scope uint16, st record.ScopeType) *record.Record {
+	r := record.GetRecord()
+	r.Kind = record.KindData
+	r.Subtype = subtype
+	r.Scope = scope
+	r.ScopeType = st
+	return r
+}
+
 // ExtractConfig parameterizes the saxanomaly/trigger/cutter segment. The
 // defaults are the paper's settings for environmental acoustics.
 type ExtractConfig struct {
@@ -112,13 +125,14 @@ func (o *SAXAnomaly) Process(r *record.Record, out pipeline.Emitter) error {
 		raw, _ := o.det.Push(x)
 		scores[i] = o.ma.Push(raw)
 	}
+	// The score record takes its scope from r before r is handed off:
+	// downstream may release r inside Emit.
+	sr := newData(record.SubtypeAnomaly, r.Scope, r.ScopeType)
+	sr.SetFloat64s(scores)
 	if err := out.Emit(r); err != nil {
+		record.Release(sr)
 		return err
 	}
-	sr := record.NewData(record.SubtypeAnomaly)
-	sr.Scope = r.Scope
-	sr.ScopeType = r.ScopeType
-	sr.SetFloat64s(scores)
 	return out.Emit(sr)
 }
 
@@ -131,8 +145,8 @@ func (o *SAXAnomaly) Process(r *record.Record, out pipeline.Emitter) error {
 // noisy positive baseline (two independent noise windows never produce
 // identical empirical gram frequencies), and a structured vocalization
 // drives the score *below* that baseline while its onset and offset push
-// it above. Score records are replaced with trigger records; all other
-// records pass through.
+// it above. Each score record is consumed (and released) and a new trigger
+// record emitted in its place; all other records pass through.
 type Trigger struct {
 	sigma    float64
 	warmup   int
@@ -185,9 +199,10 @@ func (o *Trigger) Process(r *record.Record, out pipeline.Emitter) error {
 	for i, s := range trig {
 		trig[i] = o.step(s)
 	}
-	tr := record.NewData(record.SubtypeTrigger)
-	tr.Scope = r.Scope
-	tr.ScopeType = r.ScopeType
+	// A fresh record, not r rewritten: r's wire header (Seq, SourceID)
+	// belongs to the score stream, not to the trigger record.
+	tr := newData(record.SubtypeTrigger, r.Scope, r.ScopeType)
+	record.Release(r)
 	tr.SetFloat64s(trig)
 	return out.Emit(tr)
 }
@@ -247,7 +262,9 @@ func (o *Trigger) step(s float64) float64 {
 // record that follows it and emits, inside each clip scope, one ensemble
 // scope per maximal trigger-high run, containing the original audio
 // samples for that run. Audio outside ensembles is discarded — this is
-// the data reduction the paper reports (~80%).
+// the data reduction the paper reports (~80%). The cutter is the final
+// owner of the audio and trigger records it consumes: it copies their
+// samples out and releases them.
 type Cutter struct {
 	cfg ExtractConfig
 
@@ -325,6 +342,7 @@ func (o *Cutter) Process(r *record.Record, out pipeline.Emitter) error {
 			return fmt.Errorf("cutter: %w", err)
 		}
 		o.pendAudio = pend
+		record.Release(r)
 		return nil // audio is withheld until its trigger arrives
 	case r.Kind == record.KindData && r.Subtype == record.SubtypeTrigger:
 		trig, err := r.AppendFloat64s(o.trig[:0])
@@ -335,6 +353,7 @@ func (o *Cutter) Process(r *record.Record, out pipeline.Emitter) error {
 		if len(trig) > len(o.pendAudio) {
 			return fmt.Errorf("cutter: trigger record of %d values but only %d audio samples pending", len(trig), len(o.pendAudio))
 		}
+		record.Release(r)
 		err = o.consume(o.pendAudio[:len(trig)], trig, out)
 		// Keep the unmatched tail at the front of the buffer so it is
 		// reused rather than regrown.
@@ -397,9 +416,7 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 		// operators need uniform record lengths to produce
 		// fixed-dimensional patterns.
 		clear(o.frame[n:])
-		r := record.NewData(record.SubtypeAudio)
-		r.Scope = 2
-		r.ScopeType = record.ScopeEnsemble
+		r := newData(record.SubtypeAudio, 2, record.ScopeEnsemble)
 		r.SetFloat64s(o.frame)
 		if err := out.Emit(r); err != nil {
 			return err

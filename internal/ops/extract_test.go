@@ -333,8 +333,10 @@ func TestCutterClipClose(t *testing.T) {
 	}
 }
 
-// TestExtractOpsAllocs pins the steady state of the two scoring operators:
-// per audio record, only the record they emit and its payload allocate.
+// TestExtractOpsAllocs pins the steady state of the two scoring operators
+// on pooled records: the score and trigger records they emit come from the
+// record pool, and the trigger releases the score record it consumes, so
+// once the downstream owner releases what it receives neither allocates.
 func TestExtractOpsAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation pins run without -race")
@@ -345,14 +347,33 @@ func TestExtractOpsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	trig := NewTrigger(cfg)
-	var scores *record.Record
+	// keep copies the scores out and releases the score record, as the
+	// trigger would; discard releases whatever it is handed.
+	var scores []float64
 	keep := pipeline.EmitterFunc(func(r *record.Record) error {
 		if r.Subtype == record.SubtypeAnomaly {
-			scores = r
+			scores, _ = r.AppendFloat64s(scores[:0])
+			record.Release(r)
 		}
 		return nil
 	})
-	discard := pipeline.EmitterFunc(func(*record.Record) error { return nil })
+	triggers := 0
+	discard := pipeline.EmitterFunc(func(r *record.Record) error {
+		if r.Subtype == record.SubtypeTrigger && len(r.Payload) == 8*RecordSamples {
+			triggers++
+		}
+		record.Release(r)
+		return nil
+	})
+	// scoreRecord builds a fresh pooled score record per call: the
+	// trigger releases each one it consumes.
+	scoreRecord := func() *record.Record {
+		sr := record.GetRecord()
+		sr.Kind = record.KindData
+		sr.Subtype = record.SubtypeAnomaly
+		sr.SetFloat64s(scores)
+		return sr
+	}
 	rng := rand.New(rand.NewSource(3))
 	samples := make([]float64, RecordSamples)
 	for i := range samples {
@@ -360,9 +381,8 @@ func TestExtractOpsAllocs(t *testing.T) {
 	}
 	audio := record.NewData(record.SubtypeAudio)
 	audio.SetFloat64s(samples)
-	open := record.NewOpenScope(record.ScopeClip, 0)
 	for _, op := range []pipeline.Operator{sax, trig} {
-		if err := op.Process(open, discard); err != nil {
+		if err := op.Process(record.NewOpenScope(record.ScopeClip, 0), discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -371,7 +391,7 @@ func TestExtractOpsAllocs(t *testing.T) {
 		if err := sax.Process(audio, keep); err != nil {
 			t.Fatal(err)
 		}
-		if err := trig.Process(scores, discard); err != nil {
+		if err := trig.Process(scoreRecord(), discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,15 +399,20 @@ func TestExtractOpsAllocs(t *testing.T) {
 		if err := sax.Process(audio, keep); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 2 {
-		t.Errorf("SAXAnomaly.Process allocates %.1f per audio record, want <= 2", allocs)
+	}); allocs != 0 {
+		t.Errorf("SAXAnomaly.Process allocates %.1f per audio record, want 0", allocs)
 	}
+	calls := 4
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := trig.Process(scores, discard); err != nil {
+		calls++
+		if err := trig.Process(scoreRecord(), discard); err != nil {
 			t.Fatal(err)
 		}
-	}); allocs > 2 {
-		t.Errorf("Trigger.Process allocates %.1f per score record, want <= 2", allocs)
+	}); allocs != 0 {
+		t.Errorf("Trigger.Process allocates %.1f per score record, want 0", allocs)
+	}
+	if triggers != calls {
+		t.Errorf("%d trigger records for %d score records", triggers, calls)
 	}
 }
 

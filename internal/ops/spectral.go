@@ -45,11 +45,7 @@ func (o *Reslice) Process(r *record.Record, out pipeline.Emitter) error {
 		half := len(cur) / 2
 		o.overlap = append(o.overlap[:0], o.prev[len(o.prev)-half:]...)
 		o.overlap = append(o.overlap, cur[:len(cur)-half]...)
-		or := record.GetRecord()
-		or.Kind = record.KindData
-		or.Subtype = record.SubtypeAudio
-		or.Scope = r.Scope
-		or.ScopeType = r.ScopeType
+		or := newData(record.SubtypeAudio, r.Scope, r.ScopeType)
 		or.SetFloat64s(o.overlap)
 		if err := out.Emit(or); err != nil {
 			return err
@@ -302,7 +298,8 @@ func (o *PAAOp) Process(r *record.Record, out pipeline.Emitter) error {
 // With the standard geometry, 3 records of 350 bins produce the paper's
 // 1050-feature patterns (105 after PAA). Leftover records at ensemble end
 // are dropped, as partial patterns would have inconsistent
-// dimensionality.
+// dimensionality. Rec2Vect is the final owner of the spectrum records it
+// merges and releases each once its values are copied out.
 type Rec2Vect struct {
 	MergeCount int
 	buf        []float64
@@ -339,16 +336,14 @@ func (o *Rec2Vect) Process(r *record.Record, out pipeline.Emitter) error {
 	if err != nil {
 		return fmt.Errorf("rec2vect: %w", err)
 	}
+	scope, st := r.Scope, r.ScopeType
+	record.Release(r)
 	o.buf = buf
 	o.have++
 	if o.have < o.MergeCount {
 		return nil
 	}
-	p := record.GetRecord()
-	p.Kind = record.KindData
-	p.Subtype = record.SubtypePattern
-	p.Scope = r.Scope
-	p.ScopeType = r.ScopeType
+	p := newData(record.SubtypePattern, scope, st)
 	p.SetFloat64s(o.buf)
 	o.buf = o.buf[:0]
 	o.have = 0

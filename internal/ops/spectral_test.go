@@ -454,3 +454,74 @@ func (b *wavBuffer) Read(p []byte) (int, error) {
 func encodeWAV(w io.Writer, rate int, samples []int16) error {
 	return wav.Encode(w, wav.Format{SampleRate: rate, Channels: 1}, samples)
 }
+
+// TestSpectralOpsAllocs pins the per-record operators of the spectral
+// segment at zero allocations per record in steady state on pooled input:
+// every record comes from the record pool and the downstream owner
+// releases what it receives, as in a hosted spectral unit.
+func TestSpectralOpsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation pins run without -race")
+	}
+	rng := rand.New(rand.NewSource(5))
+	samples := make([]float64, RecordSamples)
+	spectrum := make([]complex128, RecordSamples)
+	for i := range samples {
+		samples[i] = rng.NormFloat64()
+		spectrum[i] = complex(samples[i], rng.NormFloat64())
+	}
+	audio := func(r *record.Record) {
+		r.Subtype = record.SubtypeAudio
+		r.SetFloat64s(samples)
+	}
+	complexAudio := func(r *record.Record) {
+		r.Subtype = record.SubtypeAudio
+		r.SetComplex128s(spectrum)
+	}
+	magnitudes := func(r *record.Record) {
+		r.Subtype = record.SubtypeSpectrum
+		r.SetFloat64s(samples)
+	}
+	cutout := NewCutout(0, 0)
+	open := record.NewOpenScope(record.ScopeClip, 0)
+	open.SetContext(map[string]string{record.CtxSampleRate: "24576"})
+	if err := cutout.Process(open, pipeline.EmitterFunc(func(*record.Record) error { return nil })); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op   pipeline.Operator
+		fill func(*record.Record)
+	}{
+		{NewWelchWindow(), audio},
+		{NewFloat2Cplx(), audio},
+		{NewDFT(), complexAudio},
+		{NewCAbs(), complexAudio},
+		{cutout, magnitudes},
+	} {
+		fed, emitted := 0, 0
+		release := pipeline.EmitterFunc(func(r *record.Record) error {
+			emitted++
+			record.Release(r)
+			return nil
+		})
+		feed := func() {
+			r := record.GetRecord()
+			r.Kind = record.KindData
+			tc.fill(r)
+			fed++
+			if err := tc.op.Process(r, release); err != nil {
+				t.Fatalf("%s: %v", tc.op.Name(), err)
+			}
+		}
+		// Warm: scratch buffers and pooled payloads reach working size.
+		for i := 0; i < 4; i++ {
+			feed()
+		}
+		if allocs := testing.AllocsPerRun(50, feed); allocs != 0 {
+			t.Errorf("%s allocates %.1f per record, want 0", tc.op.Name(), allocs)
+		}
+		if emitted != fed {
+			t.Errorf("%s emitted %d records for %d", tc.op.Name(), emitted, fed)
+		}
+	}
+}

@@ -16,7 +16,13 @@ import "sync"
 // Emitter.Emit, Sink.Consume, or Operator.Process transfers ownership to
 // the callee; the caller must not touch the record (or any slice aliasing
 // its payload) afterwards. The final owner — and only the final owner —
-// calls Release. Components that copy the bytes out synchronously
+// calls Release, as its very last use of the record. An operator that
+// consumes a record without emitting it (the cutter's audio and trigger
+// inputs, rec2vect's spectra) is its final owner and releases it once the
+// values it needs are copied out; a record an operator creates comes from
+// GetRecord. Nothing reads a record, its header included, after handing
+// it to Emit or Release: take what is needed (Scope, ScopeType) first.
+// Components that copy the bytes out synchronously
 // (BatchWriter.Add, StreamOut.Consume, the typed Float64s/PCM16/...
 // decoders) do not retain the record, so their caller keeps ownership.
 // Holding a record past a handoff requires Clone (or GetCopy).

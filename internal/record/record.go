@@ -268,13 +268,17 @@ func (r *Record) String() string {
 }
 
 // SetFloat64s encodes v as the record payload, reusing existing payload
-// capacity when it suffices.
+// capacity when it suffices. The wire form is little-endian IEEE-754, 8
+// bytes per sample, NaN payload bits preserved; on a little-endian host
+// encoding is a single memmove of v's memory.
 func (r *Record) SetFloat64s(v []float64) {
 	r.PayloadType = PayloadFloat64
 	p := r.ensurePayload(8 * len(v))
-	for i, x := range v {
-		putU64(p[8*i:], math.Float64bits(x))
+	if nativeLE {
+		copy(p, float64Bytes(v))
+		return
 	}
+	putFloat64s(p, v)
 }
 
 // Float64s decodes the payload as a float64 slice. The returned slice is
@@ -286,7 +290,9 @@ func (r *Record) Float64s() ([]float64, error) {
 
 // AppendFloat64s decodes the payload as float64 samples appended to dst
 // (which may be nil) and returns the extended slice. Passing scratch with
-// sufficient capacity (e.g. buf[:0]) makes decoding allocation-free.
+// sufficient capacity (e.g. buf[:0]) makes decoding allocation-free. The
+// payload is read as SetFloat64s writes it; on a little-endian host
+// decoding is a single memmove into dst.
 func (r *Record) AppendFloat64s(dst []float64) ([]float64, error) {
 	if r.PayloadType != PayloadFloat64 {
 		return nil, fmt.Errorf("%w: have %s, want %s", ErrPayloadType, r.PayloadType, PayloadFloat64)
@@ -294,22 +300,29 @@ func (r *Record) AppendFloat64s(dst []float64) ([]float64, error) {
 	if len(r.Payload)%8 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 8", ErrShortPayload, len(r.Payload))
 	}
-	dst = slices.Grow(dst, len(r.Payload)/8)
-	for i := 0; i < len(r.Payload); i += 8 {
-		dst = append(dst, math.Float64frombits(getU64(r.Payload[i:])))
+	n := len(r.Payload) / 8
+	dst = slices.Grow(dst, n)
+	if nativeLE {
+		m := len(dst)
+		dst = dst[:m+n]
+		copy(float64Bytes(dst[m:]), r.Payload)
+		return dst, nil
 	}
-	return dst, nil
+	return appendFloat64s(dst, r.Payload), nil
 }
 
-// SetComplex128s encodes v as interleaved float64 pairs, reusing existing
-// payload capacity when it suffices.
+// SetComplex128s encodes v as interleaved (re, im) float64 pairs, reusing
+// existing payload capacity when it suffices. The wire form is
+// little-endian IEEE-754, 16 bytes per sample; on a little-endian host
+// encoding is a single memmove of v's memory.
 func (r *Record) SetComplex128s(v []complex128) {
 	r.PayloadType = PayloadComplex128
 	p := r.ensurePayload(16 * len(v))
-	for i, x := range v {
-		putU64(p[16*i:], math.Float64bits(real(x)))
-		putU64(p[16*i+8:], math.Float64bits(imag(x)))
+	if nativeLE {
+		copy(p, complex128Bytes(v))
+		return
 	}
+	putComplex128s(p, v)
 }
 
 // Complex128s decodes the payload as a complex128 slice. The returned
@@ -320,7 +333,9 @@ func (r *Record) Complex128s() ([]complex128, error) {
 }
 
 // AppendComplex128s decodes the payload as complex samples appended to
-// dst (which may be nil) and returns the extended slice.
+// dst (which may be nil) and returns the extended slice. The payload is
+// read as SetComplex128s writes it; on a little-endian host decoding is a
+// single memmove into dst.
 func (r *Record) AppendComplex128s(dst []complex128) ([]complex128, error) {
 	if r.PayloadType != PayloadComplex128 {
 		return nil, fmt.Errorf("%w: have %s, want %s", ErrPayloadType, r.PayloadType, PayloadComplex128)
@@ -328,13 +343,48 @@ func (r *Record) AppendComplex128s(dst []complex128) ([]complex128, error) {
 	if len(r.Payload)%16 != 0 {
 		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 16", ErrShortPayload, len(r.Payload))
 	}
-	dst = slices.Grow(dst, len(r.Payload)/16)
-	for i := 0; i < len(r.Payload); i += 16 {
-		re := math.Float64frombits(getU64(r.Payload[i:]))
-		im := math.Float64frombits(getU64(r.Payload[i+8:]))
+	n := len(r.Payload) / 16
+	dst = slices.Grow(dst, n)
+	if nativeLE {
+		m := len(dst)
+		dst = dst[:m+n]
+		copy(complex128Bytes(dst[m:]), r.Payload)
+		return dst, nil
+	}
+	return appendComplex128s(dst, r.Payload), nil
+}
+
+// putFloat64s, appendFloat64s, putComplex128s and appendComplex128s are
+// the portable per-element codecs: the big-endian host's path, and the
+// reference the little-endian memmove path is tested against.
+
+func putFloat64s(p []byte, v []float64) {
+	for i, x := range v {
+		putU64(p[8*i:], math.Float64bits(x))
+	}
+}
+
+func appendFloat64s(dst []float64, p []byte) []float64 {
+	for i := 0; i < len(p); i += 8 {
+		dst = append(dst, math.Float64frombits(getU64(p[i:])))
+	}
+	return dst
+}
+
+func putComplex128s(p []byte, v []complex128) {
+	for i, x := range v {
+		putU64(p[16*i:], math.Float64bits(real(x)))
+		putU64(p[16*i+8:], math.Float64bits(imag(x)))
+	}
+}
+
+func appendComplex128s(dst []complex128, p []byte) []complex128 {
+	for i := 0; i < len(p); i += 16 {
+		re := math.Float64frombits(getU64(p[i:]))
+		im := math.Float64frombits(getU64(p[i+8:]))
 		dst = append(dst, complex(re, im))
 	}
-	return dst, nil
+	return dst
 }
 
 // SetPCM16 encodes 16-bit samples as the record payload, reusing existing
