@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -142,6 +143,75 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := h.Quantile(0.99); got != 4 {
 		t.Errorf("overflow quantile = %g, want top bound 4", got)
+	}
+}
+
+// TestHistogramObserveN: folding n observations of one value at once
+// leaves the same buckets, count and sum as n single observations, and
+// n == 0 (or a nil histogram) changes nothing.
+func TestHistogramObserveN(t *testing.T) {
+	var nilH *Histogram
+	nilH.ObserveN(1, 5) // must not panic
+	reg := NewRegistry()
+	bounds := []float64{.001, .01, .1}
+	for _, tc := range []struct {
+		v float64
+		n uint64
+	}{{0.0005, 1}, {0.003, 64}, {0.1, 7}, {0.25, 3}, {0, 0}} {
+		bulk := reg.Histogram("bulk_seconds", bounds)
+		single := reg.Histogram("single_seconds", bounds)
+		bulk.ObserveN(tc.v, tc.n)
+		for i := uint64(0); i < tc.n; i++ {
+			single.Observe(tc.v)
+		}
+		for i := range bulk.counts {
+			if b, s := bulk.counts[i].Load(), single.counts[i].Load(); b != s {
+				t.Errorf("ObserveN(%g, %d): bucket %d holds %d, single observations %d", tc.v, tc.n, i, b, s)
+			}
+		}
+		if b, s := bulk.Count(), single.Count(); b != s || b != tc.n {
+			t.Errorf("ObserveN(%g, %d): count %d, single observations %d", tc.v, tc.n, b, s)
+		}
+		if b, s := bulk.Sum(), single.Sum(); math.Abs(b-s) > 1e-12*math.Max(1, s) {
+			t.Errorf("ObserveN(%g, %d): sum %g, single observations %g", tc.v, tc.n, b, s)
+		}
+		reg.DropPrefix("bulk_")
+		reg.DropPrefix("single_")
+	}
+}
+
+// TestHistogramQuantileDuringObserveN reads quantiles while another
+// goroutine folds bulk observations in; under -race this pins that the
+// read side needs no lock, and every estimate stays inside the bounds.
+func TestHistogramQuantileDuringObserveN(t *testing.T) {
+	h := NewRegistry().Histogram("live_seconds", LatencyBuckets)
+	const writes = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < writes; i++ {
+			h.ObserveN(float64(i%50)/1e4, uint64(1+i%64))
+		}
+	}()
+	top := LatencyBuckets[len(LatencyBuckets)-1]
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, q := range []float64{0.5, 0.99} {
+			if got := h.Quantile(q); got < 0 || got > top {
+				t.Fatalf("p%g = %g outside [0, %g] during ObserveN", 100*q, got, top)
+			}
+		}
+	}
+	var want uint64
+	for i := 0; i < writes; i++ {
+		want += uint64(1 + i%64)
+	}
+	if got := h.Count(); got != want {
+		t.Fatalf("count %d after the writer finished, want %d", got, want)
 	}
 }
 

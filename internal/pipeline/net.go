@@ -485,12 +485,13 @@ func (s *StreamOut) dropConnLocked() {
 // resynchronize, then waits for the next connection.
 //
 // Records travel downstream in runs: the records of one decoded wire
-// batch, at most runCap of them, stamped with one ingress time. A run
-// after which the input has run dry ends with the RunEnder hook, so the
-// hosting unit's streamout delivers at once. With
-// QueueSize > 0 the runs pass through a bounded emit queue that decouples
-// the network reader from the downstream chain; QueueDepth exposes the
-// backlog as the saturation gauge backpressure-aware placement feeds on.
+// batch, at most runCap of them, stamped with one ingress time. Every
+// run ends with the RunEnder hook, which times the run for the latency
+// tracer; a run after which the input has run dry also has the hosting
+// unit's streamout deliver at once. With QueueSize > 0 the runs pass
+// through a bounded emit queue that decouples the network reader from
+// the downstream chain; QueueDepth exposes the backlog as the saturation
+// gauge backpressure-aware placement feeds on.
 // Transient Accept errors (file-descriptor pressure, aborted handshakes)
 // are retried with a short backoff instead of tearing the pipeline down.
 type StreamIn struct {
@@ -507,7 +508,7 @@ type StreamIn struct {
 
 	runLen int                   // run length cap, set by Run
 	free   chan []*record.Record // recycled run buffers, made by Run
-	runEnd func() error          // see SetRunEnd; nil when the sink cannot flush
+	runEnd func(dry bool) error  // see SetRunEnd; nil when run ends need nothing
 
 	// MaxConns, when positive, stops the source cleanly after that many
 	// upstream connections have been served (used by finite pipelines and
@@ -560,7 +561,7 @@ func (s *StreamIn) PreservesSeq() bool { return true }
 func (s *StreamIn) RecyclesRecords() bool { return s.Pooled }
 
 // SetRunEnd implements RunEnder (see Run for when end is called).
-func (s *StreamIn) SetRunEnd(end func() error) { s.runEnd = end }
+func (s *StreamIn) SetRunEnd(end func(dry bool) error) { s.runEnd = end }
 
 // Addr returns the bound listen address.
 func (s *StreamIn) Addr() string { return s.ln.Addr().String() }
@@ -616,17 +617,18 @@ type queuedRun struct {
 // Run implements Source: it accepts connections and forwards their records
 // until Close (or MaxConns/IdleTimeout). Without a queue the reader walks
 // each run through out itself; with one, a drain goroutine walks the runs
-// the reader queues. The run-end hook fires after a dry run (see
-// serveConn) — with a queue, only when no further run is queued behind
-// it — so under backlog the downstream batch keeps filling.
+// the reader queues. The run-end hook fires after every run, reporting
+// it dry when the input ran dry after it (see serveConn) and — with a
+// queue — no further run is queued behind it, so under backlog the
+// downstream batch keeps filling.
 func (s *StreamIn) Run(out Emitter) error {
 	if s.QueueSize <= 0 {
 		s.runLen, s.free = runCap, make(chan []*record.Record, 1)
 		return s.acceptLoop(func(run []*record.Record, dry bool) error {
-			if err := s.walk(run, out); err != nil || !dry || s.runEnd == nil {
+			if err := s.walk(run, out); err != nil || s.runEnd == nil {
 				return err
 			}
-			return s.runEnd()
+			return s.runEnd(dry)
 		})
 	}
 	// Every queued run holds a record, so no channel below holds more runs
@@ -651,8 +653,8 @@ func (s *StreamIn) Run(out Emitter) error {
 				s.discard(qr.recs)
 				continue
 			}
-			if drainErr = s.walk(qr.recs, out); drainErr == nil && qr.dry && len(q) == 0 && s.runEnd != nil {
-				drainErr = s.runEnd()
+			if drainErr = s.walk(qr.recs, out); drainErr == nil && s.runEnd != nil {
+				drainErr = s.runEnd(qr.dry && len(q) == 0)
 			}
 			if drainErr != nil {
 				close(dead)
@@ -840,8 +842,9 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record, dry b
 		// input has run dry if no later frame is buffered either.
 		if len(run) == s.runLen || (len(run) > 0 && rd.BatchLeft() == 0) {
 			// Ingress stamp for the latency tracer, one clock read per
-			// run: time from here to the hosting pipeline's sink stage is
-			// this unit's latency. The stamp is in-memory only.
+			// run: time from here to the end of the run's walk to the
+			// hosting pipeline's sink stage is this unit's latency. The
+			// stamp is in-memory only.
 			now := time.Now().UnixNano()
 			for _, r := range run {
 				r.IngressNanos = now

@@ -94,16 +94,20 @@ type SeqPreserver interface {
 }
 
 // RunEnder marks a Source that hands records downstream in runs — the
-// records of one decoded upstream batch — and so knows when its input has
-// run dry. Pipeline.Run passes it a run-end callback before Run: when the
-// sink can flush (StreamOut.Flush), the callback delivers the sink's
-// pending batch at once instead of leaving it for the MaxDelay timer, and
-// end is nil otherwise. The source calls end, serialized with its Emits,
-// after the last record of a run when nothing more is immediately
-// available; under backlog it does not, so batches still grow. An error
-// from end fails the pipeline as a failed Emit does, and the source stops.
+// records of one decoded upstream batch, sharing one ingress stamp — and
+// so knows where each run ends and when its input has run dry.
+// Pipeline.Run passes it a run-end callback before Run, or nil when
+// there is nothing to do at run ends. The source calls end, serialized
+// with its Emits, after the last record of every run; dry reports that
+// nothing more is immediately available. The callback closes the
+// tracer's pending latency span (LatencyTracer.EndRun) at every run end,
+// and when dry and the sink can flush (StreamOut.Flush) it delivers the
+// sink's pending batch at once instead of leaving it for the MaxDelay
+// timer; under backlog dry is false, so batches still grow. An error
+// from end fails the pipeline as a failed Emit does, and the source
+// stops.
 type RunEnder interface {
-	SetRunEnd(end func() error)
+	SetRunEnd(end func(dry bool) error)
 }
 
 // SourceFunc adapts a function to the Source interface.

@@ -120,8 +120,9 @@ type Pipeline struct {
 	sink     Sink
 
 	// Tracer, when set, observes every record as it reaches the sink
-	// stage, recording unit and end-to-end latency (see LatencyTracer).
-	// Nil leaves the sink stage untouched.
+	// stage, recording unit and end-to-end latency (see LatencyTracer):
+	// per run when the source is a RunEnder, per record otherwise. Nil
+	// leaves the sink stage untouched.
 	Tracer *LatencyTracer
 }
 
@@ -220,8 +221,16 @@ func (p *Pipeline) Run(parent context.Context) error {
 	if rs, ok := p.source.(RecycledSource); ok {
 		recycle = rs.RecyclesRecords()
 	}
+	// A source that runs records in batches closes the tracer's span at
+	// every run end, and flushes a flushable sink when its input ran dry,
+	// so a batched hop delivers without waiting for its timer. Any other
+	// source's records are timed one by one.
+	re, runs := p.source.(RunEnder)
 	var out Emitter = EmitterFunc(func(r *record.Record) error {
 		p.Tracer.Observe(r)
+		if !runs {
+			p.Tracer.EndRun()
+		}
 		err := p.sink.Consume(r)
 		if recycle {
 			record.Release(r)
@@ -232,13 +241,15 @@ func (p *Pipeline) Run(parent context.Context) error {
 		}
 		return err
 	})
-
-	// A source that knows when its input ran dry flushes a flushable sink
-	// then, so a batched hop delivers without waiting for its timer.
-	if re, ok := p.source.(RunEnder); ok {
-		var end func() error
-		if f, ok := p.sink.(interface{ Flush() error }); ok {
-			end = func() error {
+	if runs {
+		f, flushable := p.sink.(interface{ Flush() error })
+		var end func(dry bool) error
+		if flushable || p.Tracer != nil {
+			end = func(dry bool) error {
+				p.Tracer.EndRun()
+				if !dry || !flushable {
+					return nil
+				}
 				select {
 				case <-ctx.Done():
 					return ErrStopped
@@ -296,6 +307,9 @@ func (p *Pipeline) Run(parent context.Context) error {
 		err = seg.flush(outs[i+1])
 	}
 	fail(err)
+	// The source and the segments are done emitting: time what the last
+	// run left counted.
+	p.Tracer.EndRun()
 	if firstErr != nil {
 		return firstErr
 	}

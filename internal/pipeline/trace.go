@@ -8,23 +8,35 @@ import (
 )
 
 // LatencyTracer records data-plane record latencies into lock-free
-// atomic histograms at the moment a record reaches a pipeline's sink
-// stage. Two series per traced unit:
+// atomic histograms as records reach a pipeline's sink stage. Two series
+// per traced unit:
 //
 //   - unit latency: ingress stamp (streamin/merger decode time, see
-//     Record.IngressNanos) to sink hand-off — how long a record spent
-//     inside this process, queues included;
+//     Record.IngressNanos) to the end of the run in which the record
+//     reached the sink — how long a record spent inside this process,
+//     queues included;
 //   - e2e latency: trace-probe origin to sink hand-off — how long the
 //     stream takes from the source to here, across every hop (see
 //     record.NewTraceProbe).
 //
-// Observe is two atomic adds on the steady-state path (time.Now and
-// Histogram.Observe allocate nothing), so tracing preserves the
-// 0 allocs/record contract of the pooled transport path. A nil tracer
-// no-ops, keeping untraced pipelines untouched.
+// The unit series follows the source's grain, the run: the records of
+// one decoded batch share one ingress stamp, so Observe only counts them
+// into a pending span, and the span closes with one clock read and one
+// Histogram.ObserveN when the run ends (EndRun) or the stamp changes.
+// A span closed at every run end never charges the idle time before the
+// next run to the last one. Trace probes keep their own clock read. None
+// of it allocates, so tracing preserves the 0 allocs/record contract of
+// the pooled transport path. A nil tracer no-ops, keeping untraced
+// pipelines untouched.
+//
+// The pending span is not synchronized: Observe and EndRun are called
+// from the pipeline's emitting goroutine, serialized like its Emits.
 type LatencyTracer struct {
 	unit *obs.Histogram
 	e2e  *obs.Histogram
+
+	stamp   int64  // ingress stamp of the pending span
+	pending uint64 // records counted into the pending span
 }
 
 // NewLatencyTracer returns a tracer writing to reg under
@@ -34,7 +46,7 @@ func NewLatencyTracer(reg *obs.Registry, unit string) *LatencyTracer {
 	if reg == nil {
 		return nil
 	}
-	reg.Help("dynriver_unit_latency_seconds", "record latency from local ingress to the unit's sink stage")
+	reg.Help("dynriver_unit_latency_seconds", "record latency from local ingress to the end of the run that reached the unit's sink stage")
 	reg.Help("dynriver_e2e_latency_seconds", "trace-probe latency from stream origin to this unit's sink stage")
 	return &LatencyTracer{
 		unit: reg.Histogram("dynriver_unit_latency_seconds", obs.LatencyBuckets, "unit", unit),
@@ -42,24 +54,40 @@ func NewLatencyTracer(reg *obs.Registry, unit string) *LatencyTracer {
 	}
 }
 
-// Observe folds one record about to reach the sink into the histograms.
+// Observe counts one record about to reach the sink into the pending
+// span, first closing the span when the record's ingress stamp differs
+// from it. Unstamped records count toward nothing; a trace probe is
+// observed into the e2e series at once.
 func (t *LatencyTracer) Observe(r *record.Record) {
 	if t == nil {
 		return
 	}
-	now := time.Now().UnixNano()
 	if r.IngressNanos > 0 {
-		if d := now - r.IngressNanos; d >= 0 {
-			t.unit.Observe(float64(d) / 1e9)
+		if r.IngressNanos != t.stamp {
+			t.EndRun()
+			t.stamp = r.IngressNanos
 		}
+		t.pending++
 	}
 	if record.IsTraceProbe(r) {
 		if origin, err := record.TraceOrigin(r); err == nil {
-			if d := now - origin; d >= 0 {
+			if d := time.Now().UnixNano() - origin; d >= 0 {
 				t.e2e.Observe(float64(d) / 1e9)
 			}
 		}
 	}
+}
+
+// EndRun closes the pending span: every record counted into it is
+// observed with the latency from its ingress stamp to now.
+func (t *LatencyTracer) EndRun() {
+	if t == nil || t.pending == 0 {
+		return
+	}
+	if d := time.Now().UnixNano() - t.stamp; d >= 0 {
+		t.unit.ObserveN(float64(d)/1e9, t.pending)
+	}
+	t.pending = 0
 }
 
 // UnitQuantile returns the q-quantile estimate of the unit latency

@@ -103,7 +103,7 @@ type Merger struct {
 	nring   int             // occupied ring slots
 	tracker *record.Tracker // output scope structure
 	emitErr error
-	runEnd  func() error // see SetRunEnd; nil when the sink cannot flush
+	runEnd  func(dry bool) error // see SetRunEnd; nil when run ends need nothing
 }
 
 // NewMerger binds the merger's listener.
@@ -157,11 +157,15 @@ func (m *Merger) PreservesSeq() bool { return true }
 // once the sink has consumed them.
 func (m *Merger) RecyclesRecords() bool { return m.pooled }
 
-// SetRunEnd implements pipeline.RunEnder: end is called, under the lock
-// that serializes emission, each time a leg's decoded batch is exhausted
-// with no later frame buffered, so a streamout sink delivers what the
-// batch released without waiting for its delay timer.
-func (m *Merger) SetRunEnd(end func() error) { m.runEnd = end }
+// SetRunEnd implements pipeline.RunEnder. A merger's run is one leg's
+// decoded batch: end is called, under the lock that serializes emission,
+// each time a leg's batch is exhausted, which times what the batch
+// released for the latency tracer. It reports dry when no later frame is
+// buffered on that leg, so a streamout sink delivers what the batch
+// released without waiting for its delay timer.
+func (m *Merger) SetRunEnd(end func(dry bool) error) { m.runEnd = end }
+
+var _ pipeline.RunEnder = (*Merger)(nil)
 
 // Connections returns the cumulative number of legs served.
 func (m *Merger) Connections() uint64 { return m.conns.Load() }
@@ -308,6 +312,7 @@ func (m *Merger) serveLeg(conn net.Conn, out pipeline.Emitter) {
 	rd := record.NewReaderSize(conn, record.DefaultReadBufferSize)
 	rd.SetPooled(m.pooled)
 	var seenCorrupt uint64
+	var stamp int64 // ingress stamp of the leg batch being decoded; 0 between batches
 	for {
 		rec, err := rd.Read()
 		if c := rd.CorruptBatches(); c != seenCorrupt {
@@ -317,14 +322,21 @@ func (m *Merger) serveLeg(conn net.Conn, out pipeline.Emitter) {
 		if err != nil {
 			return
 		}
-		// Ingress stamp for the latency tracer, as in StreamIn: merger
-		// units measure from leg decode to the sink stage.
-		rec.IngressNanos = time.Now().UnixNano()
+		// Ingress stamp for the latency tracer, one clock read per leg
+		// batch as in StreamIn: merger units measure from leg decode to
+		// the end of the run that reached the sink stage.
+		if stamp == 0 {
+			stamp = time.Now().UnixNano()
+		}
+		rec.IngressNanos = stamp
 		err = m.ingest(rec, out)
-		if err == nil && rd.BatchLeft() == 0 && rd.Buffered() == 0 && m.runEnd != nil {
-			m.mu.Lock()
-			err = m.runEnd()
-			m.mu.Unlock()
+		if err == nil && rd.BatchLeft() == 0 {
+			stamp = 0
+			if m.runEnd != nil {
+				m.mu.Lock()
+				err = m.runEnd(rd.Buffered() == 0)
+				m.mu.Unlock()
+			}
 		}
 		if err != nil {
 			// Downstream failed: stop the whole source so the hosted

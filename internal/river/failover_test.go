@@ -117,6 +117,7 @@ func TestFailoverIntegration(t *testing.T) {
 	agents := make(map[string]*liveAgent)
 	for _, name := range []string{"node-a", "node-b"} {
 		a := NewAgent(name, coord.Addr(), reg)
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)

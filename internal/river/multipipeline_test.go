@@ -83,6 +83,7 @@ func TestTwoPipelinesFailoverIsolatedAndRestart(t *testing.T) {
 	agents := map[string]*liveAgent{}
 	startAgent := func(name string) {
 		a := NewAgent(name, coordAddr, relayRegistry())
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		a.ReconnectMin = 25 * time.Millisecond
 		a.ReconnectMax = 250 * time.Millisecond

@@ -472,6 +472,7 @@ func TestObservabilityIntegration(t *testing.T) {
 			return []pipeline.Operator{slowableRelay{delay: delay}}
 		})
 		a := NewAgent(name, coord.Addr(), reg)
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)

@@ -109,6 +109,7 @@ func TestReplicatedSegmentFailover(t *testing.T) {
 	agents := map[string]*liveAgent{}
 	for _, name := range []string{"node-a", "node-b", "node-c", "node-d"} {
 		a := NewAgent(name, coord.Addr(), relayRegistry())
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)

@@ -75,6 +75,7 @@ func TestCoordinatorRestartAdoptsDataPlane(t *testing.T) {
 	agents := map[string]*liveAgent{}
 	for _, name := range []string{"node-a", "node-b", "node-c", "node-d"} {
 		a := NewAgent(name, coordAddr, relayRegistry())
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		// Tight reconnect bounds so re-registration lands well inside the
 		// grace window.

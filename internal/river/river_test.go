@@ -596,6 +596,7 @@ func TestTwoSegmentChainRedirect(t *testing.T) {
 	}
 	start := func(name string) *liveAgent {
 		a := NewAgent(name, coord.Addr(), identityRegistry())
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
@@ -752,6 +753,7 @@ func TestSegmentFailureFailover(t *testing.T) {
 	agents := make(map[string]*liveAgent)
 	for _, name := range []string{"node-a", "node-b"} {
 		a := NewAgent(name, coord.Addr(), reg)
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)

@@ -81,6 +81,7 @@ func TestShardedSegmentAutoscaleAndFailover(t *testing.T) {
 	agents := map[string]*liveAgent{}
 	for _, name := range []string{"node-a", "node-b", "node-c", "node-d", "node-e"} {
 		a := NewAgent(name, coord.Addr(), reg)
+		a.ListenHost = agentListenHost(t)
 		a.Logf = t.Logf
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
