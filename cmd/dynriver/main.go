@@ -111,7 +111,7 @@ func usage() {
   dynriver sink -listen ADDR [-conns N]
   dynriver coord -listen ADDR -sink HOST:PORT [-segments TYPES] [-pipelines N | -spec-file FILE]
                  [-replicas N] [-heartbeat D] [-timeout D] [-placer POLICY]
-                 [-state DIR] [-grace D] [-disconnect-grace D] [-fsync=BOOL]
+                 [-state DIR] [-grace D] [-disconnect-grace D]
                  [-metrics-addr ADDR] [-monitor=BOOL]
                  [-react observe|drain] [-dry-run] [-remediate-cooldown D] [-remediate-max N]
                  [-autoscale] [-autoscale-low F] [-autoscale-high F] [-autoscale-min K]
@@ -469,7 +469,6 @@ func runCoord(args []string) error {
 	stateDir := fs.String("state", "", "journal placement state to this directory; a coordinator restarted over it adopts the running data plane instead of re-placing")
 	grace := fs.Duration("grace", 0, "restart grace window for agents to re-register and be adopted (default 5s; needs -state)")
 	disconnectGrace := fs.Duration("disconnect-grace", 0, "hold a disconnected node's units this long for reconnect-and-adopt before re-placing (0 = fail over immediately)")
-	fsync := fs.Bool("fsync", true, "group-commit fsync of journal entries (disable to trade a machine-crash durability window for zero fsync traffic)")
 	metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (empty = off)")
 	monitor := fs.Bool("monitor", true, "run the self-monitoring anomaly detectors over node telemetry")
 	react := fs.String("react", "observe", "what an anomaly triggers: observe (record only) or drain (pre-emptively drain the flagged node)")
@@ -529,7 +528,6 @@ func runCoord(args []string) error {
 		StateDir:          *stateDir,
 		RestartGrace:      *grace,
 		DisconnectGrace:   *disconnectGrace,
-		JournalNoFsync:    !*fsync,
 		MetricsAddr:       *metricsAddr,
 		Monitor:           river.MonitorConfig{Disabled: !*monitor},
 		Remediate: river.RemediateConfig{
@@ -555,9 +553,6 @@ func runCoord(args []string) error {
 	durable := ""
 	if *stateDir != "" {
 		durable = fmt.Sprintf(", state %s", *stateDir)
-		if !*fsync {
-			durable += " (no fsync)"
-		}
 	}
 	fmt.Printf("coordinator listening on %s as epoch %d (%d pipeline(s), placer %s%s)\n",
 		coord.Addr(), coord.Epoch(), len(specs), *placerName, durable)

@@ -150,28 +150,15 @@ func WatchEvents(ctx context.Context, coordAddr, pipelineID string, sinceSeq uin
 	}
 }
 
-// WatchEntry subscribes to a coordinator's default-pipeline entry
-// address and invokes fn for the current address and every subsequent
-// change, until ctx is cancelled (returns nil) or the connection drops
-// (returns the error). A source uses this to point — and keep pointing —
-// its streamout at the pipeline's first segment as the control plane
-// moves it.
-func WatchEntry(ctx context.Context, coordAddr string, fn func(addr string)) error {
-	return WatchPipelineEntry(ctx, coordAddr, "", func(addr string, _ bool) { fn(addr) })
-}
-
-// WatchEntryUpdates is WatchEntry with the drain signal: boundary is true
-// when the entry moved as part of a planned drain, in which case the
-// source should switch at its next top-level scope boundary
-// (StreamOut.RedirectAtBoundary) rather than immediately.
-func WatchEntryUpdates(ctx context.Context, coordAddr string, fn func(addr string, boundary bool)) error {
-	return WatchPipelineEntry(ctx, coordAddr, "", fn)
-}
-
-// WatchPipelineEntry is the pipeline-scoped entry watch: a station
-// serving pipeline ID follows only that pipeline's entry address —
-// another pipeline's failover never disturbs it. The empty ID follows the
-// default pipeline. Watching a pipeline the coordinator does not know
+// WatchPipelineEntry subscribes to one pipeline's entry address and
+// invokes fn for the current address and every subsequent change, until
+// ctx is cancelled (returns nil) or the connection drops (returns the
+// error). A station serving pipeline ID follows only that pipeline's
+// entry — another pipeline's failover never disturbs it; the empty ID
+// follows the default pipeline. boundary is true when the entry moved as
+// part of a planned drain, in which case the source should switch at its
+// next top-level scope boundary (StreamOut.RedirectAtBoundary) rather
+// than immediately. Watching a pipeline the coordinator does not know
 // fails with an error.
 func WatchPipelineEntry(ctx context.Context, coordAddr, pipelineID string, fn func(addr string, boundary bool)) error {
 	conn, err := (&net.Dialer{Timeout: 5 * time.Second}).DialContext(ctx, "tcp", coordAddr)

@@ -151,16 +151,6 @@ type Config struct {
 	// begins immediately. True node death under a grace costs that much
 	// extra failover latency.
 	DisconnectGrace time.Duration
-	// JournalNoFsync disables the journal's group-commit fsync (entries
-	// are then only flushed to the OS, and synced at snapshots), trading
-	// a machine-crash durability window for zero fsync traffic. Only
-	// meaningful with StateDir.
-	JournalNoFsync bool
-	// JournalFsyncInterval is the group-commit flush interval: journal
-	// entries are fsynced in batches at most this far apart (default
-	// 2ms), bounding what a hard machine crash can lose without paying a
-	// per-entry fsync on the control path.
-	JournalFsyncInterval time.Duration
 	// MetricsAddr, when set, serves the observability endpoint there:
 	// Prometheus-text /metrics (per-node and per-pipeline gauges from
 	// heartbeat aggregation plus coordinator internals) and net/http/pprof.
@@ -374,7 +364,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			cfg.Logf("coordinator: "+format, args...)
 		}
 	}
-	st, restored, err := newState(cfg.StateDir, boot, !cfg.JournalNoFsync, cfg.JournalFsyncInterval, logf)
+	st, restored, err := newState(cfg.StateDir, boot, logf)
 	if err != nil {
 		return nil, err
 	}
@@ -1249,9 +1239,7 @@ func (c *Coordinator) unitHost(u unit) (p *placement, cur placement, live bool) 
 			delete(c.disconnected, node)
 		}
 	}
-	cur = *p
-	cur.legs = slices.Clone(p.legs)
-	return p, cur, true
+	return p, *p, true
 }
 
 // ensure places unit u if it is unplaced, or re-splices its live instance
@@ -1291,8 +1279,7 @@ func (c *Coordinator) ensure(u unit, down string, legs []string) string {
 	}
 	c.mu.Lock()
 	if c.st.placements[u.name] == p {
-		p.down, p.legs = down, slices.Clone(legs)
-		c.st.commit(p)
+		c.st.setPlacement(p, placementRecord{Node: p.node, Addr: p.addr, Down: down, Legs: legs})
 	}
 	c.mu.Unlock()
 	c.event(done)
@@ -1354,8 +1341,7 @@ func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, le
 	if p.everPlaced {
 		typ = obs.EventReplace
 	}
-	p.node, p.addr, p.down, p.legs, p.epoch = pick, a, down, slices.Clone(legs), msg.Epoch
-	c.st.commit(p)
+	c.st.setPlacement(p, placementRecord{Node: pick, Addr: a, Down: down, Legs: legs})
 	c.mu.Unlock()
 	c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a, Detail: detail})
 	c.logf("%s placed on %s at %s %s", u.name, pick, a, detail)
@@ -1517,7 +1503,7 @@ func (c *Coordinator) Drain(unitName string) error {
 	case specIdx == 0:
 		// Unlike the mid-chain path there is no ack that the external
 		// source switched: give it the full boundary window sources use
-		// (see WatchEntryUpdates / StreamOut.RedirectAtBoundary) before
+		// (see WatchPipelineEntry / StreamOut.RedirectAtBoundary) before
 		// the old instance is stopped, so a boundary-honoring station has
 		// ended the old stream cleanly by then. A source that ignores the
 		// hint degrades to an ordinary redirect's repair seam. The entry
@@ -1563,11 +1549,11 @@ func (c *Coordinator) Drain(unitName string) error {
 		c.kickReconcile()
 		return fmt.Errorf("river: drain destination %s died; %s awaits re-placement", dest, unitName)
 	}
-	p.node, p.addr, p.down = dest, newAddr, down
-	c.st.commit(p)
+	c.st.setPlacement(p, placementRecord{Node: dest, Addr: newAddr, Down: down})
 	if upP != nil {
-		upP.down = newAddr
-		c.st.commit(upP)
+		pr := upP.record()
+		pr.Down = newAddr
+		c.st.setPlacement(upP, pr)
 	}
 	var ews []*entryWatcher
 	if entryDrain && c.st.setEntry(u.pipe, newAddr) {

@@ -86,7 +86,7 @@ func TestHandshakeRejectsMismatchedPeer(t *testing.T) {
 			return err
 		}},
 		{Message{Type: TypeWatch}, func(addr string) error {
-			return WatchEntry(context.Background(), addr, func(string) {})
+			return WatchPipelineEntry(context.Background(), addr, "", func(string, bool) {})
 		}},
 		{Message{Type: TypeWatchEvents, Follow: true}, func(addr string) error {
 			if _, err := FetchEvents(addr, "", 0, time.Second); !errors.Is(err, ErrProtocolMismatch) {
@@ -224,19 +224,30 @@ func FuzzMessageRecv(f *testing.F) {
 	})
 }
 
-// updateCorpus rewrites the committed FuzzMessageRecv seed files:
+// updateCorpus rewrites the committed FuzzMessageRecv and
+// FuzzJournalLoad seed files:
 //
 //	go test ./internal/river -run FuzzCorpus -update-corpus
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed control-protocol fuzz seeds")
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed fuzz seeds")
 
 // TestMessageFuzzCorpusCommitted regenerates (under -update-corpus) and
 // then verifies the committed seed files, so the seeds evolve with the
 // protocol instead of rotting.
 func TestMessageFuzzCorpusCommitted(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzMessageRecv")
-	for i, s := range messageSeeds(t) {
+	var bodies []string
+	for _, s := range messageSeeds(t) {
+		bodies = append(bodies, fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s))
+	}
+	checkFuzzCorpus(t, "FuzzMessageRecv", bodies)
+}
+
+// checkFuzzCorpus writes (under -update-corpus) and then verifies one
+// fuzz target's committed seed files, seed_NN holding bodies[NN].
+func checkFuzzCorpus(t *testing.T, target string, bodies []string) {
+	dir := filepath.Join("testdata", "fuzz", target)
+	for i, body := range bodies {
 		path := filepath.Join(dir, fmt.Sprintf("seed_%02d", i))
-		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", s))
+		want := []byte(body)
 		if *updateCorpus {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)

@@ -424,7 +424,7 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	defer watchCancel()
 	watchDone := make(chan error, 1)
 	go func() {
-		watchDone <- WatchEntry(watchCtx, coord.Addr(), func(a string) {
+		watchDone <- WatchPipelineEntry(watchCtx, coord.Addr(), "", func(a string, _ bool) {
 			wmu.Lock()
 			entries = append(entries, a)
 			wmu.Unlock()

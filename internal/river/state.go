@@ -2,13 +2,13 @@ package river
 
 import (
 	"bufio"
-	"cmp"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -89,17 +89,23 @@ func expandSpecK(pipe string, sp SegmentSpec, shards int) []unit {
 // empty while it awaits (re-)placement. down and legs record the
 // downstream target(s) the live instance was last told, so the reconcile
 // loop can re-splice declaratively whenever the desired target moves.
+// Only state.apply writes them, and it replaces legs rather than editing
+// it, so a copy of a placement may share the slice.
 type placement struct {
-	u     unit
-	node  string
-	addr  string
-	down  string   // single downstream last told (segments, mergers)
-	legs  []string // splitter fan-out last told (sorted)
-	epoch uint16   // splitter incarnation assigned
+	u    unit
+	node string
+	addr string
+	down string   // single downstream last told (segments, mergers)
+	legs []string // splitter fan-out last told (sorted)
 	// everPlaced records that this unit has held a node at some point in
 	// this incarnation, so the event stream can distinguish a first
 	// placement ("place") from a post-failover one ("replace").
 	everPlaced bool
+}
+
+// record is the placement's persisted form.
+func (p *placement) record() placementRecord {
+	return placementRecord{Node: p.node, Addr: p.addr, Down: p.down, Legs: p.legs}
 }
 
 // pipelineState is the per-pipeline half of the topology tables: the
@@ -117,20 +123,23 @@ type pipelineState struct {
 	specIndex   map[string]int
 	entryAddr   string
 	// boot marks a pipeline declared in the coordinator's Config. Boot
-	// pipelines take their spec from the config on every start (the v4
-	// rule: the operator's flags are the intent, stale placements are
-	// pruned); only runtime-added pipelines are reloaded from the journal.
+	// pipelines take their spec from the config on every start (the
+	// operator's flags are the intent, stale placements are pruned); only
+	// runtime-added pipelines are reloaded from the journal.
 	boot bool
 }
 
 // state owns the coordinator's topology tables: a registry of pipelines
 // keyed by ID, and where each pipeline's units currently run. Placement
 // is global — one table, one node pool — while topology (specs, entry
-// addresses, reconcile order) is per pipeline. When opened over a
-// directory the state is durable: every mutation, including runtime
-// pipeline adds and removes, is committed through a journaling hook (an
-// append-only JSON log, compacted into a snapshot every snapEvery
-// entries), so a restarted coordinator reloads the full pipeline set,
+// addresses, reconcile order) is per pipeline.
+//
+// Every change to the tables is a journalEntry made by apply: a live
+// mutation applies its entry and appends it to the journal (mutate), and
+// load replays the snapshot and the journal through the same apply. When
+// opened over a directory the state is therefore durable: the journal is
+// an append-only JSON log, compacted into a snapshot every snapEvery
+// entries, so a restarted coordinator reloads the full pipeline set,
 // bumps its epoch, and can reconcile re-registering agents' live
 // inventories per pipeline instead of re-placing a data plane that never
 // stopped flowing.
@@ -138,8 +147,8 @@ type pipelineState struct {
 // All mutable fields are guarded by the owning Coordinator's mu; state
 // methods must be called with it held. Journal appends are buffered
 // writes flushed to the OS per entry; a background flusher fsyncs them
-// with a small group-commit interval (see startFlusher), so a hard crash
-// loses at most one flush interval of tail.
+// every flushInterval (see startFlusher), so a hard crash loses at most
+// one interval of tail.
 type state struct {
 	pipelines map[string]*pipelineState
 	order     []string // sorted pipeline IDs, the deterministic walk order
@@ -162,8 +171,6 @@ type state struct {
 	// the coordinator mu); flushDone stops the flusher.
 	jmu       sync.Mutex
 	jDirty    bool
-	fsync     bool
-	flushIvl  time.Duration
 	flushDone chan struct{}
 	flushWG   sync.WaitGroup
 
@@ -177,30 +184,28 @@ type state struct {
 // idempotent last-writer-wins updates, so replay order is the only thing
 // that matters and a torn tail entry is simply dropped.
 type placementRecord struct {
-	Node  string   `json:"node,omitempty"`
-	Addr  string   `json:"addr,omitempty"`
-	Down  string   `json:"down,omitempty"`
-	Legs  []string `json:"legs,omitempty"`
-	Epoch uint16   `json:"epoch,omitempty"`
+	Node string   `json:"node,omitempty"`
+	Addr string   `json:"addr,omitempty"`
+	Down string   `json:"down,omitempty"`
+	Legs []string `json:"legs,omitempty"`
 }
 
 type snapshotFile struct {
 	Epoch uint64 `json:"epoch"`
-	// Entry is the default pipeline's entry address — the v4 field, kept
-	// so a v4 snapshot loads and a single-pipeline snapshot stays
-	// readable by v4 tooling. Entries carries every pipeline's.
+	// Entry is the default pipeline's entry address; Entries carries
+	// every other pipeline's.
 	Entry       string            `json:"entry,omitempty"`
 	Entries     map[string]string `json:"entries,omitempty"`
 	Pipelines   []PipelineSpec    `json:"pipelines,omitempty"`
 	GroupEpochs map[string]uint16 `json:"group_epochs,omitempty"`
 	// ShardK records the live per-group shard counts where the autoscaler
-	// has moved them off the spec's boot value (protocol v8), keyed by
-	// scoped group name; it is applied before placements so shard-leg
-	// placements land in an already-resized unit table.
+	// has moved them off the spec's boot value, keyed by scoped group
+	// name.
 	ShardK     map[string]int             `json:"shard_k,omitempty"`
 	Placements map[string]placementRecord `json:"placements"`
 }
 
+// journalEntry is one change to the tables; see apply for each Op.
 type journalEntry struct {
 	Op    string           `json:"op"` // "place", "entry", "gepoch", "shardk", "pipeadd", "piperm"
 	Unit  string           `json:"unit,omitempty"`
@@ -209,12 +214,42 @@ type journalEntry struct {
 	Group string           `json:"group,omitempty"`
 	Val   uint16           `json:"val,omitempty"` // gepoch incarnation or shardk live K
 	// Pipe scopes an "entry" to a pipeline (absent = the default
-	// pipeline, which is what a v4 journal wrote) and names the pipeline
-	// a "pipeadd"/"piperm" creates or deletes.
+	// pipeline) and names the pipeline a "pipeadd"/"piperm" creates or
+	// deletes.
 	Pipe string `json:"pipe,omitempty"`
 	// Spec is a "pipeadd"'s full pipeline spec, so a restarted
 	// coordinator reloads runtime-added pipelines with their topology.
 	Spec *PipelineSpec `json:"spec,omitempty"`
+}
+
+// entries lists the snapshot as the journal entries that rebuild it:
+// pipelines first, then shard-K overrides (so shard-leg placements land
+// in an already-resized unit table), then entry addresses, group epochs
+// and placements.
+func (f *snapshotFile) entries() []journalEntry {
+	var es []journalEntry
+	for i := range f.Pipelines {
+		es = append(es, journalEntry{Op: "pipeadd", Pipe: f.Pipelines[i].ID, Spec: &f.Pipelines[i]})
+	}
+	for _, g := range slices.Sorted(maps.Keys(f.ShardK)) {
+		if k := f.ShardK[g]; k > 0 && k <= math.MaxUint16 {
+			es = append(es, journalEntry{Op: "shardk", Group: g, Val: uint16(k)})
+		}
+	}
+	if f.Entry != "" {
+		es = append(es, journalEntry{Op: "entry", Entry: f.Entry})
+	}
+	for _, id := range slices.Sorted(maps.Keys(f.Entries)) {
+		es = append(es, journalEntry{Op: "entry", Pipe: id, Entry: f.Entries[id]})
+	}
+	for _, g := range slices.Sorted(maps.Keys(f.GroupEpochs)) {
+		es = append(es, journalEntry{Op: "gepoch", Group: g, Val: f.GroupEpochs[g]})
+	}
+	for _, name := range slices.Sorted(maps.Keys(f.Placements)) {
+		pr := f.Placements[name]
+		es = append(es, journalEntry{Op: "place", Unit: name, P: &pr})
+	}
+	return es
 }
 
 const (
@@ -222,7 +257,7 @@ const (
 	journalName        = "journal.jsonl"
 	defaultSnapEvery   = 256
 	journalBufferBytes = 32 << 10
-	defaultFlushIvl    = 2 * time.Millisecond
+	flushInterval      = 2 * time.Millisecond
 )
 
 // newState builds the pipeline registry for the boot set and, when dir is
@@ -234,10 +269,7 @@ const (
 // advances, and the journal re-opens behind a fresh snapshot. restored
 // reports whether prior placements were recovered — the signal for the
 // coordinator to run its restart grace window.
-func newState(dir string, boot []PipelineSpec, fsync bool, flushIvl time.Duration, logf func(string, ...any)) (st *state, restored bool, err error) {
-	if flushIvl <= 0 {
-		flushIvl = defaultFlushIvl
-	}
+func newState(dir string, boot []PipelineSpec, logf func(string, ...any)) (st *state, restored bool, err error) {
 	st = &state{
 		pipelines:  make(map[string]*pipelineState),
 		placements: make(map[string]*placement),
@@ -247,8 +279,6 @@ func newState(dir string, boot []PipelineSpec, fsync bool, flushIvl time.Duratio
 		dir:        dir,
 		snapEvery:  defaultSnapEvery,
 		logf:       logf,
-		fsync:      fsync,
-		flushIvl:   flushIvl,
 	}
 	for _, spec := range boot {
 		st.addPipeline(spec).boot = true
@@ -290,21 +320,68 @@ func newState(dir string, boot []PipelineSpec, fsync bool, flushIvl time.Duratio
 	return st, restored, nil
 }
 
+// apply makes one journal entry's change to the tables and returns the
+// placed units whose rows it deleted. It is the only code that writes a
+// persisted field, for live mutations (mutate) and replay (load) alike.
+// An entry naming a unit, pipeline or sharded group the tables lack is
+// ignored: the topology changed across a restart, and the stale
+// instances are stopped when their hosts re-register them.
+func (s *state) apply(e journalEntry) []placement {
+	switch e.Op {
+	case "place":
+		switch p := s.placements[e.Unit]; {
+		case p == nil:
+			s.logf("state: dropping placement of unknown unit %q (spec changed)", e.Unit)
+		case e.P != nil:
+			p.node, p.addr, p.down, p.legs = e.P.Node, e.P.Addr, e.P.Down, slices.Clone(e.P.Legs)
+		}
+	case "entry":
+		if ps := s.pipelines[e.Pipe]; ps != nil {
+			ps.entryAddr = e.Entry
+		}
+	case "gepoch":
+		s.epochs[e.Group] = e.Val
+	case "shardk":
+		return s.resizeShard(e.Group, int(e.Val))
+	case "pipeadd":
+		var spec PipelineSpec
+		if e.Spec != nil {
+			spec = *e.Spec
+		}
+		spec.ID = e.Pipe
+		if err := spec.validate(); err != nil {
+			s.logf("state: dropping pipeline add: %v", err)
+			return nil
+		}
+		dropped := s.deletePipeline(e.Pipe)
+		s.insertPipeline(spec)
+		return dropped
+	case "piperm":
+		return s.deletePipeline(e.Pipe)
+	}
+	return nil
+}
+
+// mutate is the live path for every change to the tables: apply the
+// entry, then journal it. Memory-only states skip the journal.
+func (s *state) mutate(e journalEntry) []placement {
+	dropped := s.apply(e)
+	s.append(e)
+	return dropped
+}
+
 // insertPipeline expands a pipeline spec into the registry tables: units
-// derived, placements seeded, walk order re-sorted. It is the one place
-// the expansion lives, shared by runtime adds and journal replay so the
-// two paths can never diverge.
-func (s *state) insertPipeline(spec PipelineSpec) *pipelineState {
+// derived, placements seeded, walk order re-sorted.
+func (s *state) insertPipeline(spec PipelineSpec) {
 	ps := &pipelineState{
 		id:        spec.ID,
 		spec:      spec,
 		specIndex: make(map[string]int),
 	}
 	for i, sp := range spec.Segments {
-		group := scopedName(spec.ID, sp.Name)
-		us := expandSpecK(spec.ID, sp, cmp.Or(s.shardK[group], sp.Shards))
+		us := expandSpec(spec.ID, sp)
 		ps.unitsBySpec = append(ps.unitsBySpec, us)
-		ps.specIndex[group] = i
+		ps.specIndex[scopedName(spec.ID, sp.Name)] = i
 		for _, u := range us {
 			ps.units = append(ps.units, u)
 			s.placements[u.name] = &placement{u: u}
@@ -312,24 +389,12 @@ func (s *state) insertPipeline(spec PipelineSpec) *pipelineState {
 	}
 	s.pipelines[spec.ID] = ps
 	s.order = append(s.order, spec.ID)
-	sort.Strings(s.order)
-	return ps
+	slices.Sort(s.order)
 }
 
-// addPipeline expands a pipeline spec into the registry. The caller has
-// validated the spec and checked for a duplicate ID; mutations after boot
-// are journaled.
-func (s *state) addPipeline(spec PipelineSpec) *pipelineState {
-	ps := s.insertPipeline(spec)
-	s.append(journalEntry{Op: "pipeadd", Pipe: spec.ID, Spec: &spec})
-	return ps
-}
-
-// removePipeline deletes a pipeline and every table row it owns,
-// returning the units that were placed (the caller stops their
-// instances). The removal is journaled, so a restarted coordinator does
-// not resurrect it.
-func (s *state) removePipeline(id string) (placed []placement) {
+// deletePipeline drops a pipeline and every table row it owns, returning
+// the units that were placed.
+func (s *state) deletePipeline(id string) (placed []placement) {
 	ps := s.pipelines[id]
 	if ps == nil {
 		return nil
@@ -343,21 +408,74 @@ func (s *state) removePipeline(id string) (placed []placement) {
 		delete(s.shardK, u.group)
 	}
 	delete(s.pipelines, id)
-	if i := slices.Index(s.order, id); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1)
-	}
-	s.append(journalEntry{Op: "piperm", Pipe: id})
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 	return placed
+}
+
+// resizeShard rewrites one sharded spec segment's slice of the unit
+// tables for a new live K: shard units past the new K lose their table
+// rows (their placed instances are returned for the caller to stop after
+// the partitioner has been re-spliced off them), fresh shard units get
+// empty placements for the reconcile loop to fill, and the collector and
+// partitioner rows survive untouched — the endpoints stay live across a
+// resize, only the leg set between them changes.
+func (s *state) resizeShard(group string, k int) (removed []placement) {
+	var ps *pipelineState
+	idx := -1
+	for _, id := range s.order {
+		if i, ok := s.pipelines[id].specIndex[group]; ok {
+			ps, idx = s.pipelines[id], i
+			break
+		}
+	}
+	if ps == nil || ps.spec.Segments[idx].Shards <= 1 || k < 1 {
+		return nil
+	}
+	nu := expandSpecK(ps.id, ps.spec.Segments[idx], k)
+	for _, u := range ps.unitsBySpec[idx] {
+		if slices.Contains(nu, u) {
+			continue
+		}
+		if p := s.placements[u.name]; p != nil && p.node != "" {
+			removed = append(removed, *p)
+		}
+		delete(s.placements, u.name)
+	}
+	for _, u := range nu {
+		if _, ok := s.placements[u.name]; !ok {
+			s.placements[u.name] = &placement{u: u}
+		}
+	}
+	ps.unitsBySpec[idx] = nu
+	ps.units = slices.Concat(ps.unitsBySpec...)
+	s.shardK[group] = k
+	return removed
+}
+
+// addPipeline expands a pipeline spec into the registry. The caller has
+// validated the spec and checked for a duplicate ID.
+func (s *state) addPipeline(spec PipelineSpec) *pipelineState {
+	s.mutate(journalEntry{Op: "pipeadd", Pipe: spec.ID, Spec: &spec})
+	return s.pipelines[spec.ID]
+}
+
+// removePipeline deletes a pipeline and every table row it owns,
+// returning the units that were placed (the caller stops their
+// instances). The removal is journaled, so a restarted coordinator does
+// not resurrect it.
+func (s *state) removePipeline(id string) (placed []placement) {
+	return s.mutate(journalEntry{Op: "piperm", Pipe: id})
 }
 
 // pipelineOf resolves a unit's owning pipeline tables.
 func (s *state) pipelineOf(u unit) *pipelineState { return s.pipelines[u.pipe] }
 
-// load reads the snapshot and replays the journal. It returns true when
-// prior state existed, even an empty table — the epoch must advance
-// either way.
+// load replays the snapshot and then the journal through apply. It
+// returns true when prior state existed, even an empty table — the epoch
+// must advance either way.
 func (s *state) load() (bool, error) {
 	found := false
+	var entries []journalEntry
 	raw, err := os.ReadFile(filepath.Join(s.dir, snapshotName))
 	switch {
 	case err == nil:
@@ -369,29 +487,7 @@ func (s *state) load() (bool, error) {
 		if snap.Epoch > 0 {
 			s.epoch = snap.Epoch
 		}
-		// Resurrect the runtime-added pipelines the snapshot recorded; the
-		// boot set's IDs stay as configured (the config is the operator's
-		// current intent for them). A v4 snapshot carries no pipeline
-		// list, which leaves the boot set — its single default pipeline —
-		// in charge, exactly as v4 behaved.
-		for _, spec := range snap.Pipelines {
-			s.replacePipeline(spec)
-		}
-		if snap.Entry != "" {
-			s.setEntryLoaded("", snap.Entry)
-		}
-		for id, addr := range snap.Entries {
-			s.setEntryLoaded(id, addr)
-		}
-		for g, e := range snap.GroupEpochs {
-			s.epochs[g] = e
-		}
-		for g, k := range snap.ShardK {
-			s.applyShardKLoaded(g, k)
-		}
-		for name, pr := range snap.Placements {
-			s.applyRecord(name, pr)
-		}
+		entries = snap.entries()
 	case os.IsNotExist(err):
 	default:
 		return false, fmt.Errorf("river: read state snapshot: %w", err)
@@ -411,28 +507,11 @@ func (s *state) load() (bool, error) {
 			var e journalEntry
 			if err := json.Unmarshal(line, &e); err != nil {
 				// A torn tail entry from an unclean shutdown: everything
-				// before it replayed; stop here.
+				// before it replays; stop here.
 				s.logf("state: dropping torn journal tail: %v", err)
 				break
 			}
-			switch e.Op {
-			case "place":
-				if e.P != nil {
-					s.applyRecord(e.Unit, *e.P)
-				}
-			case "entry":
-				s.setEntryLoaded(e.Pipe, e.Entry)
-			case "gepoch":
-				s.epochs[e.Group] = e.Val
-			case "shardk":
-				s.applyShardKLoaded(e.Group, int(e.Val))
-			case "pipeadd":
-				if e.Spec != nil {
-					s.replacePipeline(*e.Spec)
-				}
-			case "piperm":
-				s.removePipelineLoaded(e.Pipe)
-			}
+			entries = append(entries, e)
 		}
 		if err := sc.Err(); err != nil {
 			s.logf("state: journal read stopped: %v", err)
@@ -441,61 +520,21 @@ func (s *state) load() (bool, error) {
 	default:
 		return false, fmt.Errorf("river: read state journal: %w", err)
 	}
+	for _, e := range entries {
+		// The config is the intent for the pipeline IDs it declares: a
+		// persisted add or removal of a boot pipeline resets it to its
+		// config spec with empty rows.
+		ps := s.pipelines[e.Pipe]
+		boot := ps != nil && ps.boot && (e.Op == "pipeadd" || e.Op == "piperm")
+		if boot {
+			e = journalEntry{Op: "pipeadd", Pipe: ps.id, Spec: &ps.spec}
+		}
+		s.apply(e)
+		if boot {
+			s.pipelines[ps.id].boot = true
+		}
+	}
 	return found, nil
-}
-
-// replacePipeline folds a persisted runtime-added pipeline into the
-// registry during load (no journaling — the journal is not open yet). A
-// boot pipeline's ID is never overridden: the config wins for the IDs it
-// declares.
-func (s *state) replacePipeline(spec PipelineSpec) {
-	if ps := s.pipelines[spec.ID]; ps != nil && ps.boot {
-		return
-	}
-	s.removePipelineLoaded(spec.ID)
-	s.insertPipeline(spec)
-}
-
-// removePipelineLoaded is removePipeline without journaling or placed-unit
-// collection, for journal replay. Boot pipelines are exempt — a piperm
-// journaled in a prior incarnation does not override the config
-// re-declaring the pipeline this incarnation.
-func (s *state) removePipelineLoaded(id string) {
-	ps := s.pipelines[id]
-	if ps == nil || ps.boot {
-		return
-	}
-	for _, u := range ps.units {
-		delete(s.placements, u.name)
-		delete(s.epochs, u.group)
-		delete(s.shardK, u.group)
-	}
-	delete(s.pipelines, id)
-	if i := slices.Index(s.order, id); i >= 0 {
-		s.order = slices.Delete(s.order, i, i+1)
-	}
-}
-
-// setEntryLoaded applies a persisted entry address during load, ignoring
-// pipelines the current set no longer defines.
-func (s *state) setEntryLoaded(pipe, addr string) {
-	if ps := s.pipelines[pipe]; ps != nil {
-		ps.entryAddr = addr
-	}
-}
-
-// applyRecord folds one persisted placement into the table, ignoring
-// units no current pipeline defines (topology changed across the
-// restart — the stale instances will be stopped when their host
-// re-registers them in its inventory).
-func (s *state) applyRecord(name string, pr placementRecord) {
-	p, ok := s.placements[name]
-	if !ok {
-		s.logf("state: dropping placement of unknown unit %q (spec changed)", name)
-		return
-	}
-	p.node, p.addr, p.down, p.epoch = pr.Node, pr.Addr, pr.Down, pr.Epoch
-	p.legs = append([]string(nil), pr.Legs...)
 }
 
 // hasPlacements reports whether any unit is currently placed.
@@ -508,23 +547,16 @@ func (s *state) hasPlacements() bool {
 	return false
 }
 
-// commit journals placement p's current fields — the hook every
-// placement mutation must pass through. Memory-only states no-op.
-func (s *state) commit(p *placement) {
-	if p.node != "" {
+// setPlacement journals unit p's new placement record.
+func (s *state) setPlacement(p *placement, pr placementRecord) {
+	s.mutate(journalEntry{Op: "place", Unit: p.u.name, P: &pr})
+	if pr.Node != "" {
 		p.everPlaced = true
 	}
-	s.append(journalEntry{Op: "place", Unit: p.u.name, P: &placementRecord{
-		Node: p.node, Addr: p.addr, Down: p.down,
-		Legs: append([]string(nil), p.legs...), Epoch: p.epoch,
-	}})
 }
 
 // clear frees a placement for re-placement and journals the clearing.
-func (s *state) clear(p *placement) {
-	p.node, p.addr, p.down, p.legs = "", "", "", nil
-	s.commit(p)
-}
+func (s *state) clear(p *placement) { s.setPlacement(p, placementRecord{}) }
 
 // setEntry records a pipeline's entry address, reporting whether it
 // changed; changes are journaled.
@@ -533,83 +565,22 @@ func (s *state) setEntry(pipe, addr string) bool {
 	if ps == nil || ps.entryAddr == addr {
 		return false
 	}
-	ps.entryAddr = addr
-	s.append(journalEntry{Op: "entry", Entry: addr, Pipe: pipe})
+	s.mutate(journalEntry{Op: "entry", Entry: addr, Pipe: pipe})
 	return true
-}
-
-// resizeShard rewrites one sharded spec segment's slice of the unit
-// tables for a new live K: shard units past the new K lose their table
-// rows (their placed instances are returned for the caller to stop after
-// the partitioner has been re-spliced off them), fresh shard units get
-// empty placements for the reconcile loop to fill, and the collector and
-// partitioner rows survive untouched — the endpoints stay live across a
-// resize, only the leg set between them changes.
-func (s *state) resizeShard(ps *pipelineState, idx, k int) (removed []placement) {
-	sp := ps.spec.Segments[idx]
-	nu := expandSpecK(ps.id, sp, k)
-	keep := make(map[string]bool, len(nu))
-	for _, u := range nu {
-		keep[u.name] = true
-	}
-	for _, u := range ps.unitsBySpec[idx] {
-		if keep[u.name] {
-			continue
-		}
-		if p := s.placements[u.name]; p != nil {
-			if p.node != "" {
-				removed = append(removed, *p)
-			}
-			delete(s.placements, u.name)
-		}
-	}
-	for _, u := range nu {
-		if _, ok := s.placements[u.name]; !ok {
-			s.placements[u.name] = &placement{u: u}
-		}
-	}
-	ps.unitsBySpec[idx] = nu
-	ps.units = ps.units[:0]
-	for _, us := range ps.unitsBySpec {
-		ps.units = append(ps.units, us...)
-	}
-	s.shardK[scopedName(ps.id, sp.Name)] = k
-	return removed
 }
 
 // setShardK resizes a sharded segment's live K and journals the override,
 // so an autoscaled topology survives a coordinator restart.
 func (s *state) setShardK(ps *pipelineState, idx, k int) []placement {
-	removed := s.resizeShard(ps, idx, k)
-	s.append(journalEntry{
+	return s.mutate(journalEntry{
 		Op: "shardk", Group: scopedName(ps.id, ps.spec.Segments[idx].Name), Val: uint16(k),
 	})
-	return removed
-}
-
-// applyShardKLoaded applies a persisted shard-K override during load,
-// ignoring groups the current pipeline set no longer declares sharded
-// (the spec changed across the restart; the boot value wins).
-func (s *state) applyShardKLoaded(group string, k int) {
-	for _, id := range s.order {
-		ps := s.pipelines[id]
-		idx, ok := ps.specIndex[group]
-		if !ok {
-			continue
-		}
-		if ps.spec.Segments[idx].Shards <= 1 || k < 1 {
-			return
-		}
-		s.resizeShard(ps, idx, k)
-		return
-	}
 }
 
 // bumpGroupEpoch advances (and journals) a replication or shard group's
 // fan-out incarnation.
 func (s *state) bumpGroupEpoch(group string) uint16 {
-	s.epochs[group]++
-	s.append(journalEntry{Op: "gepoch", Group: group, Val: s.epochs[group]})
+	s.mutate(journalEntry{Op: "gepoch", Group: group, Val: s.epochs[group] + 1})
 	return s.epochs[group]
 }
 
@@ -619,8 +590,7 @@ func (s *state) bumpGroupEpoch(group string) uint16 {
 // coordinator restart that lost the tail of its journal.
 func (s *state) observeGroupEpoch(group string, e uint16) {
 	if e > s.epochs[group] {
-		s.epochs[group] = e
-		s.append(journalEntry{Op: "gepoch", Group: group, Val: e})
+		s.mutate(journalEntry{Op: "gepoch", Group: group, Val: e})
 	}
 }
 
@@ -662,20 +632,15 @@ func (s *state) append(e journalEntry) {
 
 // startFlusher runs the group-commit fsync loop: journal entries are
 // flushed to the OS per append (so a coordinator crash loses nothing) and
-// fsynced in batches every flushIvl (so a machine crash loses at most one
-// interval's tail) — closing the ROADMAP gap where only snapshots were
-// synced, without stalling the control plane on per-entry fsyncs.
-// Disabled (Config.JournalNoFsync) it degrades to v4 behavior: the OS
-// flushes on its own schedule and only snapshots are synced.
+// fsynced in batches every flushInterval (so a machine crash loses at
+// most one interval's tail), without stalling the control plane on
+// per-entry fsyncs.
 func (s *state) startFlusher() {
-	if !s.fsync || s.journal == nil {
-		return
-	}
 	s.flushDone = make(chan struct{})
 	s.flushWG.Add(1)
 	go func() {
 		defer s.flushWG.Done()
-		t := time.NewTicker(s.flushIvl)
+		t := time.NewTicker(flushInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -715,7 +680,8 @@ func (s *state) snapshot() error {
 	}
 	snap := snapshotFile{
 		Epoch:       s.epoch,
-		GroupEpochs: make(map[string]uint16, len(s.epochs)),
+		GroupEpochs: maps.Clone(s.epochs),
+		ShardK:      maps.Clone(s.shardK),
 		Placements:  make(map[string]placementRecord, len(s.placements)),
 	}
 	for _, id := range s.order {
@@ -737,22 +703,9 @@ func (s *state) snapshot() error {
 		}
 		snap.Entries[id] = ps.entryAddr
 	}
-	for g, e := range s.epochs {
-		snap.GroupEpochs[g] = e
-	}
-	if len(s.shardK) > 0 {
-		snap.ShardK = make(map[string]int, len(s.shardK))
-		for g, k := range s.shardK {
-			snap.ShardK[g] = k
-		}
-	}
 	for name, p := range s.placements {
-		if p.node == "" {
-			continue
-		}
-		snap.Placements[name] = placementRecord{
-			Node: p.node, Addr: p.addr, Down: p.down,
-			Legs: append([]string(nil), p.legs...), Epoch: p.epoch,
+		if p.node != "" {
+			snap.Placements[name] = p.record()
 		}
 	}
 	raw, err := json.MarshalIndent(snap, "", "  ")
@@ -854,14 +807,11 @@ func (s *state) adopt(node string, inv []UnitInventory) (adopted, stops []string
 			// agent was declared dead) with nothing re-placed yet: adopt
 			// the survivor instead of spinning up a duplicate, taking the
 			// instance's own word for what it was last told.
-			p.node, p.addr, p.down = node, iu.Addr, iu.Downstream
-			p.legs = append([]string(nil), iu.Legs...)
-			sort.Strings(p.legs)
 			if KindOf(iu.Role) == KindFanOut {
-				p.epoch = iu.Epoch
 				s.observeGroupEpoch(p.u.group, iu.Epoch)
 			}
-			s.commit(p)
+			s.setPlacement(p, placementRecord{Node: node, Addr: iu.Addr, Down: iu.Downstream,
+				Legs: slices.Sorted(slices.Values(iu.Legs))})
 			adopted = append(adopted, iu.Name)
 		default:
 			// Unknown unit, failed pipeline, identity mismatch, or placed

@@ -5,15 +5,16 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 )
 
-// newStateSingle opens a state over a single-pipeline boot set with the
-// group-commit fsync enabled at a short interval, the way most existing
-// tests exercised the v4 single-pipeline state.
+// newStateSingle opens a state over a single-pipeline boot set.
 func newStateSingle(dir string, spec PipelineSpec, logf func(string, ...any)) (*state, bool, error) {
-	return newState(dir, []PipelineSpec{spec}, true, time.Millisecond, logf)
+	return newState(dir, []PipelineSpec{spec}, logf)
 }
+
+// commit journals placement p's fields as a test set them by hand,
+// through the live path the coordinator's placement writers take.
+func (s *state) commit(p *placement) { s.setPlacement(p, p.record()) }
 
 func testSpec() PipelineSpec {
 	return PipelineSpec{
@@ -48,7 +49,7 @@ func TestStateJournalReload(t *testing.T) {
 	sp := st.placements["rep/split"]
 	sp.node, sp.addr = "node-b", "127.0.0.1:19002"
 	sp.legs = []string{"127.0.0.1:19003", "127.0.0.1:19004"}
-	sp.epoch = st.bumpGroupEpoch("rep")
+	st.bumpGroupEpoch("rep")
 	st.commit(sp)
 	if !st.setEntry("", "127.0.0.1:19002") {
 		t.Fatal("setEntry reported no change")
@@ -73,7 +74,7 @@ func TestStateJournalReload(t *testing.T) {
 		t.Fatalf("tail placement lost: %+v", p2)
 	}
 	sp2 := st2.placements["rep/split"]
-	if sp2.node != "node-b" || !slices.Equal(sp2.legs, []string{"127.0.0.1:19003", "127.0.0.1:19004"}) || sp2.epoch != 1 {
+	if sp2.node != "node-b" || !slices.Equal(sp2.legs, []string{"127.0.0.1:19003", "127.0.0.1:19004"}) {
 		t.Fatalf("splitter placement lost: %+v", sp2)
 	}
 	if st2.epochs["rep"] != 1 {
@@ -276,7 +277,7 @@ func TestStateAdopt(t *testing.T) {
 	// A splitter adoption raises the group epoch floor so the next
 	// splitter incarnation is fresh even if the journal lost the bump.
 	split := st.placements["rep/split"]
-	split.node, split.addr, split.epoch = "node-c", "127.0.0.1:19030", 7
+	split.node, split.addr = "node-c", "127.0.0.1:19030"
 	adopted, _ = st.adopt("node-c", []UnitInventory{
 		{Name: "rep/split", Role: RoleSplit, Group: "rep", Addr: "127.0.0.1:19030",
 			Legs: []string{"127.0.0.1:19012", "127.0.0.1:19011"}, Epoch: 7},
@@ -322,7 +323,7 @@ func TestStateV4SnapshotLoads(t *testing.T) {
 	if p := st.placements["tail"]; p.node != "node-a" || p.down != "127.0.0.1:9" {
 		t.Fatalf("v4 placement lost: %+v", p)
 	}
-	if sp := st.placements["rep/split"]; sp.epoch != 2 || !slices.Equal(sp.legs, []string{"127.0.0.1:19003"}) {
+	if sp := st.placements["rep/split"]; !slices.Equal(sp.legs, []string{"127.0.0.1:19003"}) {
 		t.Fatalf("v4 splitter placement lost: %+v", sp)
 	}
 	if st.pipelines[""].entryAddr != "127.0.0.1:19002" {
@@ -388,5 +389,54 @@ func TestStateRuntimePipelinesReload(t *testing.T) {
 	}
 	if _, ok := st3.placements["px:seg"]; ok {
 		t.Fatal("removed pipeline's placement survived")
+	}
+}
+
+// TestStateBootPipelineRemovalReloads removes a boot pipeline at runtime
+// and restarts over the same config, which declares it again: it must
+// come back at its config spec with empty rows — no placement, entry or
+// group epoch of the removed incarnation — whether the restart replays
+// the removal from the journal or from a compacted snapshot.
+func TestStateBootPipelineRemovalReloads(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		compact bool
+	}{{"journal", false}, {"compacted", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, _, err := newStateSingle(dir, testSpec(), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := st.placements["tail"]
+			p.node, p.addr, p.down = "node-a", "127.0.0.1:19001", "127.0.0.1:9"
+			st.commit(p)
+			st.bumpGroupEpoch("rep")
+			st.setEntry("", "127.0.0.1:19001")
+			if placed := st.removePipeline(""); len(placed) != 1 {
+				t.Fatalf("removePipeline returned %+v, want the placed tail", placed)
+			}
+			if tc.compact {
+				if err := st.snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st.close()
+
+			st2, _, err := newStateSingle(dir, testSpec(), t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st2.close()
+			if st2.hasPlacements() {
+				t.Fatalf("stopped placement came back: %+v", st2.placements["tail"])
+			}
+			if e := st2.pipelines[""].entryAddr; e != "" {
+				t.Fatalf("stale entry came back: %q", e)
+			}
+			if len(st2.epochs) != 0 {
+				t.Fatalf("stale group epochs came back: %v", st2.epochs)
+			}
+		})
 	}
 }
