@@ -160,11 +160,16 @@ func BenchmarkFig4SAXConversion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	word := make([]int, 18)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sax.Word(series, 18); err != nil {
+		paa, err := timeseries.PAA(timeseries.ZNormalize(series), len(word))
+		if err != nil {
 			b.Fatal(err)
+		}
+		for j, x := range paa {
+			word[j] = sax.Symbol(x)
 		}
 	}
 }

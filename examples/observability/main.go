@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/examples/internal/loopback"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/record"
@@ -104,7 +105,9 @@ func main() {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	repairs := 0
+	// closes counts the session's CloseScope: teardown waits for it, or
+	// the terminal's streamin would see EOF mid-session and repair it.
+	repairs, closes := 0, 0
 	verify := pipeline.SinkFunc{SinkName: "verify", Fn: func(r *record.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -113,6 +116,8 @@ func main() {
 			if v, err := r.Float64s(); err == nil && len(v) == 1 {
 				seen[int(v[0])]++
 			}
+		case record.KindCloseScope:
+			closes++
 		case record.KindBadCloseScope:
 			repairs++
 		}
@@ -175,13 +180,14 @@ func main() {
 		delay  *atomic.Int64
 	}
 	agents := map[string]*liveAgent{}
-	for _, name := range []string{"host-a", "host-b", "host-c", "host-d"} {
+	for i, name := range []string{"host-a", "host-b", "host-c", "host-d"} {
 		delay := &atomic.Int64{}
 		reg := pipeline.NewRegistry()
 		reg.Register("relay", func() []pipeline.Operator {
 			return []pipeline.Operator{slowRelay{delay: delay}}
 		})
 		agent := river.NewAgent(name, coord.Addr(), reg)
+		agent.ListenHost = loopback.Host(i)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() { done <- agent.Run(ctx) }()
@@ -343,6 +349,11 @@ func main() {
 		log.Fatal(err)
 	}
 	waitUntil("sink drained", 10*time.Second, func() bool { return received() >= sent })
+	waitUntil("session close at the sink", 10*time.Second, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return closes > 0
+	})
 
 	// Replay the recorded history — what `dynriver events` prints.
 	events, err := river.FetchEvents(coord.Addr(), "", 0, 5*time.Second)

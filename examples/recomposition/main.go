@@ -25,6 +25,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/examples/internal/loopback"
 	"repro/internal/ops"
 	"repro/internal/pipeline"
 	"repro/internal/record"
@@ -114,8 +115,9 @@ func main() {
 		done   chan error
 	}
 	agents := map[string]*liveAgent{}
-	for _, name := range []string{"host-a", "host-b"} {
+	for i, name := range []string{"host-a", "host-b"} {
 		agent := river.NewAgent(name, coordAddr, reg)
+		agent.ListenHost = loopback.Host(i)
 		agent.ReconnectMin = 50 * time.Millisecond
 		agent.ReconnectMax = 500 * time.Millisecond
 		ctx, cancel := context.WithCancel(context.Background())

@@ -16,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/examples/internal/loopback"
 	"repro/internal/pipeline"
 	"repro/internal/record"
 	"repro/internal/river"
@@ -34,7 +35,9 @@ func main() {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	repairs := 0
+	// closes counts the session's CloseScope: teardown waits for it, or
+	// the terminal's streamin would see EOF mid-session and repair it.
+	repairs, closes := 0, 0
 	verify := pipeline.SinkFunc{SinkName: "verify", Fn: func(r *record.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -43,6 +46,8 @@ func main() {
 			if v, err := r.Float64s(); err == nil && len(v) == 1 {
 				seen[int(v[0])]++
 			}
+		case record.KindCloseScope:
+			closes++
 		case record.KindBadCloseScope:
 			repairs++
 		}
@@ -77,8 +82,9 @@ func main() {
 		done   chan error
 	}
 	agents := map[string]*liveAgent{}
-	for _, name := range []string{"host-a", "host-b", "host-c", "host-d"} {
+	for i, name := range []string{"host-a", "host-b", "host-c", "host-d"} {
 		agent := river.NewAgent(name, coord.Addr(), reg)
+		agent.ListenHost = loopback.Host(i)
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan error, 1)
 		go func() { done <- agent.Run(ctx) }()
@@ -137,6 +143,21 @@ func main() {
 		for received() < target {
 			if time.Now().After(deadline) {
 				log.Fatalf("stalled waiting for %s: %d of %d records arrived", what, received(), target)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitClosed := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			mu.Lock()
+			n := closes
+			mu.Unlock()
+			if n > 0 {
+				return
+			}
+			if time.Now().After(deadline) {
+				log.Fatal("the session's CloseScope never reached the terminal")
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
@@ -200,6 +221,7 @@ func main() {
 		log.Fatal(err)
 	}
 	waitReceived(sent, "the final drain (records lost?)")
+	waitClosed()
 
 	// Telemetry: what the splitter fanned out and the merger deduped.
 	for _, n := range coord.Status().Nodes {

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/examples/internal/loopback"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/record"
@@ -60,7 +61,9 @@ func main() {
 	}
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	repairs := 0
+	// closes counts the session's CloseScope: teardown waits for it, or
+	// the terminal's streamin would see EOF mid-session and repair it.
+	repairs, closes := 0, 0
 	verify := pipeline.SinkFunc{SinkName: "verify", Fn: func(r *record.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
@@ -69,6 +72,8 @@ func main() {
 			if v, err := r.Float64s(); err == nil && len(v) == 1 {
 				seen[int(v[0])]++
 			}
+		case record.KindCloseScope:
+			closes++
 		case record.KindBadCloseScope:
 			repairs++
 		}
@@ -106,8 +111,9 @@ func main() {
 
 	agents := map[string]context.CancelFunc{}
 	var agentWG sync.WaitGroup
-	for _, name := range []string{"host-a", "host-b", "host-c", "host-d", "host-e"} {
+	for i, name := range []string{"host-a", "host-b", "host-c", "host-d", "host-e"} {
 		agent := river.NewAgent(name, coord.Addr(), reg)
+		agent.ListenHost = loopback.Host(i)
 		ctx, cancel := context.WithCancel(context.Background())
 		agents[name] = cancel
 		agentWG.Add(1)
@@ -202,8 +208,13 @@ func main() {
 		defer mu.Unlock()
 		return len(seen)
 	}
+	closed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return closes > 0
+	}
 	deadline := time.Now().Add(30 * time.Second)
-	for received() < sent {
+	for received() < sent || !closed() {
 		if time.Now().After(deadline) {
 			log.Fatalf("final drain stalled: %d of %d records arrived", received(), sent)
 		}

@@ -1,203 +1,26 @@
 // Package dsp provides the signal-processing substrate for the acoustic
-// pipeline: discrete Fourier transforms (radix-2 FFT with a Bluestein
-// fallback for arbitrary lengths), window functions, magnitude spectra and
-// spectrogram construction, plus small synthesis primitives used by the
-// synthetic workload generator.
+// pipeline: planned discrete Fourier transforms (FFTPlan: radix-2
+// Cooley-Tukey with a Bluestein fallback for arbitrary lengths), window
+// functions, magnitude spectra and spectrogram construction, plus small
+// synthesis primitives used by the synthetic workload generator. The
+// plan is the only transform kernel; its tests compare it against a
+// one-shot reference FFT and a direct O(n²) DFT that live in the test
+// files.
 package dsp
 
 import (
 	"errors"
 	"math"
-	"math/bits"
 )
 
 // ErrEmptyInput is returned for zero-length transforms.
 var ErrEmptyInput = errors.New("dsp: empty input")
 
-// FFT computes the in-place-style discrete Fourier transform of x and
-// returns a new slice: X[k] = sum_n x[n] * exp(-2*pi*i*k*n/N). Any length
-// is supported: powers of two use the radix-2 Cooley-Tukey algorithm,
-// other lengths use Bluestein's chirp-z transform (itself built on the
-// radix-2 kernel), so the cost is O(n log n) for every n.
-func FFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
-	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	if err := fftInPlace(out, false); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// IFFT computes the inverse DFT (with 1/N normalization).
-func IFFT(x []complex128) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
-	}
-	out := make([]complex128, len(x))
-	copy(out, x)
-	if err := fftInPlace(out, true); err != nil {
-		return nil, err
-	}
-	invN := complex(1/float64(len(out)), 0)
-	for i := range out {
-		out[i] *= invN
-	}
-	return out, nil
-}
-
-// FFTReal transforms a real-valued signal, returning the full complex
-// spectrum of the same length.
-func FFTReal(x []float64) ([]complex128, error) {
-	if len(x) == 0 {
-		return nil, ErrEmptyInput
-	}
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	if err := fftInPlace(c, false); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// fftInPlace dispatches on the transform length. inverse applies the
-// conjugate twiddles (the caller handles 1/N scaling).
-func fftInPlace(x []complex128, inverse bool) error {
-	n := len(x)
-	if n == 1 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		radix2(x, inverse)
-		return nil
-	}
-	return bluestein(x, inverse)
-}
-
-// radix2 is an iterative in-place Cooley-Tukey FFT for power-of-two
-// lengths.
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		// w = exp(i*step); computed once per stage, advanced by
-		// multiplication per butterfly column.
-		wStep := complex(math.Cos(step), math.Sin(step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-}
-
-// bluestein computes an arbitrary-length DFT as a convolution, using a
-// power-of-two radix-2 FFT of length m >= 2n-1.
-func bluestein(x []complex128, inverse bool) error {
-	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: c[k] = exp(sign*pi*i*k^2/n). Compute k^2 mod 2n to keep the
-	// argument small and the chirp exactly periodic.
-	chirp := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		theta := sign * math.Pi * float64(k2) / float64(n)
-		chirp[k] = complex(math.Cos(theta), math.Sin(theta))
-	}
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
-		bc := complex(real(chirp[k]), -imag(chirp[k])) // conj
-		b[k] = bc
-		if k > 0 {
-			b[m-k] = bc
-		}
-	}
-	radix2(a, false)
-	radix2(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	radix2(a, true)
-	invM := complex(1/float64(m), 0)
-	for k := 0; k < n; k++ {
-		x[k] = a[k] * invM * chirp[k]
-	}
-	return nil
-}
-
-// NaiveDFT computes the DFT by direct O(n^2) summation. It exists as the
-// correctness oracle for FFT in tests and as the ablation baseline
-// (BenchmarkFFTvsDFT) justifying the FFT substrate.
-func NaiveDFT(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for t := 0; t < n; t++ {
-			theta := -2 * math.Pi * float64(k) * float64(t) / float64(n)
-			sum += x[t] * complex(math.Cos(theta), math.Sin(theta))
-		}
-		out[k] = sum
-	}
-	return out
-}
-
-// Magnitudes returns |X[k]| for each bin, the "cabs" stage of the paper's
-// pipeline.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, c := range x {
-		out[i] = math.Hypot(real(c), imag(c))
-	}
-	return out
-}
-
-// MagnitudesInto writes |x[k]| into dst[k], the allocation-free form of
-// Magnitudes. dst and x must have the same length.
+// MagnitudesInto writes |x[k]| into dst[k], the "cabs" stage of the
+// paper's pipeline. dst and x must have the same length.
 func MagnitudesInto(dst []float64, x []complex128) {
 	_ = dst[:len(x)]
 	for i, c := range x {
 		dst[i] = math.Hypot(real(c), imag(c))
 	}
-}
-
-// PowerSpectrum returns |X[k]|^2 for each bin.
-func PowerSpectrum(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, c := range x {
-		re, im := real(c), imag(c)
-		out[i] = re*re + im*im
-	}
-	return out
 }

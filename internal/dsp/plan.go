@@ -14,8 +14,8 @@ import (
 // operator) plan once per frame length and transform in place per frame.
 //
 // A plan computes exactly the same floating-point operations in exactly
-// the same order as the one-shot FFT/IFFT/FFTReal functions, so planned
-// and one-shot results are bit-identical.
+// the same order as the one-shot reference FFT in the package tests, so
+// planned and reference results are bit-identical.
 //
 // A plan is not safe for concurrent use: Transform shares the plan's
 // scratch buffers. Each goroutine plans its own.
@@ -108,8 +108,8 @@ func newPow2Plan(n int) *FFTPlan {
 	return p
 }
 
-// twiddles fills tw with 1, wStep, wStep², ... by the same running
-// product the one-shot radix2 advances per butterfly, so the tabulated
+// twiddles fills tw with 1, wStep, wStep², ... by the running product
+// the reference radix-2 kernel advances per butterfly, so the tabulated
 // factors are bit-identical to the ones it computes.
 func twiddles(tw []complex128, wStep complex128) {
 	w := complex(1, 0)
@@ -122,9 +122,10 @@ func twiddles(tw []complex128, wStep complex128) {
 // Len returns the transform length the plan was built for.
 func (p *FFTPlan) Len() int { return p.n }
 
-// Transform computes the DFT of x in place, without allocating. Like
-// fftInPlace, the inverse transform is unnormalized: callers scale by
-// 1/N for a true inverse. len(x) must equal the planned length.
+// Transform computes the DFT of x in place, without allocating: X[k] =
+// sum_n x[n] * exp(-2*pi*i*k*n/N). The inverse transform is
+// unnormalized: callers scale by 1/N for a true inverse. len(x) must
+// equal the planned length.
 func (p *FFTPlan) Transform(x []complex128, inverse bool) error {
 	if len(x) != p.n {
 		return fmt.Errorf("dsp: plan length %d, input length %d", p.n, len(x))
@@ -141,8 +142,8 @@ func (p *FFTPlan) Transform(x []complex128, inverse bool) error {
 }
 
 // RealTo widens the real signal src into dst and forward-transforms dst
-// in place: the allocation-free form of FFTReal. Both slices must have
-// the planned length; src is left untouched.
+// in place. Both slices must have the planned length; src is left
+// untouched.
 func (p *FFTPlan) RealTo(dst []complex128, src []float64) error {
 	if len(src) != p.n || len(dst) != p.n {
 		return fmt.Errorf("dsp: plan length %d, dst %d, src %d", p.n, len(dst), len(src))
@@ -154,9 +155,7 @@ func (p *FFTPlan) RealTo(dst []complex128, src []float64) error {
 }
 
 // radix2 runs the iterative Cooley-Tukey kernel using the precomputed
-// permutation and twiddle tables. The butterfly arithmetic mirrors the
-// one-shot radix2 exactly and the tables hold its twiddle values, so
-// planned results are bit-identical to the one-shot path.
+// permutation and twiddle tables.
 func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	n := p.n
 	for i, j := range p.rev {
@@ -183,9 +182,8 @@ func (p *FFTPlan) radix2(x []complex128, inverse bool) {
 	}
 }
 
-// transform runs the planned Bluestein convolution; the arithmetic
-// mirrors the one-shot bluestein with the chirp and filter spectrum
-// precomputed.
+// transform runs the planned Bluestein convolution with the chirp and
+// filter spectrum precomputed.
 func (bp *bluesteinPlan) transform(x []complex128, inverse bool) {
 	chirp, bhat := bp.chirpF, bp.bhatF
 	if inverse {

@@ -20,8 +20,9 @@ func randComplex(n int, seed int64) []complex128 {
 
 // TestPlanMatchesOneShot pins the plan's core guarantee: a planned
 // transform computes exactly the same floating-point operations in the
-// same order as the one-shot FFT, so results are bit-identical — not
-// merely within tolerance — in both directions, for both kernels.
+// same order as the one-shot reference fftRef, so results are
+// bit-identical — not merely within tolerance — in both directions, for
+// both kernels.
 func TestPlanMatchesOneShot(t *testing.T) {
 	for _, n := range planLengths {
 		p, err := NewFFTPlan(n)
@@ -32,10 +33,7 @@ func TestPlanMatchesOneShot(t *testing.T) {
 			t.Fatalf("n=%d: Len=%d", n, p.Len())
 		}
 		x := randComplex(n, int64(n))
-		want, err := FFT(x)
-		if err != nil {
-			t.Fatalf("n=%d: one-shot: %v", n, err)
-		}
+		want := fftRef(x, false)
 		got := append([]complex128(nil), x...)
 		if err := p.Transform(got, false); err != nil {
 			t.Fatalf("n=%d: plan: %v", n, err)
@@ -46,12 +44,9 @@ func TestPlanMatchesOneShot(t *testing.T) {
 					n, i, got[i], want[i])
 			}
 		}
-		// Inverse: the plan is unnormalized like fftInPlace, so scale by
-		// 1/N to compare against IFFT.
-		wantInv, err := IFFT(x)
-		if err != nil {
-			t.Fatalf("n=%d: one-shot inverse: %v", n, err)
-		}
+		// Inverse: the plan is unnormalized, so scale by 1/N to compare
+		// against the reference's normalized inverse.
+		wantInv := fftRef(x, true)
 		gotInv := append([]complex128(nil), x...)
 		if err := p.Transform(gotInv, true); err != nil {
 			t.Fatalf("n=%d: plan inverse: %v", n, err)
@@ -74,20 +69,19 @@ func TestPlanRealToMatchesFFTReal(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(int64(n) + 1))
 		src := make([]float64, n)
+		wide := make([]complex128, n)
 		for i := range src {
 			src[i] = rng.NormFloat64()
+			wide[i] = complex(src[i], 0)
 		}
-		want, err := FFTReal(src)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
+		want := fftRef(wide, false)
 		dst := make([]complex128, n)
 		if err := p.RealTo(dst, src); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		for i := range dst {
 			if dst[i] != want[i] {
-				t.Fatalf("n=%d bin %d: RealTo %v, FFTReal %v", n, i, dst[i], want[i])
+				t.Fatalf("n=%d bin %d: RealTo %v, reference %v", n, i, dst[i], want[i])
 			}
 		}
 	}

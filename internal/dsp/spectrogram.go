@@ -21,9 +21,6 @@ type SpectrogramConfig struct {
 	FrameLen   int        // samples per DFT frame; must be > 0
 	Hop        int        // samples between frame starts; default FrameLen/2
 	Window     WindowFunc // default WindowWelch
-	// Bins limits the number of frequency bins kept per column (0 keeps
-	// FrameLen/2, the non-redundant half for real input).
-	Bins int
 }
 
 // ComputeSpectrogram renders the magnitude spectrogram of a real signal.
@@ -46,10 +43,7 @@ func ComputeSpectrogram(signal []float64, cfg SpectrogramConfig) (*Spectrogram, 
 	if cfg.Window == 0 {
 		cfg.Window = WindowWelch
 	}
-	bins := cfg.FrameLen / 2
-	if cfg.Bins > 0 && cfg.Bins < bins {
-		bins = cfg.Bins
-	}
+	bins := cfg.FrameLen / 2 // the non-redundant half for real input
 	win, err := NewWindow(cfg.Window, cfg.FrameLen)
 	if err != nil {
 		return nil, err

@@ -157,12 +157,3 @@ func ToPCM16(x []float64) []int16 {
 	}
 	return out
 }
-
-// FromPCM16 converts 16-bit PCM samples to floats in [-1, 1).
-func FromPCM16(x []int16) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = float64(v) / 32768
-	}
-	return out
-}

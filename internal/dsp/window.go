@@ -69,22 +69,9 @@ func (w WindowFunc) Coefficients(n int) ([]float64, error) {
 	return out, nil
 }
 
-// Apply multiplies x by the window coefficients in place and returns x.
-func (w WindowFunc) Apply(x []float64) ([]float64, error) {
-	coef, err := w.Coefficients(len(x))
-	if err != nil {
-		return nil, err
-	}
-	for i := range x {
-		x[i] *= coef[i]
-	}
-	return x, nil
-}
-
 // Window is a precomputed window for repeated application to records of a
 // fixed size, as the welchwindow operator does.
 type Window struct {
-	fn   WindowFunc
 	coef []float64
 }
 
@@ -94,14 +81,11 @@ func NewWindow(fn WindowFunc, n int) (*Window, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Window{fn: fn, coef: coef}, nil
+	return &Window{coef: coef}, nil
 }
 
 // Len returns the window length.
 func (w *Window) Len() int { return len(w.coef) }
-
-// Func returns the window function.
-func (w *Window) Func() WindowFunc { return w.fn }
 
 // ApplyTo multiplies dst element-wise by the window. len(dst) must equal
 // Len().

@@ -116,9 +116,12 @@ func TestWindowErrors(t *testing.T) {
 }
 
 func TestWindowApply(t *testing.T) {
-	x := []float64{2, 2, 2, 2, 2}
-	got, err := WindowWelch.Apply(x)
+	got := []float64{2, 2, 2, 2, 2}
+	w, err := NewWindow(WindowWelch, len(got))
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ApplyTo(got); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(got[2]-2) > 1e-12 {
@@ -134,8 +137,8 @@ func TestPrecomputedWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Len() != 8 || w.Func() != WindowWelch {
-		t.Errorf("Len=%d Func=%s", w.Len(), w.Func())
+	if w.Len() != 8 {
+		t.Errorf("Len=%d", w.Len())
 	}
 	x := make([]float64, 8)
 	for i := range x {
@@ -168,15 +171,15 @@ func TestWelchWindowReducesLeakage(t *testing.T) {
 		rect[i] = v
 		welch[i] = v
 	}
-	if _, err := WindowWelch.Apply(welch); err != nil {
+	w, err := NewWindow(WindowWelch, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.ApplyTo(welch); err != nil {
 		t.Fatal(err)
 	}
 	leakage := func(x []float64) float64 {
-		X, err := FFTReal(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mags := Magnitudes(X[:n/2])
+		mags := planMagnitudes(t, x, n/2)
 		peak := 0
 		for i, m := range mags {
 			if m > mags[peak] {

@@ -61,11 +61,6 @@ func (m *ConfusionMatrix) Add(actual, predicted string) {
 	row[predicted]++
 }
 
-// Count returns the raw count for (actual, predicted).
-func (m *ConfusionMatrix) Count(actual, predicted string) int {
-	return m.counts[actual][predicted]
-}
-
 // RowPercent returns 100 * count / rowTotal, the paper's Table 3 cells.
 func (m *ConfusionMatrix) RowPercent(actual, predicted string) float64 {
 	total := 0

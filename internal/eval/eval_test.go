@@ -48,7 +48,7 @@ func TestConfusionMatrixBasics(t *testing.T) {
 	m.Add("A", "A")
 	m.Add("A", "B")
 	m.Add("B", "B")
-	if m.Count("A", "A") != 2 || m.Count("A", "B") != 1 {
+	if m.counts["A"]["A"] != 2 || m.counts["A"]["B"] != 1 {
 		t.Error("counts wrong")
 	}
 	if p := m.RowPercent("A", "A"); math.Abs(p-100.0*2/3) > 1e-9 {
@@ -119,7 +119,7 @@ func TestLeaveOneOutMaxFolds(t *testing.T) {
 	total := 0
 	for _, a := range res.Confusion.Labels {
 		for _, p := range res.Confusion.Labels {
-			total += res.Confusion.Count(a, p)
+			total += res.Confusion.counts[a][p]
 		}
 	}
 	if total != 10 {

@@ -136,13 +136,6 @@ type Sphere struct {
 	labelCounts map[string]int
 }
 
-// Center returns the sphere's centroid (a copy).
-func (s *Sphere) Center() []float64 {
-	out := make([]float64, len(s.center))
-	copy(out, s.center)
-	return out
-}
-
 // Size returns the number of patterns aggregated in the sphere.
 func (s *Sphere) Size() int { return len(s.patterns) }
 
@@ -206,17 +199,8 @@ func New(cfg Config) *MESO {
 	return &MESO{cfg: cfg.withDefaults()}
 }
 
-// Config returns the resolved configuration.
-func (m *MESO) Config() Config { return m.cfg }
-
-// Delta returns the current sensitivity radius.
-func (m *MESO) Delta() float64 { return m.delta }
-
 // SphereCount returns the number of sensitivity spheres.
 func (m *MESO) SphereCount() int { return len(m.spheres) }
-
-// PatternCount returns the number of training patterns stored.
-func (m *MESO) PatternCount() int { return m.trained }
 
 // DistanceEvals returns the cumulative number of center-distance
 // computations performed by queries, exposed so benchmarks can contrast
@@ -274,16 +258,6 @@ func (m *MESO) Train(p Pattern) error {
 	return nil
 }
 
-// TrainBatch trains on each pattern in order.
-func (m *MESO) TrainBatch(ps []Pattern) error {
-	for i := range ps {
-		if err := m.Train(ps[i]); err != nil {
-			return fmt.Errorf("pattern %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 func (m *MESO) updateDelta() {
 	switch m.cfg.Growth {
 	case GrowthFixed:
@@ -316,12 +290,6 @@ type Result struct {
 // configured vote policy and tree search breadth.
 func (m *MESO) Classify(v []float64) (Result, error) {
 	return m.classify(v, false)
-}
-
-// ClassifyExact is Classify with exhaustive sphere search, bypassing the
-// partitioning tree. It is the correctness oracle for the tree.
-func (m *MESO) ClassifyExact(v []float64) (Result, error) {
-	return m.classify(v, true)
 }
 
 func (m *MESO) classify(v []float64, exact bool) (Result, error) {

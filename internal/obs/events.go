@@ -159,16 +159,6 @@ type Subscription struct {
 	DropCounter *Counter
 }
 
-// Dropped returns how many events this subscription missed to
-// backpressure. The log itself retains them (up to its capacity), so a
-// follower can refetch via Since.
-func (s *Subscription) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped.Load()
-}
-
 // EventLog is a bounded in-memory ring of control-plane events with
 // monotonic sequence numbers and live subscriptions. Appends are cheap
 // and never block; the ring keeps the most recent Cap events for
@@ -228,17 +218,6 @@ func (l *EventLog) Append(e Event) Event {
 	}
 	l.mu.Unlock()
 	return e
-}
-
-// LastSeq returns the sequence number of the most recent event (0 when
-// none have been appended).
-func (l *EventLog) LastSeq() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
 }
 
 // Since returns the retained events with Seq > after that satisfy match

@@ -14,8 +14,12 @@ import (
 
 func TestCounterGaugeHistogramRender(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("app_requests_total", "handler", "status", "code", "200").Add(3)
-	reg.Counter("app_requests_total", "code", "200", "handler", "status").Add(2) // same series, swapped label order
+	for i := 0; i < 3; i++ {
+		reg.Counter("app_requests_total", "handler", "status", "code", "200").Inc()
+	}
+	for i := 0; i < 2; i++ { // same series, swapped label order
+		reg.Counter("app_requests_total", "code", "200", "handler", "status").Inc()
+	}
 	reg.Help("app_requests_total", "requests served")
 	reg.Gauge("app_queue_depth", "node", "a").Set(7)
 	reg.Gauge("app_queue_depth", "node", "b").Set(2.5)
@@ -226,8 +230,8 @@ func TestEventLogRingAndSince(t *testing.T) {
 			t.Fatal("append must stamp TimeMS")
 		}
 	}
-	if l.LastSeq() != 6 {
-		t.Fatalf("LastSeq = %d, want 6", l.LastSeq())
+	if l.next-1 != 6 {
+		t.Fatalf("LastSeq = %d, want 6", l.next-1)
 	}
 	all := l.Since(0, nil)
 	if len(all) != 4 {
@@ -259,8 +263,8 @@ func TestEventLogSubscribe(t *testing.T) {
 	if got := (<-sub.C).Type; got != EventFailover {
 		t.Fatalf("second delivery = %s", got)
 	}
-	if sub.Dropped() != 1 {
-		t.Fatalf("dropped = %d, want 1", sub.Dropped())
+	if sub.dropped.Load() != 1 {
+		t.Fatalf("dropped = %d, want 1", sub.dropped.Load())
 	}
 	l.Unsubscribe(sub)
 	l.Append(Event{Type: EventPlace})
@@ -297,8 +301,8 @@ func TestEventLogSlowSubscriberDropCounter(t *testing.T) {
 		t.Fatal("Append blocked on a stalled subscriber")
 	}
 	// The slow subscriber got 1 buffered event and dropped the other 9.
-	if got := slow.Dropped(); got != 9 {
-		t.Errorf("slow.Dropped() = %d, want 9", got)
+	if got := slow.dropped.Load(); got != 9 {
+		t.Errorf("slow.dropped.Load() = %d, want 9", got)
 	}
 	if got := reg.Counter("events_dropped_total", "subscriber", "slow").Value(); got != 9 {
 		t.Errorf("drop counter = %d, want 9", got)
@@ -306,7 +310,7 @@ func TestEventLogSlowSubscriberDropCounter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		<-healthy.C
 	}
-	if got := healthy.Dropped(); got != 0 {
+	if got := healthy.dropped.Load(); got != 0 {
 		t.Errorf("healthy subscriber dropped %d", got)
 	}
 }

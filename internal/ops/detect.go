@@ -15,7 +15,6 @@ import (
 type changeDetector interface {
 	Push(x float64) (stat float64, alarm bool)
 	Reset()
-	Seen() uint64
 }
 
 // ChangeDetectConfig parameterizes the ChangeDetect operator.

@@ -61,11 +61,11 @@ func TestPaperPathStreamDigest(t *testing.T) {
 	if err := seg.FlushAll(sink); err != nil {
 		t.Fatal(err)
 	}
-	if cutter.Ensembles() == 0 || patterns == 0 {
-		t.Fatalf("%d ensembles, %d patterns: the digest would pin no spectral output", cutter.Ensembles(), patterns)
+	if cutter.ensembles == 0 || patterns == 0 {
+		t.Fatalf("%d ensembles, %d patterns: the digest would pin no spectral output", cutter.ensembles, patterns)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != paperPathDigest {
 		t.Errorf("paper-path stream digest %s, want %s (%d ensembles, %d patterns)",
-			got, paperPathDigest, cutter.Ensembles(), patterns)
+			got, paperPathDigest, cutter.ensembles, patterns)
 	}
 }

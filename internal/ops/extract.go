@@ -298,9 +298,6 @@ func (o *Cutter) SamplesIn() uint64 { return o.samplesIn }
 // SamplesKept returns the number of samples emitted inside ensembles.
 func (o *Cutter) SamplesKept() uint64 { return o.samplesKept }
 
-// Ensembles returns the number of ensembles emitted.
-func (o *Cutter) Ensembles() uint64 { return o.ensembles }
-
 // Reduction returns the fraction of input data discarded (the paper's
 // headline ~0.806).
 func (o *Cutter) Reduction() float64 {

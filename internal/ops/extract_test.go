@@ -20,11 +20,11 @@ func runExtraction(t *testing.T, clip *synth.Clip, cfg ExtractConfig) (*Ensemble
 		t.Fatal(err)
 	}
 	col := NewEnsembleCollector()
-	src := NewClipSource(Clip{
+	src := clipSource{Clip{
 		ID:         "test",
 		SampleRate: clip.SampleRate,
 		Samples:    clip.Samples,
-	})
+	}}
 	p := pipeline.New().SetSource(src).AppendOps("extract", ops...).SetSink(col)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -128,7 +128,7 @@ func TestExtractionScopesWellFormed(t *testing.T) {
 		}
 		return nil
 	}}
-	src := NewClipSource(Clip{ID: "t", SampleRate: clip.SampleRate, Samples: clip.Samples})
+	src := clipSource{Clip{ID: "t", SampleRate: clip.SampleRate, Samples: clip.Samples}}
 	p := pipeline.New().SetSource(src).AppendOps("extract", ops...).SetSink(validate)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -152,12 +152,12 @@ func TestExtractionGroundTruthPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewEnsembleCollector()
-	src := NewClipSource(Clip{
+	src := clipSource{Clip{
 		ID:         "labelled",
 		SampleRate: synth.StandardSampleRate,
 		Samples:    samples,
 		Species:    "RWBL",
-	})
+	}}
 	p := pipeline.New().SetSource(src).AppendOps("extract", ops...).SetSink(col)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -488,27 +488,5 @@ func TestSAXAnomalyEmitsScorePerAudioRecord(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("record %d subtype = %d, want %d", i, kinds[i], want[i])
 		}
-	}
-}
-
-func TestRecordCounter(t *testing.T) {
-	c := NewRecordCounter()
-	open := record.NewOpenScope(record.ScopeClip, 0)
-	if err := c.Consume(open); err != nil {
-		t.Fatal(err)
-	}
-	d := record.NewData(record.SubtypeAudio)
-	d.SetFloat64s([]float64{1, 2})
-	if err := c.Consume(d); err != nil {
-		t.Fatal(err)
-	}
-	if c.Kind(record.KindOpenScope) != 1 || c.Kind(record.KindData) != 1 {
-		t.Error("kind counts wrong")
-	}
-	if c.Subtype(record.SubtypeAudio) != 1 {
-		t.Error("subtype count wrong")
-	}
-	if c.PayloadBytes() != 16 {
-		t.Errorf("PayloadBytes = %d", c.PayloadBytes())
 	}
 }

@@ -34,7 +34,7 @@ func TestExtractionSurvivesNaNSamples(t *testing.T) {
 	sink := pipeline.SinkFunc{SinkName: "v", Fn: func(r *record.Record) error {
 		return tracker.Observe(r)
 	}}
-	src := NewClipSource(Clip{ID: "nan", SampleRate: clip.SampleRate, Samples: clip.Samples})
+	src := clipSource{Clip{ID: "nan", SampleRate: clip.SampleRate, Samples: clip.Samples}}
 	p := pipeline.New().SetSource(src).AppendOps("extract", opsList...).SetSink(sink)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("pipeline with NaN input: %v", err)
@@ -53,11 +53,11 @@ func TestExtractionZeroVarianceClip(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewEnsembleCollector()
-	src := NewClipSource(Clip{
+	src := clipSource{Clip{
 		ID:         "silence",
 		SampleRate: synth.StandardSampleRate,
 		Samples:    make([]float64, 5*synth.StandardSampleRate),
-	})
+	}}
 	p := pipeline.New().SetSource(src).AppendOps("extract", opsList...).SetSink(col)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("silent clip: %v", err)
@@ -73,7 +73,7 @@ func TestExtractionZeroVarianceClip(t *testing.T) {
 // TestClipSourceRejectsBadRate: a clip without a sample rate must fail
 // loudly, not produce unscaled context.
 func TestClipSourceRejectsBadRate(t *testing.T) {
-	src := NewClipSource(Clip{ID: "bad", Samples: []float64{1, 2, 3}})
+	src := clipSource{Clip{ID: "bad", Samples: []float64{1, 2, 3}}}
 	sink := pipeline.SinkFunc{SinkName: "null", Fn: func(*record.Record) error { return nil }}
 	p := pipeline.New().SetSource(src).SetSink(sink)
 	if err := p.Run(context.Background()); err == nil {

@@ -68,13 +68,13 @@ func TestDistributedAcousticPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := pipeline.NewStreamOut(addr)
-	src := NewClipSource(Clip{
+	src := clipSource{Clip{
 		ID:         "integration",
 		Station:    "kbs-test",
 		SampleRate: clip.SampleRate,
 		Samples:    clip.Samples,
 		Species:    "NOCA",
-	})
+	}}
 	up := pipeline.New().SetSource(src).SetSink(out)
 	if err := up.Run(context.Background()); err != nil {
 		t.Fatalf("station: %v", err)
@@ -170,9 +170,15 @@ func TestPipelineSurvivesMidStreamSegmentMove(t *testing.T) {
 	send()
 	time.Sleep(150 * time.Millisecond)
 
-	coord := pipeline.NewCoordinator(reg)
-	if _, err := coord.Move("extract", "extract", nodeA, nodeB, upstream, colIn.Addr()); err != nil {
+	// Move: host on node B, redirect the upstream to it, stop node A's
+	// instance (which drains what it had in flight).
+	newAddr, err := nodeB.Host("extract", "extract", ":0", colIn.Addr())
+	if err != nil {
 		t.Fatalf("move: %v", err)
+	}
+	upstream.Redirect(newAddr)
+	if err := nodeA.Stop("extract"); err != nil {
+		t.Fatalf("move: stopping old instance: %v", err)
 	}
 	send()
 	time.Sleep(150 * time.Millisecond)

@@ -96,56 +96,3 @@ func (c *EnsembleCollector) Discarded() int {
 	defer c.mu.Unlock()
 	return c.bad
 }
-
-// RecordCounter is a sink counting records and payload bytes by kind; it
-// backs the data-reduction measurements. Safe for concurrent use.
-type RecordCounter struct {
-	mu      sync.Mutex
-	byKind  map[record.Kind]uint64
-	bySub   map[uint16]uint64
-	payload uint64
-}
-
-// NewRecordCounter returns an empty counter.
-func NewRecordCounter() *RecordCounter {
-	return &RecordCounter{
-		byKind: make(map[record.Kind]uint64),
-		bySub:  make(map[uint16]uint64),
-	}
-}
-
-// Name implements pipeline.Sink.
-func (c *RecordCounter) Name() string { return "counter" }
-
-// Consume implements pipeline.Sink.
-func (c *RecordCounter) Consume(r *record.Record) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.byKind[r.Kind]++
-	if r.Kind == record.KindData {
-		c.bySub[r.Subtype]++
-	}
-	c.payload += uint64(len(r.Payload))
-	return nil
-}
-
-// Kind returns the count of records of the given kind.
-func (c *RecordCounter) Kind(k record.Kind) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.byKind[k]
-}
-
-// Subtype returns the count of data records with the given subtype.
-func (c *RecordCounter) Subtype(s uint16) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bySub[s]
-}
-
-// PayloadBytes returns the total payload volume.
-func (c *RecordCounter) PayloadBytes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.payload
-}

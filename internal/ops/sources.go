@@ -34,29 +34,6 @@ type Clip struct {
 	Species string
 }
 
-// ClipSource emits a sequence of clips, each as an OpenScope(clip) record
-// with context, data records of RecordSamples samples, and a CloseScope —
-// the wav2rec encapsulation of the paper.
-type ClipSource struct {
-	clips []Clip
-}
-
-// NewClipSource returns a source over the given clips.
-func NewClipSource(clips ...Clip) *ClipSource { return &ClipSource{clips: clips} }
-
-// Name implements pipeline.Source.
-func (s *ClipSource) Name() string { return "clipsource" }
-
-// Run implements pipeline.Source.
-func (s *ClipSource) Run(out pipeline.Emitter) error {
-	for i := range s.clips {
-		if err := EmitClip(out, &s.clips[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EmitClip writes one clip to the emitter as a scoped record stream.
 func EmitClip(out pipeline.Emitter, c *Clip) error {
 	if c.SampleRate <= 0 {

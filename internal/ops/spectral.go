@@ -2,7 +2,6 @@ package ops
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/dsp"
 	"repro/internal/pipeline"
@@ -377,12 +376,4 @@ func ExtractionOps(cfg ExtractConfig) ([]pipeline.Operator, *Cutter, error) {
 	}
 	cutter := NewCutter(cfg)
 	return []pipeline.Operator{sax, NewTrigger(cfg), cutter}, cutter, nil
-}
-
-// FormatHz renders a frequency for topology listings.
-func FormatHz(hz float64) string {
-	if hz >= 1000 {
-		return strconv.FormatFloat(hz/1000, 'g', 4, 64) + "kHz"
-	}
-	return strconv.FormatFloat(hz, 'g', 4, 64) + "Hz"
 }

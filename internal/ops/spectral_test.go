@@ -19,7 +19,7 @@ import (
 func runSpectral(t *testing.T, samples []float64, sampleRate float64, opsList []pipeline.Operator) *EnsembleCollector {
 	t.Helper()
 	col := NewEnsembleCollector()
-	src := pipeline.SourceFunc{SourceName: "ensemble", Fn: func(out pipeline.Emitter) error {
+	src := sourceFunc(func(out pipeline.Emitter) error {
 		clipOpen := record.NewOpenScope(record.ScopeClip, 0)
 		clipOpen.SetContext(map[string]string{record.CtxSampleRate: "24576"})
 		if err := out.Emit(clipOpen); err != nil {
@@ -50,7 +50,7 @@ func runSpectral(t *testing.T, samples []float64, sampleRate float64, opsList []
 			return err
 		}
 		return out.Emit(record.NewCloseScope(record.ScopeClip, 0))
-	}}
+	})
 	p := pipeline.New().SetSource(src).AppendOps("spectral", opsList...).SetSink(col)
 	if err := p.Run(context.Background()); err != nil {
 		t.Fatalf("pipeline: %v", err)
@@ -320,7 +320,7 @@ func TestEndToEndExtractAndFeaturize(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := NewEnsembleCollector()
-	src := NewClipSource(Clip{ID: "e2e", SampleRate: clip.SampleRate, Samples: clip.Samples, Species: "NOCA"})
+	src := clipSource{Clip{ID: "e2e", SampleRate: clip.SampleRate, Samples: clip.Samples, Species: "NOCA"}}
 	p := pipeline.New().
 		SetSource(src).
 		AppendOps("extract", extractOps...).

@@ -23,7 +23,7 @@ func TestStreamInPreservesSeq(t *testing.T) {
 	sink := SinkFunc{SinkName: "collect", Fn: func(r *record.Record) error {
 		mu.Lock()
 		defer mu.Unlock()
-		got = append(got, r.Clone())
+		got = append(got, r.CloneInto(new(record.Record)))
 		return nil
 	}}
 	done := make(chan struct{})

@@ -49,17 +49,6 @@ func (r *Registry) Build(segType string) ([]Operator, error) {
 	return f(), nil
 }
 
-// Types returns the registered segment type names.
-func (r *Registry) Types() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.factories))
-	for k := range r.factories {
-		out = append(out, k)
-	}
-	return out
-}
-
 // Node hosts pipeline segments on one (possibly remote) machine. Each
 // hosted segment listens for upstream records via streamin, runs its
 // operator chain, and forwards results via streamout. Nodes are the unit
@@ -228,31 +217,6 @@ func closeEndpoint(v any) {
 	if c, ok := v.(closer); ok {
 		_ = c.Close()
 	}
-}
-
-// Addr returns the listen address of a hosted segment.
-func (n *Node) Addr(segName string) (string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.hosted[segName]
-	if !ok {
-		return "", fmt.Errorf("pipeline: node %s does not host %q", n.name, segName)
-	}
-	if ap, ok := h.src.(addrProvider); ok {
-		return ap.Addr(), nil
-	}
-	return "", fmt.Errorf("pipeline: segment %q has no listen address", segName)
-}
-
-// Segment returns the hosted segment instance (for stats inspection).
-func (n *Node) Segment(segName string) (*Segment, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	h, ok := n.hosted[segName]
-	if !ok {
-		return nil, fmt.Errorf("pipeline: node %s does not host %q", n.name, segName)
-	}
-	return h.seg, nil
 }
 
 // SegmentStats is a point-in-time snapshot of one hosted segment's
@@ -538,34 +502,4 @@ func (n *Node) StopAll() error {
 		}
 	}
 	return first
-}
-
-// Coordinator relocates segments between nodes at runtime — the "dynamic"
-// in Dynamic River. A move instantiates the segment on the destination
-// node, redirects the upstream streamout to the new address, then stops
-// the old instance; scope repair downstream masks any records cut off
-// mid-scope on the old host.
-type Coordinator struct {
-	reg *Registry
-}
-
-// NewCoordinator returns a coordinator over the given registry.
-func NewCoordinator(reg *Registry) *Coordinator { return &Coordinator{reg: reg} }
-
-// Move relocates segName (of type segType) from one node to another. The
-// upstream sink is redirected to the new instance's address, which is also
-// returned. downstreamAddr names the stage the segment forwards to (it
-// does not move).
-func (c *Coordinator) Move(segName, segType string, from, to *Node, upstream *StreamOut, downstreamAddr string) (string, error) {
-	newAddr, err := to.Host(segName, segType, ":0", downstreamAddr)
-	if err != nil {
-		return "", fmt.Errorf("pipeline: move %q to %s: %w", segName, to.Name(), err)
-	}
-	// Redirect first so new records flow to the new host; then stop the
-	// old instance, which drains whatever it had in flight.
-	upstream.Redirect(newAddr)
-	if err := from.Stop(segName); err != nil {
-		return newAddr, fmt.Errorf("pipeline: move %q: stopping old instance: %w", segName, err)
-	}
-	return newAddr, nil
 }

@@ -27,9 +27,8 @@ func TestRegistry(t *testing.T) {
 	if _, err := reg.Build("missing"); err == nil {
 		t.Error("unknown type should error")
 	}
-	types := reg.Types()
-	if len(types) != 2 {
-		t.Errorf("Types = %v", types)
+	if _, err := reg.Build("add5"); err != nil {
+		t.Errorf("Build(add5): %v", err)
 	}
 	// Factories must return fresh instances.
 	ops2, _ := reg.Build("double")
@@ -153,11 +152,16 @@ func TestCoordinatorMoveSegment(t *testing.T) {
 	}
 	time.Sleep(50 * time.Millisecond)
 
-	// Move the segment to node B mid-stream.
-	coord := NewCoordinator(reg)
-	newAddr, err := coord.Move("ext", "add5", nodeA, nodeB, upstream, termAddr)
+	// Move the segment to node B mid-stream: host the new instance,
+	// redirect the upstream to it first so new records flow there, then
+	// stop the old instance, which drains whatever it had in flight.
+	newAddr, err := nodeB.Host("ext", "add5", ":0", termAddr)
 	if err != nil {
-		t.Fatalf("Move: %v", err)
+		t.Fatalf("host on B: %v", err)
+	}
+	upstream.Redirect(newAddr)
+	if err := nodeA.Stop("ext"); err != nil {
+		t.Fatalf("stop A: %v", err)
 	}
 	if newAddr == addrA {
 		t.Error("move returned the old address")

@@ -110,18 +110,6 @@ type RunEnder interface {
 	SetRunEnd(end func(dry bool) error)
 }
 
-// SourceFunc adapts a function to the Source interface.
-type SourceFunc struct {
-	SourceName string
-	Fn         func(out Emitter) error
-}
-
-// Name returns the source name.
-func (s SourceFunc) Name() string { return s.SourceName }
-
-// Run invokes the wrapped function.
-func (s SourceFunc) Run(out Emitter) error { return s.Fn(out) }
-
 // Sink consumes the records leaving a pipeline.
 type Sink interface {
 	Name() string

@@ -176,11 +176,6 @@ func (p *Pipeline) Topology() string {
 	return out
 }
 
-// Segments returns the pipeline's segments in order.
-func (p *Pipeline) Segments() []*Segment {
-	return append([]*Segment(nil), p.segments...)
-}
-
 // Run executes the pipeline until the source is exhausted and all records
 // have drained through the sink, or any stage fails, or ctx is cancelled.
 // The first non-shutdown error is returned; a clean drain returns nil.

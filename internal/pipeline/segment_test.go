@@ -231,7 +231,7 @@ func TestPipelineMultiSegmentFlushOrder(t *testing.T) {
 	if got := sink.values(t); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
-	for _, seg := range p.Segments() {
+	for _, seg := range p.segments {
 		if seg.Processed() != 3 || seg.Emitted() != 3 {
 			t.Errorf("segment %s processed %d emitted %d, want 3 and 3", seg.Name(), seg.Processed(), seg.Emitted())
 		}
@@ -344,8 +344,8 @@ func TestPipelineTopology(t *testing.T) {
 			t.Errorf("topology %q missing %q", topo, want)
 		}
 	}
-	if len(p.Segments()) != 1 {
-		t.Errorf("Segments = %d", len(p.Segments()))
+	if len(p.segments) != 1 {
+		t.Errorf("Segments = %d", len(p.segments))
 	}
 }
 

@@ -214,10 +214,6 @@ func (b *BatchWriter) ShouldFlush() bool {
 // Pending returns the number of records buffered but not yet flushed.
 func (b *BatchWriter) Pending() int { return b.recs }
 
-// PendingBytes returns the encoded size of the pending batch (excluding
-// the trailer, which is appended at flush time).
-func (b *BatchWriter) PendingBytes() int { return len(b.buf) + b.extLen }
-
 // Age returns how long the oldest pending record has been buffered, or 0
 // when the batch is empty.
 func (b *BatchWriter) Age() time.Duration {
@@ -355,19 +351,6 @@ func (b *BatchWriter) materializeExt() {
 // Add/ShouldFlush/Flush sequence without flushing — a streamout shutting
 // down mid-Consume — use it before returning to their caller.
 func (b *BatchWriter) MaterializePending() { b.materializeExt() }
-
-// Discard drops the pending batch without writing it. Callers use it when
-// the stream is being abandoned (shutdown with an unreachable downstream).
-// It returns the number of records dropped.
-func (b *BatchWriter) Discard() int {
-	n := b.recs
-	b.buf = b.buf[:0]
-	b.recs = 0
-	b.force = false
-	b.ext = b.ext[:0]
-	b.extLen = 0
-	return n
-}
 
 // Write encodes r and flushes if a policy trigger fires.
 func (b *BatchWriter) Write(r *Record) error {

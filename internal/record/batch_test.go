@@ -163,12 +163,6 @@ func TestBatchWriterNoOutput(t *testing.T) {
 	if err := bw.Flush(); !errors.Is(err, ErrNoOutput) {
 		t.Fatalf("flush without output = %v, want ErrNoOutput", err)
 	}
-	if n := bw.Discard(); n != 1 {
-		t.Errorf("Discard = %d, want 1", n)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Errorf("empty flush after discard: %v", err)
-	}
 }
 
 func TestBatchWriterRejectsInvalid(t *testing.T) {

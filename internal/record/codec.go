@@ -127,8 +127,11 @@ func NewWriter(w io.Writer) *Writer { return NewBatchWriter(w, PerRecordConfig()
 // Reader decodes records from an io.Reader. Reader is not safe for
 // concurrent use.
 type Reader struct {
-	r      *bufio.Reader
-	n      uint64
+	r *bufio.Reader
+	n uint64
+	// strict returns framing and checksum errors to the caller instead of
+	// resynchronizing; the package tests set it to observe which error a
+	// damage episode raised.
 	strict bool
 	pooled bool
 
@@ -152,8 +155,7 @@ type Reader struct {
 }
 
 // NewReader returns a Reader decoding from r. The reader resynchronizes on
-// the next magic word after encountering corruption unless SetStrict(true)
-// is called.
+// the next magic word after encountering corruption.
 func NewReader(r io.Reader) *Reader {
 	return NewReaderSize(r, 64<<10)
 }
@@ -168,11 +170,6 @@ func NewReaderSize(r io.Reader, size int) *Reader {
 	size = max(size, batchHdrSize+entryHdrSize+batchTrailerSize)
 	return &Reader{r: bufio.NewReaderSize(r, size)}
 }
-
-// SetStrict controls corruption handling: in strict mode any framing or
-// checksum error is returned to the caller; otherwise Read skips forward to
-// the next magic word and tries again.
-func (r *Reader) SetStrict(strict bool) { r.strict = strict }
 
 // SetPooled controls record allocation: when pooled, decoded records come
 // from the record pool (GetRecord) and reuse payload capacity in place.
@@ -201,9 +198,6 @@ func (r *Reader) Reset(src io.Reader) {
 	r.r.Reset(src)
 	r.n = 0
 }
-
-// Count returns the number of records successfully read.
-func (r *Reader) Count() uint64 { return r.n }
 
 // CorruptBatches returns the number of damage episodes a non-strict reader
 // has skipped: a batch dropped whole because its CRC (or internal

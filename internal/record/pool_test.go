@@ -164,7 +164,7 @@ func TestDecodersAllocateOnce(t *testing.T) {
 	c := &Record{}
 	c.SetComplex128s(make([]complex128, 1024))
 	if allocs := testing.AllocsPerRun(50, func() {
-		if v, err := c.Complex128s(); err != nil || len(v) != 1024 {
+		if v, err := c.AppendComplex128s(nil); err != nil || len(v) != 1024 {
 			t.Fatalf("decode: %d values, %v", len(v), err)
 		}
 	}); allocs != 1 {

@@ -223,16 +223,6 @@ func NewBadCloseScope(st ScopeType, depth uint16) *Record {
 	return &Record{Kind: KindBadCloseScope, Scope: depth, ScopeType: st}
 }
 
-// Clone returns a deep copy of r.
-func (r *Record) Clone() *Record {
-	c := *r
-	if r.Payload != nil {
-		c.Payload = make([]byte, len(r.Payload))
-		copy(c.Payload, r.Payload)
-	}
-	return &c
-}
-
 // CloneInto deep-copies r into dst, reusing dst's payload capacity when it
 // suffices, and returns dst. The typical dst is a pooled record (see
 // GetCopy); after CloneInto, dst shares no storage with r.
@@ -325,13 +315,6 @@ func (r *Record) SetComplex128s(v []complex128) {
 	putComplex128s(p, v)
 }
 
-// Complex128s decodes the payload as a complex128 slice. The returned
-// slice is freshly allocated, exactly once at its final size; use
-// AppendComplex128s for reusable scratch.
-func (r *Record) Complex128s() ([]complex128, error) {
-	return r.AppendComplex128s(nil)
-}
-
 // AppendComplex128s decodes the payload as complex samples appended to
 // dst (which may be nil) and returns the extended slice. The payload is
 // read as SetComplex128s writes it; on a little-endian host decoding is a
@@ -396,34 +379,6 @@ func (r *Record) SetPCM16(v []int16) {
 		p[2*i] = byte(uint16(s))
 		p[2*i+1] = byte(uint16(s) >> 8)
 	}
-}
-
-// PCM16 decodes the payload as signed 16-bit samples. The returned slice
-// is freshly allocated; use AppendPCM16 to decode into reusable scratch.
-func (r *Record) PCM16() ([]int16, error) {
-	return r.AppendPCM16(nil)
-}
-
-// AppendPCM16 decodes the payload as 16-bit samples appended to dst
-// (which may be nil) and returns the extended slice.
-func (r *Record) AppendPCM16(dst []int16) ([]int16, error) {
-	if r.PayloadType != PayloadPCM16 {
-		return nil, fmt.Errorf("%w: have %s, want %s", ErrPayloadType, r.PayloadType, PayloadPCM16)
-	}
-	if len(r.Payload)%2 != 0 {
-		return nil, fmt.Errorf("%w: %d bytes is not a multiple of 2", ErrShortPayload, len(r.Payload))
-	}
-	for i := 0; i < len(r.Payload); i += 2 {
-		dst = append(dst, int16(uint16(r.Payload[i])|uint16(r.Payload[i+1])<<8))
-	}
-	return dst, nil
-}
-
-// SetBytes attaches raw bytes as the payload. The slice is copied into
-// the record's own buffer, reusing capacity when it suffices.
-func (r *Record) SetBytes(b []byte) {
-	r.PayloadType = PayloadBytes
-	copy(r.ensurePayload(len(b)), b)
 }
 
 // SetContext encodes a key/value string map as the payload. OpenScope

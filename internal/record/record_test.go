@@ -92,7 +92,7 @@ func TestComplex128sRoundTrip(t *testing.T) {
 	in := []complex128{0, 1 + 2i, -3.5 - 0.25i, complex(math.Pi, -math.E)}
 	r := NewData(SubtypeSpectrum)
 	r.SetComplex128s(in)
-	out, err := r.Complex128s()
+	out, err := r.AppendComplex128s(nil)
 	if err != nil {
 		t.Fatalf("Complex128s: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestComplex128sRoundTrip(t *testing.T) {
 
 func TestComplex128sTypeMismatch(t *testing.T) {
 	r := NewData(0)
-	if _, err := r.Complex128s(); err == nil {
+	if _, err := r.AppendComplex128s(nil); err == nil {
 		t.Error("expected error for empty payload type")
 	}
 }
@@ -195,7 +195,7 @@ func TestClone(t *testing.T) {
 	r := NewData(SubtypeAudio)
 	r.SetFloat64s([]float64{1, 2, 3})
 	r.Seq = 42
-	c := r.Clone()
+	c := r.CloneInto(new(Record))
 	if !reflect.DeepEqual(r, c) {
 		t.Fatal("clone differs from original")
 	}
@@ -208,7 +208,7 @@ func TestClone(t *testing.T) {
 
 func TestCloneNilPayload(t *testing.T) {
 	r := NewCloseScope(ScopeClip, 0)
-	c := r.Clone()
+	c := r.CloneInto(new(Record))
 	if c.Payload != nil {
 		t.Error("clone of nil payload should stay nil")
 	}

@@ -6,9 +6,8 @@ import (
 
 // ScopeFrame describes one open scope observed in a stream.
 type ScopeFrame struct {
-	Type    ScopeType
-	Depth   uint16
-	Context map[string]string // context from the OpenScope record, may be nil
+	Type  ScopeType
+	Depth uint16
 }
 
 // Tracker follows the scope structure of a record stream. It validates
@@ -27,34 +26,6 @@ func NewTracker() *Tracker { return &Tracker{} }
 // Depth returns the number of currently open scopes.
 func (t *Tracker) Depth() int { return len(t.stack) }
 
-// Top returns the innermost open scope frame and true, or a zero frame and
-// false when no scope is open.
-func (t *Tracker) Top() (ScopeFrame, bool) {
-	if len(t.stack) == 0 {
-		return ScopeFrame{}, false
-	}
-	return t.stack[len(t.stack)-1], true
-}
-
-// Frames returns a copy of the open scope frames, outermost first.
-func (t *Tracker) Frames() []ScopeFrame {
-	out := make([]ScopeFrame, len(t.stack))
-	copy(out, t.stack)
-	return out
-}
-
-// ContextValue searches open scopes innermost-first for a context key,
-// returning the first value found. This lets an operator deep inside an
-// ensemble scope read, say, the clip's sample rate.
-func (t *Tracker) ContextValue(key string) (string, bool) {
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if v, ok := t.stack[i].Context[key]; ok {
-			return v, true
-		}
-	}
-	return "", false
-}
-
 // Observe updates the tracker with one record and validates it against the
 // current scope state. Data and control records are valid at any depth;
 // scope records must match the tracked structure.
@@ -65,13 +36,7 @@ func (t *Tracker) Observe(r *Record) error {
 			return fmt.Errorf("%w: OpenScope at depth %d with %d scopes open",
 				ErrScopeBalance, r.Scope, len(t.stack))
 		}
-		frame := ScopeFrame{Type: r.ScopeType, Depth: r.Scope}
-		if r.PayloadType == PayloadContext {
-			if ctx, err := r.Context(); err == nil {
-				frame.Context = ctx
-			}
-		}
-		t.stack = append(t.stack, frame)
+		t.stack = append(t.stack, ScopeFrame{Type: r.ScopeType, Depth: r.Scope})
 		return nil
 	case KindCloseScope, KindBadCloseScope:
 		if len(t.stack) == 0 {
@@ -110,44 +75,3 @@ func (t *Tracker) CloseAll() []*Record {
 
 // Reset discards all tracked scope state.
 func (t *Tracker) Reset() { t.stack = t.stack[:0] }
-
-// ScopeBuilder helps an operator emit correctly nested scopes relative to a
-// tracked input depth. It wraps a Tracker for the operator's *output*
-// stream.
-type ScopeBuilder struct {
-	t Tracker
-}
-
-// Open emits (returns) an OpenScope record at the current output depth and
-// pushes the new scope.
-func (b *ScopeBuilder) Open(st ScopeType, ctx map[string]string) *Record {
-	r := NewOpenScope(st, uint16(b.t.Depth()))
-	if ctx != nil {
-		r.SetContext(ctx)
-	}
-	// Observe cannot fail: the record is constructed at the tracked depth.
-	if err := b.t.Observe(r); err != nil {
-		panic("record: ScopeBuilder.Open: " + err.Error())
-	}
-	return r
-}
-
-// Close returns a CloseScope record for the innermost open scope and pops
-// it. It returns nil when no scope is open.
-func (b *ScopeBuilder) Close() *Record {
-	top, ok := b.t.Top()
-	if !ok {
-		return nil
-	}
-	r := NewCloseScope(top.Type, top.Depth)
-	if err := b.t.Observe(r); err != nil {
-		panic("record: ScopeBuilder.Close: " + err.Error())
-	}
-	return r
-}
-
-// Depth returns the current output scope depth.
-func (b *ScopeBuilder) Depth() int { return b.t.Depth() }
-
-// CloseAll returns BadCloseScope records for all open output scopes.
-func (b *ScopeBuilder) CloseAll() []*Record { return b.t.CloseAll() }

@@ -111,28 +111,6 @@ func TestTrackerCloseAll(t *testing.T) {
 	}
 }
 
-func TestTrackerContextLookup(t *testing.T) {
-	tr := NewTracker()
-	sess := NewOpenScope(ScopeSession, 0)
-	sess.SetContext(map[string]string{CtxStation: "kbs-01", CtxSampleRate: "22050"})
-	clip := NewOpenScope(ScopeClip, 1)
-	clip.SetContext(map[string]string{CtxSampleRate: "24576"})
-	mustObserve(t, tr, sess)
-	mustObserve(t, tr, clip)
-
-	// Innermost scope shadows outer for the same key.
-	if v, ok := tr.ContextValue(CtxSampleRate); !ok || v != "24576" {
-		t.Errorf("ContextValue(sample_rate) = %q, %v; want 24576", v, ok)
-	}
-	// Outer-scope keys remain visible.
-	if v, ok := tr.ContextValue(CtxStation); !ok || v != "kbs-01" {
-		t.Errorf("ContextValue(station) = %q, %v; want kbs-01", v, ok)
-	}
-	if _, ok := tr.ContextValue("absent"); ok {
-		t.Error("absent key should not be found")
-	}
-}
-
 func TestTrackerTopAndFrames(t *testing.T) {
 	tr := NewTracker()
 	if _, ok := tr.Top(); ok {
@@ -159,45 +137,6 @@ func TestTrackerReset(t *testing.T) {
 	tr.Reset()
 	if tr.Depth() != 0 {
 		t.Error("Reset did not clear scopes")
-	}
-}
-
-func TestScopeBuilderNesting(t *testing.T) {
-	var b ScopeBuilder
-	open1 := b.Open(ScopeClip, map[string]string{CtxSampleRate: "24576"})
-	if open1.Scope != 0 || open1.Kind != KindOpenScope {
-		t.Errorf("first open: %s", open1)
-	}
-	open2 := b.Open(ScopeEnsemble, nil)
-	if open2.Scope != 1 {
-		t.Errorf("nested open depth = %d, want 1", open2.Scope)
-	}
-	if b.Depth() != 2 {
-		t.Errorf("builder depth = %d, want 2", b.Depth())
-	}
-	close2 := b.Close()
-	if close2.ScopeType != ScopeEnsemble || close2.Scope != 1 {
-		t.Errorf("close = %s", close2)
-	}
-	close1 := b.Close()
-	if close1.ScopeType != ScopeClip || close1.Scope != 0 {
-		t.Errorf("close = %s", close1)
-	}
-	if b.Close() != nil {
-		t.Error("Close with no open scope should return nil")
-	}
-}
-
-func TestScopeBuilderCloseAll(t *testing.T) {
-	var b ScopeBuilder
-	b.Open(ScopeClip, nil)
-	b.Open(ScopeEnsemble, nil)
-	recs := b.CloseAll()
-	if len(recs) != 2 || recs[0].ScopeType != ScopeEnsemble || recs[1].ScopeType != ScopeClip {
-		t.Errorf("CloseAll = %v", recs)
-	}
-	if b.Depth() != 0 {
-		t.Error("builder not reset")
 	}
 }
 

@@ -195,15 +195,6 @@ func (m *Merger) QueueDepth() (depth, capacity int) {
 // slot returns the ring index annotation n maps to.
 func (m *Merger) slot(n uint64) uint64 { return n % uint64(len(m.ring)) }
 
-// bufferedLocked returns the buffered record for annotation n, or nil.
-func (m *Merger) bufferedLocked(n uint64) *record.Record {
-	s := m.slot(n)
-	if m.ring[s] != nil && m.ringSeq[s] == n {
-		return m.ring[s]
-	}
-	return nil
-}
-
 // takeLocked removes and returns the buffered record for annotation n.
 func (m *Merger) takeLocked(n uint64) *record.Record {
 	s := m.slot(n)

@@ -20,7 +20,7 @@ type collectEmitter struct {
 func (c *collectEmitter) Emit(r *record.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.recs = append(c.recs, r.Clone())
+	c.recs = append(c.recs, r.CloneInto(new(record.Record)))
 	return nil
 }
 

@@ -105,9 +105,6 @@ func NewAgent(name, coordAddr string, reg *pipeline.Registry) *Agent {
 	}
 }
 
-// Name returns the agent's registered name.
-func (a *Agent) Name() string { return a.name }
-
 // Node exposes the underlying segment host for inspection.
 func (a *Agent) Node() *pipeline.Node { return a.node }
 

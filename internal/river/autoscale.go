@@ -89,6 +89,9 @@ func (c AutoscaleConfig) validate() error {
 	if c.MinShards > c.MaxShards {
 		return fmt.Errorf("river: autoscale min shards %d above max %d", c.MinShards, c.MaxShards)
 	}
+	if c.MaxShards > maxGroupWidth {
+		return fmt.Errorf("river: autoscale max shards %d above the cap of %d", c.MaxShards, maxGroupWidth)
+	}
 	return nil
 }
 
@@ -198,16 +201,6 @@ func (as *autoscaler) decide(g shardGroupSample, drains int, now time.Time) deci
 // resizeDone releases a group's in-flight latch.
 func (as *autoscaler) resizeDone(group string) {
 	as.mu.Lock()
-	delete(as.inflight, group)
-	as.mu.Unlock()
-}
-
-// forget drops a group's guardrail state (its pipeline was removed).
-func (as *autoscaler) forget(group string) {
-	as.mu.Lock()
-	delete(as.above, group)
-	delete(as.below, group)
-	delete(as.lastScale, group)
 	delete(as.inflight, group)
 	as.mu.Unlock()
 }

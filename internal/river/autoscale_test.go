@@ -128,6 +128,12 @@ func TestAutoscaleConfigValidate(t *testing.T) {
 	if err := (AutoscaleConfig{HighWater: 1.5}).validate(); err == nil {
 		t.Error("saturation above 1 must not validate")
 	}
+	if err := (AutoscaleConfig{MaxShards: maxGroupWidth + 1}).validate(); err == nil {
+		t.Error("max shards above the group width cap must not validate")
+	}
+	if err := (AutoscaleConfig{MaxShards: maxGroupWidth}).validate(); err != nil {
+		t.Errorf("max shards at the cap must validate: %v", err)
+	}
 	if err := (AutoscaleConfig{}).validate(); err != nil {
 		t.Errorf("zero config must validate via defaults: %v", err)
 	}

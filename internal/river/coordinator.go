@@ -54,6 +54,14 @@ type PipelineSpec struct {
 	SinkAddr string        `json:"sink_addr"`
 }
 
+// maxGroupWidth caps a segment's Replicas and Shards and the
+// autoscaler's MaxShards. Every replica or shard is a unit with its own
+// table row, placement and leg connection, so a spec (or a damaged
+// journal or snapshot) asking for millions would exhaust the
+// coordinator's memory expanding them long before any node pool could
+// host them.
+const maxGroupWidth = 256
+
 // validate checks one pipeline spec in isolation.
 func (p PipelineSpec) validate() error {
 	if strings.ContainsAny(p.ID, ":/ \t\n") {
@@ -78,6 +86,10 @@ func (p PipelineSpec) validate() error {
 		}
 		if sp.Shards < 0 {
 			return fmt.Errorf("river: segment %q: negative shard count", sp.Name)
+		}
+		if sp.Replicas > maxGroupWidth || sp.Shards > maxGroupWidth {
+			return fmt.Errorf("river: segment %q: %d replicas, %d shards; at most %d of either",
+				sp.Name, sp.Replicas, sp.Shards, maxGroupWidth)
 		}
 		if sp.Shards > 1 && sp.Replicas > 1 {
 			return fmt.Errorf("river: segment %q: sharding and replication of one segment are exclusive", sp.Name)
@@ -157,10 +169,6 @@ type Config struct {
 	// Empty disables the endpoint; the in-process registry and event log
 	// run either way.
 	MetricsAddr string
-	// EventBuffer sizes the control-plane event ring (default
-	// obs.DefaultEventCapacity). The ring bounds how much backlog a late
-	// watch_events subscriber can fetch.
-	EventBuffer int
 	// Monitor parameterizes the self-monitoring anomaly detector loop;
 	// the zero value enables it with defaults (see MonitorConfig).
 	Monitor MonitorConfig
@@ -471,24 +479,6 @@ func (c *Coordinator) EntryAddr() string {
 		return ps.entryAddr
 	}
 	return ""
-}
-
-// PipelineEntryAddr returns the named pipeline's entry address, or ""
-// while it is unplaced or unknown.
-func (c *Coordinator) PipelineEntryAddr(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ps := c.st.pipelines[id]; ps != nil {
-		return ps.entryAddr
-	}
-	return ""
-}
-
-// Pipelines returns the registered pipeline IDs in deterministic order.
-func (c *Coordinator) Pipelines() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.st.order...)
 }
 
 // defaultPipeline resolves the pipeline the single-pipeline API surfaces

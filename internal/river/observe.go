@@ -24,7 +24,9 @@ const (
 // loop starts.
 func (c *Coordinator) setupObs() {
 	c.reg = obs.NewRegistry()
-	c.events = obs.NewEventLog(c.cfg.EventBuffer)
+	// The ring bounds how much backlog a late watch_events subscriber
+	// can fetch.
+	c.events = obs.NewEventLog(obs.DefaultEventCapacity)
 	c.reg.Help("dynriver_coord_epoch", "coordinator incarnation (advances on restart from journaled state)")
 	c.reg.Help("dynriver_coord_events_total", "control-plane events appended, by type")
 	c.reg.Help("dynriver_journal_fsync_seconds", "group-commit journal fsync latency")

@@ -223,8 +223,8 @@ func TestMonitorFloorFlatThenStep(t *testing.T) {
 	if score, _ := set.PushFloor("above", 17, monFloorQueueDepth); score < threshold {
 		t.Fatalf("step of 17 scored %g; want >= %d", score, threshold)
 	}
-	// The floor sticks to the series: a later plain Push keeps it.
-	if score, _ := set.Push("below", 15); score >= threshold || score <= 0 {
+	// The floor sticks to the series: a later call without one keeps it.
+	if score, _ := set.PushFloor("below", 15, 0); score >= threshold || score <= 0 {
 		t.Fatalf("floor did not stick across Push: score %g", score)
 	}
 }
@@ -514,7 +514,10 @@ func TestRemediationIntegration(t *testing.T) {
 
 	// Killing the idle node is a non-event: nothing hosted, nothing lost,
 	// no failover re-placement.
-	preKill := coord.Events().LastSeq()
+	var preKill uint64
+	if evs := coord.Events().Since(0, nil); len(evs) > 0 {
+		preKill = evs[len(evs)-1].Seq
+	}
 	agents[victim].cancel()
 	<-agents[victim].done
 	delete(agents, victim)

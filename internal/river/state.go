@@ -342,6 +342,10 @@ func (s *state) apply(e journalEntry) []placement {
 	case "gepoch":
 		s.epochs[e.Group] = e.Val
 	case "shardk":
+		if int(e.Val) > maxGroupWidth {
+			s.logf("state: dropping resize of %q to K=%d: above the cap of %d", e.Group, e.Val, maxGroupWidth)
+			return nil
+		}
 		return s.resizeShard(e.Group, int(e.Val))
 	case "pipeadd":
 		var spec PipelineSpec

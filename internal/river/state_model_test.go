@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -304,6 +303,8 @@ func journalSeeds(t testing.TB) [][2][]byte {
 		`{"op":"shardk","group":"tail","val":4}`,
 		`{"op":"shardk","group":"ps:fan","val":0}`,
 		`{"op":"shardk","group":"nope:g","val":2}`,
+		`{"op":"shardk","group":"ps:fan","val":257}`,
+		`{"op":"pipeadd","pipe":"pz","spec":{"segments":[{"name":"w","type":"relay","shards":200000}],"sink_addr":"x"}}`,
 		`{"op":"pipeadd","pipe":"","spec":{"segments":[{"name":"other","type":"relay"}],"sink_addr":"x"}}`,
 		`{"op":"pipeadd","pipe":"py"}`,
 		`{"op":"piperm","pipe":"ps"}`,
@@ -330,14 +331,7 @@ func FuzzJournalLoad(f *testing.F) {
 	for _, s := range journalSeeds(f) {
 		f.Add(s[0], s[1])
 	}
-	// JSON numbers of four or more digits would only make the fuzzer
-	// expand huge unit tables (they are linear in the replica and shard
-	// counts); addresses are strings and stay fuzzable.
-	bigCount := regexp.MustCompile(`":\s*-?[0-9]{4}`)
 	f.Fuzz(func(t *testing.T, snap, journal []byte) {
-		if bigCount.Match(snap) || bigCount.Match(journal) {
-			t.Skip()
-		}
 		if len(snap) == 0 {
 			snap = nil
 		}

@@ -1,6 +1,8 @@
 package river
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -438,5 +440,50 @@ func TestStateBootPipelineRemovalReloads(t *testing.T) {
 				t.Fatalf("stale group epochs came back: %v", st2.epochs)
 			}
 		})
+	}
+}
+
+// TestGroupWidthCap pins maxGroupWidth on the spec path (validate, which
+// AddPipeline, the boot config and a replayed pipeadd all run) and on a
+// replayed shard resize: a count above the cap is refused before any unit
+// is expanded.
+func TestGroupWidthCap(t *testing.T) {
+	seg := func(replicas, shards int) PipelineSpec {
+		return PipelineSpec{SinkAddr: "127.0.0.1:9", Segments: []SegmentSpec{
+			{Name: "g", Type: "relay", Replicas: replicas, Shards: shards},
+		}}
+	}
+	for _, tc := range []struct {
+		name string
+		spec PipelineSpec
+		ok   bool
+	}{
+		{"replicas at cap", seg(maxGroupWidth, 0), true},
+		{"replicas above cap", seg(maxGroupWidth+1, 0), false},
+		{"shards at cap", seg(0, maxGroupWidth), true},
+		{"shards above cap", seg(0, maxGroupWidth+1), false},
+		{"shards MaxInt", seg(0, math.MaxInt), false},
+	} {
+		if err := tc.spec.validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+
+	for _, tc := range []struct {
+		val   int
+		wantK int
+	}{
+		{maxGroupWidth, maxGroupWidth},
+		{maxGroupWidth + 1, 2}, // refused: the boot K of ps:fan stays
+	} {
+		journal := fmt.Sprintf(`{"op":"shardk","group":"ps:fan","val":%d}`+"\n", tc.val)
+		st, err := loadFiles(t, modelBoot(), nil, []byte(journal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := st.pipelines["ps"]
+		if legs := len(ps.unitsBySpec[ps.specIndex["ps:fan"]]) - 2; legs != tc.wantK {
+			t.Errorf("replayed shardk %d: %d legs, want %d", tc.val, legs, tc.wantK)
+		}
 	}
 }

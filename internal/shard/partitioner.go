@@ -36,28 +36,6 @@ import (
 // upstream backpressure, not drops.
 const DefaultLegQueue = replica.DefaultLegQueue
 
-// KeyFunc extracts a record's sharding key. It runs on the partitioner's
-// Consume hot path before the record is tagged (the record still carries
-// its original header fields) and must be pure and fast: same record
-// contents, same key. Any key distribution is order-safe — the
-// partitioner's global sequence annotation makes the collector restore
-// total input order regardless of how records spread across legs — but
-// stateful per-stream shard operators additionally require that records
-// of one logical stream map to one key.
-type KeyFunc func(*record.Record) uint32
-
-// KeyBySubtype shards on the record's Subtype: one station's stream
-// spreads its channels/feature lanes across legs instead of landing on a
-// single shard. The ROADMAP follow-up to SourceID-only keying.
-func KeyBySubtype(r *record.Record) uint32 { return uint32(r.Subtype) }
-
-// KeyBySourceAndSubtype shards on SourceID and Subtype jointly, for
-// fleets where neither stations alone (too few) nor subtypes alone (too
-// clustered) spread well.
-func KeyBySourceAndSubtype(r *record.Record) uint32 {
-	return r.SourceID*31 ^ uint32(r.Subtype)
-}
-
 // PartitionerConfig parameterizes a Partitioner.
 type PartitionerConfig struct {
 	// Group names the sharded segment group; partitioner and collector
@@ -68,21 +46,17 @@ type PartitionerConfig struct {
 	// partitioner's fresh numbering from the old one's.
 	Epoch uint16
 	// Legs is the initial ordered set of shard downstream addresses; a
-	// record's leg index is hash(key) mod len(Legs).
+	// record's leg index is hash(SourceID) mod len(Legs), so each logical
+	// stream stays whole on one shard.
 	Legs []string
-	// LegQueue bounds each leg's record buffer (default DefaultLegQueue).
-	LegQueue int
 	// Flush is the per-leg streamout framing policy (zero value selects
 	// record.DefaultBatchConfig()).
 	Flush record.BatchConfig
-	// Key extracts the sharding key from a record; nil keys on SourceID
-	// (each logical stream stays whole on one shard).
-	Key KeyFunc
 }
 
 // Partitioner is a pipeline.Sink that tags every record with a global
 // sequence annotation and routes it to exactly one shard leg of its
-// replica.LegSet by the hash of its key. Each leg is a bounded queue
+// replica.LegSet by the hash of its SourceID. Each leg is a bounded queue
 // drained by a dedicated writer goroutine into a batched streamout, so the
 // K shard connections encode and flush concurrently. The leg's copy is
 // pool-backed (record.GetCopy) and released once flushed, so the hot path
@@ -92,7 +66,6 @@ type PartitionerConfig struct {
 // a scale-in or planned re-splice loses nothing.
 type Partitioner struct {
 	*replica.LegSet
-	key KeyFunc // nil: route by SourceID
 }
 
 // NewPartitioner returns a partitioner for the given group routing to
@@ -105,11 +78,10 @@ func NewPartitioner(cfg PartitionerConfig) *Partitioner {
 			Stream:   record.ShardStreamID(cfg.Group),
 			Epoch:    cfg.Epoch,
 			Legs:     cfg.Legs,
-			LegQueue: cfg.LegQueue,
+			LegQueue: DefaultLegQueue,
 			Flush:    cfg.Flush,
 			Drain:    true,
 		}),
-		key: cfg.Key,
 	}
 }
 
@@ -121,19 +93,16 @@ func shardIndex(key uint32, k int) int {
 }
 
 // Consume implements pipeline.Sink: tag the record with the next global
-// sequence number and enqueue it on the one leg its key hashes to. A
+// sequence number and enqueue it on the one leg its SourceID hashes to. A
 // saturated leg blocks the stream — the record exists nowhere else, so
 // backpressure is the only lossless answer — waking early when the leg
 // set changes (re-routing the record on the new set) or the partitioner
 // closes. The leg receives its own pool-backed copy, so Consume never
 // retains the caller's record.
 func (p *Partitioner) Consume(r *record.Record) error {
-	// Extract the routing key before tagging overwrites the header fields
-	// it may read (TagReplica replaces SourceID with the stream identity).
+	// Read the routing key before tagging overwrites it (TagReplica
+	// replaces SourceID with the stream identity).
 	key := r.SourceID
-	if p.key != nil {
-		key = p.key(r)
-	}
 	v, err := p.Tag(r)
 	if err != nil {
 		return err

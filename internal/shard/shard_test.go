@@ -19,7 +19,7 @@ type collectEmitter struct {
 func (c *collectEmitter) Emit(r *record.Record) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.recs = append(c.recs, r.Clone())
+	c.recs = append(c.recs, r.CloneInto(new(record.Record)))
 	return nil
 }
 
@@ -335,11 +335,11 @@ func TestShardIndexSpread(t *testing.T) {
 	}
 }
 
-// TestKeyFuncOrder is the adversarial order test for per-type sharding:
-// every record carries the SAME SourceID (so SourceID-keyed routing would
-// collapse onto one leg) while a KeyFunc on the subtype spreads the
-// stream across legs, one of which is an order of magnitude slower. The
-// collector must still emit the exact total input order.
+// TestKeyFuncOrder is the adversarial order test for the routing key:
+// consecutive records carry SourceIDs that hash across every leg, one of
+// which is an order of magnitude slower, so adjacent records race each
+// other on different legs. The collector must still emit the exact total
+// input order.
 func TestKeyFuncOrder(t *testing.T) {
 	col, err := NewCollector(CollectorConfig{Group: "kf", ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -363,23 +363,22 @@ func TestKeyFuncOrder(t *testing.T) {
 	p := NewPartitioner(PartitionerConfig{
 		Group: "kf", Epoch: 1, Legs: legs,
 		Flush: record.PerRecordConfig(),
-		Key:   KeyBySubtype,
 	})
 
 	const n = 2000
 	legsUsed := map[int]bool{}
 	for i := 0; i < n; i++ {
-		r := record.NewData(uint16(i % 13)) // varying subtype = the shard key
-		r.SourceID = 42                     // constant: useless as a key
+		r := record.NewData(uint16(i % 13))
+		r.SourceID = uint32(i % 13) // the shard key, varying per record
 		r.SetFloat64s([]float64{float64(i)})
-		legsUsed[shardIndex(KeyBySubtype(r), k)] = true
+		legsUsed[shardIndex(r.SourceID, k)] = true
 		if err := p.Consume(r); err != nil {
 			t.Fatalf("consume %d: %v", i, err)
 		}
 		record.Release(r)
 	}
 	if len(legsUsed) < 3 {
-		t.Fatalf("KeyFunc routing collapsed onto %d legs; the test needs real spread", len(legsUsed))
+		t.Fatalf("SourceID routing collapsed onto %d legs; the test needs real spread", len(legsUsed))
 	}
 	waitCond(t, 30*time.Second, "all records collected", func() bool { return sink.len() >= n })
 	_ = p.Close()

@@ -24,9 +24,6 @@ type Event struct {
 	Start, End int // sample offsets, half-open
 }
 
-// Duration returns the event length in samples.
-func (e Event) Duration() int { return e.End - e.Start }
-
 // ClipConfig controls clip generation.
 type ClipConfig struct {
 	// SampleRate defaults to StandardSampleRate.

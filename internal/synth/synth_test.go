@@ -164,9 +164,6 @@ func TestGenerateClipBasics(t *testing.T) {
 		if e.Start < 0 || e.End > len(clip.Samples) || e.Start >= e.End {
 			t.Errorf("event %d out of bounds: %+v", i, e)
 		}
-		if e.Duration() != e.End-e.Start {
-			t.Errorf("Duration inconsistent")
-		}
 		if i > 0 && e.Start < clip.Events[i-1].Start {
 			t.Error("events not sorted")
 		}
@@ -258,11 +255,16 @@ func TestBackgroundStaysBelowBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	bg := make([]float64, 1<<15)
 	AddBackground(bg, rng, StandardSampleRate, 0.05)
-	spec, err := dsp.FFTReal(bg[:16384])
+	plan, err := dsp.NewFFTPlan(16384)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mags := dsp.Magnitudes(spec[:8192])
+	spec := make([]complex128, 16384)
+	if err := plan.RealTo(spec, bg[:16384]); err != nil {
+		t.Fatal(err)
+	}
+	mags := make([]float64, 8192)
+	dsp.MagnitudesInto(mags, spec[:8192])
 	binHz := float64(StandardSampleRate) / 16384
 	var below, above float64
 	for f, m := range mags {

@@ -115,13 +115,6 @@ func NewAnomalyDetector(cfg AnomalyConfig) (*AnomalyDetector, error) {
 	}, nil
 }
 
-// Config returns the detector's configuration (with defaults resolved).
-func (d *AnomalyDetector) Config() AnomalyConfig { return d.cfg }
-
-// Warm reports whether the detector has seen enough samples (2*Window) to
-// produce scores.
-func (d *AnomalyDetector) Warm() bool { return d.seen >= uint64(2*d.cfg.Window) }
-
 // Reset returns the detector to its just-constructed state, keeping its
 // configuration and storage.
 func (d *AnomalyDetector) Reset() {
@@ -207,21 +200,4 @@ func (d *AnomalyDetector) rebuild() {
 	}
 	d.lead.total = int(w - g + 1)
 	d.lag.total = int(w - g + 1)
-}
-
-// Scores runs the detector over a whole series and returns one score per
-// sample; samples before warm-up score 0. It is a convenience for batch
-// analysis and testing — streaming callers should use Push.
-func Scores(series []float64, cfg AnomalyConfig) ([]float64, error) {
-	d, err := NewAnomalyDetector(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(series))
-	for i, x := range series {
-		if s, ok := d.Push(x); ok {
-			out[i] = s
-		}
-	}
-	return out, nil
 }

@@ -394,7 +394,7 @@ func TestAnomalyConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("zero config should apply defaults: %v", err)
 	}
-	cfg := d.Config()
+	cfg := d.cfg
 	if cfg.Alphabet != 8 || cfg.Window != 100 || cfg.Gram != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}

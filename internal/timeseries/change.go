@@ -97,9 +97,6 @@ func (c *CUSUM) Push(x float64) (stat float64, alarm bool) {
 	return stat, alarm
 }
 
-// Seen returns the number of samples pushed.
-func (c *CUSUM) Seen() uint64 { return c.seen }
-
 // Reset clears the baseline and both sums, keeping the configuration.
 func (c *CUSUM) Reset() {
 	c.ew.Reset()
@@ -172,9 +169,6 @@ func (p *PageHinkley) Push(x float64) (stat float64, alarm bool) {
 	}
 	return stat, alarm
 }
-
-// Seen returns the number of samples pushed.
-func (p *PageHinkley) Seen() uint64 { return p.seen }
 
 // Reset clears the baseline and the accumulator, keeping the
 // configuration.

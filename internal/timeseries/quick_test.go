@@ -29,7 +29,7 @@ func TestQuickEWStatsBounds(t *testing.T) {
 		if e.Count() != uint64(len(raw)) {
 			return false
 		}
-		return e.Mean() >= lo-1e-9 && e.Mean() <= hi+1e-9 && e.Variance() >= 0
+		return e.Mean() >= lo-1e-9 && e.Mean() <= hi+1e-9 && e.vari >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

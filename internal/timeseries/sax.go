@@ -88,9 +88,6 @@ func NewSAX(alphabet int) (*SAX, error) {
 	return &SAX{alphabet: alphabet, breakpoints: bp}, nil
 }
 
-// Alphabet returns the alphabet size.
-func (s *SAX) Alphabet() int { return s.alphabet }
-
 // Symbol maps one (already normalized) value to its symbol in [0, a).
 func (s *SAX) Symbol(x float64) int {
 	// NaN sorts nowhere useful; clamp it to the middle symbol so corrupt
@@ -109,23 +106,6 @@ func (s *SAX) Symbol(x float64) int {
 		}
 	}
 	return i
-}
-
-// Word converts series to a SAX word of length w, Z-normalizing first.
-func (s *SAX) Word(series []float64, w int) ([]int, error) {
-	if len(series) == 0 {
-		return nil, ErrEmptyInput
-	}
-	norm := ZNormalize(series)
-	paa, err := PAA(norm, w)
-	if err != nil {
-		return nil, err
-	}
-	word := make([]int, len(paa))
-	for i, x := range paa {
-		word[i] = s.Symbol(x)
-	}
-	return word, nil
 }
 
 // WordOfNormalized converts an already Z-normalized (or otherwise prepared)
@@ -162,35 +142,4 @@ func WordString(word []int, alphabet int) string {
 		parts[i] = fmt.Sprintf("%d", w)
 	}
 	return strings.Join(parts, " ")
-}
-
-// MinDist returns the lower-bounding distance between two SAX words of
-// equal length produced from series of original length n (Lin et al.). It
-// is zero for adjacent symbols and uses breakpoint gaps otherwise.
-func (s *SAX) MinDist(a, b []int, n int) (float64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("timeseries: MinDist: word lengths %d != %d", len(a), len(b))
-	}
-	if len(a) == 0 {
-		return 0, ErrEmptyInput
-	}
-	var sum float64
-	for i := range a {
-		d := s.symbolDist(a[i], b[i])
-		sum += d * d
-	}
-	scale := math.Sqrt(float64(n) / float64(len(a)))
-	return scale * math.Sqrt(sum), nil
-}
-
-// symbolDist is the dist() lookup from the SAX paper: zero for symbols at
-// distance <= 1, otherwise the gap between the breakpoints bounding them.
-func (s *SAX) symbolDist(i, j int) float64 {
-	if i > j {
-		i, j = j, i
-	}
-	if j-i <= 1 {
-		return 0
-	}
-	return s.breakpoints[j-1] - s.breakpoints[i]
 }

@@ -151,8 +151,8 @@ func TestSAXWordErrors(t *testing.T) {
 
 func TestSAXAlphabetAccessor(t *testing.T) {
 	s, _ := NewSAX(8)
-	if s.Alphabet() != 8 {
-		t.Errorf("Alphabet = %d", s.Alphabet())
+	if s.alphabet != 8 {
+		t.Errorf("Alphabet = %d", s.alphabet)
 	}
 }
 

@@ -108,9 +108,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
 // Mean returns the running mean (0 if no observations).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -120,14 +117,6 @@ func (w *Welford) Variance() float64 {
 		return 0
 	}
 	return w.m2 / float64(w.n)
-}
-
-// SampleVariance returns the running sample variance (n-1 denominator).
-func (w *Welford) SampleVariance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
 }
 
 // StdDev returns the running population standard deviation.
@@ -186,9 +175,6 @@ func (m *MovingAverage) Count() int {
 	return m.head
 }
 
-// Window returns the configured window size.
-func (m *MovingAverage) Window() int { return len(m.buf) }
-
 // Reset empties the window.
 func (m *MovingAverage) Reset() {
 	m.head = 0
@@ -237,9 +223,6 @@ func (e *EWStats) Count() uint64 { return e.n }
 
 // Mean returns the weighted mean.
 func (e *EWStats) Mean() float64 { return e.mean }
-
-// Variance returns the weighted variance.
-func (e *EWStats) Variance() float64 { return e.vari }
 
 // StdDev returns the weighted standard deviation.
 func (e *EWStats) StdDev() float64 { return math.Sqrt(e.vari) }

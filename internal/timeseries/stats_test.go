@@ -129,8 +129,8 @@ func TestWelfordMatchesBatch(t *testing.T) {
 		v[i] = rng.NormFloat64()*7 + 3
 		w.Add(v[i])
 	}
-	if w.Count() != 1000 {
-		t.Errorf("Count = %d", w.Count())
+	if w.n != 1000 {
+		t.Errorf("Count = %d", w.n)
 	}
 	if !almostEqual(w.Mean(), Mean(v), 1e-9) {
 		t.Errorf("Welford mean %v != batch %v", w.Mean(), Mean(v))
@@ -145,19 +145,19 @@ func TestWelfordMatchesBatch(t *testing.T) {
 
 func TestWelfordEdgeCases(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.SampleVariance() != 0 {
+	if w.Mean() != 0 || w.Variance() != 0 {
 		t.Error("empty Welford should report zeros")
 	}
 	w.Add(5)
-	if w.Mean() != 5 || w.Variance() != 0 || w.SampleVariance() != 0 {
-		t.Error("single observation: mean 5, variances 0")
+	if w.Mean() != 5 || w.Variance() != 0 {
+		t.Error("single observation: mean 5, variance 0")
 	}
 	w.Add(7)
-	if !almostEqual(w.SampleVariance(), 2, 1e-12) {
-		t.Errorf("SampleVariance = %v, want 2", w.SampleVariance())
+	if !almostEqual(w.Variance(), 1, 1e-12) {
+		t.Errorf("Variance = %v, want 1", w.Variance())
 	}
 	w.Reset()
-	if w.Count() != 0 || w.Mean() != 0 {
+	if w.n != 0 || w.Mean() != 0 {
 		t.Error("Reset did not clear state")
 	}
 }
@@ -167,8 +167,8 @@ func TestMovingAverageBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Window() != 3 {
-		t.Errorf("Window = %d", m.Window())
+	if len(m.buf) != 3 {
+		t.Errorf("Window = %d", len(m.buf))
 	}
 	steps := []struct {
 		push float64

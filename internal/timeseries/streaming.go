@@ -72,15 +72,6 @@ func (z *StreamingZScore) Push(x float64) (score float64, warm bool) {
 	return score, warm
 }
 
-// Seen returns how many observations have been folded in.
-func (z *StreamingZScore) Seen() int { return z.seen }
-
-// Reset clears the baseline so the next Push starts a fresh series.
-func (z *StreamingZScore) Reset() {
-	z.ew.Reset()
-	z.seen = 0
-}
-
 // ZScoreSet multiplexes StreamingZScore detectors over named series —
 // one per (node, metric) pair in the monitor's case — creating each lazily
 // on first Push. It is safe for concurrent use.
@@ -97,14 +88,10 @@ func NewZScoreSet(alpha float64, warmup int) *ZScoreSet {
 	return &ZScoreSet{alpha: alpha, warmup: warmup, m: make(map[string]*StreamingZScore)}
 }
 
-// Push routes x to the named series' detector, creating it if needed.
-func (s *ZScoreSet) Push(name string, x float64) (score float64, warm bool) {
-	return s.PushFloor(name, x, 0)
-}
-
-// PushFloor is Push with an absolute sigma floor for this series (see
-// StreamingZScore.MinSigma) — the floor sticks to the detector, so later
-// plain Push calls on the same series keep it.
+// PushFloor routes x to the named series' detector, creating it if
+// needed. A positive minSigma sets an absolute sigma floor for this
+// series (see StreamingZScore.MinSigma); the floor sticks to the
+// detector, so later calls with minSigma 0 keep it.
 func (s *ZScoreSet) PushFloor(name string, x, minSigma float64) (score float64, warm bool) {
 	s.mu.Lock()
 	z := s.m[name]
@@ -131,11 +118,4 @@ func (s *ZScoreSet) Forget(prefix string) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// Len returns the number of live series.
-func (s *ZScoreSet) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }

@@ -82,55 +82,47 @@ func TestStreamingZScoreMinSigmaFloor(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.PushFloor("n1/queue_depth", 0, 4)
 	}
-	if score, warm := s.Push("n1/queue_depth", 2); !warm || score > 1 {
+	if score, warm := s.PushFloor("n1/queue_depth", 2, 0); !warm || score > 1 {
 		t.Fatalf("floor did not stick: score=%.2f warm=%v", score, warm)
 	}
 }
 
-func TestStreamingZScoreFirstSampleAndReset(t *testing.T) {
+func TestStreamingZScoreFirstSample(t *testing.T) {
 	z := NewStreamingZScore(0.3, 3)
 	score, warm := z.Push(42)
 	if score != 0 || warm {
 		t.Fatalf("first sample = (%.2f, %v), want (0, false)", score, warm)
 	}
-	if z.Seen() != 1 {
-		t.Fatalf("Seen = %d", z.Seen())
-	}
-	z.Reset()
-	if z.Seen() != 0 {
-		t.Fatal("Reset did not clear count")
-	}
-	score, warm = z.Push(1000)
-	if score != 0 || warm {
-		t.Fatalf("post-reset first sample = (%.2f, %v), want (0, false)", score, warm)
+	if z.seen != 1 {
+		t.Fatalf("seen = %d", z.seen)
 	}
 }
 
 func TestZScoreSetRoutesAndForgets(t *testing.T) {
 	s := NewZScoreSet(0.2, 3)
 	for i := 0; i < 10; i++ {
-		s.Push("n1/queue_depth", 5)
-		s.Push("n2/queue_depth", 50)
+		s.PushFloor("n1/queue_depth", 5, 0)
+		s.PushFloor("n2/queue_depth", 50, 0)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
+	if len(s.m) != 2 {
+		t.Fatalf("Len = %d, want 2", len(s.m))
 	}
 	// n1's baseline is 5; seeing 50 there is anomalous even though n2
 	// sees 50 all the time — the series must be independent.
-	score, warm := s.Push("n1/queue_depth", 50)
+	score, warm := s.PushFloor("n1/queue_depth", 50, 0)
 	if !warm || score < 4 {
 		t.Fatalf("cross-series contamination: score=%.2f warm=%v", score, warm)
 	}
-	score, warm = s.Push("n2/queue_depth", 50)
+	score, warm = s.PushFloor("n2/queue_depth", 50, 0)
 	if !warm || math.Abs(score) > 1 {
 		t.Fatalf("n2 baseline broken: score=%.2f warm=%v", score, warm)
 	}
 	s.Forget("n1/")
-	if s.Len() != 1 {
-		t.Fatalf("Forget left %d series", s.Len())
+	if len(s.m) != 1 {
+		t.Fatalf("Forget left %d series", len(s.m))
 	}
 	// Recreated series starts cold.
-	if _, warm := s.Push("n1/queue_depth", 5); warm {
+	if _, warm := s.PushFloor("n1/queue_depth", 5, 0); warm {
 		t.Fatal("forgotten series came back warm")
 	}
 }
