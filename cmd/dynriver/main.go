@@ -126,9 +126,10 @@ func usage() {
 
 placer policies: least-loaded (default), spread, load-aware
 segments syntax: TYPE, NAME=TYPE, with an optional :N replica suffix
-(e.g. "relay:3,extract") or :sK shard suffix ("spectral:s4" runs the
+(e.g. "relay:3,extract") or :sK shard suffix ("relay:s4" runs the
 segment as K=4 keyed shards behind a partition/collect pair; -autoscale
-lets the coordinator move K with load); -replicas N applies to entries
+lets the coordinator move K with load; a fan-out group needs a
+record-preserving type such as relay); -replicas N applies to entries
 without one
 -pipelines N runs N copies of the -segments chain as pipelines p1..pN
 (each needs its own station; all share the node pool); -spec-file names

@@ -18,155 +18,61 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
-	"sync"
 	"time"
 
-	"repro/examples/internal/loopback"
+	"repro/internal/obs"
 	"repro/internal/ops"
 	"repro/internal/pipeline"
 	"repro/internal/record"
 	"repro/internal/river"
+	"repro/internal/rivertest"
 	"repro/internal/synth"
 )
 
 func main() {
-	// Registry of segment types any node can instantiate.
-	reg := pipeline.NewRegistry()
-	reg.Register("extract", func() []pipeline.Operator {
-		opsList, _, err := ops.ExtractionOps(ops.DefaultExtractConfig())
-		if err != nil {
-			panic(err)
-		}
-		return opsList
-	})
-
-	// Terminal stage: validates scope structure of everything it sees.
-	terminal, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	tracker := record.NewTracker()
-	var mu sync.Mutex
-	var ensembles, badCloses int
-	validate := pipeline.SinkFunc{SinkName: "validate", Fn: func(r *record.Record) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if err := tracker.Observe(r); err != nil {
-			return fmt.Errorf("scope violation: %w", err)
-		}
-		switch {
-		case r.Kind == record.KindCloseScope && r.ScopeType == record.ScopeEnsemble:
-			ensembles++
-		case r.Kind == record.KindBadCloseScope:
-			badCloses++
-			fmt.Printf("terminal: repaired %s scope after upstream loss\n", r.ScopeType)
-		}
-		return nil
-	}}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p := pipeline.New().SetSource(terminal).SetSink(validate)
-		if err := p.Run(context.Background()); err != nil {
-			log.Println("terminal:", err)
-		}
-	}()
+	t := &rivertest.Main{}
+	defer t.Close()
 
 	// Control plane: the coordinator owns the topology station -> extract
-	// -> terminal; the entry channel tells the station where to stream.
-	// The state directory makes it durable — phase 4 kills and restarts
-	// it over the same journal.
+	// -> terminal, and the terminal validates the scope structure of
+	// everything it sees. The state directory makes the coordinator
+	// durable — phase 4 kills and restarts it over the same journal.
 	stateDir, err := os.MkdirTemp("", "dynriver-state-")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(stateDir)
-	entryCh := make(chan string, 8)
-	coordConfig := func(listen string) river.Config {
-		return river.Config{
-			ListenAddr: listen,
-			Pipelines: []river.PipelineSpec{{
-				Segments: []river.SegmentSpec{{Name: "extract", Type: "extract"}},
-				SinkAddr: terminal.Addr(),
-			}},
-			HeartbeatInterval: 100 * time.Millisecond,
-			HeartbeatTimeout:  500 * time.Millisecond,
-			OnEntryChange:     func(a string) { entryCh <- a },
-			StateDir:          stateDir,
-			RestartGrace:      3 * time.Second,
-			Logf:              log.Printf,
-		}
-	}
-	coord, err := river.NewCoordinator(coordConfig("127.0.0.1:0"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer func() { _ = coord.Close() }()
-	coordAddr := coord.Addr()
-
-	// Two node agents register; the coordinator places the segment on one.
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-	}
-	agents := map[string]*liveAgent{}
-	for i, name := range []string{"host-a", "host-b"} {
-		agent := river.NewAgent(name, coordAddr, reg)
-		agent.ListenHost = loopback.Host(i)
-		agent.ReconnectMin = 50 * time.Millisecond
-		agent.ReconnectMax = 500 * time.Millisecond
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- agent.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done}
-	}
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		log.Fatal(err)
-	}
-	placed := coord.Status().Placements[0]
+	c := rivertest.Start(t, river.Config{
+		Pipelines:    rivertest.Pipeline(river.SegmentSpec{Name: "extract", Type: "extract"}),
+		StateDir:     stateDir,
+		RestartGrace: 3 * time.Second,
+	}, 2)
+	placed := c.Placement("extract")
 	fmt.Printf("phase 1: coordinator placed segment %q on %s at %s\n", placed.Seg, placed.Node, placed.Addr)
 
 	// Station: a batch-framed streamout that follows the coordinator's
 	// entry address. Batching coalesces the clip's records into one
 	// network write per batch; the forced flush on redirect bounds what a
 	// failover can cut off to a single batch.
-	upstream := pipeline.NewStreamOutBatched(<-entryCh, record.DefaultBatchConfig())
-	defer upstream.Close()
-	followerCtx, stopFollower := context.WithCancel(context.Background())
-	defer stopFollower()
-	go func() {
-		for {
-			select {
-			case a := <-entryCh:
-				upstream.Redirect(a)
-			case <-followerCtx.Done():
-				return
-			}
-		}
-	}()
-
+	sink, upstream := c.Sink(""), c.Stream("")
 	station := synth.NewStation("kbs-01", 11, synth.ClipConfig{Seconds: 8, Events: 2})
 	sendClip := func() {
+		before := sink.Tally().Ensembles
 		clip, id, err := station.NextClip()
 		if err != nil {
 			log.Fatal(err)
 		}
 		c := ops.Clip{ID: id, Station: station.Name, SampleRate: clip.SampleRate, Samples: clip.Samples}
-		feed := pipeline.EmitterFunc(func(r *record.Record) error { return upstream.Consume(r) })
-		if err := ops.EmitClip(feed, &c); err != nil {
+		if err := ops.EmitClip(pipeline.EmitterFunc(upstream.Consume), &c); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("station: sent clip %s\n", id)
+		sink.Await("the clip's ensembles", func(t rivertest.Tally) bool { return t.Ensembles > before })
 	}
 	sendClip()
-	time.Sleep(300 * time.Millisecond)
 
 	// Phase 2: kill the hosting node mid-clip — stream part of a clip so
 	// scopes are open end to end, then stop the node abruptly. The
@@ -178,37 +84,24 @@ func main() {
 		record.CtxSampleRate: "24576",
 		record.CtxClipID:     "doomed",
 	})
-	if err := upstream.Consume(open); err != nil {
-		log.Fatal(err)
-	}
 	data := record.NewData(record.SubtypeAudio)
 	data.SetFloat64s(make([]float64, ops.RecordSamples))
-	if err := upstream.Consume(data); err != nil {
-		log.Fatal(err)
+	for _, r := range []*record.Record{open, data} {
+		if err := upstream.Consume(r); err != nil {
+			log.Fatal(err)
+		}
 	}
-	time.Sleep(200 * time.Millisecond)
+	sink.Await("the partial clip at the terminal", func(t rivertest.Tally) bool { return t.Open > 0 })
 
-	victim := coord.Status().Placements[0].Node
+	victim := c.Placement("extract").Node
 	fmt.Printf("phase 2: killing %s mid-clip\n", victim)
-	killedAt := time.Now()
-	agents[victim].cancel()
-	<-agents[victim].done
-	delete(agents, victim)
-
-	// Wait for the coordinator to heal the pipeline.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		p := coord.Status().Placements[0]
-		if p.Placed && p.Node != victim {
-			fmt.Printf("phase 2: coordinator re-placed segment on %s at %s (%.0fms after kill)\n",
-				p.Node, p.Addr, time.Since(killedAt).Seconds()*1000)
-			break
-		}
-		if time.Now().After(deadline) {
-			log.Fatal("coordinator did not re-place the segment")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	cur, killedAt := c.Cursor(), time.Now()
+	c.Kill(victim)
+	re := c.WaitEvent(cur, "re-placement", rivertest.Is(obs.EventReplace, "extract"))
+	fmt.Printf("phase 2: coordinator re-placed segment on %s at %s (%.0fms after kill)\n",
+		re.Node, re.Addr, time.Since(killedAt).Seconds()*1000)
+	repaired := sink.Await("the terminal's scope repairs", func(t rivertest.Tally) bool { return t.Repairs > 0 })
+	fmt.Printf("terminal: repaired %d scope(s) after upstream loss\n", repaired.Repairs)
 
 	// Phase 3: finish the doomed clip (the new instance discards its
 	// stray tail) and stream one more full clip through the healed
@@ -217,60 +110,36 @@ func main() {
 		log.Fatal(err)
 	}
 	sendClip()
-	time.Sleep(500 * time.Millisecond)
 
 	// Phase 4: kill the coordinator itself and restart it over the same
 	// state directory. The surviving agent keeps its segment running
 	// detached — a full clip streams through while no coordinator exists
 	// — and the restarted coordinator adopts the agent's re-registered
 	// inventory: same node, same address, zero repairs, zero moves.
-	placedBefore := coord.Status().Placements[0]
-	mu.Lock()
-	repairsBefore := badCloses
-	mu.Unlock()
+	placedBefore := c.Placement("extract")
+	repairsBefore := sink.Tally().Repairs
 	fmt.Printf("phase 4: killing the coordinator (segment %q stays on %s at %s)\n",
 		placedBefore.Seg, placedBefore.Node, placedBefore.Addr)
-	if err := coord.Close(); err != nil {
-		log.Fatal(err)
-	}
+	c.StopCoordinator()
 	sendClip() // the data plane flows with no coordinator at all
-	time.Sleep(300 * time.Millisecond)
 
-	coord2, err := river.NewCoordinator(coordConfig(coordAddr))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer coord2.Close()
-	adoptDeadline := time.Now().Add(10 * time.Second)
-	for {
-		st := coord2.Status()
-		if len(st.Nodes) == 1 && st.Placements[0].Placed {
-			break
-		}
-		if time.Now().After(adoptDeadline) {
-			log.Fatal("restarted coordinator did not adopt the surviving agent")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	placedAfter := coord2.Status().Placements[0]
+	c.RestartCoordinator()
+	c.WaitEvent(0, "the surviving agent's adoption", rivertest.Is(obs.EventAdopt, "extract"))
+	placedAfter := c.Placement("extract")
 	if placedAfter.Node != placedBefore.Node || placedAfter.Addr != placedBefore.Addr {
 		log.Fatalf("segment moved across the restart: %s@%s -> %s@%s (re-placed, not adopted)",
 			placedBefore.Node, placedBefore.Addr, placedAfter.Node, placedAfter.Addr)
 	}
-	mu.Lock()
-	repairsDuringRestart := badCloses - repairsBefore
-	mu.Unlock()
-	if repairsDuringRestart != 0 {
-		log.Fatalf("%d scope repairs during the coordinator bounce; the data plane must not notice", repairsDuringRestart)
+	if n := sink.Tally().Repairs - repairsBefore; n != 0 {
+		log.Fatalf("%d scope repairs during the coordinator bounce; the data plane must not notice", n)
 	}
 	fmt.Printf("phase 4: coordinator restarted as epoch %d and adopted %s on %s — no repairs, no moves\n",
-		coord2.Epoch(), placedAfter.Seg, placedAfter.Node)
+		c.Coord.Epoch(), placedAfter.Seg, placedAfter.Node)
 	sendClip()
-	time.Sleep(500 * time.Millisecond)
 
 	// The survivor's heartbeats carry the flow-control telemetry the
 	// load-aware placer feeds on; show what the healed segment reported.
-	for _, n := range coord2.Status().Nodes {
+	for _, n := range c.Coord.Status().Nodes {
 		for _, s := range n.Segments {
 			fmt.Printf("telemetry: %s on %s processed=%d emitted=%d lag=%d queue=%d/%d out: records=%d batches=%d bytes=%d\n",
 				s.Name, n.Name, s.Processed, s.Emitted, s.LagValue(), s.QueueDepth, s.QueueCap,
@@ -280,29 +149,20 @@ func main() {
 	fmt.Printf("station transport: %d records in %d batches (%d bytes)\n",
 		upstream.RecordsOut(), upstream.BatchesOut(), upstream.BytesOut())
 
-	// Teardown: stop the station, the surviving node, the coordinator and
-	// the terminal, then report.
+	// Teardown: stop the station and the surviving node (closing its
+	// terminal connection at scope depth 0), then report.
 	upstream.Close()
-	stopFollower()
-	for _, a := range agents {
-		a.cancel()
-		<-a.done
+	c.Kill(c.Nodes()...)
+	a := sink.Await("every scope closed", func(t rivertest.Tally) bool { return t.Open == 0 })
+	fmt.Printf("\nterminal survived: %d ensembles delivered, %d scope repairs, %d scope violations\n",
+		a.Ensembles, a.Repairs, a.Violations)
+	if a.Violations != 0 {
+		log.Fatal("the repairs left the stream structurally invalid")
 	}
-	coord2.Close()
-	terminal.Close()
-	wg.Wait()
-
-	mu.Lock()
-	defer mu.Unlock()
-	fmt.Printf("\nterminal survived: %d ensembles delivered, %d scope repairs, 0 scope violations\n",
-		ensembles, badCloses)
-	if tracker.Depth() != 0 {
-		log.Fatalf("stream ended with %d scopes open", tracker.Depth())
-	}
-	if badCloses == 0 {
+	if a.Repairs == 0 {
 		log.Fatal("expected at least one scope repair from the killed node")
 	}
-	if ensembles == 0 {
+	if a.Ensembles == 0 {
 		log.Fatal("expected complete ensembles through the recomposed pipeline")
 	}
 }

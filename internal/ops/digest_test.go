@@ -24,16 +24,19 @@ const paperPathDigest = "7b5b4ff307a1028ca9313fa5e8c9d104723180ae93b30ee74f00f6d
 // at a sink that releases it after encoding, as a hosted pipeline's sink
 // does.
 func TestPaperPathStreamDigest(t *testing.T) {
-	extract, cutter, err := ExtractionOps(DefaultExtractConfig())
+	extract, _, err := ExtractionOps(DefaultExtractConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	seg := pipeline.NewSegment("paper", append(extract, SpectralOps(10)...)...)
 	h := sha256.New()
-	patterns := 0
+	ensembles, patterns := 0, 0
 	sink := pipeline.EmitterFunc(func(r *record.Record) error {
-		if r.Kind == record.KindData && r.Subtype == record.SubtypePattern {
+		switch {
+		case r.Kind == record.KindData && r.Subtype == record.SubtypePattern:
 			patterns++
+		case r.Kind == record.KindCloseScope && r.ScopeType == record.ScopeEnsemble:
+			ensembles++
 		}
 		h.Write(record.AppendBatchWire(nil, r))
 		record.Release(r)
@@ -61,11 +64,11 @@ func TestPaperPathStreamDigest(t *testing.T) {
 	if err := seg.FlushAll(sink); err != nil {
 		t.Fatal(err)
 	}
-	if cutter.ensembles == 0 || patterns == 0 {
-		t.Fatalf("%d ensembles, %d patterns: the digest would pin no spectral output", cutter.ensembles, patterns)
+	if ensembles == 0 || patterns == 0 {
+		t.Fatalf("%d ensembles, %d patterns: the digest would pin no spectral output", ensembles, patterns)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != paperPathDigest {
 		t.Errorf("paper-path stream digest %s, want %s (%d ensembles, %d patterns)",
-			got, paperPathDigest, cutter.ensembles, patterns)
+			got, paperPathDigest, ensembles, patterns)
 	}
 }

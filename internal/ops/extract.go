@@ -278,7 +278,6 @@ type Cutter struct {
 	ensemble   []float64
 	frame      []float64 // one emitted record's samples, len RecordSamples
 	ensStart   int
-	ensembles  uint64
 
 	samplesIn   uint64
 	samplesKept uint64
@@ -420,7 +419,6 @@ func (o *Cutter) closeEnsemble(out pipeline.Emitter) error {
 		}
 		o.samplesKept += uint64(n)
 	}
-	o.ensembles++
 	return out.Emit(record.NewCloseScope(record.ScopeEnsemble, 1))
 }
 

@@ -72,10 +72,11 @@ var (
 	ErrBadBatch    = errors.New("record: malformed batch frame")
 )
 
-// errBatchSkipped is an internal sentinel: a batch failed its CRC (or
-// was structurally inconsistent) and has been consumed in full, so the
-// non-strict Read loop should simply try the next frame — no byte-wise
-// resync needed, the stream is already positioned at the frame boundary.
+// errBatchSkipped is an internal sentinel, wrapped around the damage it
+// reports: a batch failed its CRC (or was structurally inconsistent) and
+// has been consumed in full, so the Read loop should simply try the next
+// frame — no byte-wise resync needed, the stream is already positioned at
+// the frame boundary.
 var errBatchSkipped = errors.New("record: corrupt batch skipped")
 
 // appendEntryHeader appends r's batch entry header and returns the
@@ -127,12 +128,7 @@ func NewWriter(w io.Writer) *Writer { return NewBatchWriter(w, PerRecordConfig()
 // Reader decodes records from an io.Reader. Reader is not safe for
 // concurrent use.
 type Reader struct {
-	r *bufio.Reader
-	n uint64
-	// strict returns framing and checksum errors to the caller instead of
-	// resynchronizing; the package tests set it to observe which error a
-	// damage episode raised.
-	strict bool
+	r      *bufio.Reader
 	pooled bool
 
 	// Cursor over the current CRC-verified batch body: records are
@@ -196,11 +192,10 @@ func (r *Reader) Reset(src io.Reader) {
 	r.batchOff, r.batchLeft, r.batchConsume = 0, 0, 0
 	r.resyncing = false
 	r.r.Reset(src)
-	r.n = 0
 }
 
-// CorruptBatches returns the number of damage episodes a non-strict reader
-// has skipped: a batch dropped whole because its CRC (or internal
+// CorruptBatches returns the number of damage episodes the reader has
+// skipped: a batch dropped whole because its CRC (or internal
 // structure) failed after a valid batch header — exactly that batch is
 // lost — or a byte-wise resync past bytes that are not a frame (a damaged
 // batch header, whose length cannot be trusted, or foreign bytes between
@@ -223,14 +218,11 @@ func (r *Reader) Buffered() int { return r.r.Buffered() }
 func (r *Reader) Read() (*Record, error) {
 	for {
 		if r.batchLeft > 0 {
-			rec := r.nextBatchRecord()
-			r.n++
-			return rec, nil
+			return r.nextBatchRecord(), nil
 		}
 		rec, err := r.readOne()
 		if err == nil {
 			r.resyncing = false
-			r.n++
 			return rec, nil
 		}
 		if errors.Is(err, errBatchSkipped) {
@@ -239,9 +231,6 @@ func (r *Reader) Read() (*Record, error) {
 			continue
 		}
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, err
-		}
-		if r.strict {
 			return nil, err
 		}
 		// Resynchronize: drop one byte and scan for the next magic word.
@@ -263,7 +252,7 @@ func (r *Reader) Read() (*Record, error) {
 // header CRC is verified before count/bodyLen are trusted; the whole-batch
 // CRC and entry structure are verified in one pass before any record is
 // materialized. A batch that fails after a valid header is consumed whole
-// and reported via errBatchSkipped (non-strict), so only that batch is
+// and reported wrapped in errBatchSkipped, so only that batch is
 // lost and decoding resumes at the next frame.
 func (r *Reader) readOne() (*Record, error) {
 	hdr, err := r.r.Peek(batchHdrSize)
@@ -352,8 +341,8 @@ func (r *Reader) nextBatchRecord() *Record {
 
 // dropBatch consumes a corrupt batch (when its bytes are still buffered),
 // counts it — the stream is back on a frame boundary, so any resync
-// stretch that led here is over — and converts the failure to the skip sentinel unless the
-// reader is strict.
+// stretch that led here is over — and wraps the failure in the skip
+// sentinel.
 func (r *Reader) dropBatch(consume int, cause error) error {
 	r.corrupt++
 	r.resyncing = false
@@ -362,10 +351,7 @@ func (r *Reader) dropBatch(consume int, cause error) error {
 			return fmt.Errorf("record: discard corrupt batch: %w", err)
 		}
 	}
-	if r.strict {
-		return cause
-	}
-	return errBatchSkipped
+	return fmt.Errorf("%w: %w", errBatchSkipped, cause)
 }
 
 // scanBatchBody validates the entry structure of a CRC-verified batch

@@ -1,17 +1,18 @@
 // Test-only API: strict decoding (errors instead of resync) and accessors
-// tests use to observe reader, tracker and payload state.
+// tests use to observe tracker and payload state.
 
 package record
 
 import "fmt"
 
-// SetStrict controls corruption handling: in strict mode any framing or
-// checksum error is returned to the caller; otherwise Read skips forward to
-// the next magic word and tries again.
-func (r *Reader) SetStrict(strict bool) { r.strict = strict }
-
-// Count returns the number of records successfully read.
-func (r *Reader) Count() uint64 { return r.n }
+// readStrict decodes the next record like Read but returns framing and
+// checksum errors instead of skipping the damage.
+func (r *Reader) readStrict() (*Record, error) {
+	if r.batchLeft > 0 {
+		return r.nextBatchRecord(), nil
+	}
+	return r.readOne()
+}
 
 // Top returns the innermost open scope frame and true, or a zero frame and
 // false when no scope is open.

@@ -53,10 +53,13 @@ func FuzzReader(f *testing.F) {
 			strict, pooled bool
 		}{{false, false}, {false, true}, {true, false}} {
 			rd := NewReaderSize(bytes.NewReader(data), 512)
-			rd.SetStrict(mode.strict)
 			rd.SetPooled(mode.pooled)
+			read := rd.Read
+			if mode.strict {
+				read = rd.readStrict
+			}
 			for i := 0; i <= len(data); i++ { // decoder must terminate
-				r, err := rd.Read()
+				r, err := read()
 				if err != nil {
 					break
 				}
@@ -82,12 +85,21 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
+// newFuzzReader returns a reader over data and its decode call: Read, or
+// with strict the frame decoder that reports damage instead of skipping.
+func newFuzzReader(data []byte, strict bool) (*Reader, func() (*Record, error)) {
+	rd := NewReaderSize(bytes.NewReader(data), 512)
+	if strict {
+		return rd, rd.readStrict
+	}
+	return rd, rd.Read
+}
+
 // decodeAll reads data record by record until the first error.
 func decodeAll(data []byte, strict bool) ([]*Record, uint64) {
-	rd := NewReaderSize(bytes.NewReader(data), 512)
-	rd.SetStrict(strict)
+	rd, read := newFuzzReader(data, strict)
 	var out []*Record
-	for r, err := rd.Read(); err == nil; r, err = rd.Read() {
+	for r, err := read(); err == nil; r, err = read() {
 		out = append(out, r)
 	}
 	return out, rd.CorruptBatches()
@@ -98,18 +110,17 @@ func decodeAll(data []byte, strict bool) ([]*Record, uint64) {
 // holds runCap records. A Read issued while BatchLeft is positive must
 // succeed and consume exactly one record of the batch.
 func decodeRuns(t *testing.T, data []byte, strict bool, runCap int) ([]*Record, uint64) {
-	rd := NewReaderSize(bytes.NewReader(data), 512)
-	rd.SetStrict(strict)
+	rd, read := newFuzzReader(data, strict)
 	var out []*Record
 	for {
-		r, err := rd.Read()
+		r, err := read()
 		if err != nil {
 			return out, rd.CorruptBatches()
 		}
 		out = append(out, r)
 		for n := 1; n < runCap && rd.BatchLeft() > 0; n++ {
 			left := rd.BatchLeft()
-			r, err := rd.Read()
+			r, err := read()
 			if err != nil || rd.BatchLeft() != left-1 {
 				t.Fatalf("read inside an open batch (%d left): err=%v, %d left after", left, err, rd.BatchLeft())
 			}
@@ -136,15 +147,14 @@ func FuzzBatchRoundTrip(f *testing.F) {
 		batch := AppendBatchWire(nil, in...)
 		for name, wire := range map[string][]byte{"single": single, "batch": batch} {
 			rd := NewReader(bytes.NewReader(wire))
-			rd.SetStrict(true)
 			for i, want := range in {
-				got, err := rd.Read()
+				got, err := rd.readStrict()
 				if err != nil {
 					t.Fatalf("%s decode %d: %v", name, i, err)
 				}
 				sameRecord(t, got, want, i)
 			}
-			if _, err := rd.Read(); !errors.Is(err, io.EOF) {
+			if _, err := rd.readStrict(); !errors.Is(err, io.EOF) {
 				t.Fatalf("%s trailing: %v", name, err)
 			}
 		}

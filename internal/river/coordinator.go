@@ -1146,6 +1146,7 @@ func (c *Coordinator) reconcile() {
 // autoscale can resize it mid-pass.
 func (c *Coordinator) reconcilePipeline(ps *pipelineState) {
 	specs := ps.spec.Segments
+	moved := false // this pass (re-)placed the entry unit, the last one ensured
 	for i := len(specs) - 1; i >= 0; i-- {
 		if c.ctx.Err() != nil {
 			return
@@ -1157,21 +1158,22 @@ func (c *Coordinator) reconcilePipeline(ps *pipelineState) {
 		c.mu.Lock()
 		us := append([]unit(nil), ps.unitsBySpec[i]...)
 		c.mu.Unlock()
-		exitAddr := c.ensure(us[0], down, nil) // the plain segment, or the group's fan-in
+		exitAddr, placed := c.ensure(us[0], down, nil) // the plain segment, or the group's fan-in
 		if len(us) == 1 {
+			moved = placed
 			continue
 		}
 		legs := make([]string, 0, len(us)-2)
 		for _, u := range us[1 : len(us)-1] {
-			if a := c.ensure(u, exitAddr, nil); a != "" {
+			if a, _ := c.ensure(u, exitAddr, nil); a != "" {
 				legs = append(legs, a)
 			}
 		}
 		sort.Strings(legs)
-		c.ensure(us[len(us)-1], "", legs)
+		_, moved = c.ensure(us[len(us)-1], "", legs)
 	}
 	if e := c.entryAddrOf(ps, 0); e != "" {
-		c.setEntry(ps.id, e)
+		c.setEntry(ps.id, e, moved)
 	}
 }
 
@@ -1239,21 +1241,21 @@ func (c *Coordinator) unitHost(u unit) (p *placement, cur placement, live bool) 
 // dead legs and takes re-placed, resized or drained ones in; the target of
 // every other unit is its one downstream (down; legs is nil), re-spliced
 // with a redirect. Nothing else differs between the two, so they share
-// the place-or-adopt path below.
-func (c *Coordinator) ensure(u unit, down string, legs []string) string {
+// the place-or-adopt path below. placed reports a fresh instance.
+func (c *Coordinator) ensure(u unit, down string, legs []string) (addr string, placed bool) {
 	kind := KindOf(u.role)
 	p, cur, live := c.unitHost(u)
 	if !live || (down == "" && len(legs) == 0) {
 		// Hands off, or nothing to forward to yet (a fan-out endpoint is
 		// placed once at least one leg exists).
-		return cur.addr
+		return cur.addr, false
 	}
 	if cur.node == "" {
 		return c.place(u, kind, p, down, legs)
 	}
 	fanOut := kind == KindFanOut
 	if (fanOut && slices.Equal(cur.legs, legs)) || (!fanOut && cur.down == down) {
-		return cur.addr // the steady state: nothing moved
+		return cur.addr, false // the steady state: nothing moved
 	}
 	splice := &Message{Type: TypeRedirect, Seg: u.name, Downstream: down}
 	done := obs.Event{Type: obs.EventRedirect, Unit: u.name, Node: cur.node, Addr: down}
@@ -1265,7 +1267,7 @@ func (c *Coordinator) ensure(u unit, down string, legs []string) string {
 		// The instance still streams to the stale target; the next pass
 		// retries, so the stall cannot become permanent.
 		c.logf("%s %s on %s: %v (will retry)", splice.Type, u.name, cur.node, err)
-		return cur.addr
+		return cur.addr, false
 	}
 	c.mu.Lock()
 	if c.st.placements[u.name] == p {
@@ -1274,7 +1276,7 @@ func (c *Coordinator) ensure(u unit, down string, legs []string) string {
 	c.mu.Unlock()
 	c.event(done)
 	c.logf("%s re-spliced to %s%v", u.name, down, legs)
-	return cur.addr
+	return cur.addr, false
 }
 
 // place assigns unplaced unit u to a node the placement policy picks and
@@ -1284,12 +1286,13 @@ func (c *Coordinator) ensure(u unit, down string, legs []string) string {
 // was adopted back (the fresh duplicate is stopped either way). Fan
 // endpoints are assigned with their role and group; each fan-out
 // assignment also advances the group's epoch so the fan-in endpoint can
-// tell a fresh incarnation's numbering from its predecessor's.
-func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, legs []string) string {
+// tell a fresh incarnation's numbering from its predecessor's. placed
+// reports that the new instance was committed.
+func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, legs []string) (addr string, placed bool) {
 	pick := c.pickNode(u, "")
 	if pick == "" {
 		c.logf("%s waiting: no eligible nodes", u.name)
-		return ""
+		return "", false
 	}
 	msg := &Message{Type: TypeAssign, Seg: u.name, SegType: u.typ, Downstream: down, Downstreams: legs}
 	if kind.Endpoint() {
@@ -1305,12 +1308,12 @@ func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, le
 	a, err := c.assign(pick, msg)
 	if err != nil {
 		c.logf("assign %s to %s: %v", u.name, pick, err)
-		return ""
+		return "", false
 	}
 	c.mu.Lock()
 	if _, alive := c.nodes[pick]; !alive {
 		c.mu.Unlock()
-		return ""
+		return "", false
 	}
 	if removed := c.st.placements[u.name] != p; removed || p.node != "" {
 		// While the assign was in flight the unit's pipeline was removed,
@@ -1318,14 +1321,13 @@ func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, le
 		// (it is already wired into the stream, so it wins): either way
 		// the fresh instance is an orphan to stop.
 		c.pendingStops = append(c.pendingStops, stopReq{node: pick, seg: u.name})
-		addr := ""
 		if !removed {
 			addr = p.addr
 			c.logf("%s adopted on %s during assign; stopping duplicate on %s", u.name, p.node, pick)
 		}
 		c.mu.Unlock()
 		c.kickReconcile()
-		return addr
+		return addr, false
 	}
 	typ := obs.EventPlace
 	if p.everPlaced {
@@ -1335,7 +1337,7 @@ func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, le
 	c.mu.Unlock()
 	c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a, Detail: detail})
 	c.logf("%s placed on %s at %s %s", u.name, pick, a, detail)
-	return a
+	return a, true
 }
 
 // pickNode chooses a live node for unit u via the placement policy,
@@ -1668,14 +1670,16 @@ func (c *Coordinator) rpc(node string, msg *Message) (*Message, error) {
 	}
 }
 
-// setEntry records a pipeline's new entry address (an immediate move:
-// failover or initial placement) and notifies that pipeline's watchers —
-// and, for the default pipeline, the OnEntryChange hook. Entry drains
-// bypass it — they commit the address together with the placement and
-// broadcast with the boundary hint.
-func (c *Coordinator) setEntry(pipe, addr string) {
+// setEntry records a pipeline's entry address and, when it changed or
+// the entry unit was just re-placed (moved; it may come back at its old
+// host:port), announces it (an immediate move: failover or initial
+// placement) to that pipeline's watchers — and, for the default
+// pipeline, the OnEntryChange hook. Entry drains bypass it — they commit
+// the address together with the placement and broadcast with the
+// boundary hint.
+func (c *Coordinator) setEntry(pipe, addr string, moved bool) {
 	c.mu.Lock()
-	if !c.st.setEntry(pipe, addr) {
+	if !c.st.setEntry(pipe, addr) && !moved {
 		c.mu.Unlock()
 		return
 	}

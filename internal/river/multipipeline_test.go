@@ -1,4 +1,4 @@
-package river
+package river_test
 
 import (
 	"context"
@@ -10,38 +10,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/record"
+	"repro/internal/river"
+	"repro/internal/rivertest"
 )
-
-// twoPipelineConfig is the coordinator configuration both incarnations in
-// TestTwoPipelinesFailoverIsolatedAndRestart share: two relay chains,
-// "pa" and "pb", over one 3-node pool, journaled to stateDir.
-func twoPipelineConfig(t *testing.T, listen, sinkA, sinkB, stateDir string) Config {
-	chain := func(id, sink string) PipelineSpec {
-		return PipelineSpec{
-			ID: id,
-			Segments: []SegmentSpec{
-				{Name: "front", Type: "relay"},
-				{Name: "back", Type: "relay"},
-			},
-			SinkAddr: sink,
-		}
-	}
-	return Config{
-		ListenAddr:        listen,
-		Pipelines:         []PipelineSpec{chain("pa", sinkA), chain("pb", sinkB)},
-		HeartbeatInterval: 25 * time.Millisecond,
-		// Node death in this test is a dropped control connection
-		// (immediate); a generous timeout keeps loaded CI machines from
-		// faking additional deaths.
-		HeartbeatTimeout: 2 * time.Second,
-		MinNodes:         3,
-		StateDir:         stateDir,
-		RestartGrace:     5 * time.Second,
-		Logf:             t.Logf,
-	}
-}
 
 // TestTwoPipelinesFailoverIsolatedAndRestart is the acceptance scenario
 // for the multi-pipeline control plane: two pipelines share a 3-node
@@ -51,339 +25,160 @@ func twoPipelineConfig(t *testing.T, listen, sinkA, sinkB, stateDir string) Conf
 // over the journaled state must reload both pipelines and adopt the
 // whole data plane back with zero moves and zero scope repairs.
 func TestTwoPipelinesFailoverIsolatedAndRestart(t *testing.T) {
-	newTerminal := func() (*pipeline.StreamIn, *collectSink, *sync.WaitGroup) {
-		in, err := pipeline.NewStreamIn("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sink := &collectSink{}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = pipeline.New().SetSource(in).SetSink(sink).Run(context.Background())
-		}()
-		return in, sink, &wg
+	chain := func(id string) river.PipelineSpec {
+		return river.PipelineSpec{ID: id, Segments: []river.SegmentSpec{{Name: "front", Type: "relay"}, {Name: "back", Type: "relay"}}}
 	}
-	termA, sinkA, wgA := newTerminal()
-	termB, sinkB, wgB := newTerminal()
-
-	stateDir := t.TempDir()
-	coord, err := NewCoordinator(twoPipelineConfig(t, "127.0.0.1:0", termA.Addr(), termB.Addr(), stateDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = coord.Close() }()
-	coordAddr := coord.Addr()
-
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-	}
-	agents := map[string]*liveAgent{}
-	startAgent := func(name string) {
-		a := NewAgent(name, coordAddr, relayRegistry())
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		a.ReconnectMin = 25 * time.Millisecond
-		a.ReconnectMax = 250 * time.Millisecond
-		a.DialAttempts = 500
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done}
-	}
-	for _, name := range []string{"node-a", "node-b", "node-c"} {
-		startAgent(name)
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
+	c := rivertest.Start(t, river.Config{
+		Pipelines:    []river.PipelineSpec{chain("pa"), chain("pb")},
+		MinNodes:     3,
+		StateDir:     t.TempDir(),
+		RestartGrace: 5 * time.Second,
+	}, 3)
 
 	// Per-pipeline entry watches: each must only ever see its own
 	// pipeline's entry addresses.
-	type watchLog struct {
-		mu      sync.Mutex
-		entries []string
-	}
+	var mu sync.Mutex
+	entries := map[string][]string{}
 	watchCtx, watchCancel := context.WithCancel(context.Background())
 	defer watchCancel()
-	watch := func(pipe string) *watchLog {
-		wl := &watchLog{}
+	for _, pipe := range []string{"pa", "pb"} {
 		go func() {
-			_ = WatchPipelineEntry(watchCtx, coordAddr, pipe, func(a string, _ bool) {
-				wl.mu.Lock()
-				wl.entries = append(wl.entries, a)
-				wl.mu.Unlock()
+			_ = river.WatchPipelineEntry(watchCtx, c.Coord.Addr(), pipe, func(a string, _ bool) {
+				mu.Lock()
+				entries[pipe] = append(entries[pipe], a)
+				mu.Unlock()
 			})
 		}()
-		return wl
 	}
-	watchA, watchB := watch("pa"), watch("pb")
-	seen := func(wl *watchLog) []string {
-		wl.mu.Lock()
-		defer wl.mu.Unlock()
-		return append([]string(nil), wl.entries...)
+	seen := func(pipe string) []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(entries[pipe])
 	}
-	waitFor(t, 5*time.Second, "both watchers resolved their entries", func() bool {
-		return len(seen(watchA)) >= 1 && len(seen(watchB)) >= 1
-	})
-	if seen(watchA)[0] != coord.PipelineEntryAddr("pa") || seen(watchB)[0] != coord.PipelineEntryAddr("pb") {
-		t.Fatalf("watchers resolved wrong entries: pa=%v pb=%v", seen(watchA), seen(watchB))
-	}
-
-	// placementMap snapshots pipeline -> unit -> node@addr.
-	placementMap := func(c *Coordinator, pipe string) map[string]string {
-		out := map[string]string{}
-		for _, pl := range c.Status().Pipelines {
-			if pl.ID != pipe {
-				continue
-			}
-			for _, p := range pl.Placements {
-				if p.Placed {
-					out[p.Seg] = p.Node + "@" + p.Addr
-				}
-			}
-		}
-		return out
+	c.Until("both watchers resolved their entries", func() bool { return len(seen("pa")) >= 1 && len(seen("pb")) >= 1 })
+	if seen("pa")[0] != c.Coord.PipelineEntryAddr("pa") || seen("pb")[0] != c.Coord.PipelineEntryAddr("pb") {
+		t.Fatalf("watchers resolved wrong entries: pa=%v pb=%v", seen("pa"), seen("pb"))
 	}
 
 	// Stream records through both pipelines.
-	send := func(addr string, seq int) error {
-		out := pipeline.NewStreamOut(addr)
-		defer out.Close()
-		r := record.NewData(record.SubtypeAudio)
-		r.Seq = uint64(seq)
-		r.SetFloat64s([]float64{float64(seq)})
-		return out.Consume(r)
+	send := func(seq int) {
+		for _, pipe := range []string{"pa", "pb"} {
+			out := pipeline.NewStreamOut(c.Coord.PipelineEntryAddr(pipe))
+			r := record.NewData(record.SubtypeAudio)
+			r.SetFloat64s([]float64{float64(seq)})
+			if err := out.Consume(r); err != nil {
+				t.Fatal(err)
+			}
+			_ = out.Close()
+		}
+		c.Sink("pa").AwaitReceived(seq + 1)
+		c.Sink("pb").AwaitReceived(seq + 1)
 	}
-	if err := send(coord.PipelineEntryAddr("pa"), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := send(coord.PipelineEntryAddr("pb"), 0); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "records through both pipelines", func() bool {
-		da, _ := sinkA.counts()
-		db, _ := sinkB.counts()
-		return da >= 1 && db >= 1
-	})
+	send(0)
 
 	// Pick the victim: the node hosting pa's entry segment and nothing of
 	// pb (LeastLoaded's deterministic tie-break spreads 2+2 units over 3
 	// nodes so such a node exists; the assertions below re-check).
-	var victim string
-	for unitName, where := range placementMap(coord, "pa") {
-		if unitName == "pa:front" {
-			victim = where[:strings.IndexByte(where, '@')]
-		}
-	}
-	if victim == "" {
-		t.Fatalf("pa:front unplaced: %+v", coord.Status().Pipelines)
-	}
-	for unitName, where := range placementMap(coord, "pb") {
+	victim := c.Placement("pa:front").Node
+	pbBefore := placementMap(c.Coord, "pb")
+	for unit, where := range pbBefore {
 		if strings.HasPrefix(where, victim+"@") {
-			t.Fatalf("layout premise broken: %s also hosts %s: pa=%v pb=%v",
-				victim, unitName, placementMap(coord, "pa"), placementMap(coord, "pb"))
+			t.Fatalf("layout premise broken: %s also hosts %s: pa=%v pb=%v", victim, unit, placementMap(c.Coord, "pa"), pbBefore)
 		}
 	}
-	pbBefore := placementMap(coord, "pb")
-	pbWatchBefore := len(seen(watchB))
-
-	agents[victim].cancel()
-	<-agents[victim].done
-	delete(agents, victim)
-
-	waitFor(t, 10*time.Second, "pa:front re-placed off the dead node", func() bool {
-		pa := placementMap(coord, "pa")
-		return pa["pa:front"] != "" && !strings.HasPrefix(pa["pa:front"], victim+"@")
-	})
+	pbWatchBefore := len(seen("pb"))
+	cur := c.Cursor()
+	c.Kill(victim)
+	entry := c.WaitEvent(cur, "pa entry moved", func(e obs.Event) bool { return e.Type == obs.EventEntry && e.Pipeline == "pa" })
+	if re := c.Placement("pa:front"); re.Node == victim || re.Addr != entry.Addr {
+		t.Fatalf("pa:front after the kill of %s: %+v, entry %s", victim, re, entry.Addr)
+	}
 	// Isolation: pb's placements did not move, and its watcher saw no new
 	// entry; pa's watcher saw the failover.
-	if after := placementMap(coord, "pb"); fmt.Sprint(after) != fmt.Sprint(pbBefore) {
+	if after := placementMap(c.Coord, "pb"); fmt.Sprint(after) != fmt.Sprint(pbBefore) {
 		t.Errorf("pb placements disturbed by pa's node death: %v -> %v", pbBefore, after)
 	}
-	waitFor(t, 5*time.Second, "pa watcher saw the new entry", func() bool {
-		es := seen(watchA)
-		return len(es) >= 2 && es[len(es)-1] == coord.PipelineEntryAddr("pa")
+	c.Until("pa watcher saw the new entry", func() bool {
+		es := seen("pa")
+		return len(es) >= 2 && es[len(es)-1] == entry.Addr
 	})
-	if got := len(seen(watchB)); got != pbWatchBefore {
-		t.Errorf("pb watcher saw %d extra entry update(s) from pa's failover: %v",
-			got-pbWatchBefore, seen(watchB))
+	if got := len(seen("pb")); got != pbWatchBefore {
+		t.Errorf("pb watcher saw %d extra entry update(s) from pa's failover: %v", got-pbWatchBefore, seen("pb"))
 	}
-
 	// Both pipelines carry traffic again.
-	if err := send(coord.PipelineEntryAddr("pa"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := send(coord.PipelineEntryAddr("pb"), 1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "records after failover", func() bool {
-		da, _ := sinkA.counts()
-		db, _ := sinkB.counts()
-		return da >= 2 && db >= 2
-	})
+	send(1)
 
 	// Restart the coordinator over the journal. Both pipelines must come
 	// back placed exactly where they were (adoption, zero moves) and no
 	// scope repairs may reach either sink.
-	paBefore := placementMap(coord, "pa")
-	pbBefore = placementMap(coord, "pb")
-	entryA, entryB := coord.PipelineEntryAddr("pa"), coord.PipelineEntryAddr("pb")
-	_, badABefore := sinkA.counts()
-	_, badBBefore := sinkB.counts()
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var coord2 *Coordinator
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		coord2, err = NewCoordinator(twoPipelineConfig(t, coordAddr, termA.Addr(), termB.Addr(), stateDir))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restart: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	defer coord2.Close()
-	if got := coord2.Epoch(); got != 2 {
+	paBefore, pbBefore := placementMap(c.Coord, "pa"), placementMap(c.Coord, "pb")
+	entryA, entryB := c.Coord.PipelineEntryAddr("pa"), c.Coord.PipelineEntryAddr("pb")
+	badA, badB := c.Sink("pa").Tally().Repairs, c.Sink("pb").Tally().Repairs
+	c.StopCoordinator()
+	c.RestartCoordinator()
+	if got := c.Coord.Epoch(); got != 2 {
 		t.Fatalf("restarted coordinator epoch = %d, want 2", got)
 	}
-	if got := coord2.Pipelines(); !slices.Equal(got, []string{"pa", "pb"}) {
+	if got := c.Coord.Pipelines(); !slices.Equal(got, []string{"pa", "pb"}) {
 		t.Fatalf("restarted pipeline set = %v, want [pa pb]", got)
 	}
-	waitFor(t, 10*time.Second, "both surviving agents re-registered", func() bool {
-		return len(coord2.Status().Nodes) == 2
-	})
+	awaitRegistered(c, 2)
 	for pipe, before := range map[string]map[string]string{"pa": paBefore, "pb": pbBefore} {
-		after := placementMap(coord2, pipe)
-		if fmt.Sprint(after) != fmt.Sprint(before) {
-			t.Errorf("%s placements moved across the restart (re-placed, not adopted): %v -> %v",
-				pipe, before, after)
+		if after := placementMap(c.Coord, pipe); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Errorf("%s placements moved across the restart (re-placed, not adopted): %v -> %v", pipe, before, after)
 		}
 	}
-	if got := coord2.PipelineEntryAddr("pa"); got != entryA {
+	if got := c.Coord.PipelineEntryAddr("pa"); got != entryA {
 		t.Errorf("pa entry changed across restart: %q -> %q", entryA, got)
 	}
-	if got := coord2.PipelineEntryAddr("pb"); got != entryB {
+	if got := c.Coord.PipelineEntryAddr("pb"); got != entryB {
 		t.Errorf("pb entry changed across restart: %q -> %q", entryB, got)
 	}
 
 	// Traffic still flows through both adopted pipelines, repair-free.
-	if err := send(coord2.PipelineEntryAddr("pa"), 2); err != nil {
-		t.Fatal(err)
+	send(2)
+	if bad := c.Sink("pa").Tally().Repairs; bad != badA {
+		t.Errorf("pa suffered %d scope repair(s) across the restart", bad-badA)
 	}
-	if err := send(coord2.PipelineEntryAddr("pb"), 2); err != nil {
-		t.Fatal(err)
+	if bad := c.Sink("pb").Tally().Repairs; bad != badB {
+		t.Errorf("pb suffered %d scope repair(s) across the restart", bad-badB)
 	}
-	waitFor(t, 5*time.Second, "records post-restart", func() bool {
-		da, _ := sinkA.counts()
-		db, _ := sinkB.counts()
-		return da >= 3 && db >= 3
-	})
-	if _, bad := sinkA.counts(); bad != badABefore {
-		t.Errorf("pa suffered %d scope repair(s) across the restart", bad-badABefore)
-	}
-	if _, bad := sinkB.counts(); bad != badBBefore {
-		t.Errorf("pb suffered %d scope repair(s) across the restart", bad-badBBefore)
-	}
-
-	watchCancel()
-	for _, la := range agents {
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = termA.Close()
-	_ = termB.Close()
-	wgA.Wait()
-	wgB.Wait()
 }
 
-// TestPipelineAddRemoveRuntime drives the protocol v5 verbs end to end:
-// a pipeline added at runtime is placed onto the shared pool and
-// journaled (a restarted coordinator reloads it), and removing it stops
-// its units and persists the removal.
+// TestPipelineAddRemoveRuntime drives the pipeline_add and
+// pipeline_remove verbs end to end: a pipeline added at runtime is placed
+// onto the shared pool and journaled (a restarted coordinator reloads
+// it), and removing it stops its units and persists the removal.
 func TestPipelineAddRemoveRuntime(t *testing.T) {
-	stateDir := t.TempDir()
-	cfg := func(listen string) Config {
-		return Config{
-			ListenAddr: listen,
-			Pipelines: []PipelineSpec{{
-				Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
-				SinkAddr: "127.0.0.1:9",
-			}},
-			HeartbeatInterval: 25 * time.Millisecond,
-			HeartbeatTimeout:  2 * time.Second,
-			StateDir:          stateDir,
-			RestartGrace:      250 * time.Millisecond,
-			Logf:              t.Logf,
-		}
-	}
-	coord, err := NewCoordinator(cfg("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = coord.Close() }()
-	coordAddr := coord.Addr()
-	n1 := newFakeAgent(t, coordAddr, "n1", "127.0.0.1:19001")
-	defer n1.close()
-	n2 := newFakeAgent(t, coordAddr, "n2", "127.0.0.1:19002")
-	defer n2.close()
-	waitFor(t, 5*time.Second, "default pipeline placed", func() bool {
-		st := coord.Status()
-		return len(st.Placements) == 1 && st.Placements[0].Placed
-	})
+	c := rivertest.Start(t, river.Config{
+		Pipelines:    rivertest.Pipeline(river.SegmentSpec{Name: "seg", Type: "relay"}),
+		StateDir:     t.TempDir(),
+		RestartGrace: 250 * time.Millisecond,
+	}, 2)
 
 	// Runtime add over the wire. Its units land on the shared pool.
-	spec := PipelineSpec{
+	spec := river.PipelineSpec{
 		ID:       "px",
-		Segments: []SegmentSpec{{Name: "front", Type: "t"}, {Name: "back", Type: "t"}},
+		Segments: []river.SegmentSpec{{Name: "front", Type: "relay"}, {Name: "back", Type: "relay"}},
 		SinkAddr: "127.0.0.1:10",
 	}
-	if err := RequestPipelineAdd(coordAddr, spec, 5*time.Second); err != nil {
+	cur := c.Cursor()
+	if err := river.RequestPipelineAdd(c.Coord.Addr(), spec, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := RequestPipelineAdd(coordAddr, spec, 5*time.Second); err == nil {
+	if err := river.RequestPipelineAdd(c.Coord.Addr(), spec, 5*time.Second); err == nil {
 		t.Fatal("duplicate pipeline_add accepted")
 	}
-	waitFor(t, 5*time.Second, "px placed", func() bool {
-		placed := 0
-		for _, pl := range coord.Status().Pipelines {
-			if pl.ID != "px" {
-				continue
-			}
-			for _, p := range pl.Placements {
-				if p.Placed {
-					placed++
-				}
-			}
-		}
-		return placed == 2
-	})
-	if got := coord.PipelineEntryAddr("px"); got == "" {
+	// The entry is published once the whole chain is placed.
+	c.WaitEvent(cur, "px placed", func(e obs.Event) bool { return e.Type == obs.EventEntry && e.Pipeline == "px" })
+	if got := c.Coord.PipelineEntryAddr("px"); got == "" {
 		t.Fatal("px placed but no entry address")
 	}
 	// Scoped unit names keep the pipelines apart on shared nodes.
 	var units []string
-	for _, pl := range coord.Status().Pipelines {
-		if pl.ID == "px" {
-			for _, p := range pl.Placements {
-				units = append(units, p.Seg)
-			}
+	for _, p := range c.Coord.Status().Placements {
+		if p.Pipeline == "px" {
+			units = append(units, p.Seg)
 		}
 	}
 	if want := []string{"px:front", "px:back"}; !slices.Equal(units, want) {
@@ -391,123 +186,24 @@ func TestPipelineAddRemoveRuntime(t *testing.T) {
 	}
 
 	// Restart: the runtime-added pipeline must come back from the journal.
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var coord2 *Coordinator
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		coord2, err = NewCoordinator(cfg(coordAddr))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restart: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if got := coord2.Pipelines(); !slices.Equal(got, []string{"", "px"}) {
-		coord2.Close()
+	c.StopCoordinator()
+	c.RestartCoordinator()
+	if got := c.Coord.Pipelines(); !slices.Equal(got, []string{"", "px"}) {
 		t.Fatalf("restarted pipeline set = %v, want [ px]", got)
 	}
 
 	// Remove px and restart again: the removal must persist too.
-	if err := RequestPipelineRemove(coord2.Addr(), "px", 5*time.Second); err != nil {
-		coord2.Close()
+	if err := river.RequestPipelineRemove(c.Coord.Addr(), "px", 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := RequestPipelineRemove(coord2.Addr(), "px", 5*time.Second); err == nil {
-		coord2.Close()
+	if err := river.RequestPipelineRemove(c.Coord.Addr(), "px", 5*time.Second); err == nil {
 		t.Fatal("removing an unknown pipeline succeeded")
 	}
-	if err := coord2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	var coord3 *Coordinator
-	for {
-		coord3, err = NewCoordinator(cfg(coordAddr))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("second restart: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	defer coord3.Close()
-	if got := coord3.Pipelines(); !slices.Equal(got, []string{""}) {
+	c.StopCoordinator()
+	c.RestartCoordinator()
+	if got := c.Coord.Pipelines(); !slices.Equal(got, []string{""}) {
 		t.Fatalf("removed pipeline resurrected: %v", got)
 	}
-}
-
-// TestDisconnectGrace covers the per-node disconnect grace refinement: a
-// node whose control connection blips keeps its units (the reconnect
-// re-registers with an inventory and adopts them back, no re-placement),
-// while a node that never returns loses them once the grace expires.
-func TestDisconnectGrace(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
-			SinkAddr: "127.0.0.1:9",
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		DisconnectGrace:   600 * time.Millisecond,
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// a-host wins the initial placement (registered first); b-spare is the
-	// node a needless failover would land on.
-	host := newFakeAgent(t, coord.Addr(), "a-host", "127.0.0.1:19001")
-	defer host.close()
-	waitFor(t, 5*time.Second, "initial placement", func() bool {
-		p := coord.Status().Placements[0]
-		return p.Placed && p.Node == "a-host"
-	})
-	spare := newFakeAgent(t, coord.Addr(), "b-spare", "127.0.0.1:19002")
-	defer spare.close()
-	waitFor(t, 5*time.Second, "spare registered", func() bool {
-		return len(coord.Status().Nodes) == 2
-	})
-
-	// Blip: drop the control connection, then re-register within the
-	// grace carrying the still-running unit's inventory.
-	host.close()
-	waitFor(t, 5*time.Second, "host deregistered", func() bool {
-		return len(coord.Status().Nodes) == 1
-	})
-	// The placement must survive the drop: still on a-host at its address.
-	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
-		t.Fatalf("disconnect grace did not hold the placement: %+v", p)
-	}
-	host2 := newFakeAgentInv(t, coord.Addr(), "a-host", "127.0.0.1:19001", []UnitInventory{
-		{Name: "seg", Type: "t", Addr: "127.0.0.1:19001", Downstream: "127.0.0.1:9"},
-	})
-	defer host2.close()
-	waitFor(t, 5*time.Second, "host re-registered", func() bool {
-		return len(coord.Status().Nodes) == 2
-	})
-	// Give a needless re-place every chance to happen, then rule it out.
-	time.Sleep(700 * time.Millisecond)
-	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
-		t.Fatalf("blipped node's unit moved despite reconnect-and-adopt: %+v", p)
-	}
-	if got := spare.assignsAcked.Load(); got != 0 {
-		t.Fatalf("spare received %d assign(s); the blip must not trigger a move", got)
-	}
-
-	// True death: drop again and stay away. The grace expires and the
-	// unit fails over to the spare.
-	host2.close()
-	waitFor(t, 10*time.Second, "unit re-placed after the grace expired", func() bool {
-		p := coord.Status().Placements[0]
-		return p.Placed && p.Node == "b-spare"
-	})
 }
 
 // TestStatusJSONGoldenMultiPipeline pins the `status -json` schema for a
@@ -515,10 +211,10 @@ func TestDisconnectGrace(t *testing.T) {
 // replicated, one plain — with deterministic unplaced placements. A
 // field rename or reorder breaks scripts; this test catches it.
 func TestStatusJSONGoldenMultiPipeline(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{
-			{ID: "pa", Segments: []SegmentSpec{{Name: "rep", Type: "relay", Replicas: 2}}, SinkAddr: "127.0.0.1:9"},
-			{ID: "pb", Segments: []SegmentSpec{{Name: "seg", Type: "extract"}}, SinkAddr: "127.0.0.1:10"},
+	coord, err := river.NewCoordinator(river.Config{
+		Pipelines: []river.PipelineSpec{
+			{ID: "pa", Segments: []river.SegmentSpec{{Name: "rep", Type: "relay", Replicas: 2}}, SinkAddr: "127.0.0.1:9"},
+			{ID: "pb", Segments: []river.SegmentSpec{{Name: "seg", Type: "extract"}}, SinkAddr: "127.0.0.1:10"},
 		},
 		Logf: t.Logf,
 	})

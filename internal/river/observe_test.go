@@ -4,19 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/record"
 )
 
 // decodeSegments unmarshals a heartbeat Segments payload exactly as the
@@ -169,10 +164,7 @@ func TestEventStreamScriptedFailover(t *testing.T) {
 	defer n1.close()
 	n2 := newFakeAgent(t, coord.Addr(), "n2", "127.0.0.1:19002")
 	defer n2.close()
-	waitFor(t, 5*time.Second, "initial placement", func() bool {
-		p := coord.Status().Placements[0]
-		return p.Placed
-	})
+	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", ""))
 	victim := coord.Status().Placements[0].Node
 	survivor := "n2"
 	if victim == "n2" {
@@ -183,10 +175,7 @@ func TestEventStreamScriptedFailover(t *testing.T) {
 	} else {
 		n2.close()
 	}
-	waitFor(t, 5*time.Second, "re-placement on the survivor", func() bool {
-		p := coord.Status().Placements[0]
-		return p.Placed && p.Node == survivor
-	})
+	waitEvent(t, coord, 0, "re-placement on the survivor", isEvent(obs.EventReplace, "seg", survivor))
 
 	events, err := FetchEvents(coord.Addr(), "", 0, 5*time.Second)
 	if err != nil {
@@ -279,14 +268,9 @@ func TestEventStreamPipelineFilter(t *testing.T) {
 	defer coord.Close()
 	n1 := newFakeAgent(t, coord.Addr(), "n1", "127.0.0.1:19001")
 	defer n1.close()
-	waitFor(t, 5*time.Second, "both pipelines placed", func() bool {
-		for _, p := range coord.Status().Placements {
-			if !p.Placed {
-				return false
-			}
-		}
-		return true
-	})
+	for _, pipe := range []string{"pa", "pb"} {
+		waitEvent(t, coord, 0, pipe+" placed", func(e obs.Event) bool { return e.Type == obs.EventEntry && e.Pipeline == pipe })
+	}
 	events, err := FetchEvents(coord.Addr(), "pa", 0, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -377,298 +361,4 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("pprof status %d", resp.StatusCode)
 	}
-}
-
-// slowableRelay is a record-preserving operator with a settable per-record
-// delay, so a test can make one node's operator chain fall behind ingest
-// on command.
-type slowableRelay struct{ delay *atomic.Int64 }
-
-func (slowableRelay) Name() string { return "relay" }
-
-func (s slowableRelay) Process(r *record.Record, out pipeline.Emitter) error {
-	if d := s.delay.Load(); d > 0 {
-		time.Sleep(time.Duration(d))
-	}
-	return out.Emit(r)
-}
-
-// metricValue extracts one series' value from a Prometheus text scrape.
-func metricValue(t *testing.T, scrape, series string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(scrape, "\n") {
-		if strings.HasPrefix(line, series+" ") {
-			v, err := strconv.ParseFloat(strings.TrimPrefix(line, series+" "), 64)
-			if err != nil {
-				t.Fatalf("parse %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("series %s absent from scrape:\n%s", series, scrape)
-	return 0
-}
-
-// TestObservabilityIntegration is the acceptance scenario for the
-// observability layer: a 3-replica relay group under sustained load, one
-// replica node artificially slowed. The monitor must emit an anomaly
-// event naming that node and its saturated metric BEFORE failure
-// detection fires; the /metrics scrape must show the node's backlog; and
-// the scripted kill of the slowed node must appear in the event stream as
-// an ordered failover -> replace pair — with the sink still receiving
-// every record exactly once.
-func TestObservabilityIntegration(t *testing.T) {
-	terminal, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newExactlyOnceSink()
-	var termWG sync.WaitGroup
-	termWG.Add(1)
-	go func() {
-		defer termWG.Done()
-		_ = pipeline.New().SetSource(terminal).SetSink(sink).Run(context.Background())
-	}()
-
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
-			SinkAddr: terminal.Addr(),
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		MinNodes:          4,
-		MetricsAddr:       "127.0.0.1:0",
-		// Sampling must be slow relative to the queue's fill rate so the
-		// backlog appears as a level shift, not a ramp the EWMA baseline
-		// absorbs: at 150ms ticks the throttled node's queue jumps by far
-		// more than threshold x the per-metric sigma floor per sample.
-		Monitor: MonitorConfig{
-			Interval:  150 * time.Millisecond,
-			Alpha:     0.1,
-			Warmup:    8,
-			Threshold: 6,
-			Cooldown:  time.Minute,
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// Every agent hosts a throttleable relay; only the eventual victim's
-	// delay is ever set.
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-		delay  *atomic.Int64
-	}
-	agents := map[string]*liveAgent{}
-	for _, name := range []string{"node-a", "node-b", "node-c", "node-d"} {
-		delay := &atomic.Int64{}
-		reg := pipeline.NewRegistry()
-		reg.Register("relay", func() []pipeline.Operator {
-			return []pipeline.Operator{slowableRelay{delay: delay}}
-		})
-		a := NewAgent(name, coord.Addr(), reg)
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done, delay: delay}
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Sustained load through the splitter entry.
-	out := pipeline.NewStreamOutBatched(coord.EntryAddr(), record.DefaultBatchConfig())
-	defer out.Close()
-	if err := out.Consume(record.NewOpenScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var sent int
-	var sendMu sync.Mutex
-	stopLoad := make(chan struct{})
-	loadDone := make(chan error, 1)
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stopLoad:
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- nil
-				return
-			default:
-			}
-			r := record.NewData(record.SubtypeAudio)
-			r.SetFloat64s([]float64{float64(i)})
-			if err := out.Consume(r); err != nil {
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- err
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	waitFor(t, 10*time.Second, "records flowing pre-throttle", func() bool {
-		return sink.received() >= 300
-	})
-	// Let the monitor baselines warm on healthy traffic (warmup x interval
-	// past node registration, with margin).
-	time.Sleep(1200 * time.Millisecond)
-
-	// Pick a victim hosting only a replica, so its death is survivable
-	// without loss, and throttle its operator chain: ingest now outruns
-	// the relay and the streamin emit queue backs up.
-	endpointNodes := map[string]bool{}
-	for _, p := range coord.Status().Placements {
-		if p.Role == RoleSplit || p.Role == RoleMerge {
-			endpointNodes[p.Node] = true
-		}
-	}
-	var victim, victimUnit string
-	for _, p := range coord.Status().Placements {
-		if p.Role == RoleReplica && p.Placed && !endpointNodes[p.Node] {
-			victim, victimUnit = p.Node, p.Seg
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatalf("no node hosts only a replica: %+v", coord.Status().Placements)
-	}
-	throttledAt := time.Now()
-	agents[victim].delay.Store(int64(50 * time.Millisecond))
-
-	// The anomaly event must name the slowed node and a saturating metric
-	// while the node is still alive — before any failure detection.
-	var anomaly obs.Event
-	waitFor(t, 15*time.Second, "anomaly event for the slowed node", func() bool {
-		events, err := FetchEvents(coord.Addr(), "", 0, 5*time.Second)
-		if err != nil {
-			return false
-		}
-		for _, e := range events {
-			if e.Type == obs.EventFailover {
-				t.Fatalf("failure detection fired before any anomaly: %+v", e)
-			}
-			if e.Type == obs.EventAnomaly && e.Node == victim && e.TimeMS >= throttledAt.UnixMilli() {
-				anomaly = e
-				return true
-			}
-		}
-		return false
-	})
-	if anomaly.Metric == "" || anomaly.Score <= 0 {
-		t.Errorf("anomaly event lacks metric or score: %+v", anomaly)
-	}
-	t.Logf("anomaly %v after throttling: %s %s=%g (z=%.1f)",
-		time.Since(throttledAt), anomaly.Node, anomaly.Metric, anomaly.Value, anomaly.Score)
-
-	// The scrape must show the victim's backlog.
-	resp, err := http.Get("http://" + coord.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth := metricValue(t, string(body), fmt.Sprintf(`dynriver_node_queue_depth{node=%q}`, victim))
-	peak := metricValue(t, string(body), fmt.Sprintf(`dynriver_node_queue_peak{node=%q}`, victim))
-	if depth <= 0 {
-		t.Errorf("slowed node's backlog gauge reads %g; want > 0", depth)
-	}
-	if peak < depth {
-		t.Errorf("queue peak %g below current depth %g", peak, depth)
-	}
-
-	// Scripted kill: the event stream must record failover then replace,
-	// in order, and the sink must still see every record exactly once.
-	lastSeq := anomaly.Seq
-	agents[victim].cancel()
-	<-agents[victim].done
-	delete(agents, victim)
-	waitFor(t, 10*time.Second, "re-converged to 3 replicas", func() bool {
-		alive := 0
-		for _, p := range coord.Status().Placements {
-			if p.Role == RoleReplica && p.Placed && p.Node != victim {
-				alive++
-			}
-		}
-		return alive == 3
-	})
-	events, err := FetchEvents(coord.Addr(), "", lastSeq, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var failSeq, replSeq uint64
-	for _, e := range events {
-		if e.Type == obs.EventFailover && e.Node == victim && failSeq == 0 {
-			failSeq = e.Seq
-		}
-		if e.Type == obs.EventReplace && e.Unit == victimUnit && e.Node != victim {
-			replSeq = e.Seq
-		}
-	}
-	if failSeq == 0 || replSeq == 0 || failSeq >= replSeq {
-		t.Errorf("kill not recorded as ordered failover(%d) -> replace(%d): %+v", failSeq, replSeq, events)
-	}
-
-	// Drain the load and audit exactly-once delivery.
-	post := sink.received()
-	waitFor(t, 10*time.Second, "records flowing post-kill", func() bool {
-		return sink.received() >= post+300
-	})
-	close(stopLoad)
-	if err := <-loadDone; err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if err := out.Consume(record.NewCloseScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sendMu.Lock()
-	total := sent
-	sendMu.Unlock()
-	waitFor(t, 15*time.Second, "all records at the sink", func() bool {
-		return sink.received() >= total
-	})
-	missing, duplicated, repairs := sink.audit(total)
-	t.Logf("sent=%d missing=%d duplicated=%d repairs=%d", total, missing, duplicated, repairs)
-	if missing != 0 {
-		t.Errorf("%d of %d records lost across the slowed replica's death", missing, total)
-	}
-	if duplicated != 0 {
-		t.Errorf("%d of %d records duplicated", duplicated, total)
-	}
-	if repairs != 0 {
-		t.Errorf("%d scope repairs reached the sink", repairs)
-	}
-
-	// Teardown.
-	_ = out.Close()
-	for _, la := range agents {
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = terminal.Close()
-	termWG.Wait()
 }

@@ -1,18 +1,13 @@
 package river
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/pipeline"
-	"repro/internal/record"
 	"repro/internal/timeseries"
 )
 
@@ -86,7 +81,7 @@ func TestRemediationGuardrails(t *testing.T) {
 	}
 
 	// After the cooldown expires the node is eligible again.
-	time.Sleep(250 * time.Millisecond)
+	time.Sleep(250 * time.Millisecond) // waits out the 200 ms cooldown
 	coord.remediateAnomaly(anom("n1"))
 	if got = phases("n1"); len(got) != 5 || !strings.HasPrefix(got[3], "triggered:") {
 		t.Fatalf("post-cooldown decisions = %v", got)
@@ -110,7 +105,7 @@ func TestRemediationGuardrails(t *testing.T) {
 	coord.rem.mu.Lock()
 	delete(coord.rem.inflight, "n2")
 	coord.rem.mu.Unlock()
-	time.Sleep(250 * time.Millisecond) // n3's own attempt stamped its cooldown
+	time.Sleep(250 * time.Millisecond) // waits out the cooldown n3's own attempt stamped
 	coord.remediateAnomaly(anom("n3"))
 	if got = phases("n3"); len(got) != 3 || !strings.HasPrefix(got[1], "triggered:") {
 		t.Fatalf("post-unblock decisions = %v", got)
@@ -153,14 +148,7 @@ func TestRemediationDryRunAndDrainability(t *testing.T) {
 				defer a.close()
 				nodes = append(nodes, name)
 			}
-			waitFor(t, 5*time.Second, "placement", func() bool {
-				for _, p := range coord.Status().Placements {
-					if !p.Placed {
-						return false
-					}
-				}
-				return true
-			})
+			waitEvent(t, coord, 0, "placement", isEvent(obs.EventEntry, "", ""))
 			// What Drain accepts: plain segments and group legs, never a
 			// group's endpoints.
 			drainable := make(map[string][]string)
@@ -258,320 +246,38 @@ func TestMonitorAnomalyCooldownExpiry(t *testing.T) {
 		return []SegmentStatus{{Name: "seg", Type: "t", Addr: "127.0.0.1:19001",
 			Processed: 100, Emitted: 100, QueueDepth: depth}}
 	}
-	depthAnomalies := func() []obs.Event {
-		return coord.Events().Since(0, func(e obs.Event) bool {
-			return e.Type == obs.EventAnomaly && e.Node == "n1" && e.Metric == monMetricQueueDepth
-		})
+	isDepthAnomaly := func(e obs.Event) bool {
+		return e.Type == obs.EventAnomaly && e.Node == "n1" && e.Metric == monMetricQueueDepth
 	}
+	depthAnomalies := func() []obs.Event { return coord.Events().Since(0, isDepthAnomaly) }
 
 	// Warm the baseline on an empty queue, then step.
 	n1.setStats(stats(0))
-	time.Sleep(400 * time.Millisecond)
+	time.Sleep(400 * time.Millisecond) // the warmup window: Warmup x Interval of flat samples, with margin
 	if got := depthAnomalies(); len(got) != 0 {
 		t.Fatalf("anomalies during flat warmup: %+v", got)
 	}
 	n1.setStats(stats(1000))
-	waitFor(t, 5*time.Second, "first queue-depth anomaly", func() bool {
-		return len(depthAnomalies()) >= 1
-	})
-	first := depthAnomalies()[0]
+	first := waitEvent(t, coord, 0, "first queue-depth anomaly", isDepthAnomaly)
 
 	// Escalate so the series keeps scoring past the threshold; the
 	// per-(node,metric) cooldown must hold it to one event.
 	n1.setStats(stats(1_000_000))
-	time.Sleep(cooldown / 2)
+	time.Sleep(cooldown / 2) // inside the cooldown window, the series scoring all along
 	if got := depthAnomalies(); len(got) != 1 {
 		t.Fatalf("cooldown did not suppress repeats: %+v", got)
 	}
 
 	// After expiry a fresh excursion flags again.
-	time.Sleep(cooldown)
+	time.Sleep(cooldown) // waits out the cooldown
 	n1.setStats(stats(1_000_000_000))
-	waitFor(t, 5*time.Second, "post-cooldown anomaly", func() bool {
-		return len(depthAnomalies()) >= 2
-	})
-	second := depthAnomalies()[1]
+	second := waitEvent(t, coord, first.Seq, "post-cooldown anomaly", isDepthAnomaly)
 	if second.Seq <= first.Seq {
 		t.Fatalf("anomalies out of order: %d then %d", first.Seq, second.Seq)
 	}
 	if gap := second.TimeMS - first.TimeMS; gap < int64(cooldown.Milliseconds())-50 {
 		t.Errorf("second anomaly only %dms after the first; cooldown is %v", gap, cooldown)
 	}
-}
-
-// TestRemediationIntegration is the acceptance scenario for the closed
-// loop: a 3-replica relay group under sustained load, one replica node
-// artificially slowed. The monitor must flag it, the remediation policy
-// must pre-emptively drain it — the ordered event trail reading
-// anomaly -> remediation(triggered, started) -> drain -> drained ->
-// remediation(completed) — after which the node hosts nothing and its
-// death is a non-event: zero lost records, zero duplicates, zero repairs.
-func TestRemediationIntegration(t *testing.T) {
-	terminal, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newExactlyOnceSink()
-	var termWG sync.WaitGroup
-	termWG.Add(1)
-	go func() {
-		defer termWG.Done()
-		_ = pipeline.New().SetSource(terminal).SetSink(sink).Run(context.Background())
-	}()
-
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "relay", Type: "relay", Replicas: 3}},
-			SinkAddr: terminal.Addr(),
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		MinNodes:          4,
-		DrainSettle:       150 * time.Millisecond,
-		// Same monitor shape as the observability acceptance: sampling slow
-		// relative to the queue fill rate so the throttle reads as a level
-		// shift, threshold high enough that healthy nodes never flag.
-		Monitor: MonitorConfig{
-			Interval:  150 * time.Millisecond,
-			Alpha:     0.1,
-			Warmup:    8,
-			Threshold: 6,
-			Cooldown:  time.Minute,
-		},
-		// The closed loop: drain the flagged node, for real. MaxConcurrent 2
-		// leaves headroom in case a neighbor blips past the threshold while
-		// the victim's drain is in flight.
-		Remediate: RemediateConfig{
-			Mode:          RemediateDrain,
-			Cooldown:      time.Minute,
-			MaxConcurrent: 2,
-		},
-		Logf: t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-		delay  *atomic.Int64
-	}
-	agents := map[string]*liveAgent{}
-	for _, name := range []string{"node-a", "node-b", "node-c", "node-d"} {
-		delay := &atomic.Int64{}
-		reg := pipeline.NewRegistry()
-		reg.Register("relay", func() []pipeline.Operator {
-			return []pipeline.Operator{slowableRelay{delay: delay}}
-		})
-		a := NewAgent(name, coord.Addr(), reg)
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done, delay: delay}
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
-
-	out := pipeline.NewStreamOutBatched(coord.EntryAddr(), record.DefaultBatchConfig())
-	defer out.Close()
-	if err := out.Consume(record.NewOpenScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var sent int
-	var sendMu sync.Mutex
-	stopLoad := make(chan struct{})
-	loadDone := make(chan error, 1)
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stopLoad:
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- nil
-				return
-			default:
-			}
-			r := record.NewData(record.SubtypeAudio)
-			r.SetFloat64s([]float64{float64(i)})
-			if err := out.Consume(r); err != nil {
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- err
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	waitFor(t, 10*time.Second, "records flowing pre-throttle", func() bool {
-		return sink.received() >= 300
-	})
-	time.Sleep(1200 * time.Millisecond) // monitor baselines warm on healthy traffic
-
-	// Throttle a node hosting only a replica: the one kind of unit the
-	// remediation drain may legally move.
-	endpointNodes := map[string]bool{}
-	for _, p := range coord.Status().Placements {
-		if p.Role == RoleSplit || p.Role == RoleMerge {
-			endpointNodes[p.Node] = true
-		}
-	}
-	var victim, victimUnit string
-	for _, p := range coord.Status().Placements {
-		if p.Role == RoleReplica && p.Placed && !endpointNodes[p.Node] {
-			victim, victimUnit = p.Node, p.Seg
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatalf("no node hosts only a replica: %+v", coord.Status().Placements)
-	}
-	throttledAt := time.Now()
-	agents[victim].delay.Store(int64(50 * time.Millisecond))
-	t.Logf("throttled %s (hosting %s)", victim, victimUnit)
-
-	// The loop must close unattended: anomaly, then the remediation pair,
-	// then the drain pair, then completion — strictly ordered, all naming
-	// the victim, with no failure detection anywhere in the trail.
-	var anomSeq, trigSeq, startSeq, drainSeq, drainedSeq, doneSeq uint64
-	waitFor(t, 30*time.Second, "remediation completed", func() bool {
-		events, err := FetchEvents(coord.Addr(), "", 0, 5*time.Second)
-		if err != nil {
-			return false
-		}
-		for _, e := range events {
-			if e.Type == obs.EventFailover {
-				t.Fatalf("failure detection fired during remediation: %+v", e)
-			}
-			switch {
-			case e.Type == obs.EventAnomaly && e.Node == victim && anomSeq == 0 &&
-				e.TimeMS >= throttledAt.UnixMilli():
-				anomSeq = e.Seq
-			case e.Type == obs.EventRemediation && e.Node == victim:
-				switch e.Phase {
-				case obs.RemPhaseTriggered:
-					if trigSeq == 0 {
-						trigSeq = e.Seq
-					}
-				case obs.RemPhaseStarted:
-					if startSeq == 0 {
-						startSeq = e.Seq
-					}
-					if !strings.Contains(e.Detail, victimUnit) {
-						t.Fatalf("started event does not name the drained unit: %+v", e)
-					}
-				case obs.RemPhaseCompleted:
-					if doneSeq == 0 {
-						doneSeq = e.Seq
-					}
-				}
-			case e.Type == obs.EventDrain && e.Unit == victimUnit && drainSeq == 0:
-				drainSeq = e.Seq
-			case e.Type == obs.EventDrained && e.Unit == victimUnit && drainedSeq == 0:
-				drainedSeq = e.Seq
-			}
-		}
-		return doneSeq != 0
-	})
-	seqs := []uint64{anomSeq, trigSeq, startSeq, drainSeq, drainedSeq, doneSeq}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i-1] == 0 || seqs[i] <= seqs[i-1] {
-			t.Fatalf("loop trail out of order: anomaly=%d triggered=%d started=%d drain=%d drained=%d completed=%d",
-				anomSeq, trigSeq, startSeq, drainSeq, drainedSeq, doneSeq)
-		}
-	}
-	t.Logf("closed loop in %v: anomaly=%d triggered=%d started=%d drain=%d drained=%d completed=%d",
-		time.Since(throttledAt), anomSeq, trigSeq, startSeq, drainSeq, drainedSeq, doneSeq)
-
-	// The drained node must end up idle, the group back at 3 replicas
-	// elsewhere.
-	waitFor(t, 10*time.Second, "victim idle, group re-converged", func() bool {
-		alive := 0
-		for _, p := range coord.Status().Placements {
-			if p.Node == victim {
-				return false
-			}
-			if p.Role == RoleReplica && p.Placed {
-				alive++
-			}
-		}
-		return alive == 3
-	})
-
-	// Killing the idle node is a non-event: nothing hosted, nothing lost,
-	// no failover re-placement.
-	var preKill uint64
-	if evs := coord.Events().Since(0, nil); len(evs) > 0 {
-		preKill = evs[len(evs)-1].Seq
-	}
-	agents[victim].cancel()
-	<-agents[victim].done
-	delete(agents, victim)
-	post := sink.received()
-	waitFor(t, 10*time.Second, "records flowing post-kill", func() bool {
-		return sink.received() >= post+300
-	})
-	for _, e := range coord.Events().Since(preKill, nil) {
-		if e.Type == obs.EventFailover && strings.Contains(e.Detail, victimUnit) {
-			t.Fatalf("idle node's death lost units: %+v", e)
-		}
-		if e.Type == obs.EventReplace && e.Unit == victimUnit {
-			t.Fatalf("drained unit re-placed after the idle death: %+v", e)
-		}
-	}
-
-	// Drain the load and audit exactly-once delivery across the whole
-	// remediation.
-	close(stopLoad)
-	if err := <-loadDone; err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if err := out.Consume(record.NewCloseScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sendMu.Lock()
-	total := sent
-	sendMu.Unlock()
-	waitFor(t, 15*time.Second, "all records at the sink", func() bool {
-		return sink.received() >= total
-	})
-	missing, duplicated, repairs := sink.audit(total)
-	t.Logf("sent=%d missing=%d duplicated=%d repairs=%d", total, missing, duplicated, repairs)
-	if missing != 0 {
-		t.Errorf("%d of %d records lost across the remediation", missing, total)
-	}
-	if duplicated != 0 {
-		t.Errorf("%d of %d records duplicated", duplicated, total)
-	}
-	if repairs != 0 {
-		t.Errorf("%d scope repairs reached the sink", repairs)
-	}
-
-	_ = out.Close()
-	for _, la := range agents {
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = terminal.Close()
-	termWG.Wait()
 }
 
 // TestHeartbeatAlertFolding checks the v7 alert plumbing end to end at the
@@ -606,24 +312,18 @@ func TestHeartbeatAlertFolding(t *testing.T) {
 		st := coord.Status()
 		return len(st.Nodes) == 1 && len(st.Nodes[0].Segments) == 1
 	})
-	time.Sleep(100 * time.Millisecond)
 	n1.setStats(stats(3))
-	waitFor(t, 5*time.Second, "first alert delta", func() bool {
-		return len(alertEvents()) >= 1
-	})
-	if e := alertEvents()[0]; e.Unit != "seg" || e.Node != "n1" || e.Value != 3 {
+	first := waitEvent(t, coord, 0, "first alert delta", isEvent(obs.EventAlert, "", ""))
+	if e := first; e.Unit != "seg" || e.Node != "n1" || e.Value != 3 {
 		t.Fatalf("first alert event = %+v; want unit=seg node=n1 value=3", e)
 	}
 	// A steady counter folds to nothing; a bump folds to its delta.
-	time.Sleep(200 * time.Millisecond)
+	time.Sleep(200 * time.Millisecond) // eight heartbeats in which the steady counter must fold to nothing
 	if got := alertEvents(); len(got) != 1 {
 		t.Fatalf("steady alert counter re-emitted: %+v", got)
 	}
 	n1.setStats(stats(5))
-	waitFor(t, 5*time.Second, "second alert delta", func() bool {
-		return len(alertEvents()) >= 2
-	})
-	if e := alertEvents()[1]; e.Value != 2 {
+	if e := waitEvent(t, coord, first.Seq, "second alert delta", isEvent(obs.EventAlert, "", "")); e.Value != 2 {
 		t.Fatalf("alert delta = %+v; want value=2", e)
 	}
 	if got := fmt.Sprint(len(alertEvents())); got != "2" {

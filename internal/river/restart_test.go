@@ -1,37 +1,34 @@
-package river
+package river_test
 
 import (
 	"context"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/record"
+	"repro/internal/river"
+	"repro/internal/rivertest"
 )
 
-// restartConfig is the coordinator configuration both incarnations in
-// TestCoordinatorRestartAdoptsDataPlane share.
-func restartConfig(t *testing.T, listen, sinkAddr, stateDir string) Config {
-	return Config{
-		ListenAddr: listen,
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{
-				{Name: "rep", Type: "relay", Replicas: 3},
-				{Name: "tail", Type: "relay"},
-			},
-			SinkAddr: sinkAddr,
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		// Node death in this test is a dropped control connection
-		// (immediate); a generous timeout keeps loaded CI machines from
-		// faking additional deaths.
-		HeartbeatTimeout: 2 * time.Second,
-		MinNodes:         4,
-		StateDir:         stateDir,
-		RestartGrace:     5 * time.Second,
-		Logf:             t.Logf,
+// placementMap snapshots pipeline pipe's placed units as unit -> node@addr.
+func placementMap(c *river.Coordinator, pipe string) map[string]string {
+	out := map[string]string{}
+	for _, p := range c.Status().Placements {
+		if p.Placed && p.Pipeline == pipe {
+			out[p.Seg] = p.Node + "@" + p.Addr
+		}
+	}
+	return out
+}
+
+// awaitRegistered waits until n agents have registered with the cluster's
+// current coordinator.
+func awaitRegistered(c *rivertest.Cluster, n int) {
+	var seq uint64
+	for range n {
+		seq = c.WaitEvent(seq, "agents registered", rivertest.Is(obs.EventRegister, "")).Seq
 	}
 }
 
@@ -45,151 +42,39 @@ func restartConfig(t *testing.T, listen, sinkAddr, stateDir string) Config {
 // record exactly once — and a node kill after the restart must still
 // fail over correctly under the new epoch.
 func TestCoordinatorRestartAdoptsDataPlane(t *testing.T) {
-	terminal, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := newExactlyOnceSink()
-	var termWG sync.WaitGroup
-	termWG.Add(1)
-	go func() {
-		defer termWG.Done()
-		_ = pipeline.New().SetSource(terminal).SetSink(sink).Run(context.Background())
-	}()
-
-	stateDir := t.TempDir()
-	coord, err := NewCoordinator(restartConfig(t, "127.0.0.1:0", terminal.Addr(), stateDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = coord.Close() }()
-	coordAddr := coord.Addr()
-	if got := coord.Epoch(); got != 1 {
+	c := rivertest.Start(t, river.Config{
+		Pipelines:    rivertest.Pipeline(river.SegmentSpec{Name: "rep", Type: "relay", Replicas: 3}, river.SegmentSpec{Name: "tail", Type: "relay"}),
+		MinNodes:     4,
+		StateDir:     t.TempDir(),
+		RestartGrace: 5 * time.Second,
+	}, 4)
+	if got := c.Coord.Epoch(); got != 1 {
 		t.Fatalf("fresh coordinator epoch = %d, want 1", got)
 	}
-
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-	}
-	agents := map[string]*liveAgent{}
-	for _, name := range []string{"node-a", "node-b", "node-c", "node-d"} {
-		a := NewAgent(name, coordAddr, relayRegistry())
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		// Tight reconnect bounds so re-registration lands well inside the
-		// grace window.
-		a.ReconnectMin = 25 * time.Millisecond
-		a.ReconnectMax = 250 * time.Millisecond
-		a.DialAttempts = 500
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done}
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
-	entry := coord.EntryAddr()
-
-	// placementMap snapshots unit -> node@addr for the adoption check.
-	placementMap := func(c *Coordinator) map[string]string {
-		out := map[string]string{}
-		for _, p := range c.Status().Placements {
-			if p.Placed {
-				out[p.Seg] = p.Node + "@" + p.Addr
-			}
-		}
-		return out
-	}
-	before := placementMap(coord)
+	entry, before := c.Coord.EntryAddr(), placementMap(c.Coord, "")
 	if len(before) != 6 { // rep/merge, rep/r1-3, rep/split, tail
 		t.Fatalf("expected 6 placed units, got %v", before)
 	}
-
-	// Sustained batched load through the splitter entry.
-	out := pipeline.NewStreamOutBatched(entry, record.DefaultBatchConfig())
-	defer out.Close()
-	if err := out.Consume(record.NewOpenScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	var sent int
-	var sendMu sync.Mutex
-	stopLoad := make(chan struct{})
-	loadDone := make(chan error, 1)
-	go func() {
-		for i := 0; ; i++ {
-			select {
-			case <-stopLoad:
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- nil
-				return
-			default:
-			}
-			r := record.NewData(record.SubtypeAudio)
-			r.SetFloat64s([]float64{float64(i)})
-			if err := out.Consume(r); err != nil {
-				sendMu.Lock()
-				sent = i
-				sendMu.Unlock()
-				loadDone <- err
-				return
-			}
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-	waitFor(t, 10*time.Second, "records flowing pre-restart", func() bool {
-		return sink.received() >= 300
-	})
+	sink := c.Sink("")
+	load := c.Load(rivertest.LoadSpec{})
+	sink.AwaitReceived(300)
 
 	// Kill the coordinator. The agents' control sessions drop, but the
 	// data plane must not notice: records keep arriving during the
 	// outage — the proof that segment lifetime detached from the control
 	// sessions.
-	if err := coord.Close(); err != nil {
-		t.Fatal(err)
-	}
-	preOutage := sink.received()
-	waitFor(t, 10*time.Second, "records flowing with no coordinator", func() bool {
-		return sink.received() >= preOutage+300
-	})
+	c.StopCoordinator()
+	sink.AwaitMore(300)
 
-	// Restart over the same state directory and address. The listener
-	// port was just released; give the bind a brief retry budget.
-	var coord2 *Coordinator
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		coord2, err = NewCoordinator(restartConfig(t, coordAddr, terminal.Addr(), stateDir))
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("restart: %v", err)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	defer coord2.Close()
-	if got := coord2.Epoch(); got != 2 {
+	// Restart over the same state directory and address. The reloaded
+	// state already places everything; what matters is the agents
+	// re-registering and being adopted.
+	c.RestartCoordinator()
+	if got := c.Coord.Epoch(); got != 2 {
 		t.Fatalf("restarted coordinator epoch = %d, want 2", got)
 	}
-	// The reloaded state already places everything, so WaitPlaced
-	// returns immediately; what matters is the agents re-registering and
-	// being adopted.
-	waitFor(t, 10*time.Second, "all agents re-registered", func() bool {
-		return len(coord2.Status().Nodes) == 4
-	})
-	after := placementMap(coord2)
+	awaitRegistered(c, 4)
+	after := placementMap(c.Coord, "")
 	if len(after) != len(before) {
 		t.Fatalf("placements after restart: %v, want %v", after, before)
 	}
@@ -198,107 +83,22 @@ func TestCoordinatorRestartAdoptsDataPlane(t *testing.T) {
 			t.Errorf("unit %s moved across the restart: %s -> %s (re-placed, not adopted)", unit, where, after[unit])
 		}
 	}
-	if got := coord2.EntryAddr(); got != entry {
+	if got := c.Coord.EntryAddr(); got != entry {
 		t.Errorf("entry address changed across restart: %q -> %q", entry, got)
 	}
-
 	// Load must still be flowing through the adopted pipeline.
-	postRestart := sink.received()
-	waitFor(t, 10*time.Second, "records flowing post-restart", func() bool {
-		return sink.received() >= postRestart+300
-	})
+	sink.AwaitMore(300)
 
-	// A node kill after the restart must still fail over: pick a node
-	// hosting only a replica and kill it; the new coordinator must
-	// converge back to 3 replicas on distinct live nodes.
-	st := coord2.Status()
-	endpointNodes := map[string]bool{}
-	for _, p := range st.Placements {
-		if p.Role == RoleSplit || p.Role == RoleMerge || p.Seg == "tail" {
-			endpointNodes[p.Node] = true
-		}
-	}
-	var victim string
-	for _, p := range st.Placements {
-		if p.Role == RoleReplica && !endpointNodes[p.Node] {
-			victim = p.Node
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatalf("no node hosts only a replica: %+v", st.Placements)
-	}
-	agents[victim].cancel()
-	<-agents[victim].done
-	delete(agents, victim)
-	waitFor(t, 10*time.Second, "re-converged to 3 replicas after post-restart kill", func() bool {
-		nodes := map[string]bool{}
-		replicas := 0
-		for _, p := range coord2.Status().Placements {
-			if p.Role == RoleReplica {
-				if !p.Placed || p.Node == victim {
-					return false
-				}
-				replicas++
-				nodes[p.Node] = true
-			}
-		}
-		if replicas != 3 || len(nodes) != 3 {
-			return false
-		}
-		for _, ns := range coord2.Status().Nodes {
-			for _, s := range ns.Segments {
-				if s.Role == RoleSplit && s.Legs == 3 {
-					return true
-				}
-			}
-		}
-		return false
-	})
+	// A node kill after the restart must still fail over: the new
+	// coordinator must converge back to 3 replicas on distinct live
+	// nodes.
+	victim, _ := c.HostingOnly(river.RoleReplica)
+	killAndReconverge(t, c, victim, river.RoleSplit, river.RoleReplica, 3)
 
-	// Drain the load and audit: every record exactly once, zero scope
-	// repairs — across a coordinator bounce AND a post-restart failover.
-	postKill := sink.received()
-	waitFor(t, 10*time.Second, "records flowing after failover", func() bool {
-		return sink.received() >= postKill+300
-	})
-	close(stopLoad)
-	if err := <-loadDone; err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if err := out.Consume(record.NewCloseScope(record.ScopeSession, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := out.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	sendMu.Lock()
-	total := sent
-	sendMu.Unlock()
-	waitFor(t, 15*time.Second, "all records at the sink", func() bool {
-		return sink.received() >= total
-	})
-	missing, duplicated, repairs := sink.audit(total)
-	t.Logf("sent=%d missing=%d duplicated=%d repairs=%d", total, missing, duplicated, repairs)
-	if missing != 0 {
-		t.Errorf("%d of %d records lost across the coordinator restart", missing, total)
-	}
-	if duplicated != 0 {
-		t.Errorf("%d of %d records duplicated", duplicated, total)
-	}
-	if repairs != 0 {
-		t.Errorf("%d scope repairs reached the sink; a coordinator bounce must be invisible to the data plane", repairs)
-	}
-
-	// Teardown.
-	_ = out.Close()
-	for _, la := range agents {
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = terminal.Close()
-	termWG.Wait()
+	// Every record exactly once, zero scope repairs — across a
+	// coordinator bounce AND a post-restart failover.
+	sink.AwaitMore(300)
+	auditExactlyOnce(t, sink, load.End(), "the coordinator restart")
 }
 
 // TestAgentStartsBeforeCoordinator is the startup-order satellite: an
@@ -313,7 +113,9 @@ func TestAgentStartsBeforeCoordinator(t *testing.T) {
 	addr := probe.Addr()
 	_ = probe.Close()
 
-	a := NewAgent("early-bird", addr, relayRegistry())
+	reg := pipeline.NewRegistry()
+	reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
+	a := river.NewAgent("early-bird", addr, reg)
 	a.Logf = t.Logf
 	a.ReconnectMin = 10 * time.Millisecond
 	a.ReconnectMax = 100 * time.Millisecond
@@ -323,11 +125,11 @@ func TestAgentStartsBeforeCoordinator(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- a.Run(ctx) }()
 
-	time.Sleep(150 * time.Millisecond) // let several dials fail
-	coord, err := NewCoordinator(Config{
+	time.Sleep(150 * time.Millisecond) // a window in which several dials fail; nothing listens to report them
+	coord, err := river.NewCoordinator(river.Config{
 		ListenAddr: addr,
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "seg", Type: "relay"}},
+		Pipelines: []river.PipelineSpec{{
+			Segments: []river.SegmentSpec{{Name: "seg", Type: "relay"}},
 			SinkAddr: "127.0.0.1:9",
 		}},
 		HeartbeatInterval: 25 * time.Millisecond,
@@ -338,10 +140,14 @@ func TestAgentStartsBeforeCoordinator(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	waitFor(t, 5*time.Second, "early agent registered and placed", func() bool {
-		st := coord.Status()
-		return len(st.Nodes) == 1 && len(st.Placements) == 1 && st.Placements[0].Placed
-	})
+	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer wcancel()
+	if err := coord.WaitPlaced(wctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Status(); len(st.Nodes) != 1 || len(st.Placements) != 1 || st.Placements[0].Node != "early-bird" {
+		t.Fatalf("early agent not registered and placed: %+v", st)
+	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatalf("agent: %v", err)
@@ -352,7 +158,7 @@ func TestAgentStartsBeforeCoordinator(t *testing.T) {
 // agent pointed at an address nothing will ever listen on must give up
 // with an error after DialAttempts attempts.
 func TestAgentDialRetryBounded(t *testing.T) {
-	a := NewAgent("doomed", "127.0.0.1:1", relayRegistry())
+	a := river.NewAgent("doomed", "127.0.0.1:1", pipeline.NewRegistry())
 	a.ReconnectMin = time.Millisecond
 	a.ReconnectMax = 2 * time.Millisecond
 	a.DialAttempts = 3

@@ -10,8 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/pipeline"
-	"repro/internal/record"
+	"repro/internal/obs"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -156,43 +155,6 @@ func TestLoadAwarePlacement(t *testing.T) {
 	}
 }
 
-// identityRegistry registers a segment type with no operators: records
-// pass through unchanged, which keeps control-plane tests independent of
-// the acoustic operator stack.
-func identityRegistry() *pipeline.Registry {
-	reg := pipeline.NewRegistry()
-	reg.Register("ident", func() []pipeline.Operator { return nil })
-	return reg
-}
-
-// collectSink counts data records and scope repairs arriving at a
-// terminal StreamIn.
-type collectSink struct {
-	mu   sync.Mutex
-	data int
-	bad  int
-}
-
-func (c *collectSink) Name() string { return "collect" }
-
-func (c *collectSink) Consume(r *record.Record) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch r.Kind {
-	case record.KindData:
-		c.data++
-	case record.KindBadCloseScope:
-		c.bad++
-	}
-	return nil
-}
-
-func (c *collectSink) counts() (int, int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.data, c.bad
-}
-
 func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -200,90 +162,48 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 		if cond() {
 			return
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // polls heartbeat telemetry, which no event reports
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestControlPlanePassthrough boots a coordinator and one agent, lets the
-// coordinator place an identity segment, and checks records flow from the
-// entry address through the agent-hosted segment to the sink.
-func TestControlPlanePassthrough(t *testing.T) {
-	sinkIn, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// cursor is the sequence number of c's newest event: taken before an
+// action, it lets waitEvent see every event the action causes.
+func cursor(c *Coordinator) uint64 {
+	evs := c.Events().Since(0, nil)
+	if len(evs) == 0 {
+		return 0
 	}
-	sink := &collectSink{}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p := pipeline.New().SetSource(sinkIn).SetSink(sink)
-		_ = p.Run(context.Background())
-	}()
+	return evs[len(evs)-1].Seq
+}
 
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "ident", Type: "ident"}},
-			SinkAddr: sinkIn.Addr(),
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		// Generous timeout so loaded CI machines cannot fake a death.
-		HeartbeatTimeout: 2 * time.Second,
-		Logf:             t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+// isEvent matches events of type typ about unit on node ("" matches any).
+func isEvent(typ, unit, node string) func(obs.Event) bool {
+	return func(e obs.Event) bool {
+		return e.Type == typ && (unit == "" || e.Unit == unit) && (node == "" || e.Node == node)
 	}
-	defer coord.Close()
+}
 
-	agent := NewAgent("node-a", coord.Addr(), identityRegistry())
-	agent.Logf = t.Logf
-	actx, acancel := context.WithCancel(context.Background())
-	agentDone := make(chan error, 1)
-	go func() { agentDone <- agent.Run(actx) }()
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
+// waitEvent returns the first event of c after seq that match accepts,
+// waiting for it to happen.
+func waitEvent(t *testing.T, c *Coordinator, after uint64, what string, match func(obs.Event) bool) obs.Event {
+	t.Helper()
+	sub := c.Events().Subscribe(obs.DefaultEventCapacity)
+	defer c.Events().Unsubscribe(sub)
+	if evs := c.Events().Since(after, match); len(evs) > 0 {
+		return evs[0]
 	}
-	entry := coord.EntryAddr()
-	if entry == "" {
-		t.Fatal("placed but no entry address")
-	}
-	st := coord.Status()
-	if len(st.Placements) != 1 || !st.Placements[0].Placed || st.Placements[0].Node != "node-a" {
-		t.Fatalf("unexpected placements: %+v", st.Placements)
-	}
-
-	out := pipeline.NewStreamOut(entry)
-	const n = 25
-	for i := 0; i < n; i++ {
-		r := record.NewData(record.SubtypeAudio)
-		r.Seq = uint64(i)
-		r.SetFloat64s([]float64{float64(i)})
-		if err := out.Consume(r); err != nil {
-			t.Fatalf("consume %d: %v", i, err)
+	timeout := time.After(10 * time.Second)
+	for {
+		select {
+		case e := <-sub.C:
+			if e.Seq > after && match(e) {
+				return e
+			}
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
-	waitFor(t, 5*time.Second, "records at sink", func() bool {
-		d, _ := sink.counts()
-		return d == n
-	})
-
-	// Heartbeats must carry the hosted segment's counters.
-	waitFor(t, 5*time.Second, "heartbeat stats", func() bool {
-		st := coord.Status()
-		return len(st.Nodes) == 1 && len(st.Nodes[0].Segments) == 1 &&
-			st.Nodes[0].Segments[0].Processed >= n
-	})
-
-	_ = out.Close()
-	acancel()
-	<-agentDone
-	_ = sinkIn.Close()
-	wg.Wait()
 }
 
 // fakeAgent speaks the control protocol by hand so coordinator tests can
@@ -435,21 +355,16 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	// (alphabetical tie-break).
 	silent := newFakeAgent(t, coord.Addr(), "a-silent", "127.0.0.1:19001")
 	defer silent.close()
-	waitFor(t, 5*time.Second, "initial placement", func() bool {
-		st := coord.Status()
-		return st.Placements[0].Node == "a-silent"
-	})
+	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", "a-silent"))
 	healthy := newFakeAgent(t, coord.Addr(), "b-healthy", "127.0.0.1:19002")
 	defer healthy.close()
-	waitFor(t, 5*time.Second, "second node registered", func() bool {
-		return len(coord.Status().Nodes) == 2
-	})
+	waitEvent(t, coord, 0, "second node registered", isEvent(obs.EventRegister, "", "b-healthy"))
 
 	silent.stopHeartbeats()
 	start := time.Now()
-	waitFor(t, 5*time.Second, "failover to b-healthy", func() bool {
-		st := coord.Status()
-		return st.Placements[0].Node == "b-healthy"
+	waitEvent(t, coord, 0, "failover to b-healthy", isEvent(obs.EventReplace, "seg", "b-healthy"))
+	waitEvent(t, coord, 0, "entry moved to b-healthy", func(e obs.Event) bool {
+		return e.Type == obs.EventEntry && e.Addr == "127.0.0.1:19002"
 	})
 	elapsed := time.Since(start)
 	if elapsed < timeout/2 {
@@ -476,6 +391,47 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	if err := <-watchDone; err != nil {
 		t.Fatalf("watch: %v", err)
 	}
+}
+
+// TestEntryAnnouncedOnSameAddressReplace: a re-placed entry unit that
+// comes back at its old host:port is still a move. Both nodes here
+// advertise one address, so killing the entry's holder re-places the
+// unit at the very same address; the coordinator must still send an
+// entry event and tell the entry watchers, whose sources must reconnect.
+func TestEntryAnnouncedOnSameAddressReplace(t *testing.T) {
+	coord, err := NewCoordinator(Config{
+		Pipelines: []PipelineSpec{{
+			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
+			SinkAddr: "127.0.0.1:9",
+		}},
+		HeartbeatInterval: 25 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	var watched atomic.Int32
+	watchCtx, watchCancel := context.WithCancel(context.Background())
+	defer watchCancel()
+	go func() {
+		_ = WatchPipelineEntry(watchCtx, coord.Addr(), "", func(string, bool) { watched.Add(1) })
+	}()
+	holder := newFakeAgent(t, coord.Addr(), "a-holder", "127.0.0.1:19001")
+	defer holder.close()
+	first := waitEvent(t, coord, 0, "initial entry", isEvent(obs.EventEntry, "", ""))
+	spare := newFakeAgent(t, coord.Addr(), "b-spare", "127.0.0.1:19001")
+	defer spare.close()
+	waitEvent(t, coord, 0, "spare registered", isEvent(obs.EventRegister, "", "b-spare"))
+	waitFor(t, 5*time.Second, "watcher saw the initial entry", func() bool { return watched.Load() == 1 })
+
+	holder.close()
+	re := waitEvent(t, coord, first.Seq, "entry re-placed", isEvent(obs.EventReplace, "seg", "b-spare"))
+	if e := waitEvent(t, coord, re.Seq, "entry event after the re-place", isEvent(obs.EventEntry, "", "")); e.Addr != first.Addr {
+		t.Fatalf("entry moved to %s, want the shared address %s", e.Addr, first.Addr)
+	}
+	waitFor(t, 5*time.Second, "watcher told of the move", func() bool { return watched.Load() == 2 })
 }
 
 // TestDuplicateRegisterRejected ensures a second agent with a taken name
@@ -552,275 +508,6 @@ func TestFetchStatus(t *testing.T) {
 	}
 }
 
-// TestTwoSegmentChainRedirect places a two-segment chain, kills the node
-// hosting the downstream segment, and verifies the coordinator both
-// re-places it and redirects the surviving upstream segment at the new
-// address — the mid-chain splice, where the upstream neighbor is a hosted
-// segment rather than the source.
-func TestTwoSegmentChainRedirect(t *testing.T) {
-	sinkIn, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &collectSink{}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = pipeline.New().SetSource(sinkIn).SetSink(sink).Run(context.Background())
-	}()
-
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "first", Type: "ident"}, {Name: "second", Type: "ident"}},
-			SinkAddr: sinkIn.Addr(),
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		// Spread plus the bootstrap gate puts the two segments on
-		// different nodes: nothing places until all three agents have
-		// registered.
-		Placer:   &Spread{},
-		MinNodes: 3,
-		Logf:     t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	type liveAgent struct {
-		agent  *Agent
-		cancel context.CancelFunc
-		done   chan error
-	}
-	start := func(name string) *liveAgent {
-		a := NewAgent(name, coord.Addr(), identityRegistry())
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		return &liveAgent{agent: a, cancel: cancel, done: done}
-	}
-	agents := map[string]*liveAgent{}
-	for _, name := range []string{"node-a", "node-b", "node-c"} {
-		agents[name] = start(name)
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
-
-	out := pipeline.NewStreamOut(coord.EntryAddr())
-	defer out.Close()
-	send := func(seq int) error {
-		r := record.NewData(record.SubtypeAudio)
-		r.Seq = uint64(seq)
-		r.SetFloat64s([]float64{1})
-		return out.Consume(r)
-	}
-	if err := send(0); err != nil {
-		t.Fatalf("consume: %v", err)
-	}
-	waitFor(t, 5*time.Second, "first record through the chain", func() bool {
-		d, _ := sink.counts()
-		return d >= 1
-	})
-
-	st := coord.Status()
-	var victim, upstreamNode string
-	for _, p := range st.Placements {
-		if p.Seg == "second" {
-			victim = p.Node
-		} else {
-			upstreamNode = p.Node
-		}
-	}
-	if victim == "" || victim == upstreamNode {
-		t.Fatalf("spread placement failed: %+v", st.Placements)
-	}
-	agents[victim].cancel()
-	<-agents[victim].done
-
-	waitFor(t, 5*time.Second, "second re-placed off the dead node", func() bool {
-		for _, p := range coord.Status().Placements {
-			if p.Seg == "second" {
-				return p.Placed && p.Node != victim
-			}
-		}
-		return false
-	})
-	// The surviving upstream segment must now forward to the new
-	// instance: records sent to the unchanged entry address still reach
-	// the sink.
-	pre, _ := sink.counts()
-	stop := make(chan struct{})
-	var sendWG sync.WaitGroup
-	sendWG.Add(1)
-	go func() {
-		defer sendWG.Done()
-		for i := 1; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := send(i); err != nil {
-				return
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}()
-	waitFor(t, 10*time.Second, "records through the spliced chain", func() bool {
-		d, _ := sink.counts()
-		return d > pre
-	})
-	close(stop)
-	sendWG.Wait()
-
-	for name, la := range agents {
-		if name == victim {
-			continue
-		}
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = sinkIn.Close()
-	wg.Wait()
-}
-
-// bombOp forwards records until it sees the value 666, then fails —
-// simulating an operator crash that kills the hosted pipeline while the
-// node itself stays healthy.
-type bombOp struct{}
-
-func (bombOp) Name() string { return "bomb" }
-
-func (bombOp) Process(r *record.Record, out pipeline.Emitter) error {
-	if v, err := r.Float64s(); err == nil && len(v) > 0 && v[0] == 666 {
-		return errors.New("bomb triggered")
-	}
-	return out.Emit(r)
-}
-
-// TestSegmentFailureFailover covers the failure mode heartbeat expiry
-// cannot see: the hosted segment's pipeline dies on an operator error
-// while its node keeps beating. The heartbeat must report the instance as
-// failed and the coordinator must re-place it.
-func TestSegmentFailureFailover(t *testing.T) {
-	sinkIn, err := pipeline.NewStreamIn("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &collectSink{}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = pipeline.New().SetSource(sinkIn).SetSink(sink).Run(context.Background())
-	}()
-
-	reg := pipeline.NewRegistry()
-	reg.Register("bomb", func() []pipeline.Operator { return []pipeline.Operator{bombOp{}} })
-	coord, err := NewCoordinator(Config{
-		Pipelines: []PipelineSpec{{
-			Segments: []SegmentSpec{{Name: "seg", Type: "bomb"}},
-			SinkAddr: sinkIn.Addr(),
-		}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		Logf:              t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	type liveAgent struct {
-		cancel context.CancelFunc
-		done   chan error
-	}
-	agents := make(map[string]*liveAgent)
-	for _, name := range []string{"node-a", "node-b"} {
-		a := NewAgent(name, coord.Addr(), reg)
-		a.ListenHost = agentListenHost(t)
-		a.Logf = t.Logf
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() { done <- a.Run(ctx) }()
-		agents[name] = &liveAgent{cancel: cancel, done: done}
-	}
-	defer func() {
-		for _, la := range agents {
-			la.cancel()
-			<-la.done
-		}
-	}()
-
-	wctx, wcancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer wcancel()
-	if err := coord.WaitPlaced(wctx); err != nil {
-		t.Fatal(err)
-	}
-	firstAddr := coord.Status().Placements[0].Addr
-
-	send := func(addr string, val float64) error {
-		out := pipeline.NewStreamOut(addr)
-		defer out.Close()
-		r := record.NewData(record.SubtypeAudio)
-		r.SetFloat64s([]float64{val})
-		return out.Consume(r)
-	}
-	if err := send(firstAddr, 1); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "healthy record at sink", func() bool {
-		d, _ := sink.counts()
-		return d >= 1
-	})
-
-	// Detonate the operator: the hosted pipeline dies, the node survives.
-	if err := send(firstAddr, 666); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "failed segment re-placed at a new address", func() bool {
-		p := coord.Status().Placements[0]
-		return p.Placed && p.Addr != firstAddr
-	})
-	// Both nodes must still be registered: this was a segment death, not
-	// a node death.
-	if st := coord.Status(); len(st.Nodes) != 2 {
-		t.Fatalf("expected both nodes alive after segment failure, got %+v", st.Nodes)
-	}
-
-	// The re-placed instance carries traffic again.
-	if err := send(coord.Status().Placements[0].Addr, 2); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "record through the re-placed segment", func() bool {
-		d, _ := sink.counts()
-		return d >= 2
-	})
-
-	for _, la := range agents {
-		la.cancel()
-		<-la.done
-	}
-	agents = map[string]*liveAgent{}
-	_ = sinkIn.Close()
-	wg.Wait()
-}
-
 // TestLoadAwareFailoverAvoidsSaturatedNode is the backpressure-aware
 // placement acceptance scenario: a failed segment must be re-placed onto
 // the least-saturated of two survivors, in a cluster where LeastLoaded
@@ -859,15 +546,8 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	n3 := newFakeAgent(t, coord.Addr(), "n3", "127.0.0.1:19003")
 	defer n3.close()
 
-	waitFor(t, 5*time.Second, "bootstrap placement", func() bool {
-		placed := 0
-		for _, p := range coord.Status().Placements {
-			if p.Placed {
-				placed++
-			}
-		}
-		return placed == 4
-	})
+	// The entry is published once the whole chain is placed.
+	waitEvent(t, coord, 0, "bootstrap placement", isEvent(obs.EventEntry, "", ""))
 	byNode := func() map[string][]string {
 		out := map[string][]string{}
 		for _, p := range coord.Status().Placements {
@@ -917,14 +597,7 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	}
 
 	n3.close()
-	waitFor(t, 10*time.Second, "victim segment re-placed", func() bool {
-		for _, p := range coord.Status().Placements {
-			if p.Seg == victimSeg {
-				return p.Placed && p.Node != "n3"
-			}
-		}
-		return false
-	})
+	waitEvent(t, coord, 0, "victim segment re-placed", isEvent(obs.EventReplace, victimSeg, ""))
 	for _, p := range coord.Status().Placements {
 		if p.Seg == victimSeg && p.Node != "n1" {
 			t.Fatalf("failed segment landed on %s; load-aware placement must avoid the saturated n2", p.Node)
@@ -959,16 +632,7 @@ func TestRedirectRetry(t *testing.T) {
 	defer down.close()
 	up := newFakeAgent(t, coord.Addr(), "b-up", "127.0.0.1:19002")
 	defer up.close()
-	waitFor(t, 5*time.Second, "initial placement", func() bool {
-		st := coord.Status()
-		placed := 0
-		for _, p := range st.Placements {
-			if p.Placed {
-				placed++
-			}
-		}
-		return placed == 2
-	})
+	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventEntry, "", ""))
 	st := coord.Status()
 	byName := map[string]string{}
 	for _, p := range st.Placements {
@@ -982,9 +646,10 @@ func TestRedirectRetry(t *testing.T) {
 	up.dropRedirects.Store(1)
 	down.close() // kill the downstream holder
 
-	waitFor(t, 10*time.Second, "redirect retried until acked", func() bool {
-		return up.redirectsAcked.Load() >= 1
-	})
+	waitEvent(t, coord, 0, "redirect retried until acked", isEvent(obs.EventRedirect, "first", "b-up"))
+	if up.dropRedirects.Load() >= 0 || up.redirectsAcked.Load() < 1 {
+		t.Fatalf("redirect acked without a retry: %d dropped left, %d acked", up.dropRedirects.Load(), up.redirectsAcked.Load())
+	}
 	// And the placement reflects the re-placed segment on the survivor.
 	for _, p := range coord.Status().Placements {
 		if p.Seg == "second" && (!p.Placed || p.Node != "b-up") {
@@ -1116,4 +781,64 @@ func TestStatusDeterministicOrder(t *testing.T) {
 			t.Errorf("placement %d unstable across snapshots", i)
 		}
 	}
+}
+
+// TestDisconnectGrace covers the per-node disconnect grace refinement: a
+// node whose control connection blips keeps its units (the reconnect
+// re-registers with an inventory and adopts them back, no re-placement),
+// while a node that never returns loses them once the grace expires.
+func TestDisconnectGrace(t *testing.T) {
+	coord, err := NewCoordinator(Config{
+		Pipelines: []PipelineSpec{{
+			Segments: []SegmentSpec{{Name: "seg", Type: "t"}},
+			SinkAddr: "127.0.0.1:9",
+		}},
+		HeartbeatInterval: 25 * time.Millisecond,
+		HeartbeatTimeout:  2 * time.Second,
+		DisconnectGrace:   600 * time.Millisecond,
+		Logf:              t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+
+	// a-host wins the initial placement (registered first); b-spare is the
+	// node a needless failover would land on.
+	host := newFakeAgent(t, coord.Addr(), "a-host", "127.0.0.1:19001")
+	defer host.close()
+	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", "a-host"))
+	spare := newFakeAgent(t, coord.Addr(), "b-spare", "127.0.0.1:19002")
+	defer spare.close()
+	waitEvent(t, coord, 0, "spare registered", isEvent(obs.EventRegister, "", "b-spare"))
+
+	// Blip: drop the control connection, then re-register within the
+	// grace carrying the still-running unit's inventory.
+	host.close()
+	waitFor(t, 5*time.Second, "host deregistered", func() bool {
+		return len(coord.Status().Nodes) == 1
+	})
+	// The placement must survive the drop: still on a-host at its address.
+	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
+		t.Fatalf("disconnect grace did not hold the placement: %+v", p)
+	}
+	cur := cursor(coord)
+	host2 := newFakeAgentInv(t, coord.Addr(), "a-host", "127.0.0.1:19001", []UnitInventory{
+		{Name: "seg", Type: "t", Addr: "127.0.0.1:19001", Downstream: "127.0.0.1:9"},
+	})
+	defer host2.close()
+	waitEvent(t, coord, cur, "host re-registered", isEvent(obs.EventRegister, "", "a-host"))
+	// Give a needless re-place every chance to happen, then rule it out.
+	time.Sleep(700 * time.Millisecond) // outlasts the 600 ms disconnect grace
+	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
+		t.Fatalf("blipped node's unit moved despite reconnect-and-adopt: %+v", p)
+	}
+	if got := spare.assignsAcked.Load(); got != 0 {
+		t.Fatalf("spare received %d assign(s); the blip must not trigger a move", got)
+	}
+
+	// True death: drop again and stay away. The grace expires and the
+	// unit fails over to the spare.
+	host2.close()
+	waitEvent(t, coord, 0, "unit re-placed after the grace expired", isEvent(obs.EventReplace, "seg", "b-spare"))
 }
