@@ -32,6 +32,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/river"
 	"repro/internal/rivertest"
+	"repro/internal/rivertest/eventwait"
 )
 
 // scrapeValue pulls one series' value out of a Prometheus text scrape.
@@ -158,7 +159,7 @@ func main() {
 	started := c.WaitEvent(anomaly.Seq, "remediation of "+victim, failedOr(func(e obs.Event) bool {
 		return e.Type == obs.EventRemediation && e.Phase == obs.RemPhaseStarted && e.Node == victim
 	}))
-	drained := c.WaitEvent(started.Seq, "drain of "+victimUnit, failedOr(rivertest.Is(obs.EventDrained, victimUnit)))
+	drained := c.WaitEvent(started.Seq, "drain of "+victimUnit, failedOr(eventwait.Is(obs.EventDrained, victimUnit, "")))
 	if started.Type == obs.EventFailover || drained.Type == obs.EventFailover {
 		log.Fatalf("failure detection fired during remediation: %+v %+v", started, drained)
 	}

@@ -29,6 +29,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/river"
 	"repro/internal/rivertest"
+	"repro/internal/rivertest/eventwait"
 	"repro/internal/synth"
 )
 
@@ -97,7 +98,7 @@ func main() {
 	fmt.Printf("phase 2: killing %s mid-clip\n", victim)
 	cur, killedAt := c.Cursor(), time.Now()
 	c.Kill(victim)
-	re := c.WaitEvent(cur, "re-placement", rivertest.Is(obs.EventReplace, "extract"))
+	re := c.WaitEvent(cur, "re-placement", eventwait.Is(obs.EventReplace, "extract", ""))
 	fmt.Printf("phase 2: coordinator re-placed segment on %s at %s (%.0fms after kill)\n",
 		re.Node, re.Addr, time.Since(killedAt).Seconds()*1000)
 	repaired := sink.Await("the terminal's scope repairs", func(t rivertest.Tally) bool { return t.Repairs > 0 })
@@ -124,7 +125,7 @@ func main() {
 	sendClip() // the data plane flows with no coordinator at all
 
 	c.RestartCoordinator()
-	c.WaitEvent(0, "the surviving agent's adoption", rivertest.Is(obs.EventAdopt, "extract"))
+	c.WaitEvent(0, "the surviving agent's adoption", eventwait.Is(obs.EventAdopt, "extract", ""))
 	placedAfter := c.Placement("extract")
 	if placedAfter.Node != placedBefore.Node || placedAfter.Addr != placedBefore.Addr {
 		log.Fatalf("segment moved across the restart: %s@%s -> %s@%s (re-placed, not adopted)",

@@ -13,6 +13,7 @@ import (
 	"repro/internal/record"
 	"repro/internal/river"
 	"repro/internal/rivertest"
+	"repro/internal/rivertest/eventwait"
 	"repro/internal/synth"
 )
 
@@ -96,7 +97,7 @@ func TestTwoSegmentChainRedirect(t *testing.T) {
 	}
 	cur := c.Cursor()
 	c.Kill(victim)
-	re := c.WaitEvent(cur, "second re-placed", rivertest.Is(obs.EventReplace, "second"))
+	re := c.WaitEvent(cur, "second re-placed", eventwait.Is(obs.EventReplace, "second", ""))
 	if re.Node == victim {
 		t.Fatalf("second re-placed on the dead node: %+v", re)
 	}
@@ -149,7 +150,7 @@ func TestSegmentFailureFailover(t *testing.T) {
 	// Detonate the operator: the hosted pipeline dies, the node survives.
 	cur := c.Cursor()
 	send(firstAddr, 666)
-	re := c.WaitEvent(cur, "failed segment re-placed", rivertest.Is(obs.EventReplace, "seg"))
+	re := c.WaitEvent(cur, "failed segment re-placed", eventwait.Is(obs.EventReplace, "seg", ""))
 	if re.Addr == firstAddr {
 		t.Fatalf("failed segment re-placed at its old address: %+v", re)
 	}
@@ -222,7 +223,7 @@ func TestFailoverIntegration(t *testing.T) {
 
 	// The coordinator must re-place the segment on the survivor within
 	// the heartbeat timeout.
-	re := c.WaitEvent(cur, "re-placement on the surviving node", rivertest.Is(obs.EventReplace, "extract"))
+	re := c.WaitEvent(cur, "re-placement on the surviving node", eventwait.Is(obs.EventReplace, "extract", ""))
 	if elapsed := time.Since(killedAt); re.Node == victim || elapsed > heartbeatTimeout {
 		t.Fatalf("re-placed on %s %v after the kill of %s", re.Node, elapsed, victim)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rivertest/eventwait"
 )
 
 // decodeSegments unmarshals a heartbeat Segments payload exactly as the
@@ -164,7 +165,7 @@ func TestEventStreamScriptedFailover(t *testing.T) {
 	defer n1.close()
 	n2 := newFakeAgent(t, coord.Addr(), "n2", "127.0.0.1:19002")
 	defer n2.close()
-	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", ""))
+	eventwait.For(t, coord.Events(), 0, "initial placement", eventwait.Is(obs.EventPlace, "seg", ""))
 	victim := coord.Status().Placements[0].Node
 	survivor := "n2"
 	if victim == "n2" {
@@ -175,7 +176,7 @@ func TestEventStreamScriptedFailover(t *testing.T) {
 	} else {
 		n2.close()
 	}
-	waitEvent(t, coord, 0, "re-placement on the survivor", isEvent(obs.EventReplace, "seg", survivor))
+	eventwait.For(t, coord.Events(), 0, "re-placement on the survivor", eventwait.Is(obs.EventReplace, "seg", survivor))
 
 	events, err := FetchEvents(coord.Addr(), "", 0, 5*time.Second)
 	if err != nil {
@@ -229,7 +230,7 @@ func TestEventStreamScriptedFailover(t *testing.T) {
 	}
 
 	// The live watcher must have seen the same failover and replace.
-	waitFor(t, 5*time.Second, "live watcher caught up", func() bool {
+	eventwait.Until(t, "live watcher caught up", func() bool {
 		liveMu.Lock()
 		defer liveMu.Unlock()
 		var sawFail, sawRepl bool
@@ -269,7 +270,7 @@ func TestEventStreamPipelineFilter(t *testing.T) {
 	n1 := newFakeAgent(t, coord.Addr(), "n1", "127.0.0.1:19001")
 	defer n1.close()
 	for _, pipe := range []string{"pa", "pb"} {
-		waitEvent(t, coord, 0, pipe+" placed", func(e obs.Event) bool { return e.Type == obs.EventEntry && e.Pipeline == pipe })
+		eventwait.For(t, coord.Events(), 0, pipe+" placed", func(e obs.Event) bool { return e.Type == obs.EventEntry && e.Pipeline == pipe })
 	}
 	events, err := FetchEvents(coord.Addr(), "pa", 0, 5*time.Second)
 	if err != nil {
@@ -318,7 +319,7 @@ func TestCoordinatorMetricsEndpoint(t *testing.T) {
 	defer n1.close()
 	n1.setStats([]SegmentStatus{{Name: "seg", Type: "t", Addr: "127.0.0.1:19001",
 		Processed: 30, Emitted: 20, QueueDepth: 5, QueueCap: 256, QueuePeak: 17}})
-	waitFor(t, 5*time.Second, "placement and telemetry", func() bool {
+	eventwait.Until(t, "placement and telemetry", func() bool {
 		st := coord.Status()
 		return st.Placements[0].Placed && len(st.Nodes) == 1 && len(st.Nodes[0].Segments) == 1
 	})

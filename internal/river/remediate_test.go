@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rivertest/eventwait"
 	"repro/internal/timeseries"
 )
 
@@ -148,7 +149,7 @@ func TestRemediationDryRunAndDrainability(t *testing.T) {
 				defer a.close()
 				nodes = append(nodes, name)
 			}
-			waitEvent(t, coord, 0, "placement", isEvent(obs.EventEntry, "", ""))
+			eventwait.For(t, coord.Events(), 0, "placement", eventwait.Is(obs.EventEntry, "", ""))
 			// What Drain accepts: plain segments and group legs, never a
 			// group's endpoints.
 			drainable := make(map[string][]string)
@@ -258,7 +259,7 @@ func TestMonitorAnomalyCooldownExpiry(t *testing.T) {
 		t.Fatalf("anomalies during flat warmup: %+v", got)
 	}
 	n1.setStats(stats(1000))
-	first := waitEvent(t, coord, 0, "first queue-depth anomaly", isDepthAnomaly)
+	first := eventwait.For(t, coord.Events(), 0, "first queue-depth anomaly", isDepthAnomaly)
 
 	// Escalate so the series keeps scoring past the threshold; the
 	// per-(node,metric) cooldown must hold it to one event.
@@ -271,7 +272,7 @@ func TestMonitorAnomalyCooldownExpiry(t *testing.T) {
 	// After expiry a fresh excursion flags again.
 	time.Sleep(cooldown) // waits out the cooldown
 	n1.setStats(stats(1_000_000_000))
-	second := waitEvent(t, coord, first.Seq, "post-cooldown anomaly", isDepthAnomaly)
+	second := eventwait.For(t, coord.Events(), first.Seq, "post-cooldown anomaly", isDepthAnomaly)
 	if second.Seq <= first.Seq {
 		t.Fatalf("anomalies out of order: %d then %d", first.Seq, second.Seq)
 	}
@@ -308,12 +309,12 @@ func TestHeartbeatAlertFolding(t *testing.T) {
 	// The instance's first report seeds the baseline silently — counters on
 	// first contact may be history (adoption after a coordinator restart).
 	n1.setStats(stats(0))
-	waitFor(t, 5*time.Second, "baseline heartbeat folded", func() bool {
+	eventwait.Until(t, "baseline heartbeat folded", func() bool {
 		st := coord.Status()
 		return len(st.Nodes) == 1 && len(st.Nodes[0].Segments) == 1
 	})
 	n1.setStats(stats(3))
-	first := waitEvent(t, coord, 0, "first alert delta", isEvent(obs.EventAlert, "", ""))
+	first := eventwait.For(t, coord.Events(), 0, "first alert delta", eventwait.Is(obs.EventAlert, "", ""))
 	if e := first; e.Unit != "seg" || e.Node != "n1" || e.Value != 3 {
 		t.Fatalf("first alert event = %+v; want unit=seg node=n1 value=3", e)
 	}
@@ -323,7 +324,7 @@ func TestHeartbeatAlertFolding(t *testing.T) {
 		t.Fatalf("steady alert counter re-emitted: %+v", got)
 	}
 	n1.setStats(stats(5))
-	if e := waitEvent(t, coord, first.Seq, "second alert delta", isEvent(obs.EventAlert, "", "")); e.Value != 2 {
+	if e := eventwait.For(t, coord.Events(), first.Seq, "second alert delta", eventwait.Is(obs.EventAlert, "", "")); e.Value != 2 {
 		t.Fatalf("alert delta = %+v; want value=2", e)
 	}
 	if got := fmt.Sprint(len(alertEvents())); got != "2" {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/river"
 	"repro/internal/rivertest"
+	"repro/internal/rivertest/eventwait"
 )
 
 // placementMap snapshots pipeline pipe's placed units as unit -> node@addr.
@@ -28,7 +29,7 @@ func placementMap(c *river.Coordinator, pipe string) map[string]string {
 func awaitRegistered(c *rivertest.Cluster, n int) {
 	var seq uint64
 	for range n {
-		seq = c.WaitEvent(seq, "agents registered", rivertest.Is(obs.EventRegister, "")).Seq
+		seq = c.WaitEvent(seq, "agents registered", eventwait.Is(obs.EventRegister, "", "")).Seq
 	}
 }
 

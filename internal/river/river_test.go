@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rivertest/eventwait"
 )
 
 func TestWireRoundTrip(t *testing.T) {
@@ -155,57 +156,6 @@ func TestLoadAwarePlacement(t *testing.T) {
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond) // polls heartbeat telemetry, which no event reports
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
-// cursor is the sequence number of c's newest event: taken before an
-// action, it lets waitEvent see every event the action causes.
-func cursor(c *Coordinator) uint64 {
-	evs := c.Events().Since(0, nil)
-	if len(evs) == 0 {
-		return 0
-	}
-	return evs[len(evs)-1].Seq
-}
-
-// isEvent matches events of type typ about unit on node ("" matches any).
-func isEvent(typ, unit, node string) func(obs.Event) bool {
-	return func(e obs.Event) bool {
-		return e.Type == typ && (unit == "" || e.Unit == unit) && (node == "" || e.Node == node)
-	}
-}
-
-// waitEvent returns the first event of c after seq that match accepts,
-// waiting for it to happen.
-func waitEvent(t *testing.T, c *Coordinator, after uint64, what string, match func(obs.Event) bool) obs.Event {
-	t.Helper()
-	sub := c.Events().Subscribe(obs.DefaultEventCapacity)
-	defer c.Events().Unsubscribe(sub)
-	if evs := c.Events().Since(after, match); len(evs) > 0 {
-		return evs[0]
-	}
-	timeout := time.After(10 * time.Second)
-	for {
-		select {
-		case e := <-sub.C:
-			if e.Seq > after && match(e) {
-				return e
-			}
-		case <-timeout:
-			t.Fatalf("timed out waiting for %s", what)
-		}
-	}
-}
-
 // fakeAgent speaks the control protocol by hand so coordinator tests can
 // control heartbeat behavior precisely.
 type fakeAgent struct {
@@ -263,31 +213,36 @@ func newFakeAgentInv(t *testing.T, coordAddr, name, segAddr string, inv []UnitIn
 	if err := f.w.send(reg); err != nil {
 		t.Fatalf("fake %s: register: %v", name, err)
 	}
-	ack, err := f.w.recv()
-	if err != nil || ack.Type != TypeAck || ack.Err != "" {
-		t.Fatalf("fake %s: register ack %+v err %v", name, ack, err)
+	// Commands may arrive before the register ack (the coordinator
+	// publishes a node before its ack is sent); like the agent, hold them
+	// until the ack is in.
+	var early []*Message
+	for {
+		msg, err := f.w.recv()
+		if err != nil {
+			t.Fatalf("fake %s: register ack: %v", name, err)
+		}
+		if msg.Type != TypeAck {
+			early = append(early, msg)
+			continue
+		}
+		if msg.Err != "" {
+			t.Fatalf("fake %s: register rejected: %s", name, msg.Err)
+		}
+		break
 	}
 	// Command loop: ack every request with the fake segment address.
 	go func() {
 		defer close(f.done)
+		for _, msg := range early {
+			f.handle(msg)
+		}
 		for {
 			msg, err := f.w.recv()
 			if err != nil {
 				return
 			}
-			switch msg.Type {
-			case TypeAssign:
-				f.assignsAcked.Add(1)
-				_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID, Addr: f.addr})
-			case TypeRedirect:
-				if f.dropRedirects.Add(-1) >= 0 {
-					continue // swallowed: the RPC times out
-				}
-				f.redirectsAcked.Add(1)
-				_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID})
-			case TypeStop:
-				_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID})
-			}
+			f.handle(msg)
 		}
 	}()
 	// Heartbeat loop until stopHeartbeats.
@@ -306,6 +261,23 @@ func newFakeAgentInv(t *testing.T, coordAddr, name, segAddr string, inv []UnitIn
 		}
 	}()
 	return f
+}
+
+// handle acks one coordinator request.
+func (f *fakeAgent) handle(msg *Message) {
+	switch msg.Type {
+	case TypeAssign:
+		f.assignsAcked.Add(1)
+		_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID, Addr: f.addr})
+	case TypeRedirect:
+		if f.dropRedirects.Add(-1) >= 0 {
+			return // swallowed: the RPC times out
+		}
+		f.redirectsAcked.Add(1)
+		_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID})
+	case TypeStop:
+		_ = f.w.send(&Message{Type: TypeAck, ID: msg.ID})
+	}
 }
 
 // stopHeartbeats silences the node while keeping its control connection
@@ -355,15 +327,15 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	// (alphabetical tie-break).
 	silent := newFakeAgent(t, coord.Addr(), "a-silent", "127.0.0.1:19001")
 	defer silent.close()
-	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", "a-silent"))
+	eventwait.For(t, coord.Events(), 0, "initial placement", eventwait.Is(obs.EventPlace, "seg", "a-silent"))
 	healthy := newFakeAgent(t, coord.Addr(), "b-healthy", "127.0.0.1:19002")
 	defer healthy.close()
-	waitEvent(t, coord, 0, "second node registered", isEvent(obs.EventRegister, "", "b-healthy"))
+	eventwait.For(t, coord.Events(), 0, "second node registered", eventwait.Is(obs.EventRegister, "", "b-healthy"))
 
 	silent.stopHeartbeats()
 	start := time.Now()
-	waitEvent(t, coord, 0, "failover to b-healthy", isEvent(obs.EventReplace, "seg", "b-healthy"))
-	waitEvent(t, coord, 0, "entry moved to b-healthy", func(e obs.Event) bool {
+	eventwait.For(t, coord.Events(), 0, "failover to b-healthy", eventwait.Is(obs.EventReplace, "seg", "b-healthy"))
+	eventwait.For(t, coord.Events(), 0, "entry moved to b-healthy", func(e obs.Event) bool {
 		return e.Type == obs.EventEntry && e.Addr == "127.0.0.1:19002"
 	})
 	elapsed := time.Since(start)
@@ -380,7 +352,7 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 	if st.EntryAddr != "127.0.0.1:19002" {
 		t.Fatalf("entry addr = %q, want the re-placed segment's address", st.EntryAddr)
 	}
-	waitFor(t, 5*time.Second, "watcher saw both entry addresses", func() bool {
+	eventwait.Until(t, "watcher saw both entry addresses", func() bool {
 		wmu.Lock()
 		defer wmu.Unlock()
 		return len(entries) >= 2 &&
@@ -397,7 +369,9 @@ func TestCoordinatorHeartbeatTimeout(t *testing.T) {
 // comes back at its old host:port is still a move. Both nodes here
 // advertise one address, so killing the entry's holder re-places the
 // unit at the very same address; the coordinator must still send an
-// entry event and tell the entry watchers, whose sources must reconnect.
+// entry event and tell the entry watchers of the move. (Sources already
+// writing there reconnect by redialling on write failure, not because of
+// this announcement: a Redirect to the current address is a no-op.)
 func TestEntryAnnouncedOnSameAddressReplace(t *testing.T) {
 	coord, err := NewCoordinator(Config{
 		Pipelines: []PipelineSpec{{
@@ -420,18 +394,18 @@ func TestEntryAnnouncedOnSameAddressReplace(t *testing.T) {
 	}()
 	holder := newFakeAgent(t, coord.Addr(), "a-holder", "127.0.0.1:19001")
 	defer holder.close()
-	first := waitEvent(t, coord, 0, "initial entry", isEvent(obs.EventEntry, "", ""))
+	first := eventwait.For(t, coord.Events(), 0, "initial entry", eventwait.Is(obs.EventEntry, "", ""))
 	spare := newFakeAgent(t, coord.Addr(), "b-spare", "127.0.0.1:19001")
 	defer spare.close()
-	waitEvent(t, coord, 0, "spare registered", isEvent(obs.EventRegister, "", "b-spare"))
-	waitFor(t, 5*time.Second, "watcher saw the initial entry", func() bool { return watched.Load() == 1 })
+	eventwait.For(t, coord.Events(), 0, "spare registered", eventwait.Is(obs.EventRegister, "", "b-spare"))
+	eventwait.Until(t, "watcher saw the initial entry", func() bool { return watched.Load() == 1 })
 
 	holder.close()
-	re := waitEvent(t, coord, first.Seq, "entry re-placed", isEvent(obs.EventReplace, "seg", "b-spare"))
-	if e := waitEvent(t, coord, re.Seq, "entry event after the re-place", isEvent(obs.EventEntry, "", "")); e.Addr != first.Addr {
+	re := eventwait.For(t, coord.Events(), first.Seq, "entry re-placed", eventwait.Is(obs.EventReplace, "seg", "b-spare"))
+	if e := eventwait.For(t, coord.Events(), re.Seq, "entry event after the re-place", eventwait.Is(obs.EventEntry, "", "")); e.Addr != first.Addr {
 		t.Fatalf("entry moved to %s, want the shared address %s", e.Addr, first.Addr)
 	}
-	waitFor(t, 5*time.Second, "watcher told of the move", func() bool { return watched.Load() == 2 })
+	eventwait.Until(t, "watcher told of the move", func() bool { return watched.Load() == 2 })
 }
 
 // TestDuplicateRegisterRejected ensures a second agent with a taken name
@@ -547,7 +521,7 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	defer n3.close()
 
 	// The entry is published once the whole chain is placed.
-	waitEvent(t, coord, 0, "bootstrap placement", isEvent(obs.EventEntry, "", ""))
+	eventwait.For(t, coord.Events(), 0, "bootstrap placement", eventwait.Is(obs.EventEntry, "", ""))
 	byNode := func() map[string][]string {
 		out := map[string][]string{}
 		for _, p := range coord.Status().Placements {
@@ -579,7 +553,7 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	}
 	n1.setStats(idle)
 	// Wait until the coordinator has folded in the saturated heartbeat.
-	waitFor(t, 5*time.Second, "telemetry visible to the coordinator", func() bool {
+	eventwait.Until(t, "telemetry visible to the coordinator", func() bool {
 		for _, n := range coord.Status().Nodes {
 			if n.Name == "n2" && len(n.Segments) == 1 && n.Segments[0].QueueDepth == 250 {
 				return true
@@ -597,7 +571,7 @@ func TestLoadAwareFailoverAvoidsSaturatedNode(t *testing.T) {
 	}
 
 	n3.close()
-	waitEvent(t, coord, 0, "victim segment re-placed", isEvent(obs.EventReplace, victimSeg, ""))
+	eventwait.For(t, coord.Events(), 0, "victim segment re-placed", eventwait.Is(obs.EventReplace, victimSeg, ""))
 	for _, p := range coord.Status().Placements {
 		if p.Seg == victimSeg && p.Node != "n1" {
 			t.Fatalf("failed segment landed on %s; load-aware placement must avoid the saturated n2", p.Node)
@@ -632,7 +606,7 @@ func TestRedirectRetry(t *testing.T) {
 	defer down.close()
 	up := newFakeAgent(t, coord.Addr(), "b-up", "127.0.0.1:19002")
 	defer up.close()
-	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventEntry, "", ""))
+	eventwait.For(t, coord.Events(), 0, "initial placement", eventwait.Is(obs.EventEntry, "", ""))
 	st := coord.Status()
 	byName := map[string]string{}
 	for _, p := range st.Placements {
@@ -646,7 +620,7 @@ func TestRedirectRetry(t *testing.T) {
 	up.dropRedirects.Store(1)
 	down.close() // kill the downstream holder
 
-	waitEvent(t, coord, 0, "redirect retried until acked", isEvent(obs.EventRedirect, "first", "b-up"))
+	eventwait.For(t, coord.Events(), 0, "redirect retried until acked", eventwait.Is(obs.EventRedirect, "first", "b-up"))
 	if up.dropRedirects.Load() >= 0 || up.redirectsAcked.Load() < 1 {
 		t.Fatalf("redirect acked without a retry: %d dropped left, %d acked", up.dropRedirects.Load(), up.redirectsAcked.Load())
 	}
@@ -738,7 +712,7 @@ func TestStatusDeterministicOrder(t *testing.T) {
 	apex := newFakeAgent(t, coord.Addr(), "apex", "127.0.0.1:19002")
 	defer apex.close()
 	zeta.setStats([]SegmentStatus{{Name: "zz"}, {Name: "aa"}, {Name: "mm"}})
-	waitFor(t, 5*time.Second, "unsorted heartbeat folded in", func() bool {
+	eventwait.Until(t, "unsorted heartbeat folded in", func() bool {
 		for _, n := range coord.Status().Nodes {
 			if n.Name == "zeta" && len(n.Segments) == 3 {
 				return true
@@ -807,27 +781,27 @@ func TestDisconnectGrace(t *testing.T) {
 	// node a needless failover would land on.
 	host := newFakeAgent(t, coord.Addr(), "a-host", "127.0.0.1:19001")
 	defer host.close()
-	waitEvent(t, coord, 0, "initial placement", isEvent(obs.EventPlace, "seg", "a-host"))
+	eventwait.For(t, coord.Events(), 0, "initial placement", eventwait.Is(obs.EventPlace, "seg", "a-host"))
 	spare := newFakeAgent(t, coord.Addr(), "b-spare", "127.0.0.1:19002")
 	defer spare.close()
-	waitEvent(t, coord, 0, "spare registered", isEvent(obs.EventRegister, "", "b-spare"))
+	eventwait.For(t, coord.Events(), 0, "spare registered", eventwait.Is(obs.EventRegister, "", "b-spare"))
 
 	// Blip: drop the control connection, then re-register within the
 	// grace carrying the still-running unit's inventory.
 	host.close()
-	waitFor(t, 5*time.Second, "host deregistered", func() bool {
+	eventwait.Until(t, "host deregistered", func() bool {
 		return len(coord.Status().Nodes) == 1
 	})
 	// The placement must survive the drop: still on a-host at its address.
 	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
 		t.Fatalf("disconnect grace did not hold the placement: %+v", p)
 	}
-	cur := cursor(coord)
+	cur := eventwait.Cursor(coord.Events())
 	host2 := newFakeAgentInv(t, coord.Addr(), "a-host", "127.0.0.1:19001", []UnitInventory{
 		{Name: "seg", Type: "t", Addr: "127.0.0.1:19001", Downstream: "127.0.0.1:9"},
 	})
 	defer host2.close()
-	waitEvent(t, coord, cur, "host re-registered", isEvent(obs.EventRegister, "", "a-host"))
+	eventwait.For(t, coord.Events(), cur, "host re-registered", eventwait.Is(obs.EventRegister, "", "a-host"))
 	// Give a needless re-place every chance to happen, then rule it out.
 	time.Sleep(700 * time.Millisecond) // outlasts the 600 ms disconnect grace
 	if p := coord.Status().Placements[0]; !p.Placed || p.Node != "a-host" || p.Addr != "127.0.0.1:19001" {
@@ -840,5 +814,5 @@ func TestDisconnectGrace(t *testing.T) {
 	// True death: drop again and stay away. The grace expires and the
 	// unit fails over to the spare.
 	host2.close()
-	waitEvent(t, coord, 0, "unit re-placed after the grace expired", isEvent(obs.EventReplace, "seg", "b-spare"))
+	eventwait.For(t, coord.Events(), 0, "unit re-placed after the grace expired", eventwait.Is(obs.EventReplace, "seg", "b-spare"))
 }

@@ -19,10 +19,11 @@ import (
 	"repro/internal/ops"
 	"repro/internal/pipeline"
 	"repro/internal/river"
+	"repro/internal/rivertest/eventwait"
 )
 
 // Timeout bounds every wait of the fixture.
-const Timeout = 30 * time.Second
+const Timeout = eventwait.Timeout
 
 // T is the part of testing.TB the fixture uses; programs pass a *Main.
 type T interface {
@@ -258,54 +259,20 @@ func (c *Cluster) WaitPlaced() {
 // Cursor is the sequence number of the coordinator's newest event. Take
 // it before an action and pass it to WaitEvent, so no event the action
 // causes can slip past the wait.
-func (c *Cluster) Cursor() uint64 {
-	evs := c.Coord.Events().Since(0, nil)
-	if len(evs) == 0 {
-		return 0
-	}
-	return evs[len(evs)-1].Seq
-}
+func (c *Cluster) Cursor() uint64 { return eventwait.Cursor(c.Coord.Events()) }
 
-// Is matches events of type typ about unit ("" matches any unit).
-func Is(typ, unit string) func(obs.Event) bool {
-	return func(e obs.Event) bool { return e.Type == typ && (unit == "" || e.Unit == unit) }
-}
-
-// WaitEvent returns the first event after seq that match accepts,
-// waiting for it to happen.
+// WaitEvent returns the first coordinator event after seq that match
+// accepts (see eventwait.Is), waiting for it to happen.
 func (c *Cluster) WaitEvent(after uint64, what string, match func(obs.Event) bool) obs.Event {
 	c.t.Helper()
-	events := c.Coord.Events()
-	sub := events.Subscribe(obs.DefaultEventCapacity)
-	defer events.Unsubscribe(sub)
-	if evs := events.Since(after, match); len(evs) > 0 {
-		return evs[0]
-	}
-	timer := time.NewTimer(Timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case e := <-sub.C:
-			if e.Seq > after && match(e) {
-				return e
-			}
-		case <-timer.C:
-			c.t.Fatalf("timed out waiting for %s", what)
-		}
-	}
+	return eventwait.For(c.t, c.Coord.Events(), after, what, match)
 }
 
 // Until polls the cluster until cond holds; it is for states no event
 // reports, such as heartbeat telemetry.
 func (c *Cluster) Until(what string, cond func() bool) {
 	c.t.Helper()
-	deadline := time.Now().Add(Timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			c.t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(5 * time.Millisecond) // heartbeats land every 25 ms
-	}
+	eventwait.Until(c.t, what, cond)
 }
 
 // Placement is unit's row in the coordinator's status.

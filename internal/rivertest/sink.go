@@ -93,7 +93,8 @@ func (*Sink) Name() string { return "audit" }
 func (s *Sink) Consume(r *record.Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.tracker.Observe(r); err != nil {
+	balanced := s.tracker.Observe(r) == nil
+	if !balanced {
 		s.tally.Violations++
 	}
 	s.tally.Open = s.tracker.Depth()
@@ -114,10 +115,10 @@ func (s *Sink) Consume(r *record.Record) error {
 			s.tally.Received = len(s.seen)
 		}
 	case record.KindCloseScope:
-		if r.ScopeType == record.ScopeEnsemble {
+		if balanced && r.ScopeType == record.ScopeEnsemble {
 			s.tally.Ensembles++
 		}
-		if r.Scope == 0 {
+		if balanced && r.Scope == 0 {
 			s.tally.Closes++
 		}
 	case record.KindBadCloseScope:

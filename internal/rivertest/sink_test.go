@@ -37,6 +37,8 @@ func TestSinkAudit(t *testing.T) {
 			Tally{Received: 3, Repairs: 1}},
 		{"unbalanced scope", stream(num(0, 1), num(1, 1), num(2, 1), closeScope(1)),
 			Tally{Received: 3, Violations: 1, Closes: 1}},
+		{"stray top-level close", []*record.Record{num(0, 1), num(1, 1), num(2, 1), closeScope(0)},
+			Tally{Received: 3, Violations: 1}},
 		{"open at the end", []*record.Record{open(0), num(0, 1), num(1, 1), num(2, 1)},
 			Tally{Received: 3, Open: 1}},
 	} {
