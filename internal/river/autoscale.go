@@ -3,7 +3,6 @@ package river
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -95,13 +94,10 @@ func (c AutoscaleConfig) validate() error {
 	return nil
 }
 
-// autoscaler holds the per-group guardrail state. Its own mutex keeps it
-// independent of the coordinator mu (decide is called with samples
-// already extracted).
+// autoscaler holds the per-group guardrail state.
 type autoscaler struct {
-	cfg AutoscaleConfig
-
-	mu        sync.Mutex
+	cfg       AutoscaleConfig
+	next      time.Time            // next evaluation
 	above     map[string]int       // consecutive ticks above HighWater
 	below     map[string]int       // consecutive ticks below LowWater
 	lastScale map[string]time.Time // per-group cooldown anchor
@@ -145,8 +141,6 @@ type decision struct {
 // long cooldown) into one event per sustain window instead of one per
 // tick.
 func (as *autoscaler) decide(g shardGroupSample, drains int, now time.Time) decision {
-	as.mu.Lock()
-	defer as.mu.Unlock()
 	if g.placed < g.k || g.sampled < g.placed {
 		// Legs still placing, splicing or not yet reporting telemetry:
 		// saturation over a partial group misleads both directions.
@@ -199,35 +193,22 @@ func (as *autoscaler) decide(g shardGroupSample, drains int, now time.Time) deci
 }
 
 // resizeDone releases a group's in-flight latch.
-func (as *autoscaler) resizeDone(group string) {
-	as.mu.Lock()
-	delete(as.inflight, group)
-	as.mu.Unlock()
-}
+func (as *autoscaler) resizeDone(group string) { delete(as.inflight, group) }
 
-// autoscaleLoop evaluates every sharded group each Interval.
-func (c *Coordinator) autoscaleLoop() {
-	defer c.wg.Done()
-	t := time.NewTicker(c.as.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-t.C:
-			c.autoscaleTick()
-		}
+// autoscale evaluates every sharded group when the interval is due,
+// sampling saturation from the latest heartbeats, and applies the
+// autoscaler's decisions.
+func (k *core) autoscale() {
+	if !k.as.cfg.Enabled || k.now.Before(k.as.next) {
+		return
 	}
-}
-
-// autoscaleTick samples every sharded group's saturation from the latest
-// heartbeats and applies the autoscaler's decisions.
-func (c *Coordinator) autoscaleTick() {
-	samples := c.sampleShardGroups()
-	drains := int(c.drainsActive.Load())
-	now := time.Now()
-	for _, g := range samples {
-		d := c.as.decide(g, drains, now)
+	k.as.next = k.now.Add(k.as.cfg.Interval)
+	drains := len(k.drainQ)
+	if k.draining {
+		drains++
+	}
+	for _, g := range k.sampleShardGroups() {
+		d := k.as.decide(g, drains, k.now)
 		if d.phase == "" {
 			continue
 		}
@@ -235,57 +216,45 @@ func (c *Coordinator) autoscaleTick() {
 		if d.scaleOut {
 			dir = "above high water"
 		}
-		c.event(obs.Event{
-			Type: obs.EventAutoscale, Pipeline: g.pipe, Unit: g.group,
+		ev := obs.Event{Type: obs.EventAutoscale, Pipeline: g.pipe, Unit: g.group,
 			Metric: "saturation", Value: g.sat, Phase: obs.AsPhaseTriggered,
-			Detail: fmt.Sprintf("K=%d sustained %s", g.k, dir),
-		})
+			Detail: fmt.Sprintf("K=%d sustained %s", g.k, dir)}
+		k.event(ev)
 		if d.phase == obs.AsPhaseSuppressed {
-			c.event(obs.Event{
-				Type: obs.EventAutoscale, Pipeline: g.pipe, Unit: g.group,
-				Metric: "saturation", Value: g.sat,
-				Phase: obs.AsPhaseSuppressed, Detail: d.reason,
-			})
-			c.logf("autoscale %s suppressed: %s (saturation %.2f, K=%d)", g.group, d.reason, g.sat, g.k)
+			ev.Phase, ev.Detail = d.phase, d.reason
+			k.event(ev)
+			k.logf("autoscale %s suppressed: %s (saturation %.2f, K=%d)", g.group, d.reason, g.sat, g.k)
 			continue
 		}
-		c.event(obs.Event{
-			Type: obs.EventAutoscale, Pipeline: g.pipe, Unit: g.group,
-			Metric: "saturation", Value: g.sat, Phase: d.phase,
-			Detail: fmt.Sprintf("K %d -> %d", g.k, d.target),
-		})
-		c.logf("autoscale %s: %s K %d -> %d (saturation %.2f)", g.group, d.phase, g.k, d.target, g.sat)
-		c.wg.Add(1)
-		go c.resizeShardGroup(g, d.target)
+		ev.Phase, ev.Detail = d.phase, fmt.Sprintf("K %d -> %d", g.k, d.target)
+		k.event(ev)
+		k.logf("autoscale %s: %s K %d -> %d (saturation %.2f)", g.group, d.phase, g.k, d.target, g.sat)
+		k.resizeShardGroup(g, d.target)
 	}
 }
 
 // sampleShardGroups extracts every sharded group's current K, placement
-// progress and leg saturation under one mu hold.
-func (c *Coordinator) sampleShardGroups() []shardGroupSample {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// progress and leg saturation.
+func (k *core) sampleShardGroups() []shardGroupSample {
 	stats := make(map[string]SegmentStatus)
-	for _, m := range c.nodes {
+	for _, m := range k.nodes {
 		for _, st := range m.stats {
 			stats[st.Name] = st
 		}
 	}
 	var out []shardGroupSample
-	for _, id := range c.st.order {
-		ps := c.st.pipelines[id]
+	for _, id := range k.st.order {
+		ps := k.st.pipelines[id]
 		for i, sp := range ps.spec.Segments {
 			if sp.Shards <= 1 {
 				continue
 			}
 			us := ps.unitsBySpec[i]
-			g := shardGroupSample{
-				pipe: id, group: scopedName(id, sp.Name), specIdx: i, k: len(us) - 2,
-			}
+			g := shardGroupSample{pipe: id, group: scopedName(id, sp.Name), specIdx: i, k: len(us) - 2}
 			var depth, cap int
 			for _, u := range us[1 : len(us)-1] { // the shard legs
-				p := c.st.placements[u.name]
-				if p == nil || p.node == "" {
+				p := k.st.placements[u.name]
+				if p.node == "" {
 					continue
 				}
 				g.placed++
@@ -307,39 +276,27 @@ func (c *Coordinator) sampleShardGroups() []shardGroupSample {
 }
 
 // resizeShardGroup applies one resize decision: rewrite the unit tables
-// (journaled), let the reconcile loop place new legs and re-splice the
-// partitioner, and — for a scale-in — stop the surplus instances only
-// after the partitioner has been spliced off them and their tails have
-// settled through to the collector, so the shrink repairs zero scopes
-// and loses zero records.
-func (c *Coordinator) resizeShardGroup(g shardGroupSample, target int) {
-	defer c.wg.Done()
-	defer c.as.resizeDone(g.group)
-	c.mu.Lock()
-	ps := c.st.pipelines[g.pipe]
-	if ps == nil || g.specIdx >= len(ps.unitsBySpec) ||
-		len(ps.unitsBySpec[g.specIdx])-2 != g.k {
-		// The pipeline vanished or the group was resized by someone else
-		// since the sample; drop the stale decision.
-		c.mu.Unlock()
-		return
-	}
-	removed := c.st.setShardK(ps, g.specIdx, target)
-	group := ps.unitsBySpec[g.specIdx]
-	c.mu.Unlock()
-	c.kickReconcile()
+// (journaled) and let reconcile place new legs and re-splice the
+// partitioner. A scale-in stops the surplus instances only after the
+// partitioner has been spliced off them and their tails have settled
+// through to the collector, so the shrink repairs zero scopes and loses
+// zero records; the group's in-flight latch holds until then.
+func (k *core) resizeShardGroup(g shardGroupSample, target int) {
+	ps := k.st.pipelines[g.pipe]
+	removed := k.st.setShardK(ps, g.specIdx, target)
+	k.kicked = true
 	if len(removed) == 0 {
+		k.as.resizeDone(g.group)
 		return
 	}
-	// Scale-in: reconcile re-legs the partitioner against the shrunken
-	// table; retire waits for that splice before stopping the surplus.
 	olds := make([]retiree, len(removed))
 	for i, r := range removed {
 		ev := obs.Event{Type: obs.EventDrain, Pipeline: g.pipe, Unit: r.u.name,
 			Node: r.node, Detail: "autoscale scale-in"}
-		c.event(ev)
+		k.event(ev)
 		ev.Type = obs.EventDrained
 		olds[i] = retiree{node: r.node, unit: r.u.name, addr: r.addr, drained: ev}
 	}
-	c.retire(group[len(group)-1].name, c.cfg.DrainSettle, olds...)
+	group := ps.unitsBySpec[g.specIdx]
+	k.retire(group[len(group)-1].name, k.cfg.DrainSettle, olds, func() { k.as.resizeDone(g.group) })
 }

@@ -1,13 +1,10 @@
 package river
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -135,12 +132,6 @@ type Config struct {
 	// gates only bootstrap: once the cluster has reached MinNodes,
 	// failover re-placement proceeds with however many nodes survive.
 	MinNodes int
-	// OnEntryChange, when set, is invoked after the default pipeline's
-	// entry address changes — the hook an in-process source uses to
-	// Redirect its streamout. Called from coordinator goroutines; keep it
-	// brief. Stations of named pipelines follow entries over the watch
-	// protocol instead (WatchPipelineEntry).
-	OnEntryChange func(addr string)
 	// StateDir, when set, makes the coordinator durable: every placement
 	// mutation — and every runtime pipeline add/remove — is journaled
 	// there (append-only JSON log, compacted into a periodic snapshot),
@@ -211,101 +202,46 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// member is one registered node agent.
-type member struct {
-	name     string
-	w        *wire
-	lastBeat time.Time
-	stats    []SegmentStatus
-	// marks tracks per-unit loss-counter baselines (keyed by unit name)
-	// so heartbeat deltas become leg_drop / gap_skip events.
-	marks map[string]counterMark
-	// pending maps request IDs to reply channels; nil once the member is
-	// dead (its channels are closed to fail in-flight RPCs).
-	pending map[uint64]chan *Message
-	gone    bool
-}
-
-// counterMark is the last observed value of one unit's loss counters,
-// with the instance address that reported them: a new address means a new
-// instance whose counters restart, so the baseline resets without an
-// event.
-type counterMark struct {
-	addr     string
-	legDrops uint64
-	skipped  uint64
-	alerts   uint64
-	corrupt  uint64
-}
-
 // Coordinator owns a registry of desired pipeline topologies and drives
 // registered node agents to realize them. It is started by NewCoordinator
-// and stopped by Close. The topology tables live in a state (see
-// state.go) whose mutations are journaled when Config.StateDir is set,
-// making the coordinator restartable without disturbing the data plane.
+// and stopped by Close. Its decisions are the pure core's (core.go); the
+// Coordinator is the shell around it — the listener, one reader per
+// connection, the entry watchers' senders, the tick timer, request
+// deadlines and the journal file. One goroutine (loop) owns the core and
+// the shell's tables, and feeds the core its inputs in order.
 type Coordinator struct {
-	cfg    Config
-	ln     net.Listener
-	ctx    context.Context
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
-	kick   chan struct{}
-	closed sync.Once
+	cfg      Config
+	ln       net.Listener
+	ctx      context.Context
+	cancel   context.CancelFunc
+	wg       sync.WaitGroup
+	closed   sync.Once
+	calls    chan func()
+	loopDone chan struct{}
 
-	// graceUntil, when in the future, marks the restart grace window: the
-	// reloaded placements name agents that have not re-registered yet,
-	// and until the window closes their units are presumed to still be
-	// running detached rather than lost. Immutable after NewCoordinator.
-	graceUntil time.Time
-
-	// drainMu serializes planned drains so two operators cannot move the
-	// same stretch of the chain concurrently.
-	drainMu sync.Mutex
-
-	mu    sync.Mutex
-	st    *state // topology tables + journaling commit hooks
-	nodes map[string]*member
-	// disconnected maps a dropped node to the deadline its units stay
-	// presumed-alive awaiting a reconnect-and-adopt (Config.DisconnectGrace).
-	disconnected map[string]time.Time
+	// Owned by the loop goroutine.
+	k        *core
+	st       *state
+	sessions map[uint64]*wire
+	nextSess uint64
 	// watchers maps an entry-watch subscription to its fan-out state:
 	// each watcher has a dedicated sender goroutine fed through a
 	// latest-wins cell, so entry broadcasts never serialize the control
 	// plane (or each other) behind one slow watcher connection.
-	watchers     map[*wire]*entryWatcher
-	conns        map[net.Conn]struct{}
-	nextID       uint64
-	bootstrapped bool // cluster reached MinNodes at least once
-	// pendingStops queues best-effort cleanup of dead segment instances.
-	// The reconcile loop drains it before placing, so a stop can never
-	// race a re-assign of the same segment name and kill the fresh
-	// replacement.
-	pendingStops []stopReq
-	// evWatchers counts live watch_events followers (for the watch
-	// fan-out gauge).
-	evWatchers int
+	watchers    map[*wire]*entryWatcher
+	waits       map[uint64]chan error
+	nextReq     uint64
+	placedWaits []chan struct{}
 
-	// Observability (see observe.go / monitor.go). reg and events are
-	// always live; the HTTP endpoint and its stop hook exist only when
-	// Config.MetricsAddr is set.
+	// Observability (see observe.go). reg and events are always live; the
+	// HTTP endpoint and its stop hook exist only when Config.MetricsAddr is
+	// set.
 	reg         *obs.Registry
 	events      *obs.EventLog
 	recDur      *obs.Histogram
+	evWatchers  atomic.Int32
 	metricsAddr string
 	metricsStop func() error
-	// rem holds the remediation policy's guardrail state (see remediate.go).
-	rem *remediator
-	// as holds the shard autoscaler's guardrail state (see autoscale.go).
-	as *autoscaler
-	// drainsActive counts planned drains in flight, so the autoscaler can
-	// suppress resizes while an operator is moving units around.
-	drainsActive atomic.Int32
-}
-
-// stopReq names a segment instance to stop on a node.
-type stopReq struct {
-	node string
-	seg  string
 }
 
 // entryWatcher is one entry-watch subscription: the pipeline it follows
@@ -315,39 +251,32 @@ type stopReq struct {
 // the cell holds at most one pending update.
 type entryWatcher struct {
 	pipe string
-	mu   sync.Mutex
-	next *Message      // latest unsent update (nil = none)
-	kick chan struct{} // cap 1: wakes the sender
+	next chan *Message // cap 1, filled only by the loop
 	done chan struct{} // closed by dropWatcher
 }
 
-// offer replaces the pending update and wakes the sender.
+// offer replaces the pending update. The loop is the cell's one writer,
+// so after the stale update is taken out the put cannot block.
 func (ew *entryWatcher) offer(m *Message) {
-	ew.mu.Lock()
-	ew.next = m
-	ew.mu.Unlock()
 	select {
-	case ew.kick <- struct{}{}:
+	case <-ew.next:
 	default:
 	}
+	ew.next <- m
 }
 
-// take claims the pending update, or nil.
-func (ew *entryWatcher) take() *Message {
-	ew.mu.Lock()
-	m := ew.next
-	ew.next = nil
-	ew.mu.Unlock()
-	return m
-}
+// tickEvery is the shell's clock: each tick is one inTick for the core,
+// which paces heartbeat expiry, settles, monitor samples, autoscale
+// evaluations and periodic reconcile passes off it.
+const tickEvery = 10 * time.Millisecond
 
-// entryBoundaryWindow is how long an entry drain waits for watching
-// sources to switch at a scope boundary before stopping the old entry
-// instance; it matches the RedirectAtBoundary fallback sources use.
-const entryBoundaryWindow = 5 * time.Second
+var (
+	errClosed   = errors.New("river: coordinator closed")
+	errTimedOut = errors.New("timed out")
+)
 
 // NewCoordinator validates cfg, binds the control listener and starts the
-// coordinator's accept and reconcile loops.
+// coordinator's accept loop and its core's loop.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Remediate.validate(); err != nil {
@@ -367,12 +296,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		ids[spec.ID] = true
 	}
-	logf := func(format string, args ...any) {
+	st, restored, err := newState(cfg.StateDir, boot, func(format string, args ...any) {
 		if cfg.Logf != nil {
 			cfg.Logf("coordinator: "+format, args...)
 		}
-	}
-	st, restored, err := newState(cfg.StateDir, boot, logf)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -383,22 +311,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:          cfg,
-		ln:           ln,
-		ctx:          ctx,
-		cancel:       cancel,
-		kick:         make(chan struct{}, 1),
-		st:           st,
-		nodes:        make(map[string]*member),
-		disconnected: make(map[string]time.Time),
-		watchers:     make(map[*wire]*entryWatcher),
-		conns:        make(map[net.Conn]struct{}),
-		rem: &remediator{
-			cfg:      cfg.Remediate.withDefaults(),
-			lastTry:  make(map[string]time.Time),
-			inflight: make(map[string]bool),
-		},
-		as: newAutoscaler(cfg.Autoscale.withDefaults()),
+		cfg: cfg, ln: ln, ctx: ctx, cancel: cancel,
+		calls:    make(chan func()),
+		loopDone: make(chan struct{}),
+		st:       st,
+		sessions: make(map[uint64]*wire),
+		watchers: make(map[*wire]*entryWatcher),
+		waits:    make(map[uint64]chan error),
 	}
 	c.setupObs()
 	if cfg.MetricsAddr != "" {
@@ -410,261 +329,229 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 			return nil, err
 		}
 		c.metricsAddr, c.metricsStop = bound, stop
-		logf("observability endpoint on http://%s/metrics", bound)
+		c.logf("observability endpoint on http://%s/metrics", bound)
 	}
-	if restored && st.hasPlacements() {
-		// Prior placements survived on disk — and their instances survived
-		// in memory on the (still-running) nodes. Open the grace window:
-		// until it closes, units whose host has not re-registered are
-		// presumed alive and are not re-placed, so a coordinator bounce
-		// under streaming load repairs nothing. The cluster necessarily
-		// bootstrapped before those placements were made, so MinNodes
-		// must not gate post-grace re-placement.
-		c.bootstrapped = true
-		c.graceUntil = time.Now().Add(cfg.RestartGrace)
-		logf("restarted as epoch %d with %d pipeline(s), %d reloaded placement(s); adopting agents for %s",
-			st.epoch, len(st.order), len(placedNames(st)), cfg.RestartGrace)
-	}
+	c.k = newCore(cfg, st, restored, time.Now())
 	c.wg.Add(2)
 	go c.acceptLoop()
-	go c.reconcileLoop()
-	if !cfg.Monitor.Disabled {
-		c.wg.Add(1)
-		go c.monitorLoop()
-	}
-	c.wg.Add(1)
-	go c.remediateLoop()
-	if c.as.cfg.Enabled {
-		c.wg.Add(1)
-		go c.autoscaleLoop()
-	}
+	go c.loop()
 	return c, nil
 }
 
-// placedNames lists the units the state currently places, for logs.
-func placedNames(st *state) []string {
-	var out []string
-	for name, p := range st.placements {
-		if p.node != "" {
-			out = append(out, name)
+// loop owns the core: it runs the closures connection readers, timers
+// and public calls hand it, and a tick every tickEvery.
+func (c *Coordinator) loop() {
+	defer c.wg.Done()
+	defer close(c.loopDone)
+	t := time.NewTicker(tickEvery)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.ctx.Done():
+			return
+		case f := <-c.calls:
+			f()
+		case now := <-t.C:
+			c.step(inTick{now: now})
+			c.recDur.Observe(time.Since(now).Seconds())
 		}
 	}
-	sort.Strings(out)
-	return out
 }
 
-// inGrace reports whether the restart grace window is still open.
-func (c *Coordinator) inGrace() bool {
-	return !c.graceUntil.IsZero() && time.Now().Before(c.graceUntil)
+// call runs f on the loop and waits for it; false once the loop is gone.
+func (c *Coordinator) call(f func()) bool {
+	done := make(chan struct{})
+	select {
+	case c.calls <- func() { f(); close(done) }:
+		<-done
+		return true
+	case <-c.loopDone:
+		return false
+	}
+}
+
+// post hands f to the loop without waiting for it to run.
+func (c *Coordinator) post(f func()) {
+	select {
+	case c.calls <- f:
+	case <-c.loopDone:
+	}
+}
+
+// query runs a read of the loop's tables; once the loop is gone nothing
+// writes them anymore, so the caller reads them itself.
+func (c *Coordinator) query(f func()) {
+	if !c.call(f) {
+		f()
+	}
+}
+
+// request feeds the core a request input built around a fresh request ID
+// and waits for the core to finish it.
+func (c *Coordinator) request(in func(req uint64) any) error {
+	ch := make(chan error, 1)
+	if !c.call(func() {
+		c.nextReq++
+		c.waits[c.nextReq] = ch
+		c.step(in(c.nextReq))
+	}) {
+		return errClosed
+	}
+	select {
+	case err := <-ch:
+		return err
+	case <-c.ctx.Done():
+		return errClosed
+	}
+}
+
+// step feeds one input to the core and carries out its actions. Once
+// Close has begun nothing more is fed: sessions ending because Close cut
+// them are not node deaths, so the tables — and their journal — stay as
+// they were for a coordinator restarted over the state directory to adopt
+// the still-running instances from.
+func (c *Coordinator) step(in any) {
+	if c.ctx.Err() != nil {
+		return
+	}
+	for _, a := range c.k.step(in) {
+		switch a.kind {
+		case actSend:
+			if w := c.sessions[a.sess]; w != nil {
+				c.sendTo(w, a.msg)
+			}
+		case actClose:
+			if w := c.sessions[a.sess]; w != nil {
+				_ = w.close() // its reader reports the session lost
+			}
+		case actEvent:
+			c.event(a.ev)
+		case actLog:
+			c.logf("%s", a.text)
+		case actJournal:
+			c.st.append(a.je)
+		case actEntry:
+			for _, ew := range c.watchers {
+				if ew.pipe == a.msg.Pipeline {
+					ew.offer(a.msg)
+				}
+			}
+		case actUnwatch:
+			for w, ew := range c.watchers {
+				if ew.pipe == a.text {
+					c.dropWatcher(w)
+					_ = w.close()
+				}
+			}
+		case actGauge:
+			c.reg.Gauge("dynriver_monitor_zscore", "node", a.ev.Node, "metric", a.ev.Metric).Set(a.ev.Score)
+		case actDone:
+			c.waits[a.req] <- a.err
+			delete(c.waits, a.req)
+		}
+	}
+	c.st.compactIfDue()
+	if len(c.placedWaits) > 0 && c.k.allPlaced() {
+		for _, ch := range c.placedWaits {
+			close(ch)
+		}
+		c.placedWaits = nil
+	}
+}
+
+// sendTo writes a message to an agent session. A request whose reply
+// does not arrive within RPCTimeout fails; a session that cannot take the
+// write is closed.
+func (c *Coordinator) sendTo(w *wire, msg *Message) {
+	_ = w.conn.SetWriteDeadline(time.Now().Add(c.cfg.RPCTimeout))
+	if err := w.send(msg); err != nil {
+		_ = w.close()
+		return
+	}
+	if id := msg.ID; id != 0 {
+		time.AfterFunc(c.cfg.RPCTimeout, func() {
+			c.post(func() { c.step(inReply{id: id, err: errTimedOut}) })
+		})
+	}
 }
 
 // Epoch returns the coordinator incarnation: 1 for a fresh coordinator,
 // advancing by one on every restart from journaled state.
-func (c *Coordinator) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.st.epoch
+func (c *Coordinator) Epoch() (e uint64) {
+	c.query(func() { e = c.k.st.epoch })
+	return e
 }
 
 // Addr returns the bound control listen address agents and clients dial.
 func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 
-// EntryAddr returns the default pipeline's entry address (the first
-// pipeline's when no default exists), or "" while it is unplaced. Sources
-// of named pipelines use PipelineEntryAddr.
-func (c *Coordinator) EntryAddr() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ps := c.defaultPipeline(); ps != nil {
-		return ps.entryAddr
-	}
-	return ""
-}
-
-// defaultPipeline resolves the pipeline the single-pipeline API surfaces
-// (EntryAddr, Status' top-level fields) refer to: the empty-ID pipeline,
-// or the first by ID when every pipeline is named. Callers hold mu.
-func (c *Coordinator) defaultPipeline() *pipelineState {
-	if ps := c.st.pipelines[""]; ps != nil {
-		return ps
-	}
-	if len(c.st.order) > 0 {
-		return c.st.pipelines[c.st.order[0]]
-	}
-	return nil
-}
-
 // AddPipeline registers a new pipeline at runtime: its units are placed
-// by the next reconcile passes onto the shared node pool, and the
-// addition is journaled so a restarted coordinator reloads it.
+// onto the shared node pool, and the addition is journaled so a restarted
+// coordinator reloads it.
 func (c *Coordinator) AddPipeline(spec PipelineSpec) error {
-	if err := spec.validate(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	if _, dup := c.st.pipelines[spec.ID]; dup {
-		c.mu.Unlock()
-		return fmt.Errorf("river: pipeline %q already exists", spec.ID)
-	}
-	c.st.addPipeline(spec)
-	c.mu.Unlock()
-	c.event(obs.Event{Type: obs.EventPipelineAdd, Pipeline: spec.ID,
-		Detail: fmt.Sprintf("%d segment(s)", len(spec.Segments))})
-	c.logf("pipeline %q added (%d segment(s) -> sink %s)", spec.ID, len(spec.Segments), spec.SinkAddr)
-	c.kickReconcile()
-	return nil
+	return c.request(func(req uint64) any { return inAddPipeline{req: req, spec: spec} })
 }
 
 // RemovePipeline deletes a pipeline at runtime: its placed units are
 // stopped on their hosts, its watchers are disconnected, and the removal
 // is journaled so a restarted coordinator does not resurrect it.
 func (c *Coordinator) RemovePipeline(id string) error {
-	c.mu.Lock()
-	if _, ok := c.st.pipelines[id]; !ok {
-		c.mu.Unlock()
-		return fmt.Errorf("river: unknown pipeline %q", id)
-	}
-	boot := c.st.pipelines[id].boot
-	placed := c.st.removePipeline(id)
-	for _, p := range placed {
-		c.pendingStops = append(c.pendingStops, stopReq{node: p.node, seg: p.u.name})
-	}
-	var ws []*wire
-	var ews []*entryWatcher
-	for w, ew := range c.watchers {
-		if ew.pipe == id {
-			ws = append(ws, w)
-			ews = append(ews, ew)
-			delete(c.watchers, w)
-		}
-	}
-	c.mu.Unlock()
-	for i, w := range ws {
-		close(ews[i].done)
-		_ = w.close()
-	}
-	c.event(obs.Event{Type: obs.EventPipelineRemove, Pipeline: id,
-		Detail: fmt.Sprintf("%d unit(s) stopped", len(placed))})
-	c.logf("pipeline %q removed; stopping %d unit(s)", id, len(placed))
-	if boot && c.cfg.StateDir != "" {
-		// The config is the operator's intent for the IDs it declares, so
-		// this removal lasts only as long as this incarnation.
-		c.logf("pipeline %q is config-declared: a restarted coordinator will re-add it unless the config drops it", id)
-	}
-	c.kickReconcile()
-	return nil
+	return c.request(func(req uint64) any { return inRemovePipeline{req: req, id: id} })
+}
+
+// Drain gracefully moves a placed unit to another node, repairing zero
+// scopes (see core.startDrain), and returns once the old instance has
+// been stopped. unitName is the scoped placement key (e.g. "extract", or
+// "pA:extract/r2" for a named pipeline's replica). Splitter/merger and
+// partition/collect endpoints cannot be drained — move their legs.
+func (c *Coordinator) Drain(unitName string) error {
+	return c.request(func(req uint64) any { return inDrain{req: req, unit: unitName} })
 }
 
 // Close stops the coordinator: the listener and every control connection
-// close and the background loops drain. Hosted segments on agents are left
-// running (agents own their lifecycle).
+// close and the loops drain. Hosted segments on agents are left running
+// (agents own their lifecycle).
 func (c *Coordinator) Close() error {
 	c.closed.Do(func() {
 		c.cancel()
 		_ = c.ln.Close()
-		c.mu.Lock()
-		for conn := range c.conns {
-			_ = conn.Close()
-		}
-		c.mu.Unlock()
 	})
 	c.wg.Wait()
 	if c.metricsStop != nil {
 		_ = c.metricsStop()
 	}
-	c.mu.Lock()
 	c.st.close()
-	c.mu.Unlock()
 	return nil
 }
 
 // WaitPlaced blocks until every unit of every pipeline is placed (and
 // every entry address is known) or ctx expires.
 func (c *Coordinator) WaitPlaced(ctx context.Context) error {
-	t := time.NewTicker(5 * time.Millisecond)
-	defer t.Stop()
-	for {
-		if c.allPlaced() {
-			return nil
+	placed := make(chan struct{})
+	if !c.call(func() {
+		if c.k.allPlaced() {
+			close(placed)
+		} else {
+			c.placedWaits = append(c.placedWaits, placed)
 		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("river: waiting for placement: %w", ctx.Err())
-		case <-c.ctx.Done():
-			return errors.New("river: coordinator closed")
-		case <-t.C:
-		}
+	}) {
+		return errClosed
 	}
-}
-
-func (c *Coordinator) allPlaced() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ps := range c.st.pipelines {
-		if ps.entryAddr == "" {
-			return false
-		}
+	select {
+	case <-placed:
+		return nil
+	case <-ctx.Done():
+		return fmt.Errorf("river: waiting for placement: %w", ctx.Err())
+	case <-c.ctx.Done():
+		return errClosed
 	}
-	for _, p := range c.st.placements {
-		if p.node == "" {
-			return false
-		}
-	}
-	return true
 }
 
 // Status snapshots the cluster: registered nodes, their reported segment
-// counters, and every pipeline's placements. The snapshot is
-// deterministically ordered — pipelines by ID, nodes and their segments
-// sorted by name, placements in topology order — so status output is
-// scriptable and diffable. The top-level entry/sink/placement fields
-// carry the flattened single-pipeline view (see ClusterStatus).
-func (c *Coordinator) Status() *ClusterStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := &ClusterStatus{Epoch: c.st.epoch}
-	if ps := c.defaultPipeline(); ps != nil {
-		st.EntryAddr = ps.entryAddr
-		st.SinkAddr = ps.spec.SinkAddr
-	}
-	names := make([]string, 0, len(c.nodes))
-	for name := range c.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	now := time.Now()
-	for _, name := range names {
-		m := c.nodes[name]
-		segs := append([]SegmentStatus(nil), m.stats...)
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Name < segs[j].Name })
-		st.Nodes = append(st.Nodes, NodeStatus{
-			Name:       name,
-			LastBeatMS: now.Sub(m.lastBeat).Milliseconds(),
-			Segments:   segs,
-		})
-	}
-	for _, id := range c.st.order {
-		ps := c.st.pipelines[id]
-		pst := PipelineStatus{ID: id, EntryAddr: ps.entryAddr, SinkAddr: ps.spec.SinkAddr}
-		for _, u := range ps.units {
-			p := c.st.placements[u.name]
-			plc := PlacementStatus{
-				Seg:      u.name,
-				Pipeline: id,
-				Type:     u.typ,
-				Role:     u.role,
-				Node:     p.node,
-				Addr:     p.addr,
-				Placed:   p.node != "",
-			}
-			if u.role != "" {
-				plc.Group = u.group
-			}
-			pst.Placements = append(pst.Placements, plc)
-		}
-		st.Placements = append(st.Placements, pst.Placements...)
-		st.Pipelines = append(st.Pipelines, pst)
-	}
+// counters, and every pipeline's placements, deterministically ordered so
+// status output is scriptable and diffable (see core.status).
+func (c *Coordinator) Status() (st *ClusterStatus) {
+	c.query(func() { st = c.k.status() })
 	return st
 }
 
@@ -674,14 +561,8 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-func (c *Coordinator) kickReconcile() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
-// acceptLoop serves control connections until Close.
+// acceptLoop serves control connections until Close, which closes each
+// one through its context hook.
 func (c *Coordinator) acceptLoop() {
 	defer c.wg.Done()
 	for {
@@ -689,26 +570,11 @@ func (c *Coordinator) acceptLoop() {
 		if err != nil {
 			return
 		}
-		c.mu.Lock()
-		c.conns[conn] = struct{}{}
-		c.mu.Unlock()
-		// Close may have swept c.conns between Accept and the insert
-		// above; re-checking after the insert guarantees one side closes
-		// this connection (cancel happens before the sweep).
-		if c.ctx.Err() != nil {
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
+			defer context.AfterFunc(c.ctx, func() { _ = conn.Close() })()
 			c.handleConn(conn)
-			c.mu.Lock()
-			delete(c.conns, conn)
-			c.mu.Unlock()
 			_ = conn.Close()
 		}()
 	}
@@ -739,219 +605,90 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			Err: fmt.Sprintf("peer speaks protocol v%d, coordinator speaks v%d", first.Ver, ProtocolVersion)})
 		return
 	}
+	reply := &Message{Type: TypeAck, ID: first.ID}
 	switch first.Type {
 	case TypeRegister:
 		c.serveNode(w, first)
-	case TypeStatus:
-		_ = w.send(&Message{Type: TypeAck, ID: first.ID, Status: c.Status()})
-	case TypeDrain:
-		reply := &Message{Type: TypeAck, ID: first.ID}
-		if err := c.Drain(scopedName(first.Pipeline, first.Seg)); err != nil {
-			reply.Err = err.Error()
-		}
-		_ = w.send(reply)
-	case TypePipelineAdd:
-		reply := &Message{Type: TypeAck, ID: first.ID}
-		if first.Spec == nil {
-			reply.Err = "pipeline_add without a spec"
-		} else if err := c.AddPipeline(*first.Spec); err != nil {
-			reply.Err = err.Error()
-		}
-		_ = w.send(reply)
-	case TypePipelineRemove:
-		reply := &Message{Type: TypeAck, ID: first.ID}
-		if err := c.RemovePipeline(first.Pipeline); err != nil {
-			reply.Err = err.Error()
-		}
-		_ = w.send(reply)
+		return
 	case TypeWatch:
 		c.serveWatcher(w, first.Pipeline)
+		return
 	case TypeWatchEvents:
 		c.serveEventWatcher(w, first)
+		return
+	case TypeStatus:
+		reply.Status = c.Status()
+	case TypeDrain:
+		err = c.Drain(scopedName(first.Pipeline, first.Seg))
+	case TypePipelineAdd:
+		err = errors.New("pipeline_add without a spec")
+		if first.Spec != nil {
+			err = c.AddPipeline(*first.Spec)
+		}
+	case TypePipelineRemove:
+		err = c.RemovePipeline(first.Pipeline)
 	default:
-		_ = w.send(&Message{Type: TypeAck, ID: first.ID,
-			Err: fmt.Sprintf("unexpected first message %q", first.Type)})
+		err = fmt.Errorf("unexpected first message %q", first.Type)
 	}
+	if err != nil {
+		reply.Err = err.Error()
+	}
+	_ = w.send(reply)
 }
 
-// serveNode runs one agent's control session: it acks the registration,
-// then folds heartbeats into the member state and routes request acks to
-// their waiters until the connection drops.
+// serveNode runs one agent's control session: the core registers it (or
+// refuses it) and then gets every heartbeat and request ack read off the
+// connection, and the session's end, all tagged with the session.
 func (c *Coordinator) serveNode(w *wire, reg *Message) {
-	name := reg.Node
-	if name == "" {
-		_ = w.send(&Message{Type: TypeAck, Err: "register without node name"})
+	var sess uint64
+	if !c.call(func() {
+		c.nextSess++
+		sess = c.nextSess
+		c.sessions[sess] = w
+		c.step(inRegister{sess: sess, node: reg.Node, inv: reg.Inventory})
+	}) {
 		return
 	}
-	m := &member{
-		name:     name,
-		w:        w,
-		lastBeat: time.Now(),
-		marks:    make(map[string]counterMark),
-		pending:  make(map[uint64]chan *Message),
-	}
-	c.mu.Lock()
-	if _, dup := c.nodes[name]; dup {
-		c.mu.Unlock()
-		_ = w.send(&Message{Type: TypeAck, Err: fmt.Sprintf("node name %q already registered", name)})
-		return
-	}
-	c.nodes[name] = m
-	// The node is back; its disconnect-grace deadline (if any) is moot.
-	delete(c.disconnected, name)
-	// Reconcile the agent's hosted-unit inventory against the desired
-	// state: adopt what matches (after a control blip or a coordinator
-	// restart the instances never stopped), tell the agent to stop the
-	// rest, and free anything the tables expected on this node that is no
-	// longer running.
-	adopted, stops := c.st.adopt(name, reg.Inventory)
-	if len(reg.Inventory) > 0 {
-		m.stats = inventoryStats(reg.Inventory)
-	}
-	epoch := c.st.epoch
-	c.mu.Unlock()
-	ack := &Message{
-		Type: TypeAck, Ver: ProtocolVersion,
-		HeartbeatMS: c.cfg.HeartbeatInterval.Milliseconds(),
-		CoordEpoch:  epoch, Adopted: adopted, StopUnits: stops,
-	}
-	if err := w.send(ack); err != nil {
-		c.markDead(name, "register ack failed")
-		return
-	}
-	c.event(obs.Event{Type: obs.EventRegister, Node: name})
-	for _, u := range adopted {
-		c.event(obs.Event{Type: obs.EventAdopt, Unit: u, Node: name})
-	}
-	if len(adopted) > 0 || len(stops) > 0 {
-		c.logf("node %s registered: adopted %v, stopping %v", name, adopted, stops)
-	} else {
-		c.logf("node %s registered", name)
-	}
-	c.kickReconcile()
 	for {
 		msg, err := w.recv()
 		if err != nil {
-			c.markDead(name, "control connection lost")
+			c.post(func() {
+				delete(c.sessions, sess)
+				c.step(inLost{sess: sess, node: reg.Node, reason: "control connection lost"})
+			})
 			return
 		}
 		switch msg.Type {
 		case TypeHeartbeat:
-			var events []obs.Event
-			c.mu.Lock()
-			m.lastBeat = time.Now()
-			m.stats = msg.Segments
-			// A segment can die while its node stays healthy (operator
-			// error killed the hosted pipeline). The heartbeat reports it
-			// as failed; free its placement so reconcile re-places it. The
-			// address match skips stale reports about an instance that has
-			// already been replaced.
-			var failed []string
-			for _, s := range msg.Segments {
-				if s.Failed {
-					if p := c.st.placements[s.Name]; p != nil && p.node == name && p.addr == s.Addr {
-						c.st.clear(p)
-						c.pendingStops = append(c.pendingStops, stopReq{node: name, seg: s.Name})
-						failed = append(failed, s.Name)
-						events = append(events, obs.Event{
-							Type: obs.EventSegmentFailed, Unit: s.Name, Node: name, Detail: s.Err,
-						})
-					}
-				}
-				// Loss and alert counters become events by delta against
-				// the last heartbeat. On first sight of an instance (or a
-				// replacement at a new address) the baseline seeds silently:
-				// its counters either just restarted or carry history the
-				// coordinator never owned (adoption after a restart).
-				mark, seen := m.marks[s.Name]
-				if !seen || mark.addr != s.Addr {
-					m.marks[s.Name] = counterMark{addr: s.Addr, legDrops: s.LegDrops, skipped: s.Skipped, alerts: s.Alerts, corrupt: s.Corrupt}
-					continue
-				}
-				if d := s.LegDrops - mark.legDrops; d > 0 && s.LegDrops >= mark.legDrops {
-					events = append(events, obs.Event{
-						Type: obs.EventLegDrop, Unit: s.Name, Node: name,
-						Metric: "leg_drops", Value: float64(d),
-					})
-				}
-				if d := s.Skipped - mark.skipped; d > 0 && s.Skipped >= mark.skipped {
-					events = append(events, obs.Event{
-						Type: obs.EventGapSkip, Unit: s.Name, Node: name,
-						Metric: "skipped", Value: float64(d),
-					})
-				}
-				if d := s.Alerts - mark.alerts; d > 0 && s.Alerts >= mark.alerts {
-					events = append(events, obs.Event{
-						Type: obs.EventAlert, Unit: s.Name, Node: name,
-						Metric: "alerts", Value: float64(d),
-						Detail: "detector alarm(s) in the data plane",
-					})
-				}
-				if d := s.Corrupt - mark.corrupt; d > 0 && s.Corrupt >= mark.corrupt {
-					events = append(events, obs.Event{
-						Type: obs.EventCorruption, Unit: s.Name, Node: name,
-						Metric: "corrupt_batches", Value: float64(d),
-						Detail: "corrupt batch frame(s) dropped on ingest",
-					})
-				}
-				m.marks[s.Name] = counterMark{addr: s.Addr, legDrops: s.LegDrops, skipped: s.Skipped, alerts: s.Alerts, corrupt: s.Corrupt}
-			}
-			c.mu.Unlock()
-			for _, e := range events {
-				c.event(e)
-			}
-			if len(failed) > 0 {
-				c.logf("node %s reports dead segments %v; re-placing", name, failed)
-				c.kickReconcile()
-			}
+			c.post(func() { c.step(inBeat{sess: sess, node: reg.Node, segs: msg.Segments}) })
 		case TypeAck:
-			c.mu.Lock()
-			var ch chan *Message
-			if m.pending != nil {
-				ch = m.pending[msg.ID]
-				delete(m.pending, msg.ID)
-			}
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- msg
-			}
+			c.post(func() { c.step(inReply{id: msg.ID, msg: msg}) })
 		}
 	}
-}
-
-// inventoryStats seeds a re-registering member's segment telemetry from
-// its inventory, so status (and placement policy) have counters before
-// the first heartbeat lands.
-func inventoryStats(inv []UnitInventory) []SegmentStatus {
-	out := make([]SegmentStatus, len(inv))
-	for i, iu := range inv {
-		out[i] = SegmentStatus{
-			Name: iu.Name, Type: cmp.Or(iu.Type, iu.Role), Addr: iu.Addr, Role: iu.Role,
-			Processed: iu.Processed, Emitted: iu.Emitted,
-			Legs: len(iu.Legs), Failed: iu.Failed,
-		}
-	}
-	return out
 }
 
 // serveWatcher streams one pipeline's entry-address updates to one
 // subscriber until its connection drops. An unknown pipeline is refused
 // with an error ack so the watcher does not hang on silence.
 func (c *Coordinator) serveWatcher(w *wire, pipe string) {
-	c.mu.Lock()
-	ps := c.st.pipelines[pipe]
-	if ps == nil {
-		c.mu.Unlock()
+	ew := &entryWatcher{pipe: pipe, next: make(chan *Message, 1), done: make(chan struct{})}
+	known := false
+	if !c.call(func() {
+		if ps := c.k.st.pipelines[pipe]; ps != nil {
+			known = true
+			c.watchers[w] = ew
+			// Seed the cell with the current address: any broadcast that
+			// lands later carries a newer address and overwrites it (latest
+			// wins), so the watcher's last word is always current.
+			ew.offer(&Message{Type: TypeEntry, Addr: ps.entryAddr, Pipeline: pipe})
+		}
+	}) {
+		return
+	}
+	if !known {
 		_ = w.send(&Message{Type: TypeAck, Err: fmt.Sprintf("unknown pipeline %q", pipe)})
 		return
 	}
-	ew := &entryWatcher{pipe: pipe, kick: make(chan struct{}, 1), done: make(chan struct{})}
-	c.watchers[w] = ew
-	// Seed the cell with the current address before releasing mu: any
-	// broadcast that lands later carries a newer address and overwrites
-	// it (latest wins), so the watcher's last word is always current.
-	ew.offer(&Message{Type: TypeEntry, Addr: ps.entryAddr, Pipeline: pipe})
-	c.mu.Unlock()
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -961,11 +698,9 @@ func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 				return
 			case <-c.ctx.Done():
 				return
-			case <-ew.kick:
-			}
-			for m := ew.take(); m != nil; m = ew.take() {
+			case m := <-ew.next:
 				if err := w.send(m); err != nil {
-					c.dropWatcher(w)
+					c.post(func() { c.dropWatcher(w) })
 					_ = w.close()
 					return
 				}
@@ -974,747 +709,17 @@ func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 	}()
 	for {
 		if _, err := w.recv(); err != nil {
-			c.dropWatcher(w)
+			c.post(func() { c.dropWatcher(w) })
 			return
 		}
 	}
 }
 
-// dropWatcher unregisters an entry watcher and stops its sender. Safe to
-// call twice (the recv loop and the sender both drop on error): only the
-// caller that removes the map row closes the sender's done channel.
+// dropWatcher unregisters an entry watcher and stops its sender; only
+// the first of its callers finds the row. Runs on the loop.
 func (c *Coordinator) dropWatcher(w *wire) {
-	c.mu.Lock()
-	ew := c.watchers[w]
-	delete(c.watchers, w)
-	c.mu.Unlock()
-	if ew != nil {
+	if ew := c.watchers[w]; ew != nil {
+		delete(c.watchers, w)
 		close(ew.done)
-	}
-}
-
-// markDead removes a node; in-flight RPCs against it fail immediately.
-// Without a DisconnectGrace its units are freed for re-placement on the
-// spot; with one, they stay presumed-alive until the grace deadline so a
-// blipped agent's reconnect-and-adopt wins over a needless move (the
-// lazy expiry lives in unitHost).
-func (c *Coordinator) markDead(name, reason string) {
-	if c.ctx.Err() != nil {
-		// The coordinator itself is shutting down: agent sessions are
-		// ending because Close cut them, not because nodes died. Leave
-		// the placement tables — and their journal — untouched, so a
-		// coordinator restarted over the state directory adopts the
-		// still-running instances instead of re-placing a healthy data
-		// plane. (In-flight RPCs fail via the coordinator context.)
-		return
-	}
-	c.mu.Lock()
-	m := c.nodes[name]
-	if m == nil || m.gone {
-		c.mu.Unlock()
-		return
-	}
-	m.gone = true
-	delete(c.nodes, name)
-	for _, ch := range m.pending {
-		close(ch)
-	}
-	m.pending = nil
-	var lost []string
-	hosts := false
-	for _, p := range c.st.placements {
-		if p.node == name {
-			hosts = true
-			if c.cfg.DisconnectGrace <= 0 {
-				c.st.clear(p)
-				lost = append(lost, p.u.name)
-			}
-		}
-	}
-	if hosts && c.cfg.DisconnectGrace > 0 {
-		c.disconnected[name] = time.Now().Add(c.cfg.DisconnectGrace)
-	}
-	c.mu.Unlock()
-	_ = m.w.close()
-	sort.Strings(lost)
-	switch {
-	case len(lost) > 0:
-		c.event(obs.Event{Type: obs.EventFailover, Node: name,
-			Detail: fmt.Sprintf("%s; lost %s", reason, strings.Join(lost, " "))})
-		c.logf("node %s dead (%s); re-placing %v", name, reason, lost)
-	case hosts && c.cfg.DisconnectGrace > 0:
-		c.logf("node %s disconnected (%s); holding its units %s for reconnect-and-adopt",
-			name, reason, c.cfg.DisconnectGrace)
-	default:
-		c.logf("node %s dead (%s)", name, reason)
-	}
-	c.kickReconcile()
-}
-
-// reconcileLoop drives the cluster toward the specs: it expires silent
-// nodes and reconciles placements and splices, waking on
-// registration/death kicks and on a timer that paces heartbeat expiry
-// (and retries any RPC that failed last pass).
-func (c *Coordinator) reconcileLoop() {
-	defer c.wg.Done()
-	period := c.cfg.HeartbeatTimeout / 4
-	if period < 5*time.Millisecond {
-		period = 5 * time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-c.kick:
-		case <-tick.C:
-		}
-		c.expireDead()
-		start := time.Now()
-		c.reconcile()
-		c.recDur.Observe(time.Since(start).Seconds())
-	}
-}
-
-// expireDead declares nodes dead after HeartbeatTimeout of silence.
-func (c *Coordinator) expireDead() {
-	cutoff := time.Now().Add(-c.cfg.HeartbeatTimeout)
-	c.mu.Lock()
-	var stale []string
-	for name, m := range c.nodes {
-		if m.lastBeat.Before(cutoff) {
-			stale = append(stale, name)
-		}
-	}
-	c.mu.Unlock()
-	for _, name := range stale {
-		c.markDead(name, "missed heartbeats")
-	}
-}
-
-// reconcile drives every pipeline toward its spec. Pipelines reconcile
-// independently in deterministic ID order; within one, the chain is
-// walked sink-to-source so a fresh placement always has a live address
-// to forward to. It is declarative: each pass computes every unit's
-// desired downstream (or leg set) and places, redirects or re-legs
-// whatever differs from what the live instance was last told — so a
-// failed RPC is simply retried on the next pass, and a moved downstream
-// re-splices its upstream automatically. Within a replicated group the
-// order is merger, replicas, splitter; the splitter is the group's entry
-// point.
-func (c *Coordinator) reconcile() {
-	c.mu.Lock()
-	// The bootstrap gate: nothing is placed (so no stop is owed either)
-	// until MinNodes nodes have registered at least once. It is read once
-	// per pass, so a cluster cold-starting under the gate is laid out by
-	// one pass over one node set rather than by whichever units the last
-	// registration raced.
-	if c.bootstrapped = c.bootstrapped || len(c.nodes) >= c.cfg.MinNodes; !c.bootstrapped {
-		c.mu.Unlock()
-		return
-	}
-	// Clean up dead segment instances first. Running the stops on this
-	// goroutine, before any placement, guarantees a queued stop executes
-	// before a re-assign that reuses the segment name on the same node.
-	stops := c.pendingStops
-	c.pendingStops = nil
-	pipes := make([]*pipelineState, 0, len(c.st.order))
-	for _, id := range c.st.order {
-		pipes = append(pipes, c.st.pipelines[id])
-	}
-	c.mu.Unlock()
-	for _, s := range stops {
-		// Best effort: the ack may carry the dead segment's processing
-		// error (already surfaced via the heartbeat), and the node may
-		// have died in the meantime.
-		if _, err := c.rpc(s.node, &Message{Type: TypeStop, Seg: s.seg}); err != nil {
-			c.logf("cleanup of dead segment %s on %s: %v", s.seg, s.node, err)
-		}
-	}
-
-	for _, ps := range pipes {
-		c.reconcilePipeline(ps)
-	}
-}
-
-// reconcilePipeline runs one reconcile pass over one pipeline's chain.
-// Replicated and sharded groups share one shape — fan-in endpoint first,
-// then the legs, then the fan-out endpoint, which is the group's entry
-// point — so the same walk reconciles both; only the roles carried in the
-// assigns differ. The unit slice is snapshotted under mu because a shard
-// autoscale can resize it mid-pass.
-func (c *Coordinator) reconcilePipeline(ps *pipelineState) {
-	specs := ps.spec.Segments
-	moved := false // this pass (re-)placed the entry unit, the last one ensured
-	for i := len(specs) - 1; i >= 0; i-- {
-		if c.ctx.Err() != nil {
-			return
-		}
-		down := ps.spec.SinkAddr
-		if i < len(specs)-1 {
-			down = c.entryAddrOf(ps, i+1)
-		}
-		c.mu.Lock()
-		us := append([]unit(nil), ps.unitsBySpec[i]...)
-		c.mu.Unlock()
-		exitAddr, placed := c.ensure(us[0], down, nil) // the plain segment, or the group's fan-in
-		if len(us) == 1 {
-			moved = placed
-			continue
-		}
-		legs := make([]string, 0, len(us)-2)
-		for _, u := range us[1 : len(us)-1] {
-			if a, _ := c.ensure(u, exitAddr, nil); a != "" {
-				legs = append(legs, a)
-			}
-		}
-		sort.Strings(legs)
-		_, moved = c.ensure(us[len(us)-1], "", legs)
-	}
-	if e := c.entryAddrOf(ps, 0); e != "" {
-		c.setEntry(ps.id, e, moved)
-	}
-}
-
-// entryAddrOf returns the address upstream traffic for spec i dials (its
-// last unit: the plain segment, or the group's splitter), or "" while
-// unplaced.
-func (c *Coordinator) entryAddrOf(ps *pipelineState, i int) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	us := ps.unitsBySpec[i]
-	if p := c.st.placements[us[len(us)-1].name]; p != nil {
-		return p.addr
-	}
-	return ""
-}
-
-// unitHost reads a unit's placement and resolves the grace windows: a
-// unit placed on a node that has not (re-)registered is left untouched
-// while the restart grace window — or its node's disconnect grace — is
-// open (its instance is presumed to still be running detached, so its
-// address stays valid for splicing), and is freed for re-placement once
-// the window closes. It returns the placement, a snapshot of its fields
-// and a live flag; !live means "hands off this pass". A nil placement
-// means the unit's pipeline was removed mid-pass.
-func (c *Coordinator) unitHost(u unit) (p *placement, cur placement, live bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p = c.st.placements[u.name]
-	if p == nil {
-		return nil, placement{}, false
-	}
-	if _, registered := c.nodes[p.node]; p.node != "" && !registered {
-		window, open := "restart grace", c.inGrace()
-		if deadline, blipped := c.disconnected[p.node]; blipped {
-			window, open = "disconnect grace", time.Now().Before(deadline)
-		}
-		if open {
-			return p, *p, false
-		}
-		node := p.node
-		c.logf("unit %s lost: node %s did not come back within its %s; re-placing", u.name, node, window)
-		c.event(obs.Event{Type: obs.EventFailover, Node: node, Unit: u.name, Detail: window + " expired"})
-		c.st.clear(p)
-		// Drop the node's disconnect-grace entry once nothing is recorded
-		// against it anymore; until then later units this pass read the
-		// same expired deadline and log the same cause.
-		still := false
-		for _, q := range c.st.placements {
-			if q.node == node {
-				still = true
-				break
-			}
-		}
-		if !still {
-			delete(c.disconnected, node)
-		}
-	}
-	return p, *p, true
-}
-
-// ensure places unit u if it is unplaced, or re-splices its live instance
-// if its desired target moved, and returns the unit's current address (""
-// while unplaced or blocked). The target of a fan-out endpoint is its leg
-// set (legs, sorted; down is ""), re-spliced with a legs update that drops
-// dead legs and takes re-placed, resized or drained ones in; the target of
-// every other unit is its one downstream (down; legs is nil), re-spliced
-// with a redirect. Nothing else differs between the two, so they share
-// the place-or-adopt path below. placed reports a fresh instance.
-func (c *Coordinator) ensure(u unit, down string, legs []string) (addr string, placed bool) {
-	kind := KindOf(u.role)
-	p, cur, live := c.unitHost(u)
-	if !live || (down == "" && len(legs) == 0) {
-		// Hands off, or nothing to forward to yet (a fan-out endpoint is
-		// placed once at least one leg exists).
-		return cur.addr, false
-	}
-	if cur.node == "" {
-		return c.place(u, kind, p, down, legs)
-	}
-	fanOut := kind == KindFanOut
-	if (fanOut && slices.Equal(cur.legs, legs)) || (!fanOut && cur.down == down) {
-		return cur.addr, false // the steady state: nothing moved
-	}
-	splice := &Message{Type: TypeRedirect, Seg: u.name, Downstream: down}
-	done := obs.Event{Type: obs.EventRedirect, Unit: u.name, Node: cur.node, Addr: down}
-	if fanOut {
-		splice = &Message{Type: TypeLegs, Seg: u.name, Downstreams: legs}
-		done = obs.Event{Type: obs.EventLegs, Unit: u.name, Node: cur.node, Value: float64(len(legs))}
-	}
-	if _, err := c.rpc(cur.node, splice); err != nil {
-		// The instance still streams to the stale target; the next pass
-		// retries, so the stall cannot become permanent.
-		c.logf("%s %s on %s: %v (will retry)", splice.Type, u.name, cur.node, err)
-		return cur.addr, false
-	}
-	c.mu.Lock()
-	if c.st.placements[u.name] == p {
-		c.st.setPlacement(p, placementRecord{Node: p.node, Addr: p.addr, Down: down, Legs: legs})
-	}
-	c.mu.Unlock()
-	c.event(done)
-	c.logf("%s re-spliced to %s%v", u.name, down, legs)
-	return cur.addr, false
-}
-
-// place assigns unplaced unit u to a node the placement policy picks and
-// commits the placement — unless, while the assign RPC was in flight, the
-// node died (the unit stays unplaced for the next pass), the unit's
-// pipeline was removed, or a re-registering agent's surviving instance
-// was adopted back (the fresh duplicate is stopped either way). Fan
-// endpoints are assigned with their role and group; each fan-out
-// assignment also advances the group's epoch so the fan-in endpoint can
-// tell a fresh incarnation's numbering from its predecessor's. placed
-// reports that the new instance was committed.
-func (c *Coordinator) place(u unit, kind UnitKind, p *placement, down string, legs []string) (addr string, placed bool) {
-	pick := c.pickNode(u, "")
-	if pick == "" {
-		c.logf("%s waiting: no eligible nodes", u.name)
-		return "", false
-	}
-	msg := &Message{Type: TypeAssign, Seg: u.name, SegType: u.typ, Downstream: down, Downstreams: legs}
-	if kind.Endpoint() {
-		msg.Role, msg.Group = u.role, u.group
-	}
-	detail := ""
-	if kind == KindFanOut {
-		c.mu.Lock()
-		msg.Epoch = c.st.bumpGroupEpoch(u.group)
-		c.mu.Unlock()
-		detail = fmt.Sprintf("epoch %d, %d legs", msg.Epoch, len(legs))
-	}
-	a, err := c.assign(pick, msg)
-	if err != nil {
-		c.logf("assign %s to %s: %v", u.name, pick, err)
-		return "", false
-	}
-	c.mu.Lock()
-	if _, alive := c.nodes[pick]; !alive {
-		c.mu.Unlock()
-		return "", false
-	}
-	if removed := c.st.placements[u.name] != p; removed || p.node != "" {
-		// While the assign was in flight the unit's pipeline was removed,
-		// or a re-registering agent's surviving instance was adopted back
-		// (it is already wired into the stream, so it wins): either way
-		// the fresh instance is an orphan to stop.
-		c.pendingStops = append(c.pendingStops, stopReq{node: pick, seg: u.name})
-		if !removed {
-			addr = p.addr
-			c.logf("%s adopted on %s during assign; stopping duplicate on %s", u.name, p.node, pick)
-		}
-		c.mu.Unlock()
-		c.kickReconcile()
-		return addr, false
-	}
-	typ := obs.EventPlace
-	if p.everPlaced {
-		typ = obs.EventReplace
-	}
-	c.st.setPlacement(p, placementRecord{Node: pick, Addr: a, Down: down, Legs: legs})
-	c.mu.Unlock()
-	c.event(obs.Event{Type: typ, Unit: u.name, Node: pick, Addr: a, Detail: detail})
-	c.logf("%s placed on %s at %s %s", u.name, pick, a, detail)
-	return a, true
-}
-
-// pickNode chooses a live node for unit u via the placement policy,
-// excluding (if non-empty) one node a drain is moving away from. Each
-// candidate carries its placed-segment count — across every pipeline,
-// since the node pool is shared — plus the flow telemetry from its
-// latest heartbeat, and whether it hosts a topology neighbor of u within
-// u's own pipeline (an adjacent spec segment, or a unit of u's own
-// replication or shard group), so policies can spread chains across
-// failure domains without pipelines penalizing each other's placements.
-// Replicas and shard legs go further: candidates hosting a sibling
-// replica (or sibling shard leg) are excluded outright while any
-// alternative exists — replicas so the copies survive a node loss, shard
-// legs so the data-parallel CPU work actually lands on distinct cores.
-// Returns "" when u's pipeline was removed or no node is eligible.
-func (c *Coordinator) pickNode(u unit, exclude string) string {
-	c.mu.Lock()
-	ps := c.st.pipelineOf(u)
-	if ps == nil {
-		c.mu.Unlock()
-		return ""
-	}
-	specIdx := ps.specIndex[u.group]
-	neighbors := make(map[string]bool)
-	siblings := make(map[string]bool)
-	for j := max(specIdx-1, 0); j <= min(specIdx+1, len(ps.unitsBySpec)-1); j++ {
-		for _, v := range ps.unitsBySpec[j] {
-			p := c.st.placements[v.name]
-			if v.name == u.name || p == nil || p.node == "" {
-				continue
-			}
-			neighbors[p.node] = true
-			if v.group == u.group && v.role == u.role && KindOf(u.role) == KindLeg {
-				siblings[p.node] = true
-			}
-		}
-	}
-	load := make(map[string]*NodeLoad, len(c.nodes))
-	for name, m := range c.nodes {
-		nl := &NodeLoad{Name: name, HostsNeighbor: neighbors[name]}
-		for _, st := range m.stats {
-			nl.Lag += st.LagValue()
-			nl.QueueDepth += st.QueueDepth
-			nl.QueueCap += st.QueueCap
-		}
-		load[name] = nl
-	}
-	for _, p := range c.st.placements {
-		if p.node != "" {
-			if nl := load[p.node]; nl != nil {
-				nl.Segments++
-			}
-		}
-	}
-	c.mu.Unlock()
-	cands := make([]NodeLoad, 0, len(load))
-	for name, nl := range load {
-		if name == exclude || siblings[name] {
-			continue
-		}
-		cands = append(cands, *nl)
-	}
-	if len(cands) == 0 && len(siblings) > 0 {
-		// Fewer nodes than legs: better a co-located replica or shard than
-		// an unplaced one.
-		for name, nl := range load {
-			if name != exclude {
-				cands = append(cands, *nl)
-			}
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].Name < cands[j].Name })
-	return c.cfg.Placer.Pick(cands)
-}
-
-// Drain gracefully moves a placed unit to another node — the
-// operator-initiated counterpart of failover re-placement, built to
-// repair zero scopes: a fresh instance is placed first, the stream is
-// spliced over without cutting it mid-scope, and the old instance is
-// stopped only after its tail has settled downstream. unitName is the
-// scoped placement key (e.g. "extract", or "pA:extract/r2" for a named
-// pipeline's replica).
-//
-// For a replica unit the splice is a splitter leg swap (the merger's
-// dedup makes the handover invisible at any stream position); a shard
-// leg drains the same way via its partitioner, whose retiring leg
-// flushes its queue through the old instance before the stop. For an
-// ordinary segment the upstream neighbor redirects at the next top-level
-// scope boundary, so the old instance's final connection ends with a
-// structurally complete stream; draining a pipeline's entry segment
-// publishes the new address immediately (external sources redirect
-// eagerly). Splitter/merger and partition/collect endpoints cannot be
-// drained — move their legs.
-func (c *Coordinator) Drain(unitName string) error {
-	c.drainMu.Lock()
-	defer c.drainMu.Unlock()
-	c.drainsActive.Add(1)
-	defer c.drainsActive.Add(-1)
-	c.mu.Lock()
-	p := c.st.placements[unitName]
-	if p == nil {
-		c.mu.Unlock()
-		return fmt.Errorf("river: unknown unit %q", unitName)
-	}
-	u := p.u
-	ps := c.st.pipelineOf(u)
-	oldNode, oldAddr, down := p.node, p.addr, p.down
-	c.mu.Unlock()
-	if ps == nil {
-		return fmt.Errorf("river: unknown unit %q", unitName)
-	}
-	kind := KindOf(u.role)
-	if kind.Endpoint() {
-		return fmt.Errorf("river: draining a %s endpoint is not supported; drain its group's legs instead", u.role)
-	}
-	if oldNode == "" {
-		return fmt.Errorf("river: %q is not placed", unitName)
-	}
-	if down == "" {
-		return fmt.Errorf("river: %q has no downstream yet", unitName)
-	}
-	dest := c.pickNode(u, oldNode)
-	if dest == "" || dest == oldNode {
-		return errors.New("river: no other eligible node to drain to")
-	}
-	newAddr, err := c.assign(dest, &Message{Type: TypeAssign, Seg: unitName, SegType: u.typ, Downstream: down})
-	if err != nil {
-		return fmt.Errorf("river: drain assign to %s: %w", dest, err)
-	}
-	c.event(obs.Event{Type: obs.EventDrain, Unit: unitName, Node: dest,
-		Detail: "from " + oldNode})
-
-	// Splice, then commit. The splice RPC happens unlocked; every state
-	// change it implies — the unit's new placement, the upstream's new
-	// downstream, the entry address — commits under one mu hold so a
-	// concurrent reconcile pass can never observe a half-moved topology
-	// and splice it backward.
-	settle := c.cfg.DrainSettle
-	var upP *placement // the upstream exit unit a mid-chain drain re-pointed
-	entryDrain := false
-	fanOut := "" // the fan-out endpoint a drained leg is spliced through
-	c.mu.Lock()
-	specIdx := ps.specIndex[u.group]
-	group := ps.unitsBySpec[specIdx]
-	c.mu.Unlock()
-	switch {
-	case kind == KindLeg:
-		// The splice is the reconcile loop's: once the move commits below,
-		// the group's desired leg set names the fresh instance in place of
-		// the old one and the ordinary legs update swaps it in (a replica
-		// handover is invisible behind the merger's dedup; a retiring shard
-		// leg flushes its queue through the old instance). retire waits for
-		// that update to land before stopping the old instance.
-		fanOut = group[len(group)-1].name
-	case specIdx == 0:
-		// Unlike the mid-chain path there is no ack that the external
-		// source switched: give it the full boundary window sources use
-		// (see WatchPipelineEntry / StreamOut.RedirectAtBoundary) before
-		// the old instance is stopped, so a boundary-honoring station has
-		// ended the old stream cleanly by then. A source that ignores the
-		// hint degrades to an ordinary redirect's repair seam. The entry
-		// address commits together with the placement below, so reconcile
-		// cannot re-announce the stale address during the window.
-		entryDrain = true
-		if settle < entryBoundaryWindow {
-			settle = entryBoundaryWindow
-		}
-	default:
-		c.mu.Lock()
-		up := ps.unitsBySpec[specIdx-1][0] // the spec's exit unit: plain segment or fan-in
-		upP = c.st.placements[up.name]
-		upNode := ""
-		if upP != nil {
-			upNode = upP.node
-		}
-		c.mu.Unlock()
-		if upNode == "" {
-			return fmt.Errorf("river: upstream of %q is unplaced; cannot splice", unitName)
-		}
-		if _, err := c.rpc(upNode, &Message{Type: TypeRedirect, Seg: up.name, Downstream: newAddr, Boundary: true}); err != nil {
-			return fmt.Errorf("river: drain splice via %s: %w", up.name, err)
-		}
-	}
-
-	c.mu.Lock()
-	if c.st.placements[unitName] != p {
-		// The pipeline was removed while the drain was in flight: both
-		// the old and the fresh instance are orphans now.
-		c.pendingStops = append(c.pendingStops,
-			stopReq{node: oldNode, seg: unitName}, stopReq{node: dest, seg: unitName})
-		c.mu.Unlock()
-		c.kickReconcile()
-		return fmt.Errorf("river: pipeline of %q removed mid-drain", unitName)
-	}
-	if _, alive := c.nodes[dest]; !alive {
-		// The destination died mid-drain: leave the unit free so the
-		// reconcile loop re-places it (the old instance, already spliced
-		// away, is stopped below either way).
-		c.st.clear(p)
-		c.mu.Unlock()
-		c.kickReconcile()
-		return fmt.Errorf("river: drain destination %s died; %s awaits re-placement", dest, unitName)
-	}
-	c.st.setPlacement(p, placementRecord{Node: dest, Addr: newAddr, Down: down})
-	if upP != nil {
-		pr := upP.record()
-		pr.Down = newAddr
-		c.st.setPlacement(upP, pr)
-	}
-	var ews []*entryWatcher
-	if entryDrain && c.st.setEntry(u.pipe, newAddr) {
-		ews = c.watchersOf(u.pipe)
-	}
-	c.mu.Unlock()
-	if entryDrain {
-		c.event(obs.Event{Type: obs.EventEntry, Pipeline: u.pipe, Addr: newAddr, Detail: "boundary drain"})
-		c.logf("pipeline %q entry now %s (boundary drain)", u.pipe, newAddr)
-		c.broadcastEntry(ews, u.pipe, newAddr, true)
-	}
-	c.logf("drained %s: %s -> %s at %s", unitName, oldNode, dest, newAddr)
-	c.kickReconcile()
-	c.retire(fanOut, settle, retiree{node: oldNode, unit: unitName, addr: oldAddr,
-		drained: obs.Event{Type: obs.EventDrained, Unit: unitName, Node: dest, Addr: newAddr,
-			Detail: "from " + oldNode}})
-	return nil
-}
-
-// retiree is one old instance the stream has been spliced away from, and
-// the drained event that reports its move complete.
-type retiree struct {
-	node, unit, addr string
-	drained          obs.Event
-}
-
-// retire is the tail every planned move ends with — an operator or
-// remediation drain, an autoscale scale-in: wait until the fan-out
-// endpoint's committed leg set no longer names the old instances (fanOut
-// is "" for a plain segment, whose splice the caller already confirmed),
-// let them finish emitting the tails they accepted before the splice,
-// then stop them and report each drained. Waiting on the committed legs
-// rather than on the caller's own legs RPC covers a splice that failed
-// and was left to the reconcile loop.
-func (c *Coordinator) retire(fanOut string, settle time.Duration, olds ...retiree) {
-	spliced := func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		p := c.st.placements[fanOut]
-		return p == nil || !slices.ContainsFunc(olds, func(r retiree) bool {
-			return slices.Contains(p.legs, r.addr)
-		})
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for fanOut != "" && !spliced() && time.Now().Before(deadline) {
-		select {
-		case <-time.After(25 * time.Millisecond):
-		case <-c.ctx.Done():
-			return
-		}
-	}
-	select {
-	case <-time.After(settle):
-	case <-c.ctx.Done():
-		return
-	}
-	for _, r := range olds {
-		if _, err := c.rpc(r.node, &Message{Type: TypeStop, Seg: r.unit}); err != nil {
-			c.logf("stop of drained %s on %s: %v", r.unit, r.node, err)
-		}
-		c.event(r.drained)
-	}
-	c.kickReconcile()
-}
-
-// assign RPCs an agent to host a unit and returns the bound address.
-func (c *Coordinator) assign(node string, msg *Message) (string, error) {
-	reply, err := c.rpc(node, msg)
-	if err != nil {
-		return "", err
-	}
-	if reply.Addr == "" {
-		return "", errors.New("assign ack without address")
-	}
-	return reply.Addr, nil
-}
-
-// rpc sends a request to a node's control session and waits for the
-// matching ack. It fails fast when the node dies mid-flight.
-func (c *Coordinator) rpc(node string, msg *Message) (*Message, error) {
-	c.mu.Lock()
-	m := c.nodes[node]
-	if m == nil || m.pending == nil {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("node %s not registered", node)
-	}
-	c.nextID++
-	id := c.nextID
-	msg.ID = id
-	ch := make(chan *Message, 1)
-	m.pending[id] = ch
-	c.mu.Unlock()
-
-	cleanup := func() {
-		c.mu.Lock()
-		if m.pending != nil {
-			delete(m.pending, id)
-		}
-		c.mu.Unlock()
-	}
-	if err := m.w.send(msg); err != nil {
-		cleanup()
-		return nil, err
-	}
-	timer := time.NewTimer(c.cfg.RPCTimeout)
-	defer timer.Stop()
-	select {
-	case reply, ok := <-ch:
-		if !ok {
-			return nil, fmt.Errorf("node %s died during %s", node, msg.Type)
-		}
-		if reply.Err != "" {
-			return nil, errors.New(reply.Err)
-		}
-		return reply, nil
-	case <-timer.C:
-		cleanup()
-		return nil, fmt.Errorf("%s to node %s timed out", msg.Type, node)
-	case <-c.ctx.Done():
-		cleanup()
-		return nil, errors.New("coordinator closed")
-	}
-}
-
-// setEntry records a pipeline's entry address and, when it changed or
-// the entry unit was just re-placed (moved; it may come back at its old
-// host:port), announces it (an immediate move: failover or initial
-// placement) to that pipeline's watchers — and, for the default
-// pipeline, the OnEntryChange hook. Entry drains bypass it — they commit
-// the address together with the placement and broadcast with the
-// boundary hint.
-func (c *Coordinator) setEntry(pipe, addr string, moved bool) {
-	c.mu.Lock()
-	if !c.st.setEntry(pipe, addr) && !moved {
-		c.mu.Unlock()
-		return
-	}
-	ews := c.watchersOf(pipe)
-	c.mu.Unlock()
-	c.event(obs.Event{Type: obs.EventEntry, Pipeline: pipe, Addr: addr})
-	if pipe == "" {
-		c.logf("pipeline entry now %s", addr)
-	} else {
-		c.logf("pipeline %q entry now %s", pipe, addr)
-	}
-	c.broadcastEntry(ews, pipe, addr, false)
-}
-
-// watchersOf lists a pipeline's entry watchers. Callers hold mu.
-func (c *Coordinator) watchersOf(pipe string) []*entryWatcher {
-	var ews []*entryWatcher
-	for _, ew := range c.watchers {
-		if ew.pipe == pipe {
-			ews = append(ews, ew)
-		}
-	}
-	return ews
-}
-
-// broadcastEntry hands an entry address to a pipeline's watchers' sender
-// goroutines (and, for the default pipeline, the OnEntryChange hook);
-// boundary asks watching sources to switch at their next top-level scope
-// boundary rather than immediately. The handoff never blocks: each
-// watcher's own sender performs the network write.
-func (c *Coordinator) broadcastEntry(ews []*entryWatcher, pipe, addr string, boundary bool) {
-	for _, ew := range ews {
-		ew.offer(&Message{Type: TypeEntry, Addr: addr, Pipeline: pipe, Boundary: boundary})
-	}
-	if pipe == "" && c.cfg.OnEntryChange != nil {
-		c.cfg.OnEntryChange(addr)
 	}
 }

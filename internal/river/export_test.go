@@ -2,20 +2,30 @@
 
 package river
 
+// EntryAddr returns the default pipeline's entry address (the first
+// pipeline's when no default exists), or "" while it is unplaced.
+func (c *Coordinator) EntryAddr() (addr string) {
+	c.query(func() {
+		if ps := c.k.defaultPipeline(); ps != nil {
+			addr = ps.entryAddr
+		}
+	})
+	return addr
+}
+
 // PipelineEntryAddr returns the named pipeline's entry address, or ""
 // while it is unplaced or unknown.
-func (c *Coordinator) PipelineEntryAddr(id string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ps := c.st.pipelines[id]; ps != nil {
-		return ps.entryAddr
-	}
-	return ""
+func (c *Coordinator) PipelineEntryAddr(id string) (addr string) {
+	c.query(func() {
+		if ps := c.k.st.pipelines[id]; ps != nil {
+			addr = ps.entryAddr
+		}
+	})
+	return addr
 }
 
 // Pipelines returns the registered pipeline IDs in deterministic order.
-func (c *Coordinator) Pipelines() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.st.order...)
+func (c *Coordinator) Pipelines() (ids []string) {
+	c.query(func() { ids = append([]string(nil), c.k.st.order...) })
+	return ids
 }

@@ -2,6 +2,8 @@ package river
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -79,98 +81,89 @@ const (
 	monFloorE2eLatency = 25 // milliseconds — sub-25ms jitter is healthy
 )
 
-// monitorLoop samples every node's aggregated telemetry each tick, feeds
-// the series through per-(node,metric) streaming z-score detectors, and
-// emits anomaly events for warm series scoring past the threshold. It
-// runs under the coordinator's waitgroup until Close.
-func (c *Coordinator) monitorLoop() {
-	defer c.wg.Done()
-	mc := c.cfg.Monitor.withDefaults()
-	set := timeseries.NewZScoreSet(mc.Alpha, mc.Warmup)
-	prevLag := make(map[string]float64)    // cumulative lag at last tick
-	lastFlag := make(map[string]time.Time) // (node/metric) -> last anomaly
-	tick := time.NewTicker(mc.Interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case <-tick.C:
-		}
-		type sample struct {
-			node       string
-			depth, lag float64
-			e2eMS      float64
-			beatAge    time.Duration
-		}
-		now := time.Now()
-		c.mu.Lock()
-		samples := make([]sample, 0, len(c.nodes))
-		for name, m := range c.nodes {
-			s := sample{node: name, beatAge: now.Sub(m.lastBeat)}
-			for _, seg := range m.stats {
-				s.depth += float64(seg.QueueDepth)
-				s.lag += float64(seg.LagValue())
-				// Worst p99 across the node's segments; e2e (probe-derived)
-				// when available, per-hop otherwise.
-				if ms := float64(seg.E2eP99Us) / 1e3; ms > s.e2eMS {
-					s.e2eMS = ms
-				} else if ms := float64(seg.LatP99Us) / 1e3; seg.E2eP99Us == 0 && ms > s.e2eMS {
-					s.e2eMS = ms
-				}
-			}
-			samples = append(samples, s)
-		}
-		c.mu.Unlock()
-		seen := make(map[string]bool, len(samples))
-		for _, s := range samples {
-			seen[s.node] = true
-			lagDelta := 0.0
-			if prev, ok := prevLag[s.node]; ok {
-				lagDelta = s.lag - prev
-			}
-			prevLag[s.node] = s.lag
-			for _, mv := range []struct {
-				metric string
-				value  float64
-				floor  float64
-			}{
-				{monMetricQueueDepth, s.depth, monFloorQueueDepth},
-				{monMetricLagDelta, lagDelta, monFloorLagDelta},
-				{monMetricE2eLatencyMS, s.e2eMS, monFloorE2eLatency},
-				// Heartbeat age legitimately jitters by up to the beat
-				// interval on a healthy node; deviations under one interval
-				// are noise.
-				{monMetricHeartbeatMS, float64(s.beatAge.Milliseconds()),
-					float64(c.cfg.HeartbeatInterval.Milliseconds())},
-			} {
-				key := s.node + "/" + mv.metric
-				score, warm := set.PushFloor(key, mv.value, mv.floor)
-				c.reg.Gauge("dynriver_monitor_zscore", "node", s.node, "metric", mv.metric).Set(score)
-				if !warm || score < mc.Threshold {
-					continue
-				}
-				if t, ok := lastFlag[key]; ok && now.Sub(t) < mc.Cooldown {
-					continue
-				}
-				lastFlag[key] = now
-				c.event(obs.Event{
-					Type: obs.EventAnomaly, Node: s.node,
-					Metric: mv.metric, Value: mv.value, Score: score,
-					Detail: fmt.Sprintf("z-score %.1f over threshold %.1f", score, mc.Threshold),
-				})
-				c.logf("anomaly: node %s %s=%g (z-score %.1f)", s.node, mv.metric, mv.value, score)
+// monitor is the self-monitoring detector state: per-(node,metric)
+// streaming z-score baselines, the per-node cumulative lag at the last
+// sample, and each series' last anomaly for the cooldown.
+type monitor struct {
+	cfg      MonitorConfig
+	set      *timeseries.ZScoreSet
+	prevLag  map[string]float64
+	lastFlag map[string]time.Time
+	next     time.Time
+}
+
+func newMonitor(mc MonitorConfig) *monitor {
+	mc = mc.withDefaults()
+	return &monitor{cfg: mc, set: timeseries.NewZScoreSet(mc.Alpha, mc.Warmup),
+		prevLag: make(map[string]float64), lastFlag: make(map[string]time.Time)}
+}
+
+// sample runs one monitor tick when its interval is due: it samples every
+// node's aggregated telemetry, feeds the series through the detectors, and
+// emits an anomaly event (handed straight to the remediation policy) for
+// each warm series scoring past the threshold.
+func (k *core) sample() {
+	mon, now := k.mon, k.now
+	if mon.cfg.Disabled || now.Before(mon.next) {
+		return
+	}
+	mon.next = now.Add(mon.cfg.Interval)
+	for _, name := range slices.Sorted(maps.Keys(k.nodes)) {
+		m := k.nodes[name]
+		var depth, lag, e2eMS float64
+		for _, seg := range m.stats {
+			depth += float64(seg.QueueDepth)
+			lag += float64(seg.LagValue())
+			// Worst p99 across the node's segments; e2e (probe-derived)
+			// when available, per-hop otherwise.
+			if ms := float64(seg.E2eP99Us) / 1e3; ms > e2eMS {
+				e2eMS = ms
+			} else if ms := float64(seg.LatP99Us) / 1e3; seg.E2eP99Us == 0 && ms > e2eMS {
+				e2eMS = ms
 			}
 		}
-		// A departed node's baselines must not welcome its replacement:
-		// forget every series of nodes no longer registered.
-		for key := range prevLag {
-			if !seen[key] {
-				set.Forget(key + "/")
-				delete(prevLag, key)
-				for _, m := range []string{monMetricQueueDepth, monMetricLagDelta, monMetricHeartbeatMS, monMetricE2eLatencyMS} {
-					delete(lastFlag, key+"/"+m)
-				}
+		lagDelta := 0.0
+		if prev, ok := mon.prevLag[name]; ok {
+			lagDelta = lag - prev
+		}
+		mon.prevLag[name] = lag
+		for _, mv := range []struct {
+			metric       string
+			value, floor float64
+		}{
+			{monMetricQueueDepth, depth, monFloorQueueDepth},
+			{monMetricLagDelta, lagDelta, monFloorLagDelta},
+			{monMetricE2eLatencyMS, e2eMS, monFloorE2eLatency},
+			// Heartbeat age legitimately jitters by up to the beat interval
+			// on a healthy node; deviations under one interval are noise.
+			{monMetricHeartbeatMS, float64(now.Sub(m.lastBeat).Milliseconds()),
+				float64(k.cfg.HeartbeatInterval.Milliseconds())},
+		} {
+			key := name + "/" + mv.metric
+			score, warm := mon.set.PushFloor(key, mv.value, mv.floor)
+			k.emit(action{kind: actGauge, ev: obs.Event{Node: name, Metric: mv.metric, Score: score}})
+			if t, ok := mon.lastFlag[key]; !warm || score < mon.cfg.Threshold || (ok && now.Sub(t) < mon.cfg.Cooldown) {
+				continue
+			}
+			mon.lastFlag[key] = now
+			e := obs.Event{
+				Type: obs.EventAnomaly, Node: name,
+				Metric: mv.metric, Value: mv.value, Score: score,
+				Detail: fmt.Sprintf("z-score %.1f over threshold %.1f", score, mon.cfg.Threshold),
+			}
+			k.event(e)
+			k.logf("anomaly: node %s %s=%g (z-score %.1f)", name, mv.metric, mv.value, score)
+			k.remediate(e)
+		}
+	}
+	// A departed node's baselines must not welcome its replacement: forget
+	// every series of nodes no longer registered.
+	for name := range mon.prevLag {
+		if k.nodes[name] == nil {
+			mon.set.Forget(name + "/")
+			delete(mon.prevLag, name)
+			for _, m := range []string{monMetricQueueDepth, monMetricLagDelta, monMetricHeartbeatMS, monMetricE2eLatencyMS} {
+				delete(mon.lastFlag, name+"/"+m)
 			}
 		}
 	}

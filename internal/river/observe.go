@@ -37,12 +37,12 @@ func (c *Coordinator) setupObs() {
 	c.st.jAppends = c.reg.Counter("dynriver_journal_appends_total")
 	c.st.jFsync = c.reg.Histogram("dynriver_journal_fsync_seconds", nil)
 	c.reg.OnGather(func() {
-		rollupStatus(c.reg, c.Status())
-		c.mu.Lock()
-		entry, events := len(c.watchers), c.evWatchers
-		c.mu.Unlock()
+		var st *ClusterStatus
+		entry := 0
+		c.query(func() { st, entry = c.k.status(), len(c.watchers) })
+		rollupStatus(c.reg, st)
 		c.reg.Gauge("dynriver_coord_watchers", "kind", "entry").Set(float64(entry))
-		c.reg.Gauge("dynriver_coord_watchers", "kind", "events").Set(float64(events))
+		c.reg.Gauge("dynriver_coord_watchers", "kind", "events").Set(float64(c.evWatchers.Load()))
 	})
 }
 
@@ -162,14 +162,8 @@ func (c *Coordinator) serveEventWatcher(w *wire, first *Message) {
 	sub.DropCounter = c.reg.Counter("dynriver_events_dropped_total",
 		"subscriber", w.conn.RemoteAddr().String())
 	defer c.events.Unsubscribe(sub)
-	c.mu.Lock()
-	c.evWatchers++
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.evWatchers--
-		c.mu.Unlock()
-	}()
+	c.evWatchers.Add(1)
+	defer c.evWatchers.Add(-1)
 	if backlog := c.events.Since(last, match); len(backlog) > 0 {
 		if err := w.send(&Message{Type: TypeEvent, Events: backlog}); err != nil {
 			return

@@ -151,9 +151,8 @@ func TestHandshakeRejectsMismatchedPeer(t *testing.T) {
 		})
 	}
 
-	coord.mu.Lock()
-	nodes, watchers := len(coord.nodes), len(coord.watchers)
-	coord.mu.Unlock()
+	var nodes, watchers int
+	coord.query(func() { nodes, watchers = len(coord.k.nodes), len(coord.watchers) })
 	if nodes != 0 || watchers != 0 {
 		t.Fatalf("refused peers left state behind: %d members, %d watchers", nodes, watchers)
 	}

@@ -6,12 +6,13 @@ import (
 	"time"
 )
 
-// BenchmarkReconcileManyPipelines measures coordinator reconcile
-// throughput as the pipeline registry grows: a steady-state pass (every
-// unit placed and converged, nothing to RPC) over 1, 8 and 64 two-segment
-// pipelines sharing an 8-node pool. This is the control plane's hot loop
-// — it runs every kick and every quarter-heartbeat-timeout tick — so its
-// cost bounds how many stations one coordinator can serve.
+// BenchmarkReconcileManyPipelines measures the core's steady-state tick
+// as the pipeline registry grows: one tick (heartbeat expiry check plus a
+// reconcile pass with every unit placed and converged, nothing to send)
+// over 1, 8 and 64 two-segment pipelines sharing an 8-node pool. This is
+// the control plane's hot loop — every periodic pass is one — so its cost
+// bounds how many stations one coordinator can serve. No Coordinator,
+// socket or lock is involved: the core is driven directly.
 func BenchmarkReconcileManyPipelines(b *testing.B) {
 	for _, n := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("pipelines-%d", n), func(b *testing.B) {
@@ -26,50 +27,46 @@ func BenchmarkReconcileManyPipelines(b *testing.B) {
 					SinkAddr: "127.0.0.1:9",
 				}
 			}
-			coord, err := NewCoordinator(Config{
-				Pipelines: specs,
-				// Park the background loop so the timed passes run here.
-				HeartbeatInterval: time.Hour,
-				HeartbeatTimeout:  4 * time.Hour,
-				Logf:              nil,
-			})
+			st, _, err := newState("", specs, func(string, ...any) {})
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer coord.Close()
+			cfg := Config{Pipelines: specs, Monitor: MonitorConfig{Disabled: true}}.withDefaults()
+			now := time.Unix(1000, 0)
+			k := newCore(cfg, st, false, now)
 
-			// Synthetically register an 8-node pool and place every unit
-			// in its converged position, so each measured pass is the
-			// steady-state table walk (no assigns, no redirects).
+			// Register an 8-node pool and place every unit in its converged
+			// position, so each measured tick is the steady-state table walk
+			// (no assigns, no redirects).
 			const pool = 8
-			coord.mu.Lock()
-			now := time.Now().Add(time.Hour) // never heartbeat-expired
 			for i := 0; i < pool; i++ {
-				name := fmt.Sprintf("node-%d", i)
-				coord.nodes[name] = &member{
-					name: name, lastBeat: now,
-					pending: make(map[uint64]chan *Message),
-				}
+				k.step(inRegister{sess: uint64(i + 1), node: fmt.Sprintf("node-%d", i)})
 			}
-			coord.bootstrapped = true
-			for i, id := range coord.st.order {
-				ps := coord.st.pipelines[id]
-				back := coord.st.placements[ps.units[1].name]
+			for i, id := range st.order {
+				ps := st.pipelines[id]
+				back := st.placements[ps.units[1].name]
 				back.node = fmt.Sprintf("node-%d", (2*i)%pool)
 				back.addr = fmt.Sprintf("127.0.0.1:%d", 20000+2*i)
 				back.down = ps.spec.SinkAddr
-				front := coord.st.placements[ps.units[0].name]
+				front := st.placements[ps.units[0].name]
 				front.node = fmt.Sprintf("node-%d", (2*i+1)%pool)
 				front.addr = fmt.Sprintf("127.0.0.1:%d", 20001+2*i)
 				front.down = back.addr
 				ps.entryAddr = front.addr
 			}
-			coord.mu.Unlock()
+			pass := max(cfg.HeartbeatTimeout/4, 5*time.Millisecond)
 
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				coord.reconcile()
+				// Heartbeats keep the pool alive; each tick is due a pass.
+				now = now.Add(pass)
+				for _, m := range k.nodes {
+					m.lastBeat = now
+				}
+				if acts := k.step(inTick{now: now}); len(acts) != 0 {
+					b.Fatalf("steady-state tick acted: %+v", acts[0])
+				}
 			}
 			b.ReportMetric(float64(2*n), "units/pass")
 		})

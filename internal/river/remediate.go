@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -61,139 +60,92 @@ func (rc RemediateConfig) validate() error {
 	return fmt.Errorf("river: remediation mode %q (want %q or %q)", rc.Mode, RemediateObserve, RemediateDrain)
 }
 
-// remediator holds the policy's mutable guardrail state.
+// remediator holds the policy's guardrail state.
 type remediator struct {
-	cfg RemediateConfig
-
-	mu       sync.Mutex
+	cfg      RemediateConfig
 	lastTry  map[string]time.Time // node -> last remediation attempt
 	inflight map[string]bool      // nodes with a remediation drain running
 }
 
-// remediateLoop consumes the coordinator's own anomaly events and applies
-// the remediation policy to each. It runs under the coordinator waitgroup
-// until Close. The subscription queue is bounded like any other event
-// subscriber; a drop only delays remediation until the next anomaly tick,
-// and is counted on dynriver_events_dropped_total{subscriber="remediation"}.
-func (c *Coordinator) remediateLoop() {
-	defer c.wg.Done()
-	sub := c.events.Subscribe(64)
-	sub.DropCounter = c.reg.Counter("dynriver_events_dropped_total", "subscriber", "remediation")
-	defer c.events.Unsubscribe(sub)
-	for {
-		select {
-		case <-c.ctx.Done():
-			return
-		case e := <-sub.C:
-			if e.Type != obs.EventAnomaly || e.Node == "" {
-				continue
-			}
-			c.remediateAnomaly(e)
-		}
+// remediate runs the policy for one anomaly event: guardrails first, then
+// — in drain mode, outside dry-run — pre-emptive drains of the node's
+// drainable units, one after another. Every decision is emitted as a typed
+// remediation event, so `dynriver events` shows the loop closing (or
+// declining to).
+func (k *core) remediate(e obs.Event) {
+	r, node := &k.rem, e.Node
+	suppress := func(detail string) {
+		k.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
+			Node: node, Metric: e.Metric, Detail: detail})
 	}
-}
-
-// remediateAnomaly runs the policy for one anomaly event: guardrails
-// first, then — in drain mode, outside dry-run — the pre-emptive drain of
-// the node's drainable units on its own goroutine. Every decision is
-// emitted as a typed remediation event, so `dynriver events` shows the
-// loop closing (or declining to).
-func (c *Coordinator) remediateAnomaly(e obs.Event) {
-	r := c.rem
-	node := e.Node
-	now := time.Now()
-	r.mu.Lock()
-	if last, ok := r.lastTry[node]; ok && now.Sub(last) < r.cfg.Cooldown {
-		r.mu.Unlock()
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric, Detail: "cooldown"})
+	if last, ok := r.lastTry[node]; ok && k.now.Sub(last) < r.cfg.Cooldown {
+		suppress("cooldown")
 		return
 	}
 	if r.inflight[node] {
-		r.mu.Unlock()
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric, Detail: "drain-in-flight"})
+		suppress("drain-in-flight")
 		return
 	}
 	if len(r.inflight) >= r.cfg.MaxConcurrent {
-		r.mu.Unlock()
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric, Detail: "max-concurrent"})
+		suppress("max-concurrent")
 		return
 	}
 	// The attempt counts against the cooldown whatever happens next, so a
 	// flapping series cannot spam triggered events either.
-	r.lastTry[node] = now
-	r.mu.Unlock()
-
-	c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseTriggered,
+	r.lastTry[node] = k.now
+	k.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseTriggered,
 		Node: node, Metric: e.Metric, Value: e.Value, Score: e.Score,
 		Detail: fmt.Sprintf("anomaly on %s", e.Metric)})
-
-	if r.cfg.Mode != RemediateDrain {
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric, Detail: "mode=observe"})
+	units := k.drainableUnits(node)
+	switch {
+	case r.cfg.Mode != RemediateDrain:
+		suppress("mode=observe")
+		return
+	case len(units) == 0:
+		suppress("no drainable units")
+		return
+	case r.cfg.DryRun:
+		suppress("dry-run: would drain " + strings.Join(units, " "))
 		return
 	}
-	units := c.drainableUnits(node)
-	if len(units) == 0 {
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric, Detail: "no drainable units"})
-		return
-	}
-	if r.cfg.DryRun {
-		c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseSuppressed,
-			Node: node, Metric: e.Metric,
-			Detail: "dry-run: would drain " + strings.Join(units, " ")})
-		return
-	}
-
-	r.mu.Lock()
 	r.inflight[node] = true
-	r.mu.Unlock()
-	c.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseStarted,
+	k.event(obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseStarted,
 		Node: node, Metric: e.Metric, Value: float64(len(units)),
 		Detail: "draining " + strings.Join(units, " ")})
-	c.logf("remediation: draining %d unit(s) off anomalous node %s: %v", len(units), node, units)
-	c.wg.Add(1)
-	go func() {
-		defer c.wg.Done()
-		defer func() {
-			r.mu.Lock()
-			delete(r.inflight, node)
-			r.mu.Unlock()
-		}()
-		var failed []string
-		for _, u := range units {
-			if c.ctx.Err() != nil {
-				return
-			}
-			if err := c.Drain(u); err != nil {
-				failed = append(failed, u)
-				c.logf("remediation: drain %s off %s: %v", u, node, err)
-			}
+	k.logf("remediation: draining %d unit(s) off anomalous node %s: %v", len(units), node, units)
+	var failed []string
+	var next func(i int)
+	next = func(i int) {
+		if i < len(units) {
+			k.drain(units[i], func(err error) {
+				if err != nil {
+					failed = append(failed, units[i])
+					k.logf("remediation: drain %s off %s: %v", units[i], node, err)
+				}
+				next(i + 1)
+			})
+			return
 		}
+		delete(r.inflight, node)
 		done := obs.Event{Type: obs.EventRemediation, Phase: obs.RemPhaseCompleted,
-			Node: node, Metric: e.Metric, Value: float64(len(units) - len(failed))}
+			Node: node, Metric: e.Metric, Value: float64(len(units) - len(failed)),
+			Detail: fmt.Sprintf("%d unit(s) drained", len(units))}
 		if len(failed) > 0 {
 			done.Detail = fmt.Sprintf("%d/%d drained; failed: %s",
 				len(units)-len(failed), len(units), strings.Join(failed, " "))
-		} else {
-			done.Detail = fmt.Sprintf("%d unit(s) drained", len(units))
 		}
-		c.event(done)
-		c.logf("remediation of node %s complete: %s", node, done.Detail)
-	}()
+		k.event(done)
+		k.logf("remediation of node %s complete: %s", node, done.Detail)
+	}
+	next(0)
 }
 
-// drainableUnits lists the units placed on node that Drain accepts —
+// drainableUnits lists the units placed on node that a drain accepts —
 // everything except fan-in/fan-out endpoints, which must be moved via
 // their legs — in deterministic order.
-func (c *Coordinator) drainableUnits(node string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (k *core) drainableUnits(node string) []string {
 	var out []string
-	for name, p := range c.st.placements {
+	for name, p := range k.st.placements {
 		if p.node == node && !KindOf(p.u.role).Endpoint() {
 			out = append(out, name)
 		}

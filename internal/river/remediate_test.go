@@ -33,7 +33,16 @@ func remEvents(c *Coordinator) []obs.Event {
 	return c.Events().Since(0, func(e obs.Event) bool { return e.Type == obs.EventRemediation })
 }
 
-// TestRemediationGuardrails drives remediateAnomaly directly with
+// remediateAnomaly runs the remediation policy for one anomaly event on
+// the coordinator's loop and carries out what it decided.
+func remediateAnomaly(c *Coordinator, e obs.Event) {
+	c.call(func() {
+		c.k.remediate(e)
+		c.step(nil)
+	})
+}
+
+// TestRemediationGuardrails drives the policy directly with
 // synthetic anomaly events and audits the decision stream: observe-mode
 // suppression, per-node cooldown (including expiry), the drain-in-flight
 // guard, and the concurrency cap — each decision visible as a typed
@@ -65,7 +74,7 @@ func TestRemediationGuardrails(t *testing.T) {
 
 	// Observe mode (the default): the policy walks up to the mode gate,
 	// records the trigger, then declines — the inaction is observable.
-	coord.remediateAnomaly(anom("n1"))
+	remediateAnomaly(coord, anom("n1"))
 	got := phases("n1")
 	if len(got) != 2 || !strings.HasPrefix(got[0], "triggered:") || got[1] != "suppressed:mode=observe" {
 		t.Fatalf("observe-mode decisions = %v", got)
@@ -76,38 +85,34 @@ func TestRemediationGuardrails(t *testing.T) {
 	}
 
 	// Within the cooldown the same node is suppressed before any trigger.
-	coord.remediateAnomaly(anom("n1"))
+	remediateAnomaly(coord, anom("n1"))
 	if got = phases("n1"); len(got) != 3 || got[2] != "suppressed:cooldown" {
 		t.Fatalf("cooldown decisions = %v", got)
 	}
 
 	// After the cooldown expires the node is eligible again.
 	time.Sleep(250 * time.Millisecond) // waits out the 200 ms cooldown
-	coord.remediateAnomaly(anom("n1"))
+	remediateAnomaly(coord, anom("n1"))
 	if got = phases("n1"); len(got) != 5 || !strings.HasPrefix(got[3], "triggered:") {
 		t.Fatalf("post-cooldown decisions = %v", got)
 	}
 
 	// A node with a drain already in flight is suppressed, and — with the
 	// default MaxConcurrent of 1 — so is every other node meanwhile.
-	coord.rem.mu.Lock()
-	coord.rem.inflight["n2"] = true
-	coord.rem.mu.Unlock()
-	coord.remediateAnomaly(anom("n2"))
+	coord.call(func() { coord.k.rem.inflight["n2"] = true })
+	remediateAnomaly(coord, anom("n2"))
 	if got = phases("n2"); len(got) != 1 || got[0] != "suppressed:drain-in-flight" {
 		t.Fatalf("drain-in-flight decisions = %v", got)
 	}
-	coord.remediateAnomaly(anom("n3"))
+	remediateAnomaly(coord, anom("n3"))
 	if got = phases("n3"); len(got) != 1 || got[0] != "suppressed:max-concurrent" {
 		t.Fatalf("max-concurrent decisions = %v", got)
 	}
 	// Suppression leaves no cooldown stamp behind beyond the attempt
 	// itself: once the drain lands, the blocked node becomes eligible.
-	coord.rem.mu.Lock()
-	delete(coord.rem.inflight, "n2")
-	coord.rem.mu.Unlock()
+	coord.call(func() { delete(coord.k.rem.inflight, "n2") })
 	time.Sleep(250 * time.Millisecond) // waits out the cooldown n3's own attempt stamped
-	coord.remediateAnomaly(anom("n3"))
+	remediateAnomaly(coord, anom("n3"))
 	if got = phases("n3"); len(got) != 3 || !strings.HasPrefix(got[1], "triggered:") {
 		t.Fatalf("post-unblock decisions = %v", got)
 	}
@@ -160,7 +165,7 @@ func TestRemediationDryRunAndDrainability(t *testing.T) {
 			}
 			idle := 0
 			for _, node := range nodes {
-				coord.remediateAnomaly(obs.Event{Type: obs.EventAnomaly, Node: node, Metric: "queue_depth"})
+				remediateAnomaly(coord, obs.Event{Type: obs.EventAnomaly, Node: node, Metric: "queue_depth"})
 				events := remEvents(coord)
 				if len(events) < 2 || events[len(events)-2].Phase != obs.RemPhaseTriggered {
 					t.Fatalf("dry-run decisions = %+v", events)
