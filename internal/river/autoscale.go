@@ -199,10 +199,9 @@ func (as *autoscaler) resizeDone(group string) { delete(as.inflight, group) }
 // sampling saturation from the latest heartbeats, and applies the
 // autoscaler's decisions.
 func (k *core) autoscale() {
-	if !k.as.cfg.Enabled || k.now.Before(k.as.next) {
+	if !k.as.cfg.Enabled || !due(&k.as.next, k.now, k.as.cfg.Interval) {
 		return
 	}
-	k.as.next = k.now.Add(k.as.cfg.Interval)
 	drains := len(k.drainQ)
 	if k.draining {
 		drains++

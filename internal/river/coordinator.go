@@ -296,11 +296,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		ids[spec.ID] = true
 	}
-	st, restored, err := newState(cfg.StateDir, boot, func(format string, args ...any) {
-		if cfg.Logf != nil {
-			cfg.Logf("coordinator: "+format, args...)
-		}
-	})
+	c := &Coordinator{
+		cfg:      cfg,
+		calls:    make(chan func()),
+		loopDone: make(chan struct{}),
+		sessions: make(map[uint64]*wire),
+		watchers: make(map[*wire]*entryWatcher),
+		waits:    make(map[uint64]chan error),
+	}
+	st, restored, err := newState(cfg.StateDir, boot, c.logf)
 	if err != nil {
 		return nil, err
 	}
@@ -309,21 +313,13 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		st.close()
 		return nil, fmt.Errorf("river: coordinator listen %s: %w", cfg.ListenAddr, err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &Coordinator{
-		cfg: cfg, ln: ln, ctx: ctx, cancel: cancel,
-		calls:    make(chan func()),
-		loopDone: make(chan struct{}),
-		st:       st,
-		sessions: make(map[uint64]*wire),
-		watchers: make(map[*wire]*entryWatcher),
-		waits:    make(map[uint64]chan error),
-	}
+	c.st, c.ln = st, ln
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.setupObs()
 	if cfg.MetricsAddr != "" {
 		bound, stop, err := obs.Serve(cfg.MetricsAddr, c.reg)
 		if err != nil {
-			cancel()
+			c.cancel()
 			_ = ln.Close()
 			st.close()
 			return nil, err

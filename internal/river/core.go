@@ -205,8 +205,8 @@ func newCore(cfg Config, st *state, restored bool, now time.Time) *core {
 		// re-placement.
 		k.bootstrapped = true
 		k.graceUntil = now.Add(cfg.RestartGrace)
-		k.logf("restarted as epoch %d with %d pipeline(s), %d reloaded placement(s); adopting agents for %s",
-			st.epoch, len(st.order), len(placedNames(st)), cfg.RestartGrace)
+		k.logf("restarted as epoch %d with %d pipeline(s) and reloaded placements; adopting agents for %s",
+			st.epoch, len(st.order), cfg.RestartGrace)
 	}
 	return k
 }
@@ -215,11 +215,15 @@ func newCore(cfg Config, st *state, restored bool, now time.Time) *core {
 func (k *core) step(in any) []action {
 	switch in := in.(type) {
 	case inTick:
+		prev := k.now
 		k.now = in.now
 		k.expire()
 		k.sample()
 		k.autoscale()
-		k.kicked = k.kicked || !k.now.Before(k.nextPass)
+		// A periodic pass retries what failed; a grace window closing
+		// re-places its units at once.
+		k.kicked = k.kicked || due(&k.nextPass, k.now, max(k.cfg.HeartbeatTimeout/4, 5*time.Millisecond)) ||
+			k.graceClosed(prev)
 	case inRegister:
 		k.register(in)
 	case inBeat:
@@ -239,12 +243,36 @@ func (k *core) step(in any) []action {
 	k.advanceRetires()
 	if k.kicked {
 		k.kicked = false
-		k.nextPass = k.now.Add(max(k.cfg.HeartbeatTimeout/4, 5*time.Millisecond))
 		k.reconcile()
 	}
 	out := k.out
 	k.out = nil
 	return out
+}
+
+// due reports whether a cadence of period every, next due at *next, is
+// due at now, and advances it. Like a ticker it keeps its phase and drops
+// the periods it fell behind by.
+func due(next *time.Time, now time.Time, every time.Duration) bool {
+	if now.Before(*next) {
+		return false
+	}
+	if *next = next.Add(every); !now.Before(*next) {
+		*next = now.Add(every)
+	}
+	return true
+}
+
+// graceClosed reports whether the restart grace window or a node's
+// disconnect grace closed since prev.
+func (k *core) graceClosed(prev time.Time) bool {
+	closed := func(t time.Time) bool { return prev.Before(t) && !k.now.Before(t) }
+	for _, deadline := range k.disconnected {
+		if closed(deadline) {
+			return true
+		}
+	}
+	return closed(k.graceUntil)
 }
 
 func (k *core) emit(a action)             { k.out = append(k.out, a) }
@@ -261,18 +289,6 @@ func (k *core) logf(format string, args ...any) {
 func (k *core) live(node string, sess uint64) bool {
 	m := k.nodes[node]
 	return m != nil && m.sess == sess
-}
-
-// placedNames lists the units the state currently places, for logs.
-func placedNames(st *state) []string {
-	var out []string
-	for name, p := range st.placements {
-		if p.node != "" {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // defaultPipeline resolves the pipeline the single-pipeline API surfaces
@@ -439,10 +455,15 @@ func (k *core) beat(in inBeat) {
 // expire declares nodes dead after HeartbeatTimeout of silence.
 func (k *core) expire() {
 	cutoff := k.now.Add(-k.cfg.HeartbeatTimeout)
-	for _, name := range slices.Sorted(maps.Keys(k.nodes)) {
-		if m := k.nodes[name]; m.lastBeat.Before(cutoff) {
-			k.markDead(name, m.sess, "missed heartbeats")
+	var stale []string
+	for name, m := range k.nodes {
+		if m.lastBeat.Before(cutoff) {
+			stale = append(stale, name)
 		}
+	}
+	slices.Sort(stale)
+	for _, name := range stale {
+		k.markDead(name, k.nodes[name].sess, "missed heartbeats")
 	}
 }
 
@@ -560,12 +581,18 @@ func assignAddr(reply *Message, err error) (string, error) {
 // order. Until MinNodes nodes have registered at least once nothing is
 // placed, so a cold-starting cluster is laid out over one node set rather
 // than by whichever units the first registration raced.
+// Entry addresses are synced either way: a registering agent's adopted
+// entry instance is announced even before the cluster bootstraps.
 func (k *core) reconcile() {
-	if k.bootstrapped = k.bootstrapped || len(k.nodes) >= k.cfg.MinNodes; !k.bootstrapped {
-		return
-	}
+	k.bootstrapped = k.bootstrapped || len(k.nodes) >= k.cfg.MinNodes
 	for _, id := range k.st.order {
-		k.reconcilePipeline(k.st.pipelines[id])
+		ps := k.st.pipelines[id]
+		if k.bootstrapped {
+			k.reconcilePipeline(ps)
+		}
+		if e := k.entryAddrOf(ps, 0); e != "" {
+			k.setEntry(ps.id, e, false)
+		}
 	}
 }
 
@@ -602,9 +629,6 @@ func (k *core) reconcilePipeline(ps *pipelineState) {
 		if !placing {
 			k.ensure(us[len(us)-1], "", legs)
 		}
-	}
-	if e := k.entryAddrOf(ps, 0); e != "" {
-		k.setEntry(ps.id, e, false)
 	}
 }
 

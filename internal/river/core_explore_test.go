@@ -8,9 +8,12 @@ import (
 	"go/token"
 	"hash/fnv"
 	"maps"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -20,7 +23,9 @@ import (
 // relay,relay:3 and one relay:s2 — with the agents, the clock and the
 // journal simulated, and checks the core's invariants after every input.
 // States are deduplicated by a hash of what the core and the agents hold.
-// A violation prints the input trace that led to it.
+// Every interleaving starts from the cold-booted cluster restarted over
+// its journal (see fork) and is replayed on one of several workers. A
+// violation prints the input trace that led to it.
 
 var (
 	exploreDepth = flag.Int("explore.depth", 6, "inputs per explored interleaving")
@@ -37,7 +42,8 @@ type simAgent struct {
 
 // world is the core plus everything around it the shell would own.
 type world struct {
-	t        *testing.T
+	t        *testing.T // nil on an explorer worker: see fail
+	report   *string    // where fail leaves its report when t is nil
 	cfg      Config
 	boot     []PipelineSpec
 	k        *core
@@ -60,17 +66,18 @@ func exploreBoot() []PipelineSpec {
 	}
 }
 
-func newWorld(t *testing.T) *world {
-	w := &world{t: t, boot: exploreBoot(), now: time.Unix(1000, 0),
+func newWorld(t *testing.T, report *string) *world {
+	w := &world{t: t, report: report, boot: exploreBoot(), now: time.Unix(1000, 0),
 		agents: make(map[string]*simAgent), epochs: make(map[string]uint16)}
 	w.cfg = Config{Pipelines: w.boot, MinNodes: 3, RestartGrace: time.Second,
 		Monitor: MonitorConfig{Disabled: true}, Logf: nil}.withDefaults()
 	w.pass = max(w.cfg.HeartbeatTimeout/4, 5*time.Millisecond)
 	st, _, err := newState("", w.boot, nopLogf)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
 	w.k = newCore(w.cfg, st, false, w.now)
+	w.check = true
 	for _, n := range []string{"n1", "n2", "n3"} {
 		w.agents[n] = &simAgent{up: true, hosted: make(map[string]UnitInventory)}
 		w.connect(n)
@@ -198,17 +205,20 @@ func (w *world) deliver() {
 	}
 }
 
-// settle runs the cluster without faults until nothing is in flight and
-// every unit is placed; with a live node left it must get there within a
-// bounded number of passes (the liveness invariant).
+// settle runs the cluster without faults until nothing is in flight,
+// every unit is placed and a periodic pass finds nothing to send (a failed
+// request waits for that pass); with a live node left it must get there
+// within a bounded number of passes (the liveness invariant).
 func (w *world) settle() {
 	for i := 0; i < 200; i++ {
 		w.deliver()
-		if len(w.k.ops) == 0 && len(w.k.retires) == 0 && !w.k.draining && w.k.allPlaced() {
+		quiet := len(w.k.ops) == 0 && len(w.k.retires) == 0 && !w.k.draining && w.k.allPlaced()
+		sent := w.k.nextID
+		w.tick()
+		if quiet && w.k.nextID == sent && len(w.queue) == 0 {
 			w.checkQuiet()
 			return
 		}
-		w.tick()
 	}
 	up := 0
 	for _, a := range w.agents {
@@ -235,9 +245,17 @@ func (w *world) entryPlacements() map[string]entryPlace {
 	return out
 }
 
+// fail reports a violation with the input trace that led to it and ends
+// the goroutine: the test's own, or an explorer worker's, which leaves the
+// report for the test to fail with.
 func (w *world) fail(format string, args ...any) {
-	w.t.Helper()
-	w.t.Fatalf("%s\ninput trace:\n  %s", fmt.Sprintf(format, args...), strings.Join(w.trace, "\n  "))
+	msg := fmt.Sprintf("%s\ninput trace:\n  %s", fmt.Sprintf(format, args...), strings.Join(w.trace, "\n  "))
+	if w.t != nil {
+		w.t.Helper()
+		w.t.Fatal(msg)
+	}
+	*w.report = msg
+	runtime.Goexit()
 }
 
 // checkStep holds after every step.
@@ -284,25 +302,41 @@ func (w *world) checkStep() {
 }
 
 // checkJournal holds at every input boundary: replaying the journal so
-// far gives the core's tables.
+// far gives the core's tables. A mismatch prints the lines that differ.
 func (w *world) checkJournal() {
-	k := w.k
 	st, _, _ := newState("", w.boot, nopLogf)
 	st.replay(w.journal)
-	if got, want := unboot(dumpLines(st)), unboot(strings.Split(strings.TrimSuffix(wantReloaded(k.st, w.boot), "\n"), "\n")); got != want {
-		w.fail("journal replay differs from the core's tables\n got:\n%s\nwant:\n%s", got, want)
+	got := unboot(dumpLines(st))
+	want := unboot(strings.Split(strings.TrimSuffix(wantReloaded(w.k.st, w.boot), "\n"), "\n"))
+	if !slices.Equal(got, want) {
+		only := func(a, b []string) string {
+			var out []string
+			for _, l := range a {
+				if !slices.Contains(b, l) {
+					out = append(out, l)
+				}
+			}
+			if len(out) == 0 {
+				return "(none)"
+			}
+			return strings.Join(out, "\n  ")
+		}
+		w.fail("journal replay differs from the core's tables\nonly in the replay:\n  %s\nonly in the core:\n  %s",
+			only(got, want), only(want, got))
 	}
 }
 
+var bootFlag = strings.NewReplacer(" boot=true", "", " boot=false", "")
+
 // unboot drops the boot flag (a boot pipeline re-added at runtime reloads
-// as boot again) and joins the sorted lines.
-func unboot(lines []string) string {
+// as boot again) and sorts the lines.
+func unboot(lines []string) []string {
 	out := make([]string, len(lines))
 	for i, l := range lines {
-		out[i] = strings.NewReplacer(" boot=true", "", " boot=false", "").Replace(l)
+		out[i] = bootFlag.Replace(l)
 	}
 	slices.Sort(out)
-	return strings.Join(out, "\n")
+	return out
 }
 
 // checkQuiet holds once reconciled: every fan-out's legs are its group's
@@ -364,26 +398,13 @@ var exploreInputs = []struct {
 		return true
 	}, false},
 	{"assign failure", func(w *world) bool { w.failNext = true; return true }, false},
-	{"drain b/r1", func(w *world) bool { w.feed(inDrain{unit: "b/r1"}); return true }, true},
+	{"drain b/r1", func(w *world) bool { w.feed(inDrain{unit: "b/r1"}); return true }, false},
 	{"drain a", func(w *world) bool { w.feed(inDrain{unit: "a"}); return true }, false},
 	{"scale out", func(w *world) bool { return w.resize(1) }, false},
 	{"scale in", func(w *world) bool { return w.resize(-1) }, false},
 	{"remove boot pipeline", func(w *world) bool { w.feed(inRemovePipeline{id: "ps"}); return true }, true},
 	{"re-add boot pipeline", func(w *world) bool { w.feed(inAddPipeline{spec: w.boot[1]}); return true }, false},
-	{"restart coordinator", func(w *world) bool {
-		w.queue = nil // every session ends with the old coordinator
-		st, _, _ := newState("", w.boot, nopLogf)
-		st.replay(w.journal)
-		st.epoch = w.k.st.epoch + 1
-		w.k = newCore(w.cfg, st, true, w.now)
-		for _, n := range slices.Sorted(maps.Keys(w.agents)) {
-			if a := w.agents[n]; a.up {
-				a.silent = false
-				w.connect(n)
-			}
-		}
-		return true
-	}, true},
+	{"restart coordinator", func(w *world) bool { w.restart(); return true }, true},
 	{"deliver", func(w *world) bool { // one round: what is queued now, not what it causes
 		if len(w.queue) == 0 {
 			return false
@@ -396,6 +417,42 @@ var exploreInputs = []struct {
 		return true
 	}, true},
 	{"settle", func(w *world) bool { w.settle(); return true }, true},
+}
+
+// restart replaces the core by one restarted over the journal; every
+// live agent redials.
+func (w *world) restart() {
+	w.queue = nil // every session ends with the old coordinator
+	st, _, _ := newState("", w.boot, nopLogf)
+	st.replay(w.journal)
+	st.epoch = w.k.st.epoch + 1
+	w.k = newCore(w.cfg, st, true, w.now)
+	for _, n := range slices.Sorted(maps.Keys(w.agents)) {
+		if a := w.agents[n]; a.up {
+			a.silent = false
+			w.connect(n)
+		}
+	}
+}
+
+// fork copies w's agents and journal (not its core) and restarts the
+// coordinator over the journal with every agent re-registered: a state
+// of the settled cluster that costs a few steps to reach instead of a
+// cold boot.
+func (w *world) fork(report *string) *world {
+	f := *w
+	f.t, f.report = nil, report
+	f.journal = slices.Clone(w.journal)
+	f.epochs = maps.Clone(w.epochs)
+	f.agents = make(map[string]*simAgent, len(w.agents))
+	for n, a := range w.agents {
+		c := *a
+		c.hosted = maps.Clone(a.hosted)
+		f.agents[n] = &c
+	}
+	f.restart()
+	f.deliver()
+	return &f
 }
 
 // resize applies an autoscaler resize of the sharded group by one step.
@@ -433,11 +490,11 @@ func (w *world) hash() uint64 {
 	return h.Sum64()
 }
 
-// replayWorld rebuilds the world an input sequence leads to.
-// Only the last input is checked: the prefix was checked when it was
-// explored.
-func replayWorld(t *testing.T, seq []int) *world {
-	w := newWorld(t)
+// replayWorld rebuilds the world an input sequence leads to from a fork of
+// base, or nil when one of its inputs does not apply. Only the last input
+// is checked: the prefix was checked when it was explored.
+func replayWorld(base *world, seq []int, report *string) *world {
+	w := base.fork(report)
 	for j, i := range seq {
 		w.trace = append(w.trace, exploreInputs[i].name)
 		w.check = j == len(seq)-1
@@ -449,42 +506,82 @@ func replayWorld(t *testing.T, seq []int) *world {
 	return w
 }
 
+// TestCoreExplore explores breadth first: every explored state is
+// extended by every input, and a state reached before is not extended
+// again.
 func TestCoreExplore(t *testing.T) {
+	base := newWorld(t, nil)
 	seen := map[uint64]bool{}
 	frontier := [][]int{nil}
 	states := 0
 	for d := 0; d < *exploreDepth; d++ {
-		var next [][]int
+		var seqs [][]int
 		for _, seq := range frontier {
-			for i := range exploreInputs {
-				if !*exploreAll && !exploreInputs[i].tier {
-					continue
-				}
-				s := append(slices.Clone(seq), i)
-				w := replayWorld(t, s)
-				if w == nil {
-					continue
-				}
-				// Delivering whatever is in flight is always possible next.
-				if h := w.hash(); !seen[h] {
-					seen[h] = true
-					states++
-					next = append(next, s)
+			for i, in := range exploreInputs {
+				if *exploreAll || in.tier {
+					seqs = append(seqs, append(slices.Clone(seq), i))
 				}
 			}
 		}
-		frontier = next
+		hashes, violation := replayAll(base, seqs)
+		if violation != "" {
+			t.Fatal(violation)
+		}
+		frontier = nil
+		for i, h := range hashes {
+			if h.ok && !seen[h.sum] {
+				seen[h.sum] = true
+				states++
+				frontier = append(frontier, seqs[i])
+			}
+		}
 	}
 	t.Logf("explored %d distinct states to depth %d", states, *exploreDepth)
+}
+
+type stateHash struct {
+	sum uint64
+	ok  bool // false: an input of the sequence did not apply
+}
+
+// replayAll replays the sequences on one worker per CPU and hashes the
+// states they lead to, or returns the first violation a worker met.
+func replayAll(base *world, seqs [][]int) ([]stateHash, string) {
+	hashes := make([]stateHash, len(seqs))
+	var next atomic.Int64
+	var violation atomic.Pointer[string]
+	var wg sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			report := new(string)
+			defer func() {
+				if *report != "" {
+					violation.CompareAndSwap(nil, report)
+				}
+			}()
+			for i := int(next.Add(1)) - 1; i < len(seqs) && violation.Load() == nil; i = int(next.Add(1)) - 1 {
+				if w := replayWorld(base, seqs[i], report); w != nil {
+					hashes[i] = stateHash{w.hash(), true}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v := violation.Load(); v != nil {
+		return nil, *v
+	}
+	return hashes, ""
 }
 
 // TestCoreSupersededSessionLoss: a connection loss reported for a
 // session the node has already replaced by re-registering must leave the
 // new session registered with its placements intact.
 func TestCoreSupersededSessionLoss(t *testing.T) {
-	w := newWorld(t)
+	w := newWorld(t, nil)
 	old := w.agents["n1"].sess
-	held := placedNames(w.k.st)
+	held := w.k.st.hasPlacements()
 	// n1 hangs past the heartbeat timeout; its agent redials at once and
 	// re-registers before the old session's loss is reported.
 	w.agents["n1"].silent = true
@@ -521,7 +618,7 @@ func TestCoreSupersededSessionLoss(t *testing.T) {
 	if after := placed(); !maps.Equal(before, after) {
 		t.Fatalf("placements moved on a stale loss:\n before %v\n after  %v", before, after)
 	}
-	if len(held) == 0 {
+	if !held {
 		t.Fatal("nothing was placed")
 	}
 }

@@ -104,10 +104,9 @@ func newMonitor(mc MonitorConfig) *monitor {
 // each warm series scoring past the threshold.
 func (k *core) sample() {
 	mon, now := k.mon, k.now
-	if mon.cfg.Disabled || now.Before(mon.next) {
+	if mon.cfg.Disabled || !due(&mon.next, now, mon.cfg.Interval) {
 		return
 	}
-	mon.next = now.Add(mon.cfg.Interval)
 	for _, name := range slices.Sorted(maps.Keys(k.nodes)) {
 		m := k.nodes[name]
 		var depth, lag, e2eMS float64

@@ -42,29 +42,34 @@ func remediateAnomaly(c *Coordinator, e obs.Event) {
 	})
 }
 
-// TestRemediationGuardrails drives the policy directly with
+// TestRemediationGuardrails drives the policy directly on the core with
 // synthetic anomaly events and audits the decision stream: observe-mode
 // suppression, per-node cooldown (including expiry), the drain-in-flight
 // guard, and the concurrency cap — each decision visible as a typed
-// suppressed event naming its reason.
+// suppressed event naming its reason. Cooldowns expire on the core's
+// clock, which only tick inputs move.
 func TestRemediationGuardrails(t *testing.T) {
-	coord, err := NewCoordinator(Config{
-		Pipelines:         []PipelineSpec{{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
-		HeartbeatInterval: 25 * time.Millisecond,
-		HeartbeatTimeout:  2 * time.Second,
-		Remediate:         RemediateConfig{Cooldown: 200 * time.Millisecond},
-		Logf:              t.Logf,
-	})
+	cfg := Config{
+		Pipelines: []PipelineSpec{{Segments: []SegmentSpec{{Name: "seg", Type: "t"}}, SinkAddr: "127.0.0.1:9"}},
+		Remediate: RemediateConfig{Cooldown: 200 * time.Millisecond},
+	}.withDefaults()
+	st, _, err := newState("", cfg.Pipelines, nopLogf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	anom := func(node string) obs.Event {
-		return obs.Event{Type: obs.EventAnomaly, Node: node, Metric: "queue_depth", Value: 99, Score: 8}
+	k := newCore(cfg, st, false, time.Unix(1000, 0))
+	var events []obs.Event
+	remediateAnomaly := func(node string) {
+		k.remediate(obs.Event{Type: obs.EventAnomaly, Node: node, Metric: "queue_depth", Value: 99, Score: 8})
+		for _, a := range k.step(nil) {
+			if a.kind == actEvent && a.ev.Type == obs.EventRemediation {
+				events = append(events, a.ev)
+			}
+		}
 	}
 	phases := func(node string) []string {
 		var out []string
-		for _, e := range remEvents(coord) {
+		for _, e := range events {
 			if e.Node == node {
 				out = append(out, e.Phase+":"+e.Detail)
 			}
@@ -74,45 +79,44 @@ func TestRemediationGuardrails(t *testing.T) {
 
 	// Observe mode (the default): the policy walks up to the mode gate,
 	// records the trigger, then declines — the inaction is observable.
-	remediateAnomaly(coord, anom("n1"))
+	remediateAnomaly("n1")
 	got := phases("n1")
 	if len(got) != 2 || !strings.HasPrefix(got[0], "triggered:") || got[1] != "suppressed:mode=observe" {
 		t.Fatalf("observe-mode decisions = %v", got)
 	}
-	trig := remEvents(coord)[0]
-	if trig.Metric != "queue_depth" || trig.Value != 99 || trig.Score != 8 {
+	if trig := events[0]; trig.Metric != "queue_depth" || trig.Value != 99 || trig.Score != 8 {
 		t.Fatalf("triggered event lost the anomaly measurement: %+v", trig)
 	}
 
 	// Within the cooldown the same node is suppressed before any trigger.
-	remediateAnomaly(coord, anom("n1"))
+	remediateAnomaly("n1")
 	if got = phases("n1"); len(got) != 3 || got[2] != "suppressed:cooldown" {
 		t.Fatalf("cooldown decisions = %v", got)
 	}
 
 	// After the cooldown expires the node is eligible again.
-	time.Sleep(250 * time.Millisecond) // waits out the 200 ms cooldown
-	remediateAnomaly(coord, anom("n1"))
+	k.step(inTick{now: k.now.Add(250 * time.Millisecond)}) // past the 200 ms cooldown
+	remediateAnomaly("n1")
 	if got = phases("n1"); len(got) != 5 || !strings.HasPrefix(got[3], "triggered:") {
 		t.Fatalf("post-cooldown decisions = %v", got)
 	}
 
 	// A node with a drain already in flight is suppressed, and — with the
 	// default MaxConcurrent of 1 — so is every other node meanwhile.
-	coord.call(func() { coord.k.rem.inflight["n2"] = true })
-	remediateAnomaly(coord, anom("n2"))
+	k.rem.inflight["n2"] = true
+	remediateAnomaly("n2")
 	if got = phases("n2"); len(got) != 1 || got[0] != "suppressed:drain-in-flight" {
 		t.Fatalf("drain-in-flight decisions = %v", got)
 	}
-	remediateAnomaly(coord, anom("n3"))
+	remediateAnomaly("n3")
 	if got = phases("n3"); len(got) != 1 || got[0] != "suppressed:max-concurrent" {
 		t.Fatalf("max-concurrent decisions = %v", got)
 	}
 	// Suppression leaves no cooldown stamp behind beyond the attempt
 	// itself: once the drain lands, the blocked node becomes eligible.
-	coord.call(func() { delete(coord.k.rem.inflight, "n2") })
-	time.Sleep(250 * time.Millisecond) // waits out the cooldown n3's own attempt stamped
-	remediateAnomaly(coord, anom("n3"))
+	delete(k.rem.inflight, "n2")
+	k.step(inTick{now: k.now.Add(250 * time.Millisecond)}) // past the cooldown n3's own attempt stamped
+	remediateAnomaly("n3")
 	if got = phases("n3"); len(got) != 3 || !strings.HasPrefix(got[1], "triggered:") {
 		t.Fatalf("post-unblock decisions = %v", got)
 	}
