@@ -201,9 +201,11 @@ func TestFailoverIntegration(t *testing.T) {
 	}
 
 	// Phase 1: a full clip flows through the placed segment; the sink
-	// must extract at least one complete ensemble.
+	// must extract at least one complete ensemble. Wait for the clip to
+	// close at the terminal too, so the open scope awaited in phase 2 is
+	// the doomed clip's, not this one's tail.
 	sendClip()
-	sink.Await("pre-failover ensembles", func(t rivertest.Tally) bool { return t.Ensembles >= 1 })
+	sink.Await("pre-failover ensembles", func(t rivertest.Tally) bool { return t.Ensembles >= 1 && t.Open == 0 })
 
 	// Phase 2: open a clip scope and stream part of its audio, then kill
 	// the hosting node mid-clip, once the partial clip has reached the
