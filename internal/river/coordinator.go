@@ -214,24 +214,21 @@ type Coordinator struct {
 	ln       net.Listener
 	ctx      context.Context
 	cancel   context.CancelFunc
-	wg       sync.WaitGroup
+	wg       sync.WaitGroup // every goroutine but the loop
 	closed   sync.Once
 	calls    chan func()
+	quit     chan struct{} // ends the loop once the rest have returned
 	loopDone chan struct{}
 
 	// Owned by the loop goroutine.
 	k        *core
-	st       *state
 	sessions map[uint64]*wire
 	nextSess uint64
 	// watchers maps an entry-watch subscription to its fan-out state:
 	// each watcher has a dedicated sender goroutine fed through a
 	// latest-wins cell, so entry broadcasts never serialize the control
 	// plane (or each other) behind one slow watcher connection.
-	watchers    map[*wire]*entryWatcher
-	waits       map[uint64]chan error
-	nextReq     uint64
-	placedWaits []chan struct{}
+	watchers map[*wire]*entryWatcher
 
 	// Observability (see observe.go). reg and events are always live; the
 	// HTTP endpoint and its stop hook exist only when Config.MetricsAddr is
@@ -299,10 +296,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:      cfg,
 		calls:    make(chan func()),
+		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		sessions: make(map[uint64]*wire),
 		watchers: make(map[*wire]*entryWatcher),
-		waits:    make(map[uint64]chan error),
 	}
 	st, restored, err := newState(cfg.StateDir, boot, c.logf)
 	if err != nil {
@@ -313,7 +310,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		st.close()
 		return nil, fmt.Errorf("river: coordinator listen %s: %w", cfg.ListenAddr, err)
 	}
-	c.st, c.ln = st, ln
+	c.ln, c.k = ln, newCore(cfg, st, restored, time.Now())
 	c.ctx, c.cancel = context.WithCancel(context.Background())
 	c.setupObs()
 	if cfg.MetricsAddr != "" {
@@ -327,75 +324,64 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		c.metricsAddr, c.metricsStop = bound, stop
 		c.logf("observability endpoint on http://%s/metrics", bound)
 	}
-	c.k = newCore(cfg, st, restored, time.Now())
-	c.wg.Add(2)
+	c.wg.Add(1)
 	go c.acceptLoop()
 	go c.loop()
 	return c, nil
 }
 
 // loop owns the core: it runs the closures connection readers, timers
-// and public calls hand it, and a tick every tickEvery.
+// and public calls hand it, and a tick every tickEvery. Closures waiting
+// go first, so heartbeats that queued behind a slow step are taken in
+// before a tick reads the clock and judges their nodes silent.
 func (c *Coordinator) loop() {
-	defer c.wg.Done()
 	defer close(c.loopDone)
 	t := time.NewTicker(tickEvery)
 	defer t.Stop()
 	for {
 		select {
-		case <-c.ctx.Done():
+		case f := <-c.calls:
+			f()
+			continue
+		default:
+		}
+		select {
+		case <-c.quit:
 			return
 		case f := <-c.calls:
 			f()
-		case now := <-t.C:
+		case <-t.C:
+			now := time.Now()
 			c.step(inTick{now: now})
 			c.recDur.Observe(time.Since(now).Seconds())
 		}
 	}
 }
 
-// call runs f on the loop and waits for it; false once the loop is gone.
-func (c *Coordinator) call(f func()) bool {
+// call runs f on the loop and waits for it. The loop outlives every other
+// goroutine of the coordinator, so once it is gone only public calls on a
+// closed coordinator remain, and f runs on the caller: it reads tables
+// nothing writes anymore, or steps a core that takes no more input.
+func (c *Coordinator) call(f func()) {
 	done := make(chan struct{})
 	select {
 	case c.calls <- func() { f(); close(done) }:
 		<-done
-		return true
 	case <-c.loopDone:
-		return false
-	}
-}
-
-// post hands f to the loop without waiting for it to run.
-func (c *Coordinator) post(f func()) {
-	select {
-	case c.calls <- f:
-	case <-c.loopDone:
-	}
-}
-
-// query runs a read of the loop's tables; once the loop is gone nothing
-// writes them anymore, so the caller reads them itself.
-func (c *Coordinator) query(f func()) {
-	if !c.call(f) {
 		f()
 	}
 }
 
-// request feeds the core a request input built around a fresh request ID
-// and waits for the core to finish it.
-func (c *Coordinator) request(in func(req uint64) any) error {
+// request feeds the core the request input in builds around a
+// continuation and waits for the core to run it.
+func (c *Coordinator) request(ctx context.Context, in func(done func(error)) any) error {
 	ch := make(chan error, 1)
-	if !c.call(func() {
-		c.nextReq++
-		c.waits[c.nextReq] = ch
-		c.step(in(c.nextReq))
-	}) {
-		return errClosed
-	}
+	c.call(func() { c.step(in(func(err error) { ch <- err })) })
 	select {
 	case err := <-ch:
 		return err
+	case <-ctx.Done():
+		return ctx.Err()
 	case <-c.ctx.Done():
 		return errClosed
 	}
@@ -425,7 +411,7 @@ func (c *Coordinator) step(in any) {
 		case actLog:
 			c.logf("%s", a.text)
 		case actJournal:
-			c.st.append(a.je)
+			c.k.st.append(a.je)
 		case actEntry:
 			for _, ew := range c.watchers {
 				if ew.pipe == a.msg.Pipeline {
@@ -441,18 +427,9 @@ func (c *Coordinator) step(in any) {
 			}
 		case actGauge:
 			c.reg.Gauge("dynriver_monitor_zscore", "node", a.ev.Node, "metric", a.ev.Metric).Set(a.ev.Score)
-		case actDone:
-			c.waits[a.req] <- a.err
-			delete(c.waits, a.req)
 		}
 	}
-	c.st.compactIfDue()
-	if len(c.placedWaits) > 0 && c.k.allPlaced() {
-		for _, ch := range c.placedWaits {
-			close(ch)
-		}
-		c.placedWaits = nil
-	}
+	c.k.st.compactIfDue()
 }
 
 // sendTo writes a message to an agent session. A request whose reply
@@ -466,7 +443,7 @@ func (c *Coordinator) sendTo(w *wire, msg *Message) {
 	}
 	if id := msg.ID; id != 0 {
 		time.AfterFunc(c.cfg.RPCTimeout, func() {
-			c.post(func() { c.step(inReply{id: id, err: errTimedOut}) })
+			c.call(func() { c.step(inReply{id: id, err: errTimedOut}) })
 		})
 	}
 }
@@ -474,7 +451,7 @@ func (c *Coordinator) sendTo(w *wire, msg *Message) {
 // Epoch returns the coordinator incarnation: 1 for a fresh coordinator,
 // advancing by one on every restart from journaled state.
 func (c *Coordinator) Epoch() (e uint64) {
-	c.query(func() { e = c.k.st.epoch })
+	c.call(func() { e = c.k.st.epoch })
 	return e
 }
 
@@ -485,14 +462,14 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // onto the shared node pool, and the addition is journaled so a restarted
 // coordinator reloads it.
 func (c *Coordinator) AddPipeline(spec PipelineSpec) error {
-	return c.request(func(req uint64) any { return inAddPipeline{req: req, spec: spec} })
+	return c.request(context.Background(), func(done func(error)) any { return inAddPipeline{spec, done} })
 }
 
 // RemovePipeline deletes a pipeline at runtime: its placed units are
 // stopped on their hosts, its watchers are disconnected, and the removal
 // is journaled so a restarted coordinator does not resurrect it.
 func (c *Coordinator) RemovePipeline(id string) error {
-	return c.request(func(req uint64) any { return inRemovePipeline{req: req, id: id} })
+	return c.request(context.Background(), func(done func(error)) any { return inRemovePipeline{id, done} })
 }
 
 // Drain gracefully moves a placed unit to another node, repairing zero
@@ -501,53 +478,42 @@ func (c *Coordinator) RemovePipeline(id string) error {
 // "pA:extract/r2" for a named pipeline's replica). Splitter/merger and
 // partition/collect endpoints cannot be drained — move their legs.
 func (c *Coordinator) Drain(unitName string) error {
-	return c.request(func(req uint64) any { return inDrain{req: req, unit: unitName} })
+	return c.request(context.Background(), func(done func(error)) any { return inDrain{unitName, done} })
 }
 
 // Close stops the coordinator: the listener and every control connection
-// close and the loops drain. Hosted segments on agents are left running
-// (agents own their lifecycle).
+// close and the goroutines drain, the loop last. Hosted segments on agents
+// are left running (agents own their lifecycle).
 func (c *Coordinator) Close() error {
 	c.closed.Do(func() {
 		c.cancel()
 		_ = c.ln.Close()
+		c.wg.Wait()
+		close(c.quit)
+		<-c.loopDone
+		if c.metricsStop != nil {
+			_ = c.metricsStop()
+		}
+		c.k.st.close()
 	})
-	c.wg.Wait()
-	if c.metricsStop != nil {
-		_ = c.metricsStop()
-	}
-	c.st.close()
 	return nil
 }
 
 // WaitPlaced blocks until every unit of every pipeline is placed (and
 // every entry address is known) or ctx expires.
 func (c *Coordinator) WaitPlaced(ctx context.Context) error {
-	placed := make(chan struct{})
-	if !c.call(func() {
-		if c.k.allPlaced() {
-			close(placed)
-		} else {
-			c.placedWaits = append(c.placedWaits, placed)
-		}
-	}) {
-		return errClosed
+	err := c.request(ctx, func(done func(error)) any { return inWaitPlaced{done} })
+	if err != nil && err == ctx.Err() {
+		return fmt.Errorf("river: waiting for placement: %w", err)
 	}
-	select {
-	case <-placed:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("river: waiting for placement: %w", ctx.Err())
-	case <-c.ctx.Done():
-		return errClosed
-	}
+	return err
 }
 
 // Status snapshots the cluster: registered nodes, their reported segment
 // counters, and every pipeline's placements, deterministically ordered so
 // status output is scriptable and diffable (see core.status).
 func (c *Coordinator) Status() (st *ClusterStatus) {
-	c.query(func() { st = c.k.status() })
+	c.call(func() { st = c.k.status() })
 	return st
 }
 
@@ -637,18 +603,16 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 // connection, and the session's end, all tagged with the session.
 func (c *Coordinator) serveNode(w *wire, reg *Message) {
 	var sess uint64
-	if !c.call(func() {
+	c.call(func() {
 		c.nextSess++
 		sess = c.nextSess
 		c.sessions[sess] = w
-		c.step(inRegister{sess: sess, node: reg.Node, inv: reg.Inventory})
-	}) {
-		return
-	}
+		c.step(inRegister{sess: sess, node: reg.Node, inv: reg.Inventory, at: time.Now()})
+	})
 	for {
 		msg, err := w.recv()
 		if err != nil {
-			c.post(func() {
+			c.call(func() {
 				delete(c.sessions, sess)
 				c.step(inLost{sess: sess, node: reg.Node, reason: "control connection lost"})
 			})
@@ -656,9 +620,9 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 		}
 		switch msg.Type {
 		case TypeHeartbeat:
-			c.post(func() { c.step(inBeat{sess: sess, node: reg.Node, segs: msg.Segments}) })
+			c.call(func() { c.step(inBeat{sess: sess, node: reg.Node, segs: msg.Segments, at: time.Now()}) })
 		case TypeAck:
-			c.post(func() { c.step(inReply{id: msg.ID, msg: msg}) })
+			c.call(func() { c.step(inReply{id: msg.ID, msg: msg}) })
 		}
 	}
 }
@@ -669,7 +633,7 @@ func (c *Coordinator) serveNode(w *wire, reg *Message) {
 func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 	ew := &entryWatcher{pipe: pipe, next: make(chan *Message, 1), done: make(chan struct{})}
 	known := false
-	if !c.call(func() {
+	c.call(func() {
 		if ps := c.k.st.pipelines[pipe]; ps != nil {
 			known = true
 			c.watchers[w] = ew
@@ -678,9 +642,7 @@ func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 			// wins), so the watcher's last word is always current.
 			ew.offer(&Message{Type: TypeEntry, Addr: ps.entryAddr, Pipeline: pipe})
 		}
-	}) {
-		return
-	}
+	})
 	if !known {
 		_ = w.send(&Message{Type: TypeAck, Err: fmt.Sprintf("unknown pipeline %q", pipe)})
 		return
@@ -696,7 +658,7 @@ func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 				return
 			case m := <-ew.next:
 				if err := w.send(m); err != nil {
-					c.post(func() { c.dropWatcher(w) })
+					c.call(func() { c.dropWatcher(w) })
 					_ = w.close()
 					return
 				}
@@ -705,7 +667,7 @@ func (c *Coordinator) serveWatcher(w *wire, pipe string) {
 	}()
 	for {
 		if _, err := w.recv(); err != nil {
-			c.post(func() { c.dropWatcher(w) })
+			c.call(func() { c.dropWatcher(w) })
 			return
 		}
 	}

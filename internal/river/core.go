@@ -22,17 +22,23 @@ import (
 
 // Inputs. Node inputs name the session they arrived on: a session that has
 // been superseded by the node's re-registration is no longer the node.
+// Registrations and heartbeats carry the time they were taken in (at), so
+// one that waited out a slow step is not dated back to the last tick.
+// Requests carry the requester's continuation (done), which must not
+// block.
 type (
 	inTick     struct{ now time.Time }
 	inRegister struct {
 		sess uint64
 		node string
 		inv  []UnitInventory
+		at   time.Time
 	}
 	inBeat struct {
 		sess uint64
 		node string
 		segs []SegmentStatus
+		at   time.Time
 	}
 	inLost struct {
 		sess         uint64
@@ -45,17 +51,19 @@ type (
 		err error
 	}
 	inDrain struct {
-		req  uint64
 		unit string
+		done func(error)
 	}
 	inAddPipeline struct {
-		req  uint64
 		spec PipelineSpec
+		done func(error)
 	}
 	inRemovePipeline struct {
-		req uint64
-		id  string
+		id   string
+		done func(error)
 	}
+	// inWaitPlaced is done once every unit is placed (see allPlaced).
+	inWaitPlaced struct{ done func(error) }
 )
 
 type actKind uint8
@@ -70,7 +78,6 @@ const (
 	actEntry                  // msg (a TypeEntry) to msg.Pipeline's entry watchers
 	actUnwatch                // disconnect pipeline text's entry watchers
 	actGauge                  // monitor z-score: ev.Node, ev.Metric, ev.Score
-	actDone                   // request req finished with err
 )
 
 type action struct {
@@ -80,8 +87,6 @@ type action struct {
 	ev   obs.Event
 	text string
 	je   journalEntry
-	req  uint64
-	err  error
 }
 
 // member is one registered node agent's session.
@@ -173,6 +178,7 @@ type core struct {
 	drainQ   []drainReq // planned moves run one at a time, in order
 	draining bool
 	retires  []*retirement
+	placed   []func(error) // WaitPlaced requests, done once allPlaced
 
 	mon *monitor
 	rem remediator
@@ -234,16 +240,24 @@ func (k *core) step(in any) []action {
 	case inReply:
 		k.reply(in)
 	case inDrain:
-		k.drain(in.unit, func(err error) { k.emit(action{kind: actDone, req: in.req, err: err}) })
+		k.drain(in.unit, in.done)
 	case inAddPipeline:
-		k.emit(action{kind: actDone, req: in.req, err: k.addPipeline(in.spec)})
+		in.done(k.addPipeline(in.spec))
 	case inRemovePipeline:
-		k.emit(action{kind: actDone, req: in.req, err: k.removePipeline(in.id)})
+		in.done(k.removePipeline(in.id))
+	case inWaitPlaced:
+		k.placed = append(k.placed, in.done)
 	}
 	k.advanceRetires()
 	if k.kicked {
 		k.kicked = false
 		k.reconcile()
+	}
+	if len(k.placed) > 0 && k.allPlaced() {
+		for _, done := range k.placed {
+			done(nil)
+		}
+		k.placed = nil
 	}
 	out := k.out
 	k.out = nil
@@ -363,7 +377,7 @@ func (k *core) register(in inRegister) {
 		k.emit(action{kind: actClose, sess: in.sess})
 		return
 	}
-	m := &member{sess: in.sess, lastBeat: k.now, marks: make(map[string]counterMark)}
+	m := &member{sess: in.sess, lastBeat: later(k.now, in.at), marks: make(map[string]counterMark)}
 	k.nodes[in.node] = m
 	delete(k.disconnected, in.node) // the node is back; its grace is moot
 	adopted, stops := k.st.adopt(in.node, in.inv)
@@ -412,7 +426,7 @@ func (k *core) beat(in inBeat) {
 	if m == nil || m.sess != in.sess {
 		return
 	}
-	m.lastBeat = k.now
+	m.lastBeat = later(k.now, in.at)
 	m.stats = in.segs
 	var failed []string
 	for _, s := range in.segs {
@@ -450,6 +464,13 @@ func (k *core) beat(in inBeat) {
 		k.logf("node %s reports dead segments %v; re-placing", in.node, failed)
 		k.kicked = true
 	}
+}
+
+func later(a, b time.Time) time.Time {
+	if b.After(a) {
+		return b
+	}
+	return a
 }
 
 // expire declares nodes dead after HeartbeatTimeout of silence.
@@ -1071,7 +1092,7 @@ func (k *core) status() *ClusterStatus {
 		m := k.nodes[name]
 		segs := slices.Clone(m.stats)
 		sort.Slice(segs, func(i, j int) bool { return segs[i].Name < segs[j].Name })
-		st.Nodes = append(st.Nodes, NodeStatus{Name: name, LastBeatMS: k.now.Sub(m.lastBeat).Milliseconds(), Segments: segs})
+		st.Nodes = append(st.Nodes, NodeStatus{Name: name, LastBeatMS: max(k.now.Sub(m.lastBeat), 0).Milliseconds(), Segments: segs})
 	}
 	for _, id := range k.st.order {
 		ps := k.st.pipelines[id]

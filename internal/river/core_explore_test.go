@@ -27,10 +27,10 @@ import (
 // its journal (see fork) and is replayed on one of several workers. A
 // violation prints the input trace that led to it.
 
-var (
-	exploreDepth = flag.Int("explore.depth", 6, "inputs per explored interleaving")
-	exploreAll   = flag.Bool("explore.all", false, "explore every input kind, not only the tier-1 subset")
-)
+// exploreDepth is the number of inputs per explored interleaving.
+const exploreDepth = 6
+
+var exploreAll = flag.Bool("explore.all", false, "explore every input kind, not only the tier-1 subset")
 
 // simAgent is one node agent as the explorer simulates it.
 type simAgent struct {
@@ -190,7 +190,7 @@ func (w *world) tick() {
 	w.now = w.now.Add(w.pass)
 	for _, n := range slices.Sorted(maps.Keys(w.agents)) {
 		if a := w.agents[n]; a.up && !a.silent && a.sess != 0 && w.k.live(n, a.sess) {
-			w.feed(inBeat{sess: a.sess, node: n})
+			w.feed(inBeat{sess: a.sess, node: n, at: w.now})
 		}
 	}
 	w.feed(inTick{now: w.now})
@@ -398,12 +398,12 @@ var exploreInputs = []struct {
 		return true
 	}, false},
 	{"assign failure", func(w *world) bool { w.failNext = true; return true }, false},
-	{"drain b/r1", func(w *world) bool { w.feed(inDrain{unit: "b/r1"}); return true }, false},
-	{"drain a", func(w *world) bool { w.feed(inDrain{unit: "a"}); return true }, false},
+	{"drain b/r1", func(w *world) bool { w.feed(inDrain{"b/r1", ignore}); return true }, false},
+	{"drain a", func(w *world) bool { w.feed(inDrain{"a", ignore}); return true }, false},
 	{"scale out", func(w *world) bool { return w.resize(1) }, false},
 	{"scale in", func(w *world) bool { return w.resize(-1) }, false},
-	{"remove boot pipeline", func(w *world) bool { w.feed(inRemovePipeline{id: "ps"}); return true }, true},
-	{"re-add boot pipeline", func(w *world) bool { w.feed(inAddPipeline{spec: w.boot[1]}); return true }, false},
+	{"remove boot pipeline", func(w *world) bool { w.feed(inRemovePipeline{"ps", ignore}); return true }, true},
+	{"re-add boot pipeline", func(w *world) bool { w.feed(inAddPipeline{w.boot[1], ignore}); return true }, false},
 	{"restart coordinator", func(w *world) bool { w.restart(); return true }, true},
 	{"deliver", func(w *world) bool { // one round: what is queued now, not what it causes
 		if len(w.queue) == 0 {
@@ -418,6 +418,10 @@ var exploreInputs = []struct {
 	}, true},
 	{"settle", func(w *world) bool { w.settle(); return true }, true},
 }
+
+// ignore is the continuation of the explorer's requests: their outcome
+// shows in the core's tables.
+func ignore(error) {}
 
 // restart replaces the core by one restarted over the journal; every
 // live agent redials.
@@ -470,8 +474,11 @@ func (w *world) resize(dir int) bool {
 }
 
 // hash digests what the core and the agents hold (not the clock, request
-// IDs or sessions, which differ along otherwise equal histories).
+// IDs or sessions, which differ along otherwise equal histories), and of
+// the core's timers whether each is still running, so two histories merge
+// only when the same inputs lead them to the same decisions.
 func (w *world) hash() uint64 {
+	k := w.k
 	h := fnv.New64a()
 	for _, l := range dumpLines(w.k.st) {
 		h.Write([]byte(l))
@@ -486,7 +493,24 @@ func (w *world) hash() uint64 {
 			fmt.Fprintf(h, "%s%s", w.k.ops[r.id].unit, w.k.ops[r.id].typ)
 		}
 	}
-	fmt.Fprintf(h, "|%v %d %d %v", w.k.draining, len(w.k.retires), len(w.k.drainQ), w.failNext)
+	fmt.Fprintf(h, "|%v %v", k.draining, w.failNext)
+	for _, d := range k.drainQ {
+		fmt.Fprintf(h, "|queued %s", d.unit)
+	}
+	fmt.Fprintf(h, "|boot=%v grace=%v busy=%v", k.bootstrapped, k.now.Before(k.graceUntil), slices.Sorted(maps.Keys(k.busy)))
+	for _, n := range slices.Sorted(maps.Keys(k.disconnected)) {
+		fmt.Fprintf(h, "|%s held=%v", n, k.now.Before(k.disconnected[n]))
+	}
+	for _, r := range k.retires {
+		fmt.Fprintf(h, "|retire %s settling=%v", r.fanOut, r.settling)
+		for _, o := range r.olds {
+			fmt.Fprintf(h, " %s on %s", o.unit, o.node)
+		}
+	}
+	fmt.Fprintf(h, "|resizing=%v draining=%v", slices.Sorted(maps.Keys(k.as.inflight)), slices.Sorted(maps.Keys(k.rem.inflight)))
+	for _, n := range slices.Sorted(maps.Keys(k.rem.lastTry)) {
+		fmt.Fprintf(h, "|%s cooling=%v", n, k.now.Sub(k.rem.lastTry[n]) < k.rem.cfg.Cooldown)
+	}
 	return h.Sum64()
 }
 
@@ -514,7 +538,7 @@ func TestCoreExplore(t *testing.T) {
 	seen := map[uint64]bool{}
 	frontier := [][]int{nil}
 	states := 0
-	for d := 0; d < *exploreDepth; d++ {
+	for d := 0; d < exploreDepth; d++ {
 		var seqs [][]int
 		for _, seq := range frontier {
 			for i, in := range exploreInputs {
@@ -536,7 +560,7 @@ func TestCoreExplore(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("explored %d distinct states to depth %d", states, *exploreDepth)
+	t.Logf("explored %d distinct states to depth %d", states, exploreDepth)
 }
 
 type stateHash struct {
@@ -620,6 +644,29 @@ func TestCoreSupersededSessionLoss(t *testing.T) {
 	}
 	if !held {
 		t.Fatal("nothing was placed")
+	}
+}
+
+// TestCoreBeatsAfterStall: heartbeats that queued while the shell was
+// stalled for longer than HeartbeatTimeout are dated when they are taken
+// in, not at the last tick, so the first tick after the stall expires no
+// node.
+func TestCoreBeatsAfterStall(t *testing.T) {
+	w := newWorld(t, nil)
+	before := w.k.status().Placements
+	w.now = w.now.Add(3 * w.cfg.HeartbeatTimeout)
+	for _, n := range slices.Sorted(maps.Keys(w.agents)) {
+		w.feed(inBeat{sess: w.agents[n].sess, node: n, at: w.now})
+	}
+	w.now = w.now.Add(tickEvery)
+	w.feed(inTick{now: w.now})
+	for n, a := range w.agents {
+		if !w.k.live(n, a.sess) {
+			t.Errorf("%s expired by the first tick after the stall", n)
+		}
+	}
+	if after := w.k.status().Placements; !slices.Equal(before, after) {
+		t.Fatalf("placements moved after the stall:\n before %v\n after  %v", before, after)
 	}
 }
 

@@ -5,7 +5,7 @@ package river
 // EntryAddr returns the default pipeline's entry address (the first
 // pipeline's when no default exists), or "" while it is unplaced.
 func (c *Coordinator) EntryAddr() (addr string) {
-	c.query(func() {
+	c.call(func() {
 		if ps := c.k.defaultPipeline(); ps != nil {
 			addr = ps.entryAddr
 		}
@@ -16,7 +16,7 @@ func (c *Coordinator) EntryAddr() (addr string) {
 // PipelineEntryAddr returns the named pipeline's entry address, or ""
 // while it is unplaced or unknown.
 func (c *Coordinator) PipelineEntryAddr(id string) (addr string) {
-	c.query(func() {
+	c.call(func() {
 		if ps := c.k.st.pipelines[id]; ps != nil {
 			addr = ps.entryAddr
 		}
@@ -26,6 +26,6 @@ func (c *Coordinator) PipelineEntryAddr(id string) (addr string) {
 
 // Pipelines returns the registered pipeline IDs in deterministic order.
 func (c *Coordinator) Pipelines() (ids []string) {
-	c.query(func() { ids = append([]string(nil), c.k.st.order...) })
+	c.call(func() { ids = append([]string(nil), c.k.st.order...) })
 	return ids
 }

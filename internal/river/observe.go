@@ -34,12 +34,12 @@ func (c *Coordinator) setupObs() {
 	// Touch the coordinator-internals families so a scrape before the
 	// first event/append/pass still lists them.
 	c.recDur = c.reg.Histogram("dynriver_reconcile_seconds", nil)
-	c.st.jAppends = c.reg.Counter("dynriver_journal_appends_total")
-	c.st.jFsync = c.reg.Histogram("dynriver_journal_fsync_seconds", nil)
+	c.k.st.jAppends = c.reg.Counter("dynriver_journal_appends_total")
+	c.k.st.jFsync = c.reg.Histogram("dynriver_journal_fsync_seconds", nil)
 	c.reg.OnGather(func() {
 		var st *ClusterStatus
 		entry := 0
-		c.query(func() { st, entry = c.k.status(), len(c.watchers) })
+		c.call(func() { st, entry = c.k.status(), len(c.watchers) })
 		rollupStatus(c.reg, st)
 		c.reg.Gauge("dynriver_coord_watchers", "kind", "entry").Set(float64(entry))
 		c.reg.Gauge("dynriver_coord_watchers", "kind", "events").Set(float64(c.evWatchers.Load()))

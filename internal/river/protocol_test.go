@@ -152,7 +152,7 @@ func TestHandshakeRejectsMismatchedPeer(t *testing.T) {
 	}
 
 	var nodes, watchers int
-	coord.query(func() { nodes, watchers = len(coord.k.nodes), len(coord.watchers) })
+	coord.call(func() { nodes, watchers = len(coord.k.nodes), len(coord.watchers) })
 	if nodes != 0 || watchers != 0 {
 		t.Fatalf("refused peers left state behind: %d members, %d watchers", nodes, watchers)
 	}
