@@ -23,12 +23,20 @@ const DefaultQueueSize = 256
 // one decoded wire batch, cut into runs of at most this many.
 const runCap = 64
 
+var (
+	_ RecycledSource = (*StreamIn)(nil)
+	_ RunEnder       = (*StreamIn)(nil)
+	_ runConsumer    = (*StreamOut)(nil)
+)
+
 // StreamOut is a Sink that writes records to a downstream host over TCP,
 // the streamout operator of the paper. Records are framed through a
-// record.BatchWriter: with the default per-record policy every Consume
-// flushes immediately; a batching policy (NewStreamOutBatched) coalesces
-// records into one network write per batch, cutting syscall overhead on
-// the hot path. A batch is delivered when it fills, when its producer's
+// record.BatchWriter, by Consume one at a time or by ConsumeRun a run at
+// a time (a hosted unit hands its sink each run in one call, taking the
+// lock and checking for stop once per run): with the default per-record
+// policy every record is flushed immediately; a batching policy
+// (NewStreamOutBatched) coalesces records into one network write per
+// batch, cutting syscall overhead on the hot path. A batch is delivered when it fills, when its producer's
 // input runs dry (Flush: a hosted unit's run-end hook, a fan-out leg whose
 // queue emptied), or — for producers that only Consume — when the
 // MaxDelay timer finds it stale.
@@ -44,7 +52,7 @@ const runCap = 64
 // acknowledged is replayed to the new one, with scope repair downstream
 // covering any duplicated tail.
 type StreamOut struct {
-	// writeMu serializes the flush paths: Consume, Flush, the background
+	// writeMu serializes the flush paths: ConsumeRun, Flush, the background
 	// timer flusher, and the best-effort forced flush in Redirect/Close (which
 	// only TryLock it, so they stay responsive while a write retries
 	// against a dead downstream). The batch writer is guarded by writeMu.
@@ -180,7 +188,7 @@ func (s *StreamOut) switchAddrLocked(addr string) {
 }
 
 // RedirectAtBoundary registers a redirect that is performed when the next
-// top-level scope close passes through Consume — the drain primitive:
+// top-level scope close is framed — the drain primitive:
 // the old destination receives a structurally complete stream (its last
 // record closes the outermost scope), so the hop can be severed without
 // any scope repair downstream. The call blocks until the boundary
@@ -308,10 +316,21 @@ func (s *StreamOut) forceFlushLocked(dial bool) {
 	_ = conn.SetWriteDeadline(time.Time{})
 }
 
-// Consume implements Sink: it frames the record into the pending batch and
-// flushes per policy, redialling as needed. With a batching policy most
-// calls return without any I/O.
+// Consume implements Sink: it is ConsumeRun of one record.
 func (s *StreamOut) Consume(r *record.Record) error {
+	one := [1]*record.Record{r}
+	return s.ConsumeRun(one[:])
+}
+
+// ConsumeRun frames a run of records into the pending batch under one
+// lock and one stop check, flushing per policy, redialling as needed.
+// Each record is framed as by its own Consume: a count, size or boundary
+// trigger flushes at the record that fires it, and a top-level close
+// performs a pending boundary redirect. It returns at the first error,
+// leaving the rest of the run unframed. Nothing of the run is retained,
+// so the caller keeps ownership of every record. With a batching policy
+// most calls return without any I/O.
+func (s *StreamOut) ConsumeRun(run []*record.Record) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
 	select {
@@ -319,21 +338,27 @@ func (s *StreamOut) Consume(r *record.Record) error {
 		return ErrStopped
 	default:
 	}
-	if err := s.bw.Add(r); err != nil {
-		return err
-	}
-	var err error
-	if s.bw.ShouldFlush() {
-		if err = s.flushLocked(); err != nil {
-			// Returning with the batch pending: splice any by-reference
-			// payloads into the buffer while the caller still owns them.
-			s.bw.MaterializePending()
+	for _, r := range run {
+		if err := s.bw.Add(r); err != nil {
+			return err
 		}
-	} else if s.maxDelay > 0 && !s.timerArmed.Load() {
+		var err error
+		if s.bw.ShouldFlush() {
+			if err = s.flushLocked(); err != nil {
+				// Returning with the batch pending: splice any by-reference
+				// payloads into the buffer while the caller still owns them.
+				s.bw.MaterializePending()
+			}
+		}
+		s.maybeBoundaryRedirect(r)
+		if err != nil {
+			return err
+		}
+	}
+	if s.bw.Pending() > 0 && s.maxDelay > 0 && !s.timerArmed.Load() {
 		s.armFlushTimer(s.maxDelay)
 	}
-	s.maybeBoundaryRedirect(r)
-	return err
+	return nil
 }
 
 // Flush delivers any pending batch now, retrying until it lands or the
@@ -491,7 +516,11 @@ func (s *StreamOut) dropConnLocked() {
 // unit's streamout deliver at once. With QueueSize > 0 the runs pass
 // through a bounded emit queue that decouples the network reader from
 // the downstream chain; QueueDepth exposes the backlog as the saturation
-// gauge backpressure-aware placement feeds on.
+// gauge backpressure-aware placement feeds on. A pooled streamin's records
+// are owned by their run: the hosting pipeline hands them back (Recycle)
+// into the run's walked slots, the run's buffer returns to the reader
+// with them, and the reader decodes the next run into them, so a hosted
+// hop turns its records over without the record pool.
 // Transient Accept errors (file-descriptor pressure, aborted handshakes)
 // are retried with a short backoff instead of tearing the pipeline down.
 type StreamIn struct {
@@ -510,6 +539,15 @@ type StreamIn struct {
 	free   chan []*record.Record // recycled run buffers, made by Run
 	runEnd func(dry bool) error  // see SetRunEnd; nil when run ends need nothing
 
+	// The run being walked, how many of its records have been emitted,
+	// and how many handed-back records fill its first slots (see
+	// Recycle). Only the walking goroutine touches them.
+	cur          []*record.Record
+	walked, back int
+	// spare holds the records recycled run buffers brought back, which
+	// the reader decodes into; only the reader goroutine touches it.
+	spare []*record.Record
+
 	// MaxConns, when positive, stops the source cleanly after that many
 	// upstream connections have been served (used by finite pipelines and
 	// tests; 0 means serve until Close).
@@ -526,13 +564,13 @@ type StreamIn struct {
 	// 0 emits directly (no queue). Set before Run.
 	QueueSize int
 
-	// Pooled, when true, decodes records into pool-backed storage
-	// (record.GetRecord) and marks the source as recycling: a hosting
-	// pipeline releases each record after its sink consumes it, making
-	// the steady-state receive path allocation-free. Enable only when
-	// every downstream consumer honors the ownership contract in
-	// record/pool.go (Node-hosted chains do); off by default so callers
-	// that retain raw records keep working. Set before Run.
+	// Pooled, when true, decodes records into recycled storage — the
+	// records a hosting pipeline hands back (Recycle), else the record
+	// pool — and marks the source as recycling, making the steady-state
+	// receive path allocation-free. Enable only when every downstream
+	// consumer honors the ownership contract in record/pool.go
+	// (Node-hosted chains do); off by default so callers that retain raw
+	// records keep working. Set before Run.
 	Pooled bool
 }
 
@@ -555,10 +593,26 @@ func (s *StreamIn) Name() string { return "streamin(" + s.Addr() + ")" }
 // which must survive the hop rather than being restamped.
 func (s *StreamIn) PreservesSeq() bool { return true }
 
-// RecyclesRecords implements RecycledSource: a pooled streamin's records
-// are released back to the record pool by the hosting pipeline once the
-// sink has consumed them.
+// RecyclesRecords implements RecycledSource: a pooled streamin takes its
+// records back once the hosting pipeline's sink has consumed them.
 func (s *StreamIn) RecyclesRecords() bool { return s.Pooled }
+
+// Recycle implements RecycledSource. A pooled streamin keeps a record
+// handed back while it walks a run in the first of the run's walked slots
+// not yet refilled, for the reader to decode a later run into. A record
+// with no such slot — operators emitted more than they took in, or hand
+// back what an earlier run left with them — or one handed back outside a
+// walk goes to the record pool. A non-pooled streamin does nothing.
+func (s *StreamIn) Recycle(r *record.Record) {
+	switch {
+	case !s.Pooled:
+	case s.back < s.walked:
+		s.cur[s.back] = r
+		s.back++
+	default:
+		record.Release(r)
+	}
+}
 
 // SetRunEnd implements RunEnder (see Run for when end is called).
 func (s *StreamIn) SetRunEnd(end func(dry bool) error) { s.runEnd = end }
@@ -624,17 +678,16 @@ type queuedRun struct {
 func (s *StreamIn) Run(out Emitter) error {
 	if s.QueueSize <= 0 {
 		s.runLen, s.free = runCap, make(chan []*record.Record, 1)
+		s.spare = make([]*record.Record, 0, 2*s.runLen)
 		return s.acceptLoop(func(run []*record.Record, dry bool) error {
-			if err := s.walk(run, out); err != nil || s.runEnd == nil {
-				return err
-			}
-			return s.runEnd(dry)
+			return s.walk(run, dry, nil, out)
 		})
 	}
 	// Every queued run holds a record, so no channel below holds more runs
 	// than the queue holds records, plus one being walked and one filling.
 	size := int64(s.QueueSize)
 	s.runLen, s.free = min(runCap, s.QueueSize), make(chan []*record.Record, s.QueueSize+2)
+	s.spare = make([]*record.Record, 0, 2*s.runLen)
 	q := make(chan queuedRun, s.QueueSize)
 	room := make(chan struct{}, 1) // poked after every dequeue
 	drained, dead := make(chan struct{}), make(chan struct{})
@@ -653,10 +706,7 @@ func (s *StreamIn) Run(out Emitter) error {
 				s.discard(qr.recs)
 				continue
 			}
-			if drainErr = s.walk(qr.recs, out); drainErr == nil && s.runEnd != nil {
-				drainErr = s.runEnd(qr.dry && len(q) == 0)
-			}
-			if drainErr != nil {
+			if drainErr = s.walk(qr.recs, qr.dry, q, out); drainErr != nil {
 				close(dead)
 				s.cancel() // unblock the reader; what it still queues is discarded
 			}
@@ -696,16 +746,23 @@ func (s *StreamIn) Run(out Emitter) error {
 }
 
 // walk emits a run's records to out in order, discarding the rest of the
-// run when out fails, and recycles the run.
-func (s *StreamIn) walk(run []*record.Record, out Emitter) error {
-	defer s.recycle(run)
+// run when out fails, and ends the run: the run-end hook reports it dry
+// when the input ran dry after it and no run is queued behind it. Then
+// the run's buffer is recycled with the records handed back meanwhile.
+func (s *StreamIn) walk(run []*record.Record, dry bool, behind chan queuedRun, out Emitter) error {
+	s.cur, s.walked, s.back = run, 0, 0
+	defer s.recycle()
 	for i, r := range run {
+		s.walked = i + 1
 		if err := out.Emit(r); err != nil {
 			s.discard(run[i+1:])
 			return err
 		}
 	}
-	return nil
+	if s.runEnd == nil {
+		return nil
+	}
+	return s.runEnd(dry && len(behind) == 0)
 }
 
 // discard releases the records of a run that will not be emitted.
@@ -717,19 +774,34 @@ func (s *StreamIn) discard(run []*record.Record) {
 	}
 }
 
-// recycle returns a run's buffer to the free list; newRun takes one.
-func (s *StreamIn) recycle(run []*record.Record) {
-	clear(run)
+// recycle returns the walked run's buffer to the free list, holding the
+// records handed back while it was walked; newRun takes it.
+func (s *StreamIn) recycle() {
+	run, back := s.cur, s.back
+	s.cur, s.walked, s.back = nil, 0, 0
+	clear(run[back:])
 	select {
-	case s.free <- run[:0]:
+	case s.free <- run[:back]:
 	default:
+		s.discard(run[:back])
 	}
 }
 
+// newRun returns an empty run buffer: a recycled one, whose records join
+// the spares the reader decodes into (beyond two runs' worth they go to
+// the record pool), or a new one.
 func (s *StreamIn) newRun() []*record.Record {
 	select {
 	case run := <-s.free:
-		return run
+		for _, r := range run {
+			if len(s.spare) < cap(s.spare) {
+				s.spare = append(s.spare, r)
+			} else {
+				record.Release(r)
+			}
+		}
+		clear(run)
+		return run[:0]
 	default:
 		return make([]*record.Record, 0, s.runLen)
 	}
@@ -809,7 +881,13 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record, dry b
 	var seenCorrupt uint64
 	run := s.newRun()
 	for {
-		rec, err := rd.Read()
+		// Decode into a spare when there is one; it leaves the spares
+		// only when its record joins the run.
+		var dst *record.Record
+		if n := len(s.spare); n > 0 {
+			dst = s.spare[n-1]
+		}
+		rec, err := rd.ReadInto(dst)
 		if c := rd.CorruptBatches(); c != seenCorrupt {
 			s.corrupt.Add(c - seenCorrupt)
 			seenCorrupt = c
@@ -832,10 +910,15 @@ func (s *StreamIn) serveConn(conn net.Conn, put func(run []*record.Record, dry b
 		if err := tracker.Observe(rec); err != nil {
 			// Structurally invalid record (e.g. stray CloseScope from a
 			// confused upstream): drop it rather than poison downstream.
-			if s.Pooled {
+			if s.Pooled && dst == nil {
 				record.Release(rec)
 			}
 		} else {
+			if dst != nil {
+				n := len(s.spare) - 1
+				s.spare[n] = nil
+				s.spare = s.spare[:n]
+			}
 			run = append(run, rec)
 		}
 		// Cut the run before the next Read can block on the network; the

@@ -469,10 +469,18 @@ func (n *Node) SetLegs(segName string, addrs []string) error {
 	return nil
 }
 
-// Stop gracefully stops a hosted segment: its listener closes, the
-// in-flight connection is cut (downstream repairs any open scopes), and
-// the segment's resources are released. It blocks until the segment has
-// fully unwound and returns any processing error it raised.
+// Stop gracefully stops a hosted segment: its sink closes, its listener
+// closes and the in-flight connection is cut, and the segment's resources
+// are released. It blocks until the segment has fully unwound and returns
+// any processing error it raised.
+//
+// The sink closes first, so a stopped unit sends nothing once Stop has
+// begun, as a killed node would: the scopes its streamin still had open
+// are not closed by its own BadCloseScope repairs (which could only
+// reach part of a fan-in's legs, untagged) but by the unit downstream,
+// which sees the cut connection. Closing the sink first also unblocks a
+// Consume stuck redialling an unreachable downstream, which watches only
+// the StreamOut's own context.
 func (n *Node) Stop(segName string) error {
 	n.mu.Lock()
 	h, ok := n.hosted[segName]
@@ -483,12 +491,9 @@ func (n *Node) Stop(segName string) error {
 	if !ok {
 		return fmt.Errorf("pipeline: node %s does not host %q", n.name, segName)
 	}
-	closeEndpoint(h.src)
-	h.cancel()
-	// Close the sink too: a Consume stuck redialling an unreachable
-	// downstream only watches the StreamOut's own context, so without
-	// this the pipeline never unwinds and Stop hangs.
 	closeEndpoint(h.sink)
+	h.cancel()
+	closeEndpoint(h.src)
 	<-h.done
 	return h.err
 }

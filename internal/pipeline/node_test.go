@@ -313,3 +313,105 @@ func TestHostedOperatorFailureStopsUnit(t *testing.T) {
 		t.Fatalf("failed unit's listener %s still accepts connections", addr)
 	}
 }
+
+// stopSink stands in for a hosted unit's streamout: once closed it
+// refuses every record, as a closed streamout does, and it books every
+// record it accepts after the test has marked Stop as begun.
+type stopSink struct {
+	mu       sync.Mutex
+	stopping bool
+	closed   bool
+	late     []string
+}
+
+func (*stopSink) Name() string { return "stop" }
+
+func (s *stopSink) Consume(r *record.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrStopped
+	}
+	if s.stopping {
+		s.late = append(s.late, r.Kind.String())
+	}
+	return nil
+}
+
+func (s *stopSink) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	return nil
+}
+
+// repairingSource is a streamin whose Close returns only once the
+// BadCloseScope repair for the scope its upstream left open has been
+// emitted, or its Run has returned: the streamin's repair always wins the
+// race with the rest of Stop, which in a real unit it only sometimes does.
+type repairingSource struct {
+	*StreamIn
+	repaired, ran chan struct{}
+	once          sync.Once
+}
+
+func (s *repairingSource) Run(out Emitter) error {
+	defer close(s.ran)
+	return s.StreamIn.Run(EmitterFunc(func(r *record.Record) error {
+		bad := r.Kind == record.KindBadCloseScope
+		err := out.Emit(r)
+		if bad {
+			s.once.Do(func() { close(s.repaired) })
+		}
+		return err
+	}))
+}
+
+func (s *repairingSource) Close() error {
+	err := s.StreamIn.Close()
+	select {
+	case <-s.repaired:
+	case <-s.ran:
+	case <-time.After(2 * time.Second):
+	}
+	return err
+}
+
+// TestStopSendsNothingOnceBegun: a unit stopped while its upstream holds
+// a scope open sends nothing after Stop begins — not even the
+// BadCloseScope its own streamin makes for the cut connection. A killed
+// node sends nothing either; the unit downstream repairs the scope.
+func TestStopSendsNothingOnceBegun(t *testing.T) {
+	in, err := NewStreamIn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Pooled = true
+	in.QueueSize = DefaultQueueSize
+	src := &repairingSource{StreamIn: in, repaired: make(chan struct{}), ran: make(chan struct{})}
+	sink := &stopSink{}
+	node := NewNode("host-a", NewRegistry())
+	if err := node.HostUnit("unit", "", src, NewSegment("unit", Relay{}), sink); err != nil {
+		t.Fatal(err)
+	}
+	up := NewStreamOut(in.Addr())
+	defer up.Close()
+	if err := up.Consume(record.NewOpenScope(record.ScopeSession, 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the open scope through the unit", func() bool {
+		st := node.Stats()
+		return len(st) == 1 && st[0].Emitted == 1
+	})
+	sink.mu.Lock()
+	sink.stopping = true
+	sink.mu.Unlock()
+	if err := node.Stop("unit"); err != nil {
+		t.Fatalf("Stop: %v", err)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.late) > 0 {
+		t.Errorf("the stopped unit sent %v after Stop began", sink.late)
+	}
+}

@@ -73,15 +73,23 @@ type Source interface {
 	Run(out Emitter) error
 }
 
-// RecycledSource marks a Source that produces pool-backed records (see
-// record.GetRecord). When a pipeline's source recycles, Pipeline.Run
-// releases each record back to the pool after the sink consumes it, so
-// the steady-state path allocates nothing per record. Sinks downstream of
-// a recycling source must therefore not retain records past Consume —
-// both hosted sinks (StreamOut copies bytes into its batch buffer, the
-// replica Splitter fans out pooled clones) already comply.
+// RecycledSource marks a Source whose records end their life back at the
+// source (see the ownership contract in record/pool.go). When
+// RecyclesRecords reports true, Pipeline.Run hands every record that
+// reaches the sink to Recycle once the sink has consumed it — records the
+// source emitted and records operators created alike — so the
+// steady-state path allocates nothing per record. Recycle is called
+// serialized with the source's Emits: inside an Emit or a run end (see
+// RunEnder), or, for what the segments flush at end of stream, after Run
+// has returned. A pooled StreamIn decodes its next run into the records
+// its current run hands back; the replica merger releases them to the
+// record pool. Sinks downstream of a recycling source must therefore not
+// retain records past Consume or ConsumeRun — both hosted sinks
+// (StreamOut copies bytes into its batch buffer, the replica Splitter
+// fans out pooled clones) already comply.
 type RecycledSource interface {
 	RecyclesRecords() bool
+	Recycle(r *record.Record)
 }
 
 // SeqPreserver marks a Source whose records arrive already sequenced by an
@@ -98,14 +106,16 @@ type SeqPreserver interface {
 // so knows where each run ends and when its input has run dry.
 // Pipeline.Run passes it a run-end callback before Run, or nil when
 // there is nothing to do at run ends. The source calls end, serialized
-// with its Emits, after the last record of every run; dry reports that
-// nothing more is immediately available. The callback closes the
-// tracer's pending latency span (LatencyTracer.EndRun) at every run end,
-// and when dry and the sink can flush (StreamOut.Flush) it delivers the
-// sink's pending batch at once instead of leaving it for the MaxDelay
-// timer; under backlog dry is false, so batches still grow. An error
-// from end fails the pipeline as a failed Emit does, and the source
-// stops.
+// with its Emits, after the last record of every run and before it
+// reuses anything the run handed back through Recycle; dry reports that
+// nothing more is immediately available. The callback hands a sink that
+// takes runs (StreamOut.ConsumeRun) the records the run left collected
+// for it, closes the tracer's pending latency span
+// (LatencyTracer.EndRun), and when dry and the sink can flush
+// (StreamOut.Flush) it delivers the sink's pending batch at once instead
+// of leaving it for the MaxDelay timer; under backlog dry is false, so
+// batches still grow. An error from end fails the pipeline as a failed
+// Emit does, and the source stops.
 type RunEnder interface {
 	SetRunEnd(end func(dry bool) error)
 }

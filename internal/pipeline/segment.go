@@ -108,9 +108,17 @@ func wrapOpErr(op Operator, err error) error {
 	return &OperatorError{Op: op.Name(), Err: err}
 }
 
+// runConsumer is a sink that takes a run of records in one call (see
+// StreamOut.ConsumeRun); the caller keeps ownership of the records.
+type runConsumer interface {
+	ConsumeRun(run []*record.Record) error
+}
+
 // Pipeline composes a source, segments and a sink in-process. Every record
 // runs to completion inside the source's Emit: through each segment in
-// order and straight into the sink, with no stage hand-off. Segments run
+// order and into the sink, with no stage hand-off — or, from a source that
+// runs its records in batches (RunEnder) into a sink that takes runs,
+// into the sink in one call at the run's end. Segments run
 // concurrently when they are placed on different hosts (or units), joined
 // by streamout/streamin, which is how the paper distributes record
 // processing across resources.
@@ -208,39 +216,72 @@ func (p *Pipeline) Run(parent context.Context) error {
 		context.AfterFunc(ctx, func() { _ = c.Close() })
 	}
 
-	// The sink ends the ownership chain: a recycling source's records are
-	// released once Consume returns (hosted sinks copy what they need
-	// synchronously). A sink error fails the pipeline before the
+	// The sink ends the ownership chain: a recycling source takes each
+	// record back once the sink has consumed it (hosted sinks copy what
+	// they need synchronously). A sink error fails the pipeline before the
 	// operators it unwinds through can claim it.
-	recycle := false
-	if rs, ok := p.source.(RecycledSource); ok {
-		recycle = rs.RecyclesRecords()
-	}
-	// A source that runs records in batches closes the tracer's span at
-	// every run end, and flushes a flushable sink when its input ran dry,
-	// so a batched hop delivers without waiting for its timer. Any other
-	// source's records are timed one by one.
-	re, runs := p.source.(RunEnder)
-	var out Emitter = EmitterFunc(func(r *record.Record) error {
-		p.Tracer.Observe(r)
-		if !runs {
-			p.Tracer.EndRun()
-		}
-		err := p.sink.Consume(r)
-		if recycle {
-			record.Release(r)
-		}
+	rs, recycle := p.source.(RecycledSource)
+	recycle = recycle && rs.RecyclesRecords()
+	sinkErr := func(err error) error {
 		if err != nil {
 			err = fmt.Errorf("sink %s: %w", p.sink.Name(), err)
 			fail(err)
 		}
 		return err
+	}
+	// A source that runs records in batches closes the tracer's span at
+	// every run end, and flushes a flushable sink when its input ran dry,
+	// so a batched hop delivers without waiting for its timer. Any other
+	// source's records are timed one by one. A sink that takes runs
+	// (StreamOut) is handed a run source's records in one call per run:
+	// they are collected as they reach it and go out at the run end, when
+	// runCap of them are waiting, or at once behind a record that must not
+	// wait (record.ForcesFlush).
+	re, runs := p.source.(RunEnder)
+	rc, collect := p.sink.(runConsumer)
+	collect = collect && runs
+	var pending []*record.Record
+	if collect {
+		pending = make([]*record.Record, 0, runCap)
+	}
+	deliver := func() error {
+		err := rc.ConsumeRun(pending)
+		if recycle {
+			for _, r := range pending {
+				rs.Recycle(r)
+			}
+		}
+		clear(pending)
+		pending = pending[:0]
+		return sinkErr(err)
+	}
+	var out Emitter = EmitterFunc(func(r *record.Record) error {
+		p.Tracer.Observe(r)
+		if collect {
+			if pending = append(pending, r); len(pending) < runCap && !record.ForcesFlush(r) {
+				return nil
+			}
+			return deliver()
+		}
+		if !runs {
+			p.Tracer.EndRun()
+		}
+		err := p.sink.Consume(r)
+		if recycle {
+			rs.Recycle(r)
+		}
+		return sinkErr(err)
 	})
 	if runs {
 		f, flushable := p.sink.(interface{ Flush() error })
 		var end func(dry bool) error
-		if flushable || p.Tracer != nil {
+		if collect || flushable || p.Tracer != nil {
 			end = func(dry bool) error {
+				if len(pending) > 0 {
+					if err := deliver(); err != nil {
+						return err
+					}
+				}
 				p.Tracer.EndRun()
 				if !dry || !flushable {
 					return nil
@@ -250,12 +291,7 @@ func (p *Pipeline) Run(parent context.Context) error {
 					return ErrStopped
 				default:
 				}
-				if err := f.Flush(); err != nil {
-					err = fmt.Errorf("sink %s: %w", p.sink.Name(), err)
-					fail(err)
-					return err
-				}
-				return nil
+				return sinkErr(f.Flush())
 			}
 		}
 		re.SetRunEnd(end)
@@ -300,6 +336,10 @@ func (p *Pipeline) Run(parent context.Context) error {
 			break
 		}
 		err = seg.flush(outs[i+1])
+	}
+	// What the flushes left collected goes out now; no run end follows.
+	if err == nil && ctx.Err() == nil && len(pending) > 0 {
+		err = deliver()
 	}
 	fail(err)
 	// The source and the segments are done emitting: time what the last

@@ -145,13 +145,20 @@ func (p *ProbeSource) PreservesSeq() bool {
 }
 
 // RecyclesRecords delegates to the wrapped source. Probes themselves
-// are pool-backed, so a recycling pipeline releases them like any other
+// are pool-backed, so a recycling pipeline hands them back like any other
 // record; under a non-recycling source they are simply collected.
 func (p *ProbeSource) RecyclesRecords() bool {
 	if rs, ok := p.Source.(RecycledSource); ok {
 		return rs.RecyclesRecords()
 	}
 	return false
+}
+
+// Recycle delegates to the wrapped source (see RecyclesRecords).
+func (p *ProbeSource) Recycle(r *record.Record) {
+	if rs, ok := p.Source.(RecycledSource); ok {
+		rs.Recycle(r)
+	}
 }
 
 // Close closes the wrapped source when it supports closing, so pipeline

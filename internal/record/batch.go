@@ -194,15 +194,26 @@ func (b *BatchWriter) Add(r *Record) error {
 	if len(r.Payload) >= DefaultNoCopyMin {
 		b.ext = append(b.ext, extSeg{off: len(b.buf), p: r.Payload})
 		b.extLen += len(r.Payload)
-		b.force = true
 	} else {
 		b.buf = append(b.buf, r.Payload...)
 	}
 	b.recs++
-	if r.Kind == KindControl || (r.Kind.IsClose() && r.Scope == 0) || b.recs >= MaxBatchRecords {
+	if ForcesFlush(r) || b.recs >= MaxBatchRecords {
 		b.force = true
 	}
 	return nil
+}
+
+// ForcesFlush reports whether r must leave for the wire as soon as it is
+// framed rather than wait for its batch to fill: a top-level
+// CloseScope/BadCloseScope (it ends a clip or session downstream
+// consumers wait on), a Control record (it must not sit behind data),
+// or a payload of DefaultNoCopyMin bytes or more (it rides by reference,
+// so its batch is written while the caller still owns it). BatchWriter
+// raises its force trigger on such a record, and a hosting pipeline that
+// collects a run's records for its sink hands them over at once.
+func ForcesFlush(r *Record) bool {
+	return len(r.Payload) >= DefaultNoCopyMin || r.Kind == KindControl || (r.Kind.IsClose() && r.Scope == 0)
 }
 
 // ShouldFlush reports whether the pending batch has hit a count, size or

@@ -215,12 +215,20 @@ func (r *Reader) Buffered() int { return r.r.Buffered() }
 
 // Read decodes the next record. It returns io.EOF at a clean end of stream
 // and io.ErrUnexpectedEOF if the stream ends mid-record.
-func (r *Reader) Read() (*Record, error) {
+func (r *Reader) Read() (*Record, error) { return r.ReadInto(nil) }
+
+// ReadInto is Read decoding into dst, a record the caller owns and no one
+// else holds: dst is cleared (its payload capacity kept) and returned
+// filled with the next record. A nil dst takes a fresh record as Read
+// does. On error dst is untouched and still the caller's. This is how a
+// streamin decodes the next run into the records its last run handed
+// back.
+func (r *Reader) ReadInto(dst *Record) (*Record, error) {
 	for {
 		if r.batchLeft > 0 {
-			return r.nextBatchRecord(), nil
+			return r.nextBatchRecord(dst), nil
 		}
-		rec, err := r.readOne()
+		rec, err := r.readOne(dst)
 		if err == nil {
 			r.resyncing = false
 			return rec, nil
@@ -254,7 +262,7 @@ func (r *Reader) Read() (*Record, error) {
 // materialized. A batch that fails after a valid header is consumed whole
 // and reported wrapped in errBatchSkipped, so only that batch is
 // lost and decoding resumes at the next frame.
-func (r *Reader) readOne() (*Record, error) {
+func (r *Reader) readOne(dst *Record) (*Record, error) {
 	hdr, err := r.r.Peek(batchHdrSize)
 	if n := min(len(hdr), len(wireMagic)); string(hdr[:n]) != wireMagic[:n] {
 		// Not a frame start (at end of stream: trailing garbage shorter
@@ -309,18 +317,24 @@ func (r *Reader) readOne() (*Record, error) {
 	r.batchOff = 0
 	r.batchLeft = count
 	r.batchConsume = consumed
-	return r.nextBatchRecord(), nil
+	return r.nextBatchRecord(dst), nil
 }
 
-// nextBatchRecord materializes the next record of the open batch cursor.
+// nextBatchRecord materializes the next record of the open batch cursor
+// into dst (cleared first), or into a new record when dst is nil.
 // The body has passed the batch CRC and the structural scan, so the entry
 // geometry is trusted here. When the last record is handed out the frame's
 // bytes are released back to the buffer (the peek path defers its Discard
 // until now, since the cursor aliases the buffered bytes).
-func (r *Reader) nextBatchRecord() *Record {
+func (r *Reader) nextBatchRecord(dst *Record) *Record {
 	e := r.batch[r.batchOff:]
 	plen := int(getU32(e[21:]))
-	rec := r.newRecord()
+	rec := dst
+	if rec == nil {
+		rec = r.newRecord()
+	} else {
+		rec.reset()
+	}
 	fillEntryHeader(rec, e)
 	if plen > 0 {
 		copy(rec.ensurePayload(plen), e[entryHdrSize:entryHdrSize+plen])

@@ -9,9 +9,9 @@ import "fmt"
 // checksum errors instead of skipping the damage.
 func (r *Reader) readStrict() (*Record, error) {
 	if r.batchLeft > 0 {
-		return r.nextBatchRecord(), nil
+		return r.nextBatchRecord(nil), nil
 	}
-	return r.readOne()
+	return r.readOne(nil)
 }
 
 // Top returns the innermost open scope frame and true, or a zero frame and

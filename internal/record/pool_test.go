@@ -2,6 +2,7 @@ package record
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -204,5 +205,40 @@ func TestPooledDecodeAllocs(t *testing.T) {
 	})
 	if perRecord := allocs / n; perRecord > 0.2 {
 		t.Fatalf("pooled decode allocates %.2f/record (%.0f/run), want ~0", perRecord, allocs)
+	}
+}
+
+// TestReadIntoReusesDestination: ReadInto decodes into the record it is
+// given, cleared first (header, ingress stamp and payload) but keeping
+// its payload storage, so a scope marker decoded into a spent data record
+// carries nothing of it; on error the record is left as it was.
+func TestReadIntoReusesDestination(t *testing.T) {
+	wire := AppendBatchWire(nil, poolSample(1, 'a', 64), NewCloseScope(ScopeClip, 0))
+	rd := NewReader(bytes.NewReader(wire))
+	dst := poolSample(9, 'z', 128)
+	dst.SourceID, dst.IngressNanos = 3, 5
+	storage := &dst.Payload[0]
+	got, err := rd.ReadInto(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != dst || &got.Payload[0] != storage {
+		t.Fatal("ReadInto did not decode into the destination's storage")
+	}
+	if got.Seq != 1 || got.SourceID != 0 || got.IngressNanos != 0 || !bytes.Equal(got.Payload, bytes.Repeat([]byte("a"), 64)) {
+		t.Fatalf("decoded %+v, want seq 1 with 64 bytes of 'a' and a cleared header", got)
+	}
+	got, err = rd.ReadInto(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Kind != KindCloseScope || got.Seq != 0 || got.PayloadType != 0 || len(got.Payload) != 0 {
+		t.Fatalf("scope marker decoded into a spent record: %+v", got)
+	}
+	if _, err := rd.ReadInto(got); err != io.EOF {
+		t.Fatalf("ReadInto at end of stream: %v, want io.EOF", err)
+	}
+	if got.Kind != KindCloseScope {
+		t.Fatalf("a failed ReadInto touched its destination: %+v", got)
 	}
 }

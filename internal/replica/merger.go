@@ -30,8 +30,8 @@ type MergerConfig struct {
 	Window int
 	// Pooled decodes leg records into pool-backed storage
 	// (record.GetRecord) and marks the merger as a recycling source: a
-	// hosting pipeline releases each emitted record after its sink
-	// consumes it. Enable only when every downstream consumer honors the
+	// hosting pipeline hands each emitted record back (Recycle) after its
+	// sink consumes it. Enable only when every downstream consumer honors the
 	// ownership contract in record/pool.go.
 	Pooled bool
 	// Stream overrides the stream identity derived from Group (0 derives
@@ -152,10 +152,15 @@ func (m *Merger) Addr() string { return m.ln.Addr().String() }
 // their replication tags, so a downstream hop can still observe them.
 func (m *Merger) PreservesSeq() bool { return true }
 
-// RecyclesRecords implements pipeline.RecycledSource: a pooled merger's
-// records are released back to the record pool by the hosting pipeline
-// once the sink has consumed them.
+// RecyclesRecords implements pipeline.RecycledSource: a pooled merger
+// takes its records back once the hosting pipeline's sink has consumed
+// them.
 func (m *Merger) RecyclesRecords() bool { return m.pooled }
+
+// Recycle implements pipeline.RecycledSource by releasing r to the record
+// pool: a merger's records wait in its reorder ring across leg batches,
+// so they are not owned by a run.
+func (m *Merger) Recycle(r *record.Record) { record.Release(r) }
 
 // SetRunEnd implements pipeline.RunEnder. A merger's run is one leg's
 // decoded batch: end is called, under the lock that serializes emission,
@@ -165,7 +170,10 @@ func (m *Merger) RecyclesRecords() bool { return m.pooled }
 // released without waiting for its delay timer.
 func (m *Merger) SetRunEnd(end func(dry bool) error) { m.runEnd = end }
 
-var _ pipeline.RunEnder = (*Merger)(nil)
+var (
+	_ pipeline.RunEnder       = (*Merger)(nil)
+	_ pipeline.RecycledSource = (*Merger)(nil)
+)
 
 // Connections returns the cumulative number of legs served.
 func (m *Merger) Connections() uint64 { return m.conns.Load() }

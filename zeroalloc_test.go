@@ -161,6 +161,72 @@ func TestHostedUnitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRunRecycleChainZeroAlloc pins run-owned recycling over a chain in
+// which every streamin is hosted through Pipeline.Run: a batched entry
+// streamout feeding a relay unit hosted by Node.Host, whose streamout
+// feeds a terminal unit (a pooled streamin, no operators) that ends in a
+// counting sink that releases nothing. Each hosting pipeline hands every
+// record back to the streamin that decoded it, which decodes a later run
+// into it, so once the run buffers and batch buffers have reached their
+// working size no record allocates or touches sync.Pool. That holds under
+// -race as well, where sync.Pool drops Puts, so this pin runs there too.
+func TestRunRecycleChainZeroAlloc(t *testing.T) {
+	reg := pipeline.NewRegistry()
+	reg.Register("relay", func() []pipeline.Operator { return []pipeline.Operator{pipeline.Relay{}} })
+	node := pipeline.NewNode("za", reg)
+	node.FlushPolicy = zeroAllocFlush()
+	node.Obs = obs.NewRegistry() // every hosted unit traces, as agents run them
+
+	term, err := pipeline.NewStreamIn("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	term.QueueSize = pipeline.DefaultQueueSize
+	term.Pooled = true
+	var emitted atomic.Uint64
+	count := pipeline.SinkFunc{SinkName: "count", Fn: func(*record.Record) error {
+		emitted.Add(1)
+		return nil
+	}}
+	if err := node.HostUnit("term", "", term, pipeline.NewSegment("term"), count); err != nil {
+		t.Fatal(err)
+	}
+	addr, err := node.Host("relay", "relay", "127.0.0.1:0", term.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := pipeline.NewStreamOutBatched(addr, zeroAllocFlush())
+
+	r := record.NewData(record.SubtypeAudio)
+	r.SetPCM16(make([]int16, 32))
+	var sent uint64
+	burst := func() {
+		for i := 0; i < zeroAllocBurst; i++ {
+			r.Seq++
+			if err := entry.Consume(r); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for emitted.Load() < sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("sink saw %d of %d records", emitted.Load(), sent)
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for i := 0; i < zeroAllocRound/zeroAllocBurst; i++ {
+		burst()
+	}
+	allocs := testing.AllocsPerRun(20, burst)
+	_ = entry.Close()
+	_ = node.StopAll()
+	if perRecord := allocs / zeroAllocBurst; perRecord > 0.01 {
+		t.Fatalf("run-owned chain allocates %.3f/record (%.0f/run), want 0", perRecord, allocs)
+	}
+}
+
 // TestShardPathZeroAlloc pins the sharded data plane end to end: a record
 // consumed by the partitioner (pooled copy + replica tag + route), batch-
 // framed over live TCP, decoded into the collector's pooled reader,
